@@ -407,9 +407,6 @@ class CohomologyClass:
     def degree(self) -> int:
         return self.representative.degree
 
-    def same_class(self, other: "CohomologyClass") -> bool:
-        return class_equal(self.representative, other.representative)
-
 
 # ---------------------------------------------------------------------------
 # Bockstein

@@ -21,6 +21,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
+from .exact_linalg import is_prime
 from .groups import (FiniteGroup, Subgroup, order_p_subgroup_classes,
                      subgroup_closure)
 
@@ -408,7 +409,7 @@ def chern_exponents_at(G: FiniteGroup, C: Subgroup,
     restricted total Chern classes of irreducibles have nonzero
     coefficients, and their gcd m."""
     p = C.order
-    if p < 2 or any(p % d == 0 for d in range(2, p)):
+    if not is_prime(p):
         raise ValueError("C must have prime order")
     g = C.members[1]
     if irreducibles is None:

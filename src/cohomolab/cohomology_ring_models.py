@@ -23,11 +23,12 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .exact_linalg import Echelon, SparseMatrix, kernel_mod_p
+from .exact_linalg import Echelon, _mat_det, is_prime
 from .invariant_rings import (
     GradedAlgebra,
+    GradedRing,
     HELD5_MATRICES,
-    _mat_det,
+    fixed_kernel,
     in_span,
     subalgebra_basis,
     subalgebra_dims,
@@ -39,21 +40,21 @@ Element = dict    # Monomial -> scalar mod p
 GENERATOR_ORDER = ("alpha", "beta", "mu", "nu", "zeta")  # plus chi_i
 
 
-class RingModel:
-    """The mod-p reduction of the presented cohomology ring of P(3)."""
+class RingModel(GradedRing):
+    """The mod-p reduction of the presented cohomology ring of P(3).
+
+    Generator keys are the names from generator_names()."""
 
     def __init__(self, p: int, n: int = 3, lam: int = 1):
-        if p < 3 or any(p % d == 0 for d in range(2, p)):
+        if p < 3 or not is_prime(p):
             raise ValueError("p must be an odd prime")
         if n != 3:
             raise ValueError("only the order-p^3 model is implemented")
         if lam % p == 0:
             raise ValueError("lam must be a unit mod p")
-        self.p = p
+        super().__init__(p)
         self.n = n
         self.lam = lam % p
-        self._basis_cache: dict[int, list[Monomial]] = {}
-        self._index_cache: dict[int, dict[Monomial, int]] = {}
 
     # -- monomials ----------------------------------------------------------
 
@@ -61,44 +62,37 @@ class RingModel:
         z, a, b, mu, nu, chi = m
         return 2 * self.p * z + 2 * (a + b + chi) + 3 * (mu + nu)
 
-    def basis(self, d: int) -> list[Monomial]:
-        if d not in self._basis_cache:
-            p = self.p
-            out = []
-            for z in range(d // (2 * p) + 1):
-                rem = d - 2 * p * z
-                if rem == 0:
-                    out.append((z, 0, 0, 0, 0, 0))
+    def _monomials(self, d: int) -> list[Monomial]:
+        p = self.p
+        out = []
+        for z in range(d // (2 * p) + 1):
+            rem = d - 2 * p * z
+            if rem == 0:
+                out.append((z, 0, 0, 0, 0, 0))
+                continue
+            if rem % 2 == 0:
+                j = rem // 2
+                if 2 <= j <= p - 1:
+                    out.append((z, 0, 0, 0, 0, j))
+                for b in range(j + 1):
+                    a = j - b
+                    if a == 0 or b <= p - 1:
+                        out.append((z, a, b, 0, 0, 0))
+            else:
+                if rem < 3:
                     continue
-                if rem % 2 == 0:
-                    j = rem // 2
-                    if 2 <= j <= p - 1:
-                        out.append((z, 0, 0, 0, 0, j))
-                    for b in range(j + 1):
-                        a = j - b
-                        if a == 0 or b <= p - 1:
-                            out.append((z, a, b, 0, 0, 0))
-                else:
-                    if rem < 3:
-                        continue
-                    j = (rem - 3) // 2
-                    out.append((z, j, 0, 0, 1, 0))
-                    for b in range(j + 1):
-                        a = j - b
-                        if a == 0 or b <= p - 2:
-                            out.append((z, a, b, 1, 0, 0))
-            out.sort()
-            self._basis_cache[d] = out
-            self._index_cache[d] = {m: i for i, m in enumerate(out)}
-        return self._basis_cache[d]
+                j = (rem - 3) // 2
+                out.append((z, j, 0, 0, 1, 0))
+                for b in range(j + 1):
+                    a = j - b
+                    if a == 0 or b <= p - 2:
+                        out.append((z, a, b, 1, 0, 0))
+        return out
 
-    def dim(self, d: int) -> int:
-        return len(self.basis(d))
-
-    def index_of(self, m: Monomial) -> int:
-        d = self.monomial_degree(m)
-        self.basis(d)
-        return self._index_cache[d][m]
+    def word(self, m: Monomial) -> list[str]:
+        z, a, b, mu, nu, chi = m
+        return (["zeta"] * z + ["alpha"] * a + ["beta"] * b + ["mu"] * mu
+                + ["nu"] * nu + ([f"chi_{chi}"] if chi else []))
 
     # -- elements -----------------------------------------------------------
 
@@ -126,22 +120,6 @@ class RingModel:
     def generator_names(self) -> list[str]:
         return list(GENERATOR_ORDER) + \
             [f"chi_{i}" for i in range(2, self.p)]
-
-    def add(self, u: Element, v: Element) -> Element:
-        out = dict(u)
-        for m, c in v.items():
-            nc = (out.get(m, 0) + c) % self.p
-            if nc:
-                out[m] = nc
-            else:
-                out.pop(m, None)
-        return out
-
-    def scale(self, u: Element, c: int) -> Element:
-        c %= self.p
-        if not c:
-            return {}
-        return {m: (c * v) % self.p for m, v in u.items()}
 
     def mul(self, u: Element, v: Element) -> Element:
         out: Element = {}
@@ -202,14 +180,6 @@ class RingModel:
             out[m] = nc
         else:
             out.pop(m, None)
-
-    def element_degree(self, u: Element) -> Optional[int]:
-        degs = {self.monomial_degree(m) for m in u}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
 
     # -- certification ------------------------------------------------------
 
@@ -294,12 +264,6 @@ class RingModel:
                            mn == self.scale(g["chi_3"], self.lam)))
         return checks
 
-    def power(self, u: Element, n: int) -> Element:
-        acc = self.one()
-        for _ in range(n):
-            acc = self.mul(acc, u)
-        return acc
-
 
 def build_model(p: int, n: int = 3, lam: int = 1,
                 samples: int = 500) -> RingModel:
@@ -316,22 +280,45 @@ def build_model(p: int, n: int = 3, lam: int = 1,
 # ---------------------------------------------------------------------------
 
 
-class RingAutomorphism:
-    """A ring endomorphism given by images of the generators, certified
-    multiplicative on random basis-monomial pairs at construction."""
+class _GeneratorMap:
+    """A ring map out of a RingModel into target given by the images of
+    the generators.  Each image must have its generator's degree; with
+    check, the map is certified multiplicative on `samples` random
+    basis-monomial pairs drawn from random.Random(seed).  A subclass
+    names its kind (for the error message) and defines apply."""
 
-    def __init__(self, model: RingModel, images: dict[str, Element],
-                 check: bool = True, samples: int = 100):
+    def __init__(self, model: RingModel, target: GradedRing,
+                 images: dict[str, Element], check: bool, samples: int,
+                 seed: int):
         self.model = model
+        self.target = target
         self.images = {name: dict(images[name])
                        for name in model.generator_names()}
         for name, img in self.images.items():
-            d = model.element_degree(img)
+            d = target.element_degree(img)
             if d is not None and \
                     d != model.element_degree(model.gen(name)):
                 raise ValueError(f"image of {name} has the wrong degree")
         if check:
-            self._certify(samples)
+            rng = random.Random(seed)
+            for _ in range(samples):
+                u = model.random_monomial(rng, 4 * model.p)
+                v = model.random_monomial(rng, 4 * model.p)
+                if self.apply(model.mul(u, v)) != \
+                        target.mul(self.apply(u), self.apply(v)):
+                    raise ArithmeticError(
+                        f"{self.kind} is not multiplicative on {u}, {v}")
+
+
+class RingAutomorphism(_GeneratorMap):
+    """A ring endomorphism given by images of the generators, certified
+    multiplicative on random basis-monomial pairs at construction."""
+
+    kind = "automorphism"
+
+    def __init__(self, model: RingModel, images: dict[str, Element],
+                 check: bool = True, samples: int = 100):
+        super().__init__(model, model, images, check, samples, seed=11)
 
     @classmethod
     def from_matrix(cls, model: RingModel, matrix, j: int,
@@ -359,30 +346,8 @@ class RingAutomorphism:
                                              pow(j % p, i, p))
         return cls(model, images, check=check)
 
-    def _certify(self, samples: int) -> None:
-        model = self.model
-        rng = random.Random(11)
-        for _ in range(samples):
-            u = model.random_monomial(rng, 4 * model.p)
-            v = model.random_monomial(rng, 4 * model.p)
-            if self.apply(model.mul(u, v)) != \
-                    model.mul(self.apply(u), self.apply(v)):
-                raise ArithmeticError(
-                    f"automorphism is not multiplicative on {u}, {v}")
-
     def apply(self, u: Element) -> Element:
-        model = self.model
-        out: Element = {}
-        for (z, a, b, mu, nu, chi), c in u.items():
-            term = model.one()
-            for name, e in (("zeta", z), ("alpha", a), ("beta", b),
-                            ("mu", mu), ("nu", nu)):
-                for _ in range(e):
-                    term = model.mul(term, self.images[name])
-            if chi:
-                term = model.mul(term, self.images[f"chi_{chi}"])
-            out = model.add(out, model.scale(term, c))
-        return out
+        return self.model.evaluate(u, self.images, self.target)
 
     def compose(self, other: "RingAutomorphism") -> "RingAutomorphism":
         """self after other."""
@@ -432,27 +397,8 @@ def fixed_subring(model: RingModel, autos: Sequence[RingAutomorphism],
     stacked (action - identity) on the monomial basis."""
     if max_degree > 12 * model.p:
         raise ValueError("max_degree capped at 12p")
-    out = []
-    for d in range(max_degree + 1):
-        basis = model.basis(d)
-        n = len(basis)
-        if n == 0:
-            out.append([])
-            continue
-        acc: dict[tuple[int, int], int] = {}
-        for gi, phi in enumerate(autos):
-            for j, m in enumerate(basis):
-                img = phi.apply({m: 1})
-                img[m] = img.get(m, 0) - 1
-                for mm, c in img.items():
-                    if c % model.p:
-                        acc[(gi * n + model.index_of(mm), j)] = c
-        mat = SparseMatrix(n * max(1, len(autos)), n,
-                           [(i, j, v) for (i, j), v in acc.items()],
-                           p=model.p)
-        out.append([{basis[j]: v for j, v in enumerate(vec) if v}
-                    for vec in kernel_mod_p(mat)])
-    return out
+    maps = [phi.apply for phi in autos]
+    return [fixed_kernel(model, maps, d) for d in range(max_degree + 1)]
 
 
 def fixed_dims(model: RingModel, autos: Sequence[RingAutomorphism],
@@ -641,44 +587,19 @@ def theorem_5_14_generators(model: RingModel) -> list[Element]:
 # ---------------------------------------------------------------------------
 
 
-class RestrictionMap:
+class RestrictionMap(_GeneratorMap):
     """Generator-image map from a RingModel into a GradedAlgebra,
     certified multiplicative on random basis-monomial pairs."""
+
+    kind = "restriction"
 
     def __init__(self, model: RingModel, target: GradedAlgebra,
                  images: dict[str, Element], check: bool = True,
                  samples: int = 100):
-        self.model = model
-        self.target = target
-        self.images = {name: dict(images[name])
-                       for name in model.generator_names()}
-        if check:
-            rng = random.Random(13)
-            for _ in range(samples):
-                u = model.random_monomial(rng, 4 * model.p)
-                v = model.random_monomial(rng, 4 * model.p)
-                if self.apply(model.mul(u, v)) != \
-                        target.mul(self.apply(u), self.apply(v)):
-                    raise ArithmeticError(
-                        f"restriction is not multiplicative on {u}, {v}")
+        super().__init__(model, target, images, check, samples, seed=13)
 
     def apply(self, u: Element) -> Element:
-        model, target = self.model, self.target
-        out: Element = {}
-        for (z, a, b, mu, nu, chi), c in u.items():
-            term = target.one()
-            for name, e in (("zeta", z), ("alpha", a), ("beta", b),
-                            ("mu", mu), ("nu", nu)):
-                for _ in range(e):
-                    term = target.mul(term, self.images[name])
-            if chi:
-                term = target.mul(term, self.images[f"chi_{chi}"])
-            out = target.add(out, target.scale(term, c))
-        return out
-
-
-def apply_restriction(rmap: RestrictionMap, u: Element) -> Element:
-    return rmap.apply(u)
+        return self.model.evaluate(u, self.images, self.target)
 
 
 def named_restriction(model: RingModel, name: str) -> RestrictionMap:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterable, Optional
 
 
@@ -527,3 +527,31 @@ def _divisor_chain(diagonal: list[int]) -> list[int]:
             ones += sum(1 for d in rest if d == 1)
             rest = [d for d in rest if d != 1]
     return [1] * ones + sorted(rest)
+
+
+# ---------------------------------------------------------------------------
+# Small exact helpers: primality and dense square matrices mod p
+# ---------------------------------------------------------------------------
+
+
+def is_prime(n: int) -> bool:
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def _mat_mul(A, B, p):
+    k = len(A)
+    return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(k)) % p
+                       for j in range(k)) for i in range(k))
+
+
+def _mat_det(A, p):
+    k = len(A)
+    if k == 1:
+        return A[0][0] % p
+    if k == 2:
+        return (A[0][0] * A[1][1] - A[0][1] * A[1][0]) % p
+    det = 0
+    for j in range(k):
+        minor = tuple(row[:j] + row[j + 1:] for row in A[1:])
+        det += (-1) ** j * A[0][j] * _mat_det(minor, p)
+    return det % p

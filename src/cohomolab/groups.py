@@ -21,6 +21,8 @@ import itertools
 import random
 from typing import Iterable, Optional, Sequence
 
+from .exact_linalg import _mat_mul, is_prime
+
 MAX_TABLE_ORDER = 4096
 
 
@@ -167,11 +169,6 @@ class Subgroup:
     def index(self) -> int:
         return len(self.transversal)
 
-    def coset_rep(self, g: int) -> int:
-        """Least-index representative of the left coset gH."""
-        mul = self.parent.mul
-        return min(mul[g][h] for h in self.members)
-
     def as_group(self) -> FiniteGroup:
         """The subgroup as a standalone FiniteGroup (its own numbering)."""
         # renumber so the identity is 0 and order is by parent index
@@ -212,7 +209,7 @@ def _table_from_normal_form(moduli: list[int], compose, gens_exp, name: str) -> 
 
 
 def _check_odd_prime(p: int) -> None:
-    if p < 3 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+    if p < 3 or not is_prime(p):
         raise ValueError(f"p={p} must be an odd prime")
 
 
@@ -344,12 +341,6 @@ def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     return FiniteGroup(mul, gens, name)
 
 
-def _mat_mul(A, B, p):
-    n = len(A)
-    return tuple(tuple(sum(A[i][k] * B[k][j] for k in range(n)) % p
-                       for j in range(n)) for i in range(n))
-
-
 def _mat_vec(A, v, p):
     n = len(A)
     return tuple(sum(A[i][k] * v[k] for k in range(n)) % p for i in range(n))
@@ -361,7 +352,7 @@ def build_semidirect(p: int, k: int, matrices: Sequence[Sequence[Sequence[int]]]
 
     Elements are pairs (v, Q) with (v, Q)(w, R) = (v + Q w, Q R).
     """
-    if any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)) or p < 2:
+    if not is_prime(p):
         raise ValueError(f"p={p} must be prime")
     ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
     gens_m = [tuple(tuple(r[j] % p for j in range(k)) for r in M) for M in matrices]

@@ -2,6 +2,11 @@
 over F_p under finite matrix-group actions, with Dickson-invariant and
 order-48 <= GL_2(5) checks.
 
+``GradedRing`` is the shared core of every graded ring over F_p here
+(``GradedAlgebra`` below and ``RingModel`` in ``cohomology_ring_models``):
+monomial bases per degree, linear arithmetic, substitution of generator
+images, and common fixed subspaces of a list of linear maps.
+
 Elements are dictionaries mapping monomials (polynomial exponent tuple,
 exterior bit tuple) to scalars mod p.  Fixed subspaces are kernels of the
 stacked (g - 1) action matrices on the per-degree monomial basis;
@@ -13,78 +18,45 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
-from .exact_linalg import Echelon, SparseMatrix, kernel_mod_p, rank_mod_p
+from .exact_linalg import (Echelon, SparseMatrix, _mat_det, _mat_mul,
+                           is_prime, kernel_mod_p, rank_mod_p)
 
 Monomial = tuple  # (poly exponent tuple, exterior bit tuple)
 Element = dict    # Monomial -> scalar mod p
 
 
-class GradedAlgebra:
-    """F_p[x_1..x_r] (x) Lambda[w_1..w_s] with assigned generator degrees."""
+class GradedRing:
+    """A graded F_p-algebra with a monomial basis in each degree.
 
-    def __init__(self, p: int, poly_degrees: Sequence[int],
-                 ext_degrees: Sequence[int] = ()):
-        if any(d <= 0 for d in itertools.chain(poly_degrees, ext_degrees)):
-            raise ValueError("generator degrees must be positive")
+    Elements are dicts {monomial: nonzero scalar mod p}.  A subclass
+    supplies ``monomial_degree``, ``_monomials(d)`` (the degree-d
+    monomials, any order), ``one``, ``mul`` and ``word(m)``: the generator
+    keys whose product, left to right, is the monomial m."""
+
+    def __init__(self, p: int):
         self.p = p
-        self.poly_degrees = tuple(poly_degrees)
-        self.ext_degrees = tuple(ext_degrees)
-        self._basis_cache: dict[int, list[Monomial]] = {}
-        self._index_cache: dict[int, dict[Monomial, int]] = {}
+        self._basis_cache: dict[int, list] = {}
+        self._index_cache: dict[int, dict] = {}
 
-    # -- monomials ----------------------------------------------------------
-
-    def monomial_degree(self, m: Monomial) -> int:
-        e, b = m
-        return (sum(x * d for x, d in zip(e, self.poly_degrees))
-                + sum(x * d for x, d in zip(b, self.ext_degrees)))
-
-    def basis(self, d: int) -> list[Monomial]:
+    def basis(self, d: int) -> list:
         if d not in self._basis_cache:
-            out = []
-            for bits in itertools.product((0, 1), repeat=len(self.ext_degrees)):
-                rem = d - sum(x * e for x, e in zip(bits, self.ext_degrees))
-                if rem < 0:
-                    continue
-                for exps in self._poly_exponents(rem, len(self.poly_degrees)):
-                    out.append((exps, bits))
-            out.sort()
+            out = sorted(self._monomials(d))
             self._basis_cache[d] = out
             self._index_cache[d] = {m: i for i, m in enumerate(out)}
         return self._basis_cache[d]
 
-    def _poly_exponents(self, d: int, k: int):
-        if k == 0:
-            if d == 0:
-                yield ()
-            return
-        deg = self.poly_degrees[len(self.poly_degrees) - k]
-        for e in range(d // deg + 1):
-            for rest in self._poly_exponents(d - e * deg, k - 1):
-                yield (e,) + rest
-
-    def index_of(self, m: Monomial) -> int:
+    def index_of(self, m) -> int:
         d = self.monomial_degree(m)
         self.basis(d)
         return self._index_cache[d][m]
 
-    # -- elements -----------------------------------------------------------
+    def dim(self, d: int) -> int:
+        return len(self.basis(d))
 
-    def one(self) -> Element:
-        return {((0,) * len(self.poly_degrees),
-                 (0,) * len(self.ext_degrees)): 1}
-
-    def variable(self, i: int) -> Element:
-        e = [0] * len(self.poly_degrees)
-        e[i] = 1
-        return {(tuple(e), (0,) * len(self.ext_degrees)): 1}
-
-    def ext_variable(self, i: int) -> Element:
-        b = [0] * len(self.ext_degrees)
-        b[i] = 1
-        return {((0,) * len(self.poly_degrees), tuple(b)): 1}
+    component_dim = dim
 
     def add(self, u: Element, v: Element) -> Element:
         out = dict(u)
@@ -101,6 +73,120 @@ class GradedAlgebra:
         if not c:
             return {}
         return {m: (c * v) % self.p for m, v in u.items()}
+
+    def power(self, u: Element, n: int) -> Element:
+        acc = self.one()
+        for _ in range(n):
+            acc = self.mul(acc, u)
+        return acc
+
+    def element_degree(self, u: Element) -> Optional[int]:
+        """Degree of a homogeneous element (None for 0); raises otherwise."""
+        degs = {self.monomial_degree(m) for m in u}
+        if not degs:
+            return None
+        if len(degs) > 1:
+            raise ValueError("element is not homogeneous")
+        return degs.pop()
+
+    def evaluate(self, u: Element, images, target: "GradedRing") -> Element:
+        """Image of u under the ring map into target that sends generator
+        key g to images[g]: each monomial's word is multiplied out factor
+        by factor, starting from target.one()."""
+        out: Element = {}
+        for m, c in u.items():
+            term = target.one()
+            for g in self.word(m):
+                term = target.mul(term, images[g])
+            out = target.add(out, target.scale(term, c))
+        return out
+
+
+def fixed_kernel(ring: GradedRing,
+                 maps: Sequence[Callable[[Element], Element]],
+                 d: int) -> list[Element]:
+    """Basis of the degree-d subspace fixed by every linear map in maps:
+    the kernel of the blocks (g - 1), block gi on rows gi*n .. gi*n + n-1.
+    With no maps the zero matrix leaves the whole component fixed."""
+    basis = ring.basis(d)
+    n = len(basis)
+    if n == 0:
+        return []
+    entries = []
+    for gi, g in enumerate(maps):
+        for j, m in enumerate(basis):
+            img = g({m: 1})
+            img[m] = img.get(m, 0) - 1
+            entries.extend((gi * n + ring.index_of(mm), j, c)
+                           for mm, c in img.items() if c)
+    mat = SparseMatrix(n * max(1, len(maps)), n, entries, p=ring.p)
+    return [{basis[j]: v for j, v in enumerate(vec) if v}
+            for vec in kernel_mod_p(mat)]
+
+
+class GradedAlgebra(GradedRing):
+    """F_p[x_1..x_r] (x) Lambda[w_1..w_s] with assigned generator degrees.
+
+    Generator keys are 0..r-1 for x_1..x_r and r..r+s-1 for w_1..w_s."""
+
+    def __init__(self, p: int, poly_degrees: Sequence[int],
+                 ext_degrees: Sequence[int] = ()):
+        if any(d <= 0 for d in itertools.chain(poly_degrees, ext_degrees)):
+            raise ValueError("generator degrees must be positive")
+        super().__init__(p)
+        self.poly_degrees = tuple(poly_degrees)
+        self.ext_degrees = tuple(ext_degrees)
+
+    # -- monomials ----------------------------------------------------------
+
+    def monomial_degree(self, m: Monomial) -> int:
+        e, b = m
+        return (sum(x * d for x, d in zip(e, self.poly_degrees))
+                + sum(x * d for x, d in zip(b, self.ext_degrees)))
+
+    def _monomials(self, d: int) -> list[Monomial]:
+        out = []
+        for bits in itertools.product((0, 1), repeat=len(self.ext_degrees)):
+            rem = d - sum(x * e for x, e in zip(bits, self.ext_degrees))
+            if rem < 0:
+                continue
+            for exps in self._poly_exponents(rem, len(self.poly_degrees)):
+                out.append((exps, bits))
+        return out
+
+    def _poly_exponents(self, d: int, k: int):
+        if k == 0:
+            if d == 0:
+                yield ()
+            return
+        deg = self.poly_degrees[len(self.poly_degrees) - k]
+        for e in range(d // deg + 1):
+            for rest in self._poly_exponents(d - e * deg, k - 1):
+                yield (e,) + rest
+
+    def word(self, m: Monomial) -> list[int]:
+        # the exterior letters come first, in increasing order (sign +1),
+        # so each costs one product by a single term; x_i are central
+        e, b = m
+        r = len(e)
+        return ([r + j for j, bit in enumerate(b) if bit]
+                + [i for i, x in enumerate(e) for _ in range(x)])
+
+    # -- elements -----------------------------------------------------------
+
+    def one(self) -> Element:
+        return {((0,) * len(self.poly_degrees),
+                 (0,) * len(self.ext_degrees)): 1}
+
+    def variable(self, i: int) -> Element:
+        e = [0] * len(self.poly_degrees)
+        e[i] = 1
+        return {(tuple(e), (0,) * len(self.ext_degrees)): 1}
+
+    def ext_variable(self, i: int) -> Element:
+        b = [0] * len(self.ext_degrees)
+        b[i] = 1
+        return {((0,) * len(self.poly_degrees), tuple(b)): 1}
 
     def mul(self, u: Element, v: Element) -> Element:
         out: dict[Monomial, int] = {}
@@ -122,47 +208,10 @@ class GradedAlgebra:
                     out.pop(m, None)
         return out
 
-    def power(self, u: Element, n: int) -> Element:
-        acc = self.one()
-        for _ in range(n):
-            acc = self.mul(acc, u)
-        return acc
-
-    def element_degree(self, u: Element) -> Optional[int]:
-        """Degree of a homogeneous element (None for 0); raises otherwise."""
-        degs = {self.monomial_degree(m) for m in u}
-        if not degs:
-            return None
-        if len(degs) > 1:
-            raise ValueError("element is not homogeneous")
-        return degs.pop()
-
-    def component_dim(self, d: int) -> int:
-        return len(self.basis(d))
-
 
 # ---------------------------------------------------------------------------
 # Matrix actions
 # ---------------------------------------------------------------------------
-
-
-def _mat_mul(A, B, p):
-    k = len(A)
-    return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(k)) % p
-                       for j in range(k)) for i in range(k))
-
-
-def _mat_det(A, p):
-    k = len(A)
-    if k == 1:
-        return A[0][0] % p
-    if k == 2:
-        return (A[0][0] * A[1][1] - A[0][1] * A[1][0]) % p
-    det = 0
-    for j in range(k):
-        minor = tuple(row[:j] + row[j + 1:] for row in A[1:])
-        det += (-1) ** j * A[0][j] * _mat_det(minor, p)
-    return det % p
 
 
 def matrix_group_closure(mats, p, cap: int = 100_000) -> set:
@@ -219,7 +268,8 @@ class MatrixAction:
         return len(self._closure)
 
     def apply_matrix(self, M, u: Element) -> Element:
-        """Image of u under one matrix (x_i -> sum_j M[j][i] x_j)."""
+        """Image of u under one matrix (x_i -> sum_j M[j][i] x_j,
+        w_j -> det(M)^twist_j w_j)."""
         A = self.algebra
         p = A.p
         det = _mat_det(M, p)
@@ -228,18 +278,9 @@ class MatrixAction:
                     (0,) * len(A.ext_degrees)): M[j][i] % p
                    for j in range(k) if M[j][i] % p}
                   for i in range(k)]
-        out: Element = {}
-        for (e, b), c in u.items():
-            term = {((0,) * k, b): c}
-            for i, exp in enumerate(e):
-                for _ in range(exp):
-                    term = A.mul(term, images[i])
-            twist = 1
-            for j, bit in enumerate(b):
-                if bit:
-                    twist = (twist * pow(det, self.ext_twists[j], p)) % p
-            out = A.add(out, A.scale(term, twist))
-        return out
+        images += [A.scale(A.ext_variable(j), pow(det, t, p))
+                   for j, t in enumerate(self.ext_twists)]
+        return A.evaluate(u, images, A)
 
     def action_matrix(self, M, d: int) -> SparseMatrix:
         A = self.algebra
@@ -255,24 +296,8 @@ class MatrixAction:
 def fixed_subspace(algebra: GradedAlgebra, action: MatrixAction,
                    d: int) -> list[Element]:
     """Basis of the degree-d invariants: kernel of the stacked (g - 1)."""
-    basis = algebra.basis(d)
-    n = len(basis)
-    if n == 0:
-        return []
-    acc: dict[tuple[int, int], int] = {}
-    for gi, M in enumerate(action.matrices):
-        block = action.action_matrix(M, d)
-        for i, j, v in block.entries():
-            acc[(gi * n + i, j)] = acc.get((gi * n + i, j), 0) + v
-        for j in range(n):
-            acc[(gi * n + j, j)] = acc.get((gi * n + j, j), 0) - 1
-    stacked = SparseMatrix(n * len(action.matrices), n,
-                           [(i, j, v) for (i, j), v in acc.items()],
-                           p=algebra.p)
-    out = []
-    for vec in kernel_mod_p(stacked):
-        out.append({basis[j]: v for j, v in enumerate(vec) if v})
-    return out
+    return fixed_kernel(algebra, [partial(action.apply_matrix, M)
+                                  for M in action.matrices], d)
 
 
 def fixed_dims(algebra: GradedAlgebra, action: MatrixAction,
@@ -308,11 +333,10 @@ def averaging_rank(algebra: GradedAlgebra, action: MatrixAction,
 # ---------------------------------------------------------------------------
 
 
-def subalgebra_basis(algebra, gens: Sequence[Element],
+def subalgebra_basis(algebra: GradedRing, gens: Sequence[Element],
                      max_degree: int) -> dict[int, list[Element]]:
     """Spanning elements per degree 0..max_degree of the unital subalgebra
-    generated by the given homogeneous elements.  Works for any algebra
-    object providing one/mul/index_of/element_degree and a modulus p."""
+    generated by the given homogeneous elements of any GradedRing."""
     by_degree: dict[int, list[tuple]] = {}
     for g in gens:
         d = algebra.element_degree(g)
@@ -338,7 +362,7 @@ def subalgebra_basis(algebra, gens: Sequence[Element],
     return elems
 
 
-def subalgebra_dims(algebra, gens: Sequence[Element],
+def subalgebra_dims(algebra: GradedRing, gens: Sequence[Element],
                     max_degree: int) -> list[int]:
     """Dimension per degree 0..max_degree of the unital subalgebra
     generated by the given homogeneous elements."""
@@ -346,9 +370,10 @@ def subalgebra_dims(algebra, gens: Sequence[Element],
     return [len(elems[d]) for d in range(max_degree + 1)]
 
 
-def in_span(algebra: GradedAlgebra, pool: Sequence[Element],
+def in_span(algebra: GradedRing, pool: Sequence[Element],
             target: Element) -> bool:
-    """Linear membership of a homogeneous element in the span of pool."""
+    """Linear membership of a homogeneous element of a GradedRing in the
+    span of pool."""
     span = Echelon(p=algebra.p)
     for e in pool:
         span.add({algebra.index_of(m): c for m, c in e.items()})
@@ -385,13 +410,9 @@ def gl2_generators(p: int):
 def _primitive_root(p: int) -> int:
     for r in range(2, p):
         if all(pow(r, (p - 1) // q, p) != 1
-               for q in range(2, p) if (p - 1) % q == 0 and _is_prime(q)):
+               for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)):
             return r
     raise ValueError("no primitive root found")
-
-
-def _is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
 @dataclass
@@ -413,7 +434,7 @@ def dickson_check(p: int, max_degree: int,
                   pair: Optional[DicksonPair] = None) -> DicksonReport:
     """Fixed-subspace dims vs the span of products of the free generators:
     {a, b} for SL_2(p), {a^(p-1), b} for GL_2(p), every degree <= max_degree.
-    The generators are asserted invariant first."""
+    The generators are checked invariant first."""
     if p not in (3, 5, 7):
         raise ValueError("p must be 3, 5, or 7")
     if max_degree > (60 if p == 7 else 30):
@@ -422,8 +443,10 @@ def dickson_check(p: int, max_degree: int,
     pair = pair or dickson_pair(p)
     sl2 = MatrixAction(A, sl2_generators(p))
     gl2 = MatrixAction(A, gl2_generators(p))
-    assert sl2.group_order() == p * (p * p - 1)
-    assert gl2.group_order() == (p * p - 1) * (p * p - p)
+    if sl2.group_order() != p * (p * p - 1):
+        raise ArithmeticError("SL_2 generators give the wrong group order")
+    if gl2.group_order() != (p * p - 1) * (p * p - p):
+        raise ArithmeticError("GL_2 generators give the wrong group order")
     for M in sl2.matrices:
         for g in (pair.a, pair.b):
             if sl2.apply_matrix(M, g) != g:

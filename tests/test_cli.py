@@ -106,6 +106,15 @@ def test_ringmodel_named_and_json_actions(capsys):
     assert rep2["action"] == "custom"
 
 
+def test_ringmodel_empty_action_fixes_everything(capsys):
+    from cohomolab.cohomology_ring_models import RingModel
+    code, rep = run_json(capsys, ["ringmodel", "fixed", "--p", "3",
+                                  "--action", "[]", "--max-degree", "12"])
+    assert code == EXIT_PASS
+    model = RingModel(3)
+    assert rep["fixed_dims"] == [model.dim(d) for d in range(13)]
+
+
 def test_davis_pipeline(capsys, tmp_path):
     kfile = tmp_path / "k.json"
     K = barycentric_subdivision(simplex_boundary(4))
@@ -160,6 +169,15 @@ def test_usage_error_exits_2(capsys):
     assert main(["massey", "triple", "--p", "3"]) == EXIT_INPUT
     assert main(["massey", "triple", "--group", "not json",
                  "--p", "3"]) == EXIT_INPUT
+
+
+def test_dickson_wrong_group_order_exits_1(capsys, monkeypatch):
+    from cohomolab import invariant_rings
+    full = invariant_rings.sl2_generators
+    monkeypatch.setattr(invariant_rings, "sl2_generators",
+                        lambda p: full(p)[:1])
+    assert main(["invariants", "dickson", "--p", "3",
+                 "--max-degree", "6"]) == EXIT_FAILURE
 
 
 def test_resource_limit_exits_3(capsys):

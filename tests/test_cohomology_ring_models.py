@@ -4,9 +4,9 @@ import pytest
 
 from cohomolab.bar_cohomology import cohomology_dims_mod_p
 from cohomolab.cohomology_ring_models import (
+    RestrictionMap,
     RingAutomorphism,
     RingModel,
-    apply_restriction,
     build_model,
     check_lemma_3_4,
     check_theorem_5_10,
@@ -237,10 +237,10 @@ def test_restriction_h_5_10_images():
     m = build_model(3, samples=50)
     rmap = named_restriction(m, "H-5.10")
     T = rmap.target
-    assert apply_restriction(rmap, m.gen("alpha")) == {}
-    assert apply_restriction(rmap, m.gen("nu")) == {}
+    assert rmap.apply(m.gen("alpha")) == {}
+    assert rmap.apply(m.gen("nu")) == {}
     bp = T.variable(0)
-    assert apply_restriction(rmap, m.gen("chi_2")) == \
+    assert rmap.apply(m.gen("chi_2")) == \
         T.scale(T.mul(bp, bp), -1)
 
 
@@ -252,13 +252,22 @@ def test_restriction_k_5_13_spot_images():
     g = m.gen
     z2ab = m.mul(m.power(g("zeta"), 2), m.mul(g("alpha"), g("beta")))
     expected = T.scale(T.mul(T.power(zp, 2), T.power(eps, 2)), -1)
-    assert apply_restriction(rmap, z2ab) == expected
+    assert rmap.apply(z2ab) == expected
     a3b3 = m.add(m.power(g("alpha"), 3), m.power(g("beta"), 3))
-    assert apply_restriction(rmap, a3b3) == {}
+    assert rmap.apply(a3b3) == {}
     gens = theorem_5_14_generators(m)
     last = gens[-1]  # zeta^6 - alpha^39 beta^3
-    assert apply_restriction(rmap, last) == \
+    assert rmap.apply(last) == \
         T.add(T.power(zp, 6), T.power(eps, 42))
+
+
+def test_restriction_rejects_wrong_degree_image():
+    m = build_model(3, samples=50)
+    T = named_restriction(m, "H-5.10").target
+    images = {name: {} for name in m.generator_names()}
+    images["alpha"] = T.ext_variable(0)  # degree 3, alpha has degree 2
+    with pytest.raises(ValueError, match="image of alpha"):
+        RestrictionMap(m, T, images, check=False)
 
 
 def test_restriction_validation():
