@@ -32,7 +32,7 @@ from .invariant_rings import (
     GradedAlgebra,
     MatrixAction,
     dickson_check,
-    fixed_subspace,
+    fixed_subspaces,
     held_5_part_check,
 )
 
@@ -145,8 +145,7 @@ def _cmd_invariants(args) -> dict:
                        ext_twists=spec.get("ext_twists"))
     dims = []
     basis = {}
-    for d in range(args.max_degree + 1):
-        fixed = fixed_subspace(A, act, d)
+    for d, fixed in enumerate(fixed_subspaces(A, act, args.max_degree)):
         dims.append(len(fixed))
         if fixed:
             basis[str(d)] = _encode_elements(A, fixed)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 from .exact_linalg import Echelon, _mat_det, is_prime
@@ -29,6 +30,7 @@ from .invariant_rings import (
     GradedRing,
     HELD5_MATRICES,
     fixed_kernel,
+    fixed_sweep,
     in_span,
     subalgebra_basis,
     subalgebra_dims,
@@ -93,6 +95,25 @@ class RingModel(GradedRing):
         z, a, b, mu, nu, chi = m
         return (["zeta"] * z + ["alpha"] * a + ["beta"] * b + ["mu"] * mu
                 + ["nu"] * nu + ([f"chi_{chi}"] if chi else []))
+
+    def word_prefix(self, m: Monomial):
+        z, a, b, mu, nu, chi = m
+        if chi:
+            return (z, a, b, mu, nu, 0), f"chi_{chi}"
+        if nu:
+            return (z, a, b, mu, 0, 0), "nu"
+        if mu:
+            return (z, a, b, 0, 0, 0), "mu"
+        if b:
+            return (z, a, b - 1, 0, 0, 0), "beta"
+        if a:
+            return (z, a - 1, 0, 0, 0, 0), "alpha"
+        if z:
+            return (z - 1, 0, 0, 0, 0, 0), "zeta"
+        return None
+
+    def top_generator_degree(self) -> int:
+        return 2 * self.p  # zeta
 
     # -- elements -----------------------------------------------------------
 
@@ -346,8 +367,8 @@ class RingAutomorphism(_GeneratorMap):
                                              pow(j % p, i, p))
         return cls(model, images, check=check)
 
-    def apply(self, u: Element) -> Element:
-        return self.model.evaluate(u, self.images, self.target)
+    def apply(self, u: Element, memo: Optional[dict] = None) -> Element:
+        return self.model.evaluate(u, self.images, self.target, memo)
 
     def compose(self, other: "RingAutomorphism") -> "RingAutomorphism":
         """self after other."""
@@ -394,11 +415,15 @@ def named_action(model: RingModel, name: str) -> list[RingAutomorphism]:
 def fixed_subring(model: RingModel, autos: Sequence[RingAutomorphism],
                   max_degree: int) -> list[list[Element]]:
     """Per-degree bases of the common fixed subspace: kernel of the
-    stacked (action - identity) on the monomial basis."""
+    stacked (action - identity) on the monomial basis, from one memoised
+    sweep."""
     if max_degree > 12 * model.p:
         raise ValueError("max_degree capped at 12p")
-    maps = [phi.apply for phi in autos]
-    return [fixed_kernel(model, maps, d) for d in range(max_degree + 1)]
+    return list(fixed_sweep(
+        model, len(autos), max_degree,
+        lambda d, memos: fixed_kernel(
+            model, [partial(phi.apply, memo=memo)
+                    for phi, memo in zip(autos, memos)], d)))
 
 
 def fixed_dims(model: RingModel, autos: Sequence[RingAutomorphism],
@@ -598,8 +623,8 @@ class RestrictionMap(_GeneratorMap):
                  samples: int = 100):
         super().__init__(model, target, images, check, samples, seed=13)
 
-    def apply(self, u: Element) -> Element:
-        return self.model.evaluate(u, self.images, self.target)
+    def apply(self, u: Element, memo: Optional[dict] = None) -> Element:
+        return self.model.evaluate(u, self.images, self.target, memo)
 
 
 def named_restriction(model: RingModel, name: str) -> RestrictionMap:

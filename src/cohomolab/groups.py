@@ -208,6 +208,14 @@ def _table_from_normal_form(moduli: list[int], compose, gens_exp, name: str) -> 
     return FiniteGroup(mul, gens, name, labels)
 
 
+def _with_order(G: FiniteGroup, expected: int) -> FiniteGroup:
+    """G, once its order is the one its construction promises."""
+    if G.order != expected:
+        raise ArithmeticError(f"{G.name} has order {G.order}, "
+                              f"expected {expected}")
+    return G
+
+
 def _check_odd_prime(p: int) -> None:
     if p < 3 or not is_prime(p):
         raise ValueError(f"p={p} must be an odd prime")
@@ -231,8 +239,7 @@ def build_P(n: int, p: int) -> FiniteGroup:
     G = _table_from_normal_form([p, p, pc], compose,
                                 [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
                                 f"P({n},p={p})")
-    assert G.order == p ** n
-    return G
+    return _with_order(G, p ** n)
 
 
 def build_M(n: int, p: int) -> FiniteGroup:
@@ -251,8 +258,7 @@ def build_M(n: int, p: int) -> FiniteGroup:
 
     G = _table_from_normal_form([p, pb], compose, [(1, 0), (0, 1)],
                                 f"M({n},p={p})")
-    assert G.order == p ** n
-    return G
+    return _with_order(G, p ** n)
 
 
 def build_B(n: int, epsilon: int, p: int) -> FiniteGroup:
@@ -286,8 +292,7 @@ def build_B(n: int, epsilon: int, p: int) -> FiniteGroup:
     G = _table_from_normal_form([p, p, pc], compose,
                                 [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
                                 f"B({n},{epsilon},p={p})")
-    assert G.order == p ** n
-    return G
+    return _with_order(G, p ** n)
 
 
 def build_G_a1(a: int, p: int) -> FiniteGroup:
@@ -305,8 +310,7 @@ def build_G_a1(a: int, p: int) -> FiniteGroup:
     G = _table_from_normal_form([pa, p, p], compose,
                                 [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
                                 f"G({a},1,p={p})")
-    assert G.order == p ** (a + 2)
-    return G
+    return _with_order(G, p ** (a + 2))
 
 
 def build_cyclic(m: int) -> FiniteGroup:
@@ -400,8 +404,7 @@ def build_semidirect(p: int, k: int, matrices: Sequence[Sequence[Sequence[int]]]
     gens += [num(tuple([0] * k), Q[M]) for M in gens_m]
     label = name or f"(C{p})^{k} : Q{nq}"
     G = FiniteGroup(mul, gens, label)
-    assert G.order == p ** k * nq
-    return G
+    return _with_order(G, p ** k * nq)
 
 
 def _primitive_polynomial(p: int, n: int) -> list[int]:

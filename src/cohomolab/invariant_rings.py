@@ -33,8 +33,10 @@ class GradedRing:
 
     Elements are dicts {monomial: nonzero scalar mod p}.  A subclass
     supplies ``monomial_degree``, ``_monomials(d)`` (the degree-d
-    monomials, any order), ``one``, ``mul`` and ``word(m)``: the generator
-    keys whose product, left to right, is the monomial m."""
+    monomials, any order), ``one``, ``mul``, ``word(m)``: the generator
+    keys whose product, left to right, is the monomial m,
+    ``word_prefix(m)``: (m without the last letter of its word, that
+    letter), None for the unit, and ``top_generator_degree``."""
 
     def __init__(self, p: int):
         self.p = p
@@ -89,17 +91,43 @@ class GradedRing:
             raise ValueError("element is not homogeneous")
         return degs.pop()
 
-    def evaluate(self, u: Element, images, target: "GradedRing") -> Element:
+    def evaluate(self, u: Element, images, target: "GradedRing",
+                 memo: Optional[dict] = None) -> Element:
         """Image of u under the ring map into target that sends generator
         key g to images[g]: each monomial's word is multiplied out factor
-        by factor, starting from target.one()."""
+        by factor, starting from target.one().  A memo of monomial images
+        under this same map replays those products one at a time: the
+        image of m is the image of its word prefix times the image of its
+        last letter, so each monomial whose prefix is memoised costs one
+        product."""
         out: Element = {}
         for m, c in u.items():
-            term = target.one()
-            for g in self.word(m):
-                term = target.mul(term, images[g])
+            if memo is None:
+                term = target.one()
+                for g in self.word(m):
+                    term = target.mul(term, images[g])
+            else:
+                term = self._image(m, images, target, memo)
             out = target.add(out, target.scale(term, c))
         return out
+
+    def _image(self, m, images, target: "GradedRing", memo: dict) -> Element:
+        term = memo.get(m)
+        if term is None:
+            split = self.word_prefix(m)
+            if split is None:
+                term = target.one()
+            else:
+                rest, g = split
+                term = target.mul(self._image(rest, images, target, memo),
+                                  images[g])
+            memo[m] = term
+        return term
+
+    def canonical(self, m):
+        """The object for monomial m that basis() holds."""
+        d = self.monomial_degree(m)
+        return self.basis(d)[self._index_cache[d][m]]
 
 
 def fixed_kernel(ring: GradedRing,
@@ -107,8 +135,10 @@ def fixed_kernel(ring: GradedRing,
                  d: int) -> list[Element]:
     """Basis of the degree-d subspace fixed by every linear map in maps:
     the kernel of the blocks (g - 1), block gi on rows gi*n .. gi*n + n-1.
-    With no maps the zero matrix leaves the whole component fixed."""
+    The maps preserve degree.  With no maps the zero matrix leaves the
+    whole component fixed."""
     basis = ring.basis(d)
+    index = ring._index_cache[d]
     n = len(basis)
     if n == 0:
         return []
@@ -117,11 +147,38 @@ def fixed_kernel(ring: GradedRing,
         for j, m in enumerate(basis):
             img = g({m: 1})
             img[m] = img.get(m, 0) - 1
-            entries.extend((gi * n + ring.index_of(mm), j, c)
+            entries.extend((gi * n + index[mm], j, c)
                            for mm, c in img.items() if c)
     mat = SparseMatrix(n * max(1, len(maps)), n, entries, p=ring.p)
     return [{basis[j]: v for j, v in enumerate(vec) if v}
             for vec in kernel_mod_p(mat)]
+
+
+def fixed_sweep(ring: GradedRing, n_maps: int, max_degree: int,
+                basis_at: Callable[[int, list[dict]], list[Element]]):
+    """Yield basis_at(d, memos), the fixed basis in degree d, for
+    d = 0..max_degree, where memos holds one monomial-image memo per map
+    (see GradedRing.evaluate) for basis_at to pass to its maps.  After
+    degree d each memo keeps only the images of the monomials that are the
+    word prefix of a basis monomial of degree d+1 .. d+g, g the largest
+    generator degree, which is every image a later degree reads; the
+    memos are freed when the sweep ends."""
+    memos: list[dict] = [{} for _ in range(n_maps)]
+    needed: dict = {}  # word prefix -> last degree whose basis uses it
+    top = ring.top_generator_degree()
+    seen = 0  # the prefixes of degrees 1..seen are in needed
+    for d in range(max_degree + 1):
+        yield basis_at(d, memos)
+        # every use of a monomial of degree <= d lies in degrees <= d + g
+        for e in range(seen + 1, min(d + top, max_degree) + 1):
+            for m in ring.basis(e):
+                needed[ring.canonical(ring.word_prefix(m)[0])] = e
+        seen = max(seen, min(d + top, max_degree))
+        for m in [m for m, e in needed.items() if e <= d]:
+            del needed[m]
+        for memo in memos:
+            for m in [m for m in memo if m not in needed]:
+                del memo[m]
 
 
 class GradedAlgebra(GradedRing):
@@ -171,6 +228,19 @@ class GradedAlgebra(GradedRing):
         r = len(e)
         return ([r + j for j, bit in enumerate(b) if bit]
                 + [i for i, x in enumerate(e) for _ in range(x)])
+
+    def word_prefix(self, m: Monomial):
+        e, b = m
+        for i in reversed(range(len(e))):
+            if e[i]:
+                return (e[:i] + (e[i] - 1,) + e[i + 1:], b), i
+        for j in reversed(range(len(b))):
+            if b[j]:
+                return (e, b[:j] + (0,) + b[j + 1:]), len(e) + j
+        return None
+
+    def top_generator_degree(self) -> int:
+        return max(self.poly_degrees + self.ext_degrees, default=1)
 
     # -- elements -----------------------------------------------------------
 
@@ -260,6 +330,7 @@ class MatrixAction:
         self.ext_twists = tuple(ext_twists) if ext_twists is not None \
             else (1,) * len(algebra.ext_degrees)
         self._closure: Optional[set] = None
+        self._images = {M: self._generator_images(M) for M in self.matrices}
 
     def group_order(self) -> int:
         if self._closure is None:
@@ -267,9 +338,9 @@ class MatrixAction:
                                                  self.algebra.p)
         return len(self._closure)
 
-    def apply_matrix(self, M, u: Element) -> Element:
-        """Image of u under one matrix (x_i -> sum_j M[j][i] x_j,
-        w_j -> det(M)^twist_j w_j)."""
+    def _generator_images(self, M) -> list[Element]:
+        """Images of the generators under M (x_i -> sum_j M[j][i] x_j,
+        w_j -> det(M)^twist_j w_j), indexed by generator key."""
         A = self.algebra
         p = A.p
         det = _mat_det(M, p)
@@ -280,7 +351,16 @@ class MatrixAction:
                   for i in range(k)]
         images += [A.scale(A.ext_variable(j), pow(det, t, p))
                    for j, t in enumerate(self.ext_twists)]
-        return A.evaluate(u, images, A)
+        return images
+
+    def apply_matrix(self, M, u: Element,
+                     memo: Optional[dict] = None) -> Element:
+        """Image of u under one matrix, any matrix of the right size; the
+        generator images of the action's own matrices are built once."""
+        images = self._images.get(tuple(map(tuple, M)))
+        if images is None:
+            images = self._generator_images(M)
+        return self.algebra.evaluate(u, images, self.algebra, memo)
 
     def action_matrix(self, M, d: int) -> SparseMatrix:
         A = self.algebra
@@ -293,17 +373,28 @@ class MatrixAction:
         return SparseMatrix(len(basis), len(basis), entries, p=A.p)
 
 
-def fixed_subspace(algebra: GradedAlgebra, action: MatrixAction,
-                   d: int) -> list[Element]:
-    """Basis of the degree-d invariants: kernel of the stacked (g - 1)."""
-    return fixed_kernel(algebra, [partial(action.apply_matrix, M)
-                                  for M in action.matrices], d)
+def fixed_subspace(algebra: GradedAlgebra, action: MatrixAction, d: int,
+                   memos: Optional[list[dict]] = None) -> list[Element]:
+    """Basis of the degree-d invariants: kernel of the stacked (g - 1);
+    memos, one per matrix, come from fixed_sweep."""
+    memos = memos or [None] * len(action.matrices)
+    return fixed_kernel(algebra, [partial(action.apply_matrix, M, memo=memo)
+                                  for M, memo in zip(action.matrices, memos)],
+                        d)
+
+
+def fixed_subspaces(algebra: GradedAlgebra, action: MatrixAction,
+                    max_degree: int):
+    """Bases of the invariants in degrees 0..max_degree, one at a time,
+    from one memoised sweep."""
+    return fixed_sweep(algebra, len(action.matrices), max_degree,
+                       lambda d, memos: fixed_subspace(algebra, action, d,
+                                                       memos))
 
 
 def fixed_dims(algebra: GradedAlgebra, action: MatrixAction,
                max_degree: int) -> list[int]:
-    return [len(fixed_subspace(algebra, action, d))
-            for d in range(max_degree + 1)]
+    return [len(b) for b in fixed_subspaces(algebra, action, max_degree)]
 
 
 def averaging_rank(algebra: GradedAlgebra, action: MatrixAction,
@@ -450,12 +541,12 @@ def dickson_check(p: int, max_degree: int,
     for M in sl2.matrices:
         for g in (pair.a, pair.b):
             if sl2.apply_matrix(M, g) != g:
-                raise ValueError("generator is not SL_2-invariant")
+                raise ArithmeticError("generator is not SL_2-invariant")
     a_pow = A.power(pair.a, p - 1)
     for M in gl2.matrices:
         for g in (a_pow, pair.b):
             if gl2.apply_matrix(M, g) != g:
-                raise ValueError("generator is not GL_2-invariant")
+                raise ArithmeticError("generator is not GL_2-invariant")
     return DicksonReport(
         p, max_degree,
         fixed_dims(A, sl2, max_degree),

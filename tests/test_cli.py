@@ -180,6 +180,22 @@ def test_dickson_wrong_group_order_exits_1(capsys, monkeypatch):
                  "--max-degree", "6"]) == EXIT_FAILURE
 
 
+def test_dickson_non_invariant_generator_exits_1(capsys, monkeypatch):
+    from cohomolab import invariant_rings
+    from cohomolab.invariant_rings import GradedAlgebra
+    full = invariant_rings.dickson_pair
+    A = GradedAlgebra(3, [1, 1])
+    x2 = A.mul(A.variable(0), A.variable(0))
+
+    def bad_pair(p):
+        pair = full(p)
+        return type(pair)(pair.a, A.add(pair.b, A.mul(pair.a, x2)))
+
+    monkeypatch.setattr(invariant_rings, "dickson_pair", bad_pair)
+    assert main(["invariants", "dickson", "--p", "3",
+                 "--max-degree", "12"]) == EXIT_FAILURE
+
+
 def test_resource_limit_exits_3(capsys):
     code = main(["--max-cells", "10", "cohomology", "dims", "--group", C3,
                  "--p", "3", "--max-degree", "4"])

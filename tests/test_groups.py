@@ -1,6 +1,12 @@
+import ast
+import pathlib
+
 import pytest
 
+import cohomolab
+
 from cohomolab.groups import (
+    _with_order,
     FiniteGroup,
     build_B,
     build_G_a1,
@@ -278,3 +284,20 @@ def test_center_derived_abelian():
     Z, D = center_and_derived(G)
     assert Z.order == 8
     assert D.order == 1
+
+
+def test_wrong_group_order_raises_arithmetic_error():
+    with pytest.raises(ArithmeticError):
+        _with_order(build_cyclic(3), 9)
+    G = build_cyclic(3)
+    assert _with_order(G, 3) is G
+
+
+def test_no_assert_statements_in_src():
+    # python -O strips assert, so no check in the package may rely on one
+    src = pathlib.Path(cohomolab.__file__).parent
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
