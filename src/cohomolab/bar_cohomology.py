@@ -425,7 +425,7 @@ def bockstein(u: Cochain, kind: str = "beta") -> Cochain:
     data = {}
     for k, v in d.data.items():
         if v % p != 0:
-            raise RuntimeError("coboundary of the lift not divisible by p")
+            raise ArithmeticError("coboundary of the lift not divisible by p")
         data[k] = v // p
     delta_p = Cochain(u.group, u.degree + 1, data, None)
     if kind == "delta_p":
@@ -678,5 +678,5 @@ def integral_cohomology(G: FiniteGroup, n: int,
     res = resolution_for(G, None, cache_dir)
     rank, torsion = res.integral_homology(n - 1)
     if rank != 0:
-        raise RuntimeError("nonzero homology rank for a finite group")
+        raise ArithmeticError("nonzero homology rank for a finite group")
     return (0, torsion)

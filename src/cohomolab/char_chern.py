@@ -1,10 +1,14 @@
-"""Exact character theory over cyclotomic fields and the pc invariant.
+"""Exact character theory over the cyclotomic integers and the pc
+invariant.
 
 Characters are computed by monomial induction: every 1-dimensional
 character of every subgroup (enumerated by closure over generator subsets)
 is induced up and the norm-1 results are kept.  Completeness is certified
 by the sum-of-squares count and exact pairwise orthonormality, so the
-method is self-checking on monomial groups.
+method is self-checking on monomial groups.  Every value is a sum of
+roots of unity, so all arithmetic stays in Z[zeta_N]; the only divisions
+(by |G| in inner products, by p in eigenvalue multiplicities) must come
+out as exact integers or the certificate fails.
 
 pc(G) is twice the least common multiple, over conjugacy classes of
 order-p subgroups C <= G, of the gcd of the degrees in which restricted
@@ -15,8 +19,8 @@ on C.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from typing import Optional, Sequence
@@ -29,7 +33,7 @@ MAX_ENUM_ORDER = 200
 
 
 # ---------------------------------------------------------------------------
-# Cyclotomic field Q(zeta_N) = Q[x]/Phi_N(x)
+# Cyclotomic integers Z[zeta_N] = Z[x]/Phi_N(x)
 # ---------------------------------------------------------------------------
 
 
@@ -46,34 +50,34 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-def _poly_exact_div(num: list, den: list) -> list:
-    num = [Fraction(c) for c in num]
-    out = [Fraction(0)] * (len(num) - len(den) + 1)
-    lead = Fraction(den[-1])
+def _poly_exact_div(num: list[int], den: list[int]) -> list[int]:
+    """Integer long division by a monic polynomial; the remainder must
+    vanish."""
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
     for i in range(len(num) - 1, len(den) - 2, -1):
-        q = num[i] / lead
+        q = num[i]
         out[i - len(den) + 1] = q
         if q:
             for j, c in enumerate(den):
                 num[i - len(den) + 1 + j] -= q * c
     if any(num[:len(den) - 1]):
         raise ArithmeticError("division is not exact")
-    if any(c.denominator != 1 for c in out):
-        raise ArithmeticError("non-integer quotient")
-    return [int(c) for c in out]
+    return out
 
 
 class Cyclotomic:
-    """Element of Q[x]/Phi_N(x) in the canonical power basis."""
+    """Element of Z[x]/Phi_N(x): integer coefficients in the power basis,
+    which is a Z-basis of the cyclotomic integers Z[zeta_N]."""
 
     __slots__ = ("N", "coeffs")
 
-    def __init__(self, N: int, coeffs: Sequence[Fraction]):
+    def __init__(self, N: int, coeffs: Sequence[int]):
         phi = len(cyclotomic_polynomial(N)) - 1
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(map(operator.index, coeffs))  # TypeError on non-integers
         if len(cs) > phi:
             cs = _reduce_mod_phi(N, cs)
-        cs += [Fraction(0)] * (phi - len(cs))
+        cs += [0] * (phi - len(cs))
         self.N = N
         self.coeffs = tuple(cs)
 
@@ -84,14 +88,14 @@ class Cyclotomic:
         return Cyclotomic(N, [])
 
     @staticmethod
-    def rational(N: int, q) -> "Cyclotomic":
-        return Cyclotomic(N, [Fraction(q)])
+    def integer(N: int, n: int) -> "Cyclotomic":
+        return Cyclotomic(N, [n])
 
     @staticmethod
     def root(N: int, k: int) -> "Cyclotomic":
         """zeta_N^k."""
         k %= N
-        return Cyclotomic(N, [Fraction(0)] * k + [Fraction(1)])
+        return Cyclotomic(N, [0] * k + [1])
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -112,7 +116,7 @@ class Cyclotomic:
     def __mul__(self, other: "Cyclotomic") -> "Cyclotomic":
         self._compat(other)
         n = len(self.coeffs)
-        prod = [Fraction(0)] * (2 * n - 1)
+        prod = [0] * (2 * n - 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -121,9 +125,9 @@ class Cyclotomic:
                     prod[i + j] += a * b
         return Cyclotomic(self.N, prod)
 
-    def scale(self, q) -> "Cyclotomic":
-        q = Fraction(q)
-        return Cyclotomic(self.N, [q * c for c in self.coeffs])
+    def scale(self, n: int) -> "Cyclotomic":
+        n = operator.index(n)
+        return Cyclotomic(self.N, [n * c for c in self.coeffs])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cyclotomic) and self.N == other.N
@@ -135,25 +139,28 @@ class Cyclotomic:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def as_rational(self) -> Fraction:
+    def as_integer(self) -> int:
         if any(self.coeffs[1:]):
-            raise ValueError("not a rational number")
+            raise ValueError("not an integer")
         return self.coeffs[0]
 
-    def as_integer(self) -> int:
-        q = self.as_rational()
-        if q.denominator != 1:
-            raise ValueError("not an integer")
-        return q.numerator
+    def divide_exact(self, n: int) -> int:
+        """The integer self / n; anything else is a failed certificate."""
+        if any(self.coeffs[1:]):
+            raise ArithmeticError(f"{self} is not a rational integer")
+        q, r = divmod(self.coeffs[0], n)
+        if r:
+            raise ArithmeticError(f"{self.coeffs[0]} is not a multiple "
+                                  f"of {n}")
+        return q
 
     def __repr__(self):
         return f"Cyclotomic(N={self.N}, {list(self.coeffs)})"
 
 
-def _reduce_mod_phi(N: int, cs: list[Fraction]) -> list[Fraction]:
-    phi = list(cyclotomic_polynomial(N))
+def _reduce_mod_phi(N: int, cs: list[int]) -> list[int]:
+    phi = cyclotomic_polynomial(N)
     deg = len(phi) - 1
-    cs = list(cs)
     for i in range(len(cs) - 1, deg - 1, -1):
         q = cs[i]
         if q:
@@ -186,15 +193,16 @@ class ClassFunction:
     def degree(self) -> int:
         return self.values[0].as_integer()
 
-    def inner(self, other: "ClassFunction") -> Fraction:
-        """<self, other> = (1/|G|) sum self(g) other(g^-1), exact."""
+    def inner(self, other: "ClassFunction") -> int:
+        """<self, other> = (1/|G|) sum self(g) other(g^-1), certified to be
+        an integer (as it is for characters)."""
         G = self.group
         acc = Cyclotomic.zero(self.conductor)
         for g in range(G.order):
             acc = acc + self.values[g] * other.values[G.inv[g]]
-        return acc.scale(Fraction(1, G.order)).as_rational()
+        return acc.divide_exact(G.order)
 
-    def norm(self) -> Fraction:
+    def norm(self) -> int:
         return self.inner(self)
 
     def value_key(self) -> tuple:
@@ -284,12 +292,12 @@ def induce_linear(H: Subgroup, exponents: list[int], N: int) -> ClassFunction:
     idx = H.index_of
     values = []
     for g in range(G.order):
-        acc = Cyclotomic.zero(N)
+        counts = [0] * N  # counts[e] = number of terms zeta_N^e
         for t in H.transversal:
             x = mul[inv[t]][mul[g][t]]
             if x in idx:
-                acc = acc + Cyclotomic.root(N, exponents[idx[x]])
-        values.append(acc)
+                counts[exponents[idx[x]]] += 1
+        values.append(Cyclotomic(N, counts))
     return ClassFunction(G, values)
 
 
@@ -323,8 +331,9 @@ def irreducible_characters(G: FiniteGroup,
                            ) -> list[ClassFunction]:
     """Complete list of irreducible characters, by monomial induction.
 
-    Raises if the sum-of-squares or orthonormality certificate fails
-    (which signals a non-monomial input or an exhausted search)."""
+    Raises ArithmeticError if the sum-of-squares or orthonormality
+    certificate fails (which signals a non-monomial input or an exhausted
+    search)."""
     N = G.exponent()
     if sources is None:
         sources = _subgroup_sources(G)
@@ -348,12 +357,12 @@ def irreducible_characters(G: FiniteGroup,
                 if total == G.order:
                     break
     if total != G.order:
-        raise ValueError(
+        raise ArithmeticError(
             f"character search incomplete: sum of squares {total} != {G.order}")
     for i, a in enumerate(irreducibles):
         for j, b in enumerate(irreducibles):
             if a.inner(b) != (1 if i == j else 0):
-                raise ValueError("orthonormality certificate failed")
+                raise ArithmeticError("orthonormality certificate failed")
     irreducibles.sort(key=lambda c: (c.degree(), c.value_key()))
     return irreducibles
 
@@ -381,11 +390,10 @@ def _eigenvalue_multiplicities(chi: ClassFunction, g: int, p: int) -> list[int]:
         for k in range(p):
             acc = acc + chi.values[gk] * Cyclotomic.root(N, (-j * k * (N // p)) % N)
             gk = G.mul[gk][g]
-        a = acc.scale(Fraction(1, p)).as_rational()
-        if a.denominator != 1 or a < 0:
-            raise ArithmeticError("eigenvalue multiplicity is not a "
-                                  "non-negative integer")
-        out.append(int(a))
+        a = acc.divide_exact(p)
+        if a < 0:
+            raise ArithmeticError("eigenvalue multiplicity is negative")
+        out.append(a)
     if sum(out) != chi.degree():
         raise ArithmeticError("multiplicities do not sum to the degree")
     return out

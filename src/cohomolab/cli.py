@@ -10,6 +10,7 @@ Exit codes: 0 pass, 1 expectation/certification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib.resources
 import json
 import os
@@ -123,21 +124,9 @@ def _encode_elements(A: GradedAlgebra, elements) -> list:
 
 def _cmd_invariants(args) -> dict:
     if args.action == "dickson":
-        rep = dickson_check(args.p, args.max_degree)
-        return {"p": rep.p, "max_degree": rep.max_degree,
-                "sl2_fixed_dims": rep.sl2_fixed_dims,
-                "sl2_subalgebra_dims": rep.sl2_subalgebra_dims,
-                "gl2_fixed_dims": rep.gl2_fixed_dims,
-                "gl2_subalgebra_dims": rep.gl2_subalgebra_dims,
-                "passed": rep.passed}
+        return dataclasses.asdict(dickson_check(args.p, args.max_degree))
     if args.action == "held5":
-        rep = held_5_part_check(args.max_degree)
-        return {"group_order": rep.group_order,
-                "max_degree": rep.max_degree,
-                "fixed": rep.fixed, "presented": rep.presented,
-                "relation_printed": rep.relation_printed,
-                "relation_used": rep.relation_used,
-                "passed": rep.passed}
+        return dataclasses.asdict(held_5_part_check(args.max_degree))
     spec = json.loads(args.action_spec)
     A = GradedAlgebra(args.p, spec["poly_degrees"],
                       spec.get("ext_degrees", []))
@@ -181,22 +170,7 @@ def _homology_table(K: dv.SimplicialComplex) -> list:
 
 def _cmd_davis(args) -> dict:
     if args.action == "bestvina":
-        rep = dv.bestvina_check(args.n)
-        return {
-            "n": rep.n,
-            "quotient_f_vector": list(rep.quotient_f_vector),
-            "quotient_homology": [
-                {"rank": h.rank, "torsion": list(h.torsion)}
-                for h in rep.quotient_homology],
-            "h3_cohomology": {"rank": rep.h3_cohomology.rank,
-                              "torsion": list(rep.h3_cohomology.torsion)},
-            "h0_is_z": rep.h0_is_z,
-            "vanishing_above_three": rep.vanishing_above_three,
-            "torsion_exponent": rep.torsion_exponent,
-            "torsion_divides_n": rep.torsion_divides_n,
-            "rank_h3_zero": rep.rank_h3_zero,
-            "passed": rep.passed,
-        }
+        return dataclasses.asdict(dv.bestvina_check(args.n))
     K = _load_complex(args.k)
     if args.action == "homology":
         return {"f_vector": K.f_vector(), "full": K.is_full(),
@@ -244,14 +218,10 @@ def _subset_match(expected, actual) -> bool:
     return expected == actual
 
 
-class BudgetExceeded(RuntimeError):
-    pass
-
-
 def run_scenario(path: str, cache_dir: Optional[str] = None,
                  max_cells: Optional[int] = None) -> dict:
     """Run every step of a scenario file, matching each step's report
-    against its expectations.  Raises BudgetExceeded past the declared
+    against its expectations.  Raises ResourceLimitError past the declared
     time budget and ValueError on a malformed file."""
     with open(_resolve_scenario(path)) as fh:
         try:
@@ -280,7 +250,7 @@ def run_scenario(path: str, cache_dir: Optional[str] = None,
             entry["error"] = f"{type(exc).__name__}: {exc}"
         results.append(entry)
         if budget is not None and time.monotonic() - start > budget:
-            raise BudgetExceeded(
+            raise bc.ResourceLimitError(
                 f"scenario exceeded its {budget}s budget at step {i}")
     return {"name": scenario.get("name", os.path.basename(path)),
             "steps": results,
@@ -292,13 +262,9 @@ def run_scenario(path: str, cache_dir: Optional[str] = None,
 # ---------------------------------------------------------------------------
 
 
-class _UsageError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # input errors exit 2 without argparse noise
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,11 +365,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     start = time.monotonic()
     try:
         report, out = _dispatch(argv)
-    except (_UsageError, ValueError, KeyError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (bc.ResourceLimitError, BudgetExceeded) as exc:
+    except bc.ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except ArithmeticError as exc:

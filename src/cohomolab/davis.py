@@ -213,13 +213,18 @@ def homology(K: SimplicialComplex) -> list[HomologyGroup]:
     return out
 
 
-def cohomology_degree(K: SimplicialComplex, n: int) -> HomologyGroup:
-    """H^n(K; Z) by universal coefficients: the free part of H_n plus
-    the torsion of H_(n-1)."""
-    h = homology(K)
-    rank = h[n].rank if 0 <= n <= K.dimension else 0
-    torsion = h[n - 1].torsion if 1 <= n <= K.dimension + 1 else ()
+def universal_coefficients(h: Sequence[HomologyGroup],
+                           n: int) -> HomologyGroup:
+    """H^n(K; Z) from h = homology(K): the free part of H_n plus the
+    torsion of H_(n-1)."""
+    rank = h[n].rank if 0 <= n < len(h) else 0
+    torsion = h[n - 1].torsion if 1 <= n <= len(h) else ()
     return HomologyGroup(rank, torsion)
+
+
+def cohomology_degree(K: SimplicialComplex, n: int) -> HomologyGroup:
+    """H^n(K; Z) by universal coefficients."""
+    return universal_coefficients(homology(K), n)
 
 
 def _connected(K: SimplicialComplex) -> bool:
@@ -505,7 +510,7 @@ def bestvina_check(n: int) -> BestvinaReport:
     K = barycentric_subdivision(moore_complex(n))  # self-certified input
     q = davis_quotient(racg_from_complex(K), torsion_free_coloring(K))
     h = homology(q.complex)
-    h3 = cohomology_degree(q.complex, 3)
+    h3 = universal_coefficients(h, 3)
     exponent = max(h3.torsion, default=1)
     return BestvinaReport(
         n=n,

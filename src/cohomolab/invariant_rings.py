@@ -284,8 +284,8 @@ class GradedAlgebra(GradedRing):
 # ---------------------------------------------------------------------------
 
 
-def matrix_group_closure(mats, p, cap: int = 100_000) -> set:
-    k = len(mats[0])
+def matrix_group_closure(mats, p, k: int, cap: int = 100_000) -> set:
+    """The group generated by k x k matrices mod p (trivial if none)."""
     ident = tuple(tuple(1 if i == j else 0 for j in range(k))
                   for i in range(k))
     seen = {ident}
@@ -334,8 +334,8 @@ class MatrixAction:
 
     def group_order(self) -> int:
         if self._closure is None:
-            self._closure = matrix_group_closure(self.matrices,
-                                                 self.algebra.p)
+            self._closure = matrix_group_closure(
+                self.matrices, self.algebra.p, len(self.algebra.poly_degrees))
         return len(self._closure)
 
     def _generator_images(self, M) -> list[Element]:

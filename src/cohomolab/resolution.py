@@ -83,12 +83,12 @@ class FreeResolution:
                 for g in range(o):
                     span.add(self._translate(res, g))
         if not gens and kernel:
-            raise RuntimeError("kernel cover failed")
+            raise ArithmeticError("kernel cover failed")
         # certify: every kernel vector lies in the spanned lattice (and the
         # span is inside the kernel by G-invariance), so im d_n = ker d_{n-1}
         for vec in kernel:
             if span.reduce(dict(vec)):
-                raise RuntimeError("kernel cover incomplete")
+                raise ArithmeticError("kernel cover incomplete")
         n_rows = self.ranks[-1] * o
         entries = []
         for j, vec in enumerate(gens):
@@ -164,7 +164,7 @@ def _assert_composes_to_zero(A_prev: SparseMatrix, A: SparseMatrix) -> None:
                 else:
                     acc.pop(i, None)
         if acc:
-            raise RuntimeError("resolution differentials do not compose to zero")
+            raise ArithmeticError("resolution differentials do not compose to zero")
 
 
 _RESOLUTIONS: dict[tuple[str, Optional[int]], FreeResolution] = {}

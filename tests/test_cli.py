@@ -196,6 +196,109 @@ def test_dickson_non_invariant_generator_exits_1(capsys, monkeypatch):
                  "--max-degree", "12"]) == EXIT_FAILURE
 
 
+def _exits_1_without_traceback(capsys, argv, message):
+    assert main(argv) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("certification failure:") and message in err
+    assert "Traceback" not in err
+
+
+def test_invariants_fixed_empty_matrix_list(capsys):
+    code, rep = run_json(capsys, [
+        "invariants", "fixed", "--p", "5", "--max-degree", "4",
+        "--action", '{"poly_degrees": [2, 2], "matrices": []}'])
+    assert code == EXIT_PASS
+    assert rep["group_order"] == 1
+    assert rep["fixed_dims"] == [1, 0, 2, 0, 3]
+
+
+PC_C3 = ["chern", "pc", "--group", C3, "--p", "3"]
+
+
+def test_character_search_incomplete_exits_1(capsys, monkeypatch):
+    from cohomolab import char_chern
+    monkeypatch.setattr(char_chern, "_subgroup_sources", lambda G: [])
+    _exits_1_without_traceback(capsys, PC_C3, "character search incomplete")
+
+
+def test_orthonormality_failure_exits_1(capsys, monkeypatch):
+    from cohomolab.char_chern import ClassFunction
+    inner = ClassFunction.inner
+    monkeypatch.setattr(ClassFunction, "inner",
+                        lambda a, b: inner(a, b) if a is b else 1)
+    _exits_1_without_traceback(capsys, PC_C3,
+                               "orthonormality certificate failed")
+
+
+def _fresh_resolutions(monkeypatch):
+    from cohomolab import resolution
+    monkeypatch.delenv("COHOMOLAB_CACHE", raising=False)
+    monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+    return resolution
+
+
+DIMS_C3 = ["cohomology", "dims", "--group", C3, "--p", "3",
+           "--max-degree", "2"]
+
+
+def test_kernel_cover_failed_exits_1(capsys, monkeypatch):
+    resolution = _fresh_resolutions(monkeypatch)
+
+    class NothingOutside(resolution.Echelon):
+        def reduce(self, vec):
+            return {}
+
+    monkeypatch.setattr(resolution, "Echelon", NothingOutside)
+    _exits_1_without_traceback(capsys, DIMS_C3, "kernel cover failed")
+
+
+def test_kernel_cover_incomplete_exits_1(capsys, monkeypatch):
+    resolution = _fresh_resolutions(monkeypatch)
+
+    class SpansNothing(resolution.Echelon):
+        def add(self, vec):
+            pass
+
+    monkeypatch.setattr(resolution, "Echelon", SpansNothing)
+    _exits_1_without_traceback(capsys, DIMS_C3, "kernel cover incomplete")
+
+
+def test_differentials_not_composing_exits_1(capsys, monkeypatch):
+    resolution = _fresh_resolutions(monkeypatch)
+
+    def every_unit_vector(A):  # a "kernel" that is the whole domain
+        return [[int(i == j) for i in range(A.n_cols)]
+                for j in range(A.n_cols)]
+
+    monkeypatch.setattr(resolution, "kernel_mod_p", every_unit_vector)
+    _exits_1_without_traceback(capsys, DIMS_C3, "do not compose to zero")
+
+
+def test_bockstein_divisibility_failure_exits_1(capsys, monkeypatch):
+    from cohomolab.bar_cohomology import Cochain
+    lift = Cochain.lift_to_z
+
+    def off_by_one(u):  # no longer the lift of a mod-p cocycle
+        c = lift(u)
+        k = next(iter(c.data))
+        return Cochain(c.group, c.degree, {**c.data, k: c.data[k] + 1},
+                       None)
+
+    monkeypatch.setattr(Cochain, "lift_to_z", off_by_one)
+    _exits_1_without_traceback(
+        capsys, ["massey", "triple", "--group", C3, "--p", "3"],
+        "not divisible by p")
+
+
+def test_nonzero_homology_rank_exits_1(capsys, monkeypatch):
+    resolution = _fresh_resolutions(monkeypatch)
+    monkeypatch.setattr(resolution.FreeResolution, "integral_homology",
+                        lambda self, n: (1, ()))
+    _exits_1_without_traceback(
+        capsys, ["cohomology", "integral", "--group", C3, "--degree", "2"],
+        "nonzero homology rank")
+
+
 def test_resource_limit_exits_3(capsys):
     code = main(["--max-cells", "10", "cohomology", "dims", "--group", C3,
                  "--p", "3", "--max-degree", "4"])

@@ -24,6 +24,7 @@ from cohomolab.davis import (
     racg_from_complex,
     simplex_boundary,
     torsion_free_coloring,
+    universal_coefficients,
 )
 
 Z = HomologyGroup(1, ())
@@ -121,6 +122,9 @@ def test_cohomology_universal_coefficients():
     assert cohomology_degree(K, 1) == ZERO
     assert cohomology_degree(K, 2) == HomologyGroup(0, (4,))
     assert cohomology_degree(K, 3) == ZERO
+    h = homology(K)
+    assert [universal_coefficients(h, n) for n in range(-1, 5)] == \
+        [cohomology_degree(K, n) for n in range(-1, 5)]
 
 
 # ---------------------------------------------------------------------------
@@ -265,8 +269,14 @@ def test_quotient_rejects_improper_coloring():
 # ---------------------------------------------------------------------------
 
 
-def test_bestvina_n2():
+def test_bestvina_n2(monkeypatch):
+    from cohomolab import davis
+    calls = []
+    monkeypatch.setattr(davis, "homology",
+                        lambda K, h=davis.homology: calls.append(K) or h(K))
     rep = bestvina_check(2)
+    # H^3 is read from the quotient's homology, not computed again
+    assert len({id(K) for K in calls}) == len(calls)
     assert isinstance(rep, BestvinaReport)
     assert rep.passed
     assert rep.quotient_homology[0] == Z

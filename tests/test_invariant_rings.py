@@ -72,9 +72,9 @@ def test_rejects_nonpositive_degrees():
 
 
 def test_matrix_group_orders():
-    assert len(matrix_group_closure(sl2_generators(3), 3)) == 24
-    assert len(matrix_group_closure(gl2_generators(3), 3)) == 48
-    assert len(matrix_group_closure(HELD5_MATRICES, 5)) == 48
+    assert len(matrix_group_closure(sl2_generators(3), 3, 2)) == 24
+    assert len(matrix_group_closure(gl2_generators(3), 3, 2)) == 48
+    assert len(matrix_group_closure(HELD5_MATRICES, 5, 2)) == 48
 
 
 def test_action_requires_invertible_matrices():
