@@ -359,9 +359,10 @@ def irreducible_characters(G: FiniteGroup,
     if total != G.order:
         raise ArithmeticError(
             f"character search incomplete: sum of squares {total} != {G.order}")
+    # <b,a> is the sum of <a,b> over g^-1 in place of g, so i <= j covers all
     for i, a in enumerate(irreducibles):
-        for j, b in enumerate(irreducibles):
-            if a.inner(b) != (1 if i == j else 0):
+        for j in range(i, len(irreducibles)):
+            if a.inner(irreducibles[j]) != (1 if i == j else 0):
                 raise ArithmeticError("orthonormality certificate failed")
     irreducibles.sort(key=lambda c: (c.degree(), c.value_key()))
     return irreducibles

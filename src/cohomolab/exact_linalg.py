@@ -132,6 +132,95 @@ class SparseMatrix:
 # ---------------------------------------------------------------------------
 
 
+class _Packing:
+    """F_p vectors packed into one int, k bytes per coordinate.
+
+    Field j of a packed vector (bits 8k*j .. 8k*j + 8k - 1) holds, in
+    0..p-1, the coordinate at the vector's base index plus j.  A step
+    Y = V + c*R with c in 1..p-1 leaves every field y at most p*p - p, so
+    fields never carry into each other, and one Barrett reduction
+    Y - p*(((Y*m) >> s) & mask) brings them all back to 0..p-1: it takes
+    floor(y*m / 2**s) = floor(y / p) in every field, exactly, because
+    (m*p - 2**s)*(p*p - p) < 2**s, and y*m < 2**(8k) keeps each product
+    inside its own field.  k is the least power of two allowing that.
+    """
+
+    __slots__ = ("p", "k", "w", "low", "window", "s", "m", "unit", "inverse")
+
+    def __init__(self, p: int):
+        top = p * p - p  # largest field of V + c*R
+        s = ((p - 1) * top).bit_length()  # as m*p - 2**s <= p - 1
+        m = -(-(1 << s) // p)
+        k = 1 << (-(-(top * m).bit_length() // 8) - 1).bit_length()
+        if not ((m * p - (1 << s)) * top < 1 << s and top * m < 1 << 8 * k):
+            raise ArithmeticError(f"no exact packed reduction mod {p}")
+        self.p, self.k, self.w, self.s, self.m = p, k, 8 * k, s, m
+        self.low = (1 << 8 * k) - 1  # field 0
+        self.window = (1 << 64 * k) - 1  # fields 0..7
+        self.unit = ((1 << 8 * k - s) - 1).to_bytes(k, "little")  # of mask
+        self.inverse = _Inverses(p)
+
+    def pack(self, vec: dict[int, int]) -> tuple[int, int]:
+        """(base, V): vec mod p packed from base, with field 0 of V nonzero,
+        or V = 0 when vec is zero mod p."""
+        if not vec:
+            return 0, 0
+        p, w = self.p, self.w
+        lo = min(vec)
+        if len(vec) <= _FEW:  # a few shifts beat building a whole buffer
+            V = 0
+            for i, v in vec.items():
+                V |= v % p << (i - lo) * w
+        else:
+            k = self.k
+            data = bytearray((max(vec) - lo + 1) * k)
+            if p <= 256:
+                for i, v in vec.items():
+                    data[(i - lo) * k] = v % p
+            else:
+                for i, v in vec.items():
+                    j = (i - lo) * k
+                    data[j:j + k] = (v % p).to_bytes(k, "little")
+            V = int.from_bytes(data, "little")
+        if V and not V & self.low:
+            t = ((V & -V).bit_length() - 1) // w
+            V >>= t * w
+            lo += t
+        return lo, V
+
+    def fields(self, V: int) -> Iterable[int]:
+        """The fields of V, lowest first."""
+        k = self.k
+        data = V.to_bytes(-(-V.bit_length() // self.w) * k, "little")
+        if self.p <= 256:
+            return data[::k]
+        return [int.from_bytes(data[i:i + k], "little")
+                for i in range(0, len(data), k)]
+
+
+class _Inverses(dict):
+    """Inverses mod p, computed on first use."""
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+
+    def __missing__(self, a: int) -> int:
+        inv = self[a] = pow(a, -1, self.p)
+        return inv
+
+
+_FEW = 16
+_PACKINGS: dict[int, _Packing] = {}
+
+
+def _packing(p: int) -> _Packing:
+    pk = _PACKINGS.get(p)
+    if pk is None:
+        pk = _PACKINGS[p] = _Packing(p)
+    return pk
+
+
 class Echelon:
     """Echelon basis of a subspace (F_p) or sublattice (Z) of Z^N.
 
@@ -140,22 +229,33 @@ class Echelon:
     earlier pivots, so membership testing by successive pivot division is
     exact, over Z as well.  All updates are unimodular, so the spanned
     lattice is preserved exactly.
+
+    Over Z, basis maps each pivot to its row as a sparse dict.  Over F_p it
+    maps each pivot to (packed row, inverse of the pivot value), the row
+    packed from its pivot (see _Packing); row(piv) unpacks one.
     """
 
-    __slots__ = ("p", "basis")
+    __slots__ = ("p", "basis", "_pk", "_mask", "_mask_bits")
 
     def __init__(self, p: Optional[int] = None):
         self.p = p
-        self.basis: dict[int, dict[int, int]] = {}  # pivot index -> vector
+        self.basis: dict = {}  # pivot index -> row
+        self._pk = None if p is None else _packing(p)
+        # over F_p: the low 8k - s bits of every field in the first
+        # _mask_bits bits, which cover every Y swept so far
+        self._mask = self._mask_bits = 0
 
     def reduce(self, vec: dict[int, int]) -> dict[int, int]:
         """Canonical residue of vec modulo the spanned lattice (without
         inserting): coordinates at pivot positions are fully eliminated over
         F_p and floor-reduced over Z, sweeping in increasing position.  The
         residue is zero exactly when vec lies in the span."""
-        p = self.p
-        vec = {k: (v % p if p is not None else v) for k, v in vec.items()
-               if (v % p if p is not None else v)}
+        pk = self._pk
+        if pk is not None:
+            res: dict[int, int] = {}
+            self._sweep(*pk.pack(vec), res)
+            return res
+        vec = {k: v for k, v in vec.items() if v}
         lo = -1
         while vec:
             pending = [k for k in vec if k > lo]
@@ -168,22 +268,26 @@ class Echelon:
                 continue
             a = row[piv]
             b = vec[piv]
-            if p is not None:
-                q = (b * pow(a, p - 2, p)) % p
-                _axpy(vec, row, -q, p)
-            else:
-                q = b // a  # floor: leaves vec[piv] = b mod a in [0, a)
-                if q:
-                    _axpy(vec, row, -q, None)
-                if vec.get(piv):
-                    lo = piv
+            q = b // a  # floor: leaves vec[piv] = b mod a in [0, a)
+            if q:
+                _axpy(vec, row, -q)
+            if vec.get(piv):
+                lo = piv
         return vec
 
     def add(self, vec: dict[int, int]) -> bool:
         """Insert vec into the spanned lattice.  Returns True if rank grew."""
-        p = self.p
-        vec = {k: (v % p if p is not None else v) for k, v in vec.items()
-               if (v % p if p is not None else v)}
+        pk = self._pk
+        if pk is not None:
+            lo, V = pk.pack(vec)
+            basis = self.basis
+            if lo in basis:
+                lo, V = self._sweep(lo, V)
+            if not V:
+                return False
+            basis[lo] = (V, pk.inverse[V & pk.low])
+            return True
+        vec = {k: v for k, v in vec.items() if v}
         while vec:
             piv = min(vec)
             row = self.basis.get(piv)
@@ -192,15 +296,12 @@ class Echelon:
                 return True
             a = row[piv]
             b = vec[piv]
-            if p is not None:
-                q = (b * pow(a, p - 2, p)) % p
-                _axpy(vec, row, -q, p)
-            elif b % a == 0:
-                _axpy(vec, row, -(b // a), None)
+            if b % a == 0:
+                _axpy(vec, row, -(b // a))
             elif a % b == 0:
                 self._store(piv, vec)
                 q = a // b
-                _axpy(row, vec, -q, None)
+                _axpy(row, vec, -q)
                 vec = row
             else:
                 g, x, y = _xgcd(a, b)
@@ -210,13 +311,52 @@ class Echelon:
                 vec = new_vec
         return False
 
+    def _sweep(self, lo: int, V: int,
+               res: Optional[dict[int, int]] = None) -> tuple[int, int]:
+        """Sweep the packed vector V (base lo) against the basis over F_p,
+        in increasing position: a field with a row R is eliminated,
+        V - (V_0 / R_0)*R mod p.  The first field without a row ends the
+        sweep, returning (base, V), unless res is given: then the field
+        moves into res and the sweep goes on.  Returns (lo, 0) when nothing
+        is left."""
+        pk, basis = self._pk, self.basis
+        p, w, low, window, m, s = pk.p, pk.w, pk.low, pk.window, pk.m, pk.s
+        mask, width = self._mask, self._mask_bits
+        while V:
+            row = basis.get(lo)
+            if row is None:
+                if res is None:
+                    return lo, V
+                res[lo] = b = V & low
+                V -= b
+            else:
+                R, inv = row
+                Y = V + (p - (V & low) * inv % p) * R
+                if Y.bit_length() > width:  # widen the mask, at least 2x
+                    n = max(-(-Y.bit_length() // w), 2 * width // w)
+                    self._mask = mask = int.from_bytes(pk.unit * n, "little")
+                    self._mask_bits = width = n * w
+                V = Y - p * ((Y * m >> s) & mask)
+                if V < 0 or V & low:  # so every step moves past its pivot
+                    raise ArithmeticError(f"packed elimination mod {p} failed")
+            if V:  # skip to the lowest nonzero field, most often a near one
+                x = V & window or V
+                t = ((x & -x).bit_length() - 1) // w
+                V >>= t * w
+                lo += t
+        return lo, 0
+
+    def row(self, piv: int) -> dict[int, int]:
+        """The basis row with pivot piv, as a sparse dict."""
+        if self._pk is None:
+            return dict(self.basis[piv])
+        return {piv + j: v for j, v in
+                enumerate(self._pk.fields(self.basis[piv][0])) if v}
+
     def _store(self, piv: int, vec: dict[int, int]) -> None:
         """Install vec as the basis row with pivot piv, keeping the basis
         size-reduced over Z (coordinates sitting at other pivots reduced
         modulo that pivot's value) to tame integer growth."""
-        if self.p is not None:
-            self.basis[piv] = vec
-            return
         if vec[piv] < 0:
             vec = {k: -v for k, v in vec.items()}
         self.basis[piv] = vec
@@ -236,21 +376,19 @@ class Echelon:
             other = self.basis[k]
             q = v // other[k]
             if q:
-                _axpy(row, other, -q, None)
+                _axpy(row, other, -q)
 
     @property
     def rank(self) -> int:
         return len(self.basis)
 
 
-def _axpy(vec: dict[int, int], row: dict[int, int], c: int, p: Optional[int]) -> None:
-    """vec += c * row, in place, dropping zeros."""
+def _axpy(vec: dict[int, int], row: dict[int, int], c: int) -> None:
+    """vec += c * row over Z, in place, dropping zeros."""
     if c == 0:
         return
     for k, v in row.items():
         nv = vec.get(k, 0) + c * v
-        if p is not None:
-            nv %= p
         if nv:
             vec[k] = nv
         else:
@@ -334,9 +472,8 @@ def _kernel_from_augmented(M: SparseMatrix, ech: Echelon) -> list[list[int]]:
     kern = []
     for piv in sorted(ech.basis):
         if piv >= n:
-            vec = ech.basis[piv]
             dense = [0] * M.n_cols
-            for k, v in vec.items():
+            for k, v in ech.row(piv).items():
                 dense[k - n] = v
             kern.append(dense)
     return kern

@@ -167,12 +167,11 @@ def _assert_composes_to_zero(A_prev: SparseMatrix, A: SparseMatrix) -> None:
             raise ArithmeticError("resolution differentials do not compose to zero")
 
 
-_RESOLUTIONS: dict[tuple[str, Optional[int]], FreeResolution] = {}
+_RESOLUTIONS: dict[tuple[str, Optional[int], Optional[str]],
+                   FreeResolution] = {}
 
 
 def resolution_for(G: FiniteGroup, p: Optional[int] = None,
                    cache_dir: Optional[str] = None) -> FreeResolution:
-    key = (G.digest(), p)
-    if key not in _RESOLUTIONS:
-        _RESOLUTIONS[key] = FreeResolution(G, p, cache_dir)
-    return _RESOLUTIONS[key]
+    res = FreeResolution(G, p, cache_dir)
+    return _RESOLUTIONS.setdefault((G.digest(), p, res.cache_dir), res)

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -80,6 +81,20 @@ def test_bar_boundary_agrees_with_resolution(G, p, maxdeg):
     literal = bc.bar_homology_dims_mod_p(G, p, maxdeg)
     engine = bc.cohomology_dims_mod_p(G, p, maxdeg)
     assert literal == engine
+
+
+def test_resolution_memo_is_kept_per_cache_dir(tmp_path, monkeypatch):
+    from cohomolab import resolution
+    monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+    monkeypatch.delenv("COHOMOLAB_CACHE", raising=False)
+    dirs = [tmp_path / "a", tmp_path / "b", tmp_path / "env"]
+    for d in dirs[:2]:
+        assert bc.cohomology_dims_mod_p(C3, 3, 2, cache_dir=str(d)) == [1] * 3
+    monkeypatch.setenv("COHOMOLAB_CACHE", str(dirs[2]))
+    assert bc.cohomology_dims_mod_p(C3, 3, 2) == [1] * 3
+    for d in dirs:  # d_1 .. d_3, each written into every directory
+        names = sorted(os.listdir(d))
+        assert len(names) == 3 and all(n.startswith("res_") for n in names)
 
 
 def test_known_dimension_tables():

@@ -120,6 +120,23 @@ def test_characters_constant_on_classes():
         assert chi.is_constant_on_classes()
 
 
+def test_orthonormality_checks_each_unordered_pair_once(monkeypatch):
+    inner = ClassFunction.inner
+    pairs = []
+
+    def counted(a, b):
+        pairs.append(frozenset((id(a), id(b))))
+        return inner(a, b)
+
+    # norms taken during the search are not part of the certificate
+    monkeypatch.setattr(ClassFunction, "norm", lambda a: inner(a, a))
+    monkeypatch.setattr(ClassFunction, "inner", counted)
+    irr = irreducible_characters(build_P(3, 3))
+    k = len(irr)
+    assert len(pairs) == k * (k + 1) // 2 == len(set(pairs))
+    assert set().union(*pairs) == {id(c) for c in irr}
+
+
 def test_orthonormality_and_column_orthogonality():
     G = symmetric_3()
     irr = irreducible_characters(G)
