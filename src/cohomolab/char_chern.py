@@ -26,8 +26,8 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .exact_linalg import is_prime
-from .groups import (FiniteGroup, Subgroup, order_p_subgroup_classes,
-                     subgroup_closure)
+from .groups import (FiniteGroup, Subgroup, closure_members,
+                     order_p_subgroup_classes)
 
 MAX_ENUM_ORDER = 200
 
@@ -225,7 +225,7 @@ def _minimal_generators(G: FiniteGroup) -> list[int]:
     for g in range(1, G.order):
         if g not in covered:
             gens.append(g)
-            covered = subgroup_closure(G, gens).member_set
+            covered = closure_members(G, gens)
             if len(covered) == G.order:
                 break
     return gens
@@ -309,20 +309,19 @@ def _subgroup_sources(G: FiniteGroup) -> list[Subgroup]:
             f"subgroup enumeration capped at order {MAX_ENUM_ORDER}; "
             "supply induction sources explicitly")
     found: dict[frozenset, Subgroup] = {}
-    whole = subgroup_closure(G, list(G.generators))
-    found[frozenset(whole.member_set)] = whole
-    reps: list[int] = []
-    for g in range(1, G.order):
-        H = subgroup_closure(G, [g])
-        key = frozenset(H.member_set)
-        if key not in found:
-            found[key] = H
-            reps.append(g)
+
+    def add(gens) -> bool:
+        """Validate the closure of gens as a Subgroup, unless already found."""
+        key = closure_members(G, gens)
+        if key in found:
+            return False
+        found[key] = Subgroup(G, key)
+        return True
+
+    add(G.generators)
+    reps = [g for g in range(1, G.order) if add([g])]
     for a, b in itertools.combinations(reps, 2):
-        H = subgroup_closure(G, [a, b])
-        key = frozenset(H.member_set)
-        if key not in found:
-            found[key] = H
+        add([a, b])
     return sorted(found.values(), key=lambda s: -s.order)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exact_linalg import SparseMatrix, smith_normal_form
+from .exact_linalg import reduce_chain_complex, smith_normal_form
 
 Simplex = tuple  # sorted tuple of vertex indices
 
@@ -176,20 +176,8 @@ def link(K: SimplicialComplex, simplex: Sequence[int]) -> SimplicialComplex:
 
 
 # ---------------------------------------------------------------------------
-# Homology (SNF of boundary matrices, lexicographic orientation)
+# Homology (unit-pair reduction, then SNF; lexicographic orientation)
 # ---------------------------------------------------------------------------
-
-
-def boundary_matrix(K: SimplicialComplex, n: int) -> SparseMatrix:
-    """The n-th boundary map, columns indexed by n-simplices and rows by
-    (n-1)-simplices, faces signed (-1)^i in lexicographic vertex order."""
-    rows = {s: i for i, s in enumerate(K.by_dim.get(n - 1, ()))}
-    cols = K.by_dim.get(n, [])
-    entries = []
-    for j, s in enumerate(cols):
-        for i in range(len(s)):
-            entries.append((rows[s[:i] + s[i + 1:]], j, (-1) ** i))
-    return SparseMatrix(len(rows), len(cols), entries)
 
 
 @dataclass(frozen=True)
@@ -198,18 +186,43 @@ class HomologyGroup:
     torsion: tuple[int, ...]  # invariant factors > 1, each dividing the next
 
 
+def _chain_complex(K: SimplicialComplex) -> list[dict[int, int]]:
+    """Boundary columns of the simplicial chain complex, the simplices
+    numbered in order of dimension and faces signed (-1)^i in
+    lexicographic vertex order, except that the first vertex (cell 0) is
+    left out of every boundary.  That complex is C(K, v) plus a free summand
+    on v, so its homology is H(K; Z) for nonempty K, and the edges at v
+    start as zero-cost pairs."""
+    boundary: list[dict[int, int]] = []
+    index: dict[Simplex, int] = {}
+    for n in range(K.dimension + 1):
+        faces, index = index, {}
+        for s in K.by_dim[n]:
+            index[s] = len(boundary)
+            col = {}
+            for i in range(len(s) if n else 0):
+                face = faces[s[:i] + s[i + 1:]]
+                if face:
+                    col[face] = -1 if i & 1 else 1
+            boundary.append(col)
+    return boundary
+
+
 def homology(K: SimplicialComplex) -> list[HomologyGroup]:
-    """[H_n(K; Z) for n = 0..dim], via Smith normal form."""
+    """[H_n(K; Z) for n = 0..dim]: the chain complex is shrunk by
+    eliminating unit pairs (reduce_chain_complex, which certifies the
+    remainder), then the Smith normal form of what remains gives the
+    ranks and torsion."""
     if K.dimension < 0:
         return []
-    f = K.f_vector()
-    snf = [smith_normal_form(boundary_matrix(K, n))
-           for n in range(1, K.dimension + 1)]
+    d = reduce_chain_complex(K.f_vector(), _chain_complex(K))
+    snf = [smith_normal_form(m) for m in d[1:]]
     ranks = [0] + [r.rank for r in snf] + [0]
     out = []
     for n in range(K.dimension + 1):
         torsion = snf[n].torsion if n < K.dimension else ()
-        out.append(HomologyGroup(f[n] - ranks[n] - ranks[n + 1], torsion))
+        out.append(HomologyGroup(d[n].n_cols - ranks[n] - ranks[n + 1],
+                                 torsion))
     return out
 
 

@@ -9,9 +9,10 @@ deterministic (fixed reduction order of the row basis).
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from math import gcd, isqrt
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 
 class SparseMatrix:
@@ -664,6 +665,146 @@ def _divisor_chain(diagonal: list[int]) -> list[int]:
             ones += sum(1 for d in rest if d == 1)
             rest = [d for d in rest if d != 1]
     return [1] * ones + sorted(rest)
+
+
+# ---------------------------------------------------------------------------
+# Chain complexes over Z: elimination of unit pairs before SNF
+# ---------------------------------------------------------------------------
+
+
+def reduce_chain_complex(dims: Sequence[int],
+                         boundary: list[dict[int, int]]) -> list[SparseMatrix]:
+    """Shrink a chain complex over Z to one with the same homology.
+
+    Cells are numbered 0, 1, ... in order of degree, dims[n] of them in
+    degree n, and boundary[c] is {face: coefficient} with faces one
+    degree lower.  The dicts are consumed.  Returns out[n], the n-th
+    boundary map of the remainder as a SparseMatrix (out[0] has no rows),
+    its cells in their input order.
+
+    Certified where it is produced: raises ArithmeticError unless
+    out[n-1] * out[n] = 0 for every n and the remaining cells have the
+    Euler characteristic of the input.
+    """
+    if sum(dims) != len(boundary):
+        raise ValueError("dims do not count the cells")
+    _eliminate_unit_pairs(boundary)
+    out = []
+    index: dict[int, int] = {}
+    start = 0
+    for n, size in enumerate(dims):
+        cells = [c for c in range(start, start + size)
+                 if boundary[c] is not None]
+        entries = [(index[a], j, v) for j, c in enumerate(cells)
+                   for a, v in boundary[c].items()]
+        out.append(SparseMatrix(len(index), len(cells), entries))
+        index = {c: j for j, c in enumerate(cells)}
+        start += size
+    for lower, upper in zip(out[1:], out[2:]):
+        for col in upper.cols.values():
+            acc: dict[int, int] = {}
+            for b, v in col.items():
+                _axpy(acc, lower.cols.get(b, {}), v)
+            if acc:
+                raise ArithmeticError(
+                    "reduced chain complex has a nonzero d o d")
+    chi = sum((-1) ** n * size for n, size in enumerate(dims))
+    if sum((-1) ** n * d.n_cols for n, d in enumerate(out)) != chi:
+        raise ArithmeticError(
+            "reduced chain complex lost the Euler characteristic")
+    return out
+
+
+# Costs from here up share the last bucket, which keeps the bucket list
+# short when fill-in makes a row or column long.
+_MAX_COST = 255
+
+
+def _eliminate_unit_pairs(boundary: list[Optional[dict[int, int]]]) -> None:
+    """Eliminate pairs (b, a) with <d b, a> = u = +-1, in place, until no
+    unit entry is left; a deleted cell's boundary becomes None.
+
+    Each elimination is a chain homotopy equivalence (Kaczynski, Mrozek &
+    Slusarek, Comput. Math. Appl. 35, 1998): every other coface c of a
+    gets d c -= <d c, a> u d b, then b leaves the complex and the
+    boundaries of its cofaces, and a leaves with its own boundary.  Pairs
+    are taken cheapest first by the Markowitz cost (|d b| - 1)(|cob a| - 1),
+    from FIFO buckets on that cost (a heap spends its time in pops, and
+    LIFO buckets thrash).  An entry is queued as the int b << shift | a
+    when its cost may have dropped -- the entries of the changed columns
+    and of the cofaces of b -- and checked against its current value and
+    cost when popped.
+    """
+    cob: list = [[] for _ in boundary]
+    for c, col in enumerate(boundary):
+        for a in col:
+            cob[a].append(c)
+    shift = len(boundary).bit_length()
+    mask = (1 << shift) - 1
+    buckets: list[deque] = []
+    low, cap = 0, _MAX_COST
+
+    def push(c: int, col: dict[int, int], faces: Iterable[int]) -> None:
+        nonlocal low
+        size = len(col) - 1
+        for a in faces:
+            v = col.get(a)
+            if v == 1 or v == -1:
+                cost = size * (len(cob[a]) - 1)
+                if cost > cap:
+                    cost = cap
+                while cost >= len(buckets):
+                    buckets.append(deque())
+                buckets[cost].append(c << shift | a)
+                if cost < low:
+                    low = cost
+
+    for c, col in enumerate(boundary):
+        push(c, col, col)
+    while low < len(buckets):
+        queue = buckets[low]
+        if not queue:
+            low += 1
+            continue
+        key = queue.popleft()
+        b, a = key >> shift, key & mask
+        col = boundary[b]
+        if col is None:
+            continue
+        u = col.get(a)
+        if u != 1 and u != -1:
+            continue
+        if low < cap and (len(col) - 1) * (len(cob[a]) - 1) > low:
+            push(b, col, (a,))
+            continue
+        for c in cob[a]:
+            if c == b:
+                continue
+            other = boundary[c]
+            size = len(other)
+            q = other.pop(a) * u
+            for f, v in col.items():
+                if f == a:
+                    continue
+                x = other.get(f, 0) - q * v
+                if x:
+                    if f not in other:
+                        cob[f].append(c)
+                    other[f] = x
+                else:
+                    del other[f]
+                    cob[f].remove(c)
+            push(c, other, other if len(other) < size else col)
+        for f in col:
+            if f != a:
+                cob[f].remove(b)
+        for e in cob[b]:
+            top = boundary[e]
+            del top[b]
+            push(e, top, top)
+        for f in boundary[a]:
+            cob[f].remove(a)
+        boundary[a] = boundary[b] = cob[a] = cob[b] = None
 
 
 # ---------------------------------------------------------------------------

@@ -505,6 +505,12 @@ def symmetric_3() -> FiniteGroup:
 
 
 def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
+    return Subgroup(G, closure_members(G, gens))
+
+
+def closure_members(G: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
+    """The member set of the subgroup that gens generate, without the
+    closure checks and coset transversal of a Subgroup."""
     gens = list(gens)
     if any(not (0 <= g < G.order) for g in gens):
         raise ValueError("generator index out of range")
@@ -522,7 +528,7 @@ def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
                 if x not in members:
                     members.add(x)
                     frontier.append(x)
-    return Subgroup(G, members)
+    return frozenset(members)
 
 
 def order_p_subgroup_classes(G: FiniteGroup, p: int) -> list[Subgroup]:

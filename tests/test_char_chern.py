@@ -137,6 +137,26 @@ def test_orthonormality_checks_each_unordered_pair_once(monkeypatch):
     assert set().union(*pairs) == {id(c) for c in irr}
 
 
+def test_subgroup_sources_validate_each_new_closure_once(monkeypatch):
+    from cohomolab import char_chern
+    from cohomolab.groups import Subgroup
+    G = build_P(3, 3)
+    init = Subgroup.__init__
+    built = []
+
+    def counted(self, parent, members):
+        built.append(frozenset(members))
+        init(self, parent, members)
+
+    monkeypatch.setattr(Subgroup, "__init__", counted)
+    sources = char_chern._subgroup_sources(G)
+    assert len(built) == len(set(built)) == len(sources)
+    assert [H.member_set for H in sources] == \
+        sorted(built, key=lambda m: -len(m))
+    # G, its 13 subgroups of order 3 and the 4 of order 9
+    assert sorted(H.order for H in sources) == [3] * 13 + [9] * 4 + [27]
+
+
 def test_orthonormality_and_column_orthogonality():
     G = symmetric_3()
     irr = irreducible_characters(G)

@@ -13,6 +13,7 @@ from cohomolab.cli import (
 from cohomolab.davis import (
     barycentric_subdivision,
     complex_to_dict,
+    moore_complex,
     simplex_boundary,
 )
 
@@ -373,3 +374,47 @@ def _write(tmp_path, data):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(data))
     return path
+
+
+def _moore_homology_argv(tmp_path):
+    path = tmp_path / "moore-2.json"
+    path.write_text(json.dumps(complex_to_dict(moore_complex(2))))
+    return ["davis", "homology", "--k", str(path)]
+
+
+def _corrupt_reduction(monkeypatch, corrupt):
+    """Run corrupt(boundary, live cells) after the unit-pair elimination.
+    On the Moore complex the live cells are a vertex, a cycle edge e and
+    a triangle with boundary +-2e."""
+    from cohomolab import exact_linalg
+    eliminate = exact_linalg._eliminate_unit_pairs
+
+    def corrupted(boundary):
+        eliminate(boundary)
+        corrupt(boundary, [c for c, col in enumerate(boundary)
+                           if col is not None])
+
+    monkeypatch.setattr(exact_linalg, "_eliminate_unit_pairs", corrupted)
+
+
+def test_reduced_complex_not_composing_exits_1(capsys, monkeypatch,
+                                               tmp_path):
+    def edge_hits_vertex(boundary, live):
+        vertex, edge, _ = live
+        boundary[edge][vertex] = 1
+
+    argv = _moore_homology_argv(tmp_path)
+    _corrupt_reduction(monkeypatch, edge_hits_vertex)
+    _exits_1_without_traceback(capsys, argv,
+                               "nonzero d o d")
+
+
+def test_reduced_complex_losing_a_cell_exits_1(capsys, monkeypatch,
+                                               tmp_path):
+    def drop_vertex(boundary, live):
+        boundary[live[0]] = None
+
+    argv = _moore_homology_argv(tmp_path)
+    _corrupt_reduction(monkeypatch, drop_vertex)
+    _exits_1_without_traceback(capsys, argv,
+                               "lost the Euler characteristic")

@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cohomolab.davis import (
     BestvinaReport,
@@ -10,7 +11,6 @@ from cohomolab.davis import (
     SimplicialComplex,
     barycentric_subdivision,
     bestvina_check,
-    boundary_matrix,
     chiswell_chi,
     cohomology_degree,
     complex_from_dict,
@@ -26,6 +26,8 @@ from cohomolab.davis import (
     torsion_free_coloring,
     universal_coefficients,
 )
+from cohomolab.davis import _chain_complex
+from cohomolab.exact_linalg import SparseMatrix, smith_normal_form
 
 Z = HomologyGroup(1, ())
 ZERO = HomologyGroup(0, ())
@@ -95,8 +97,27 @@ def test_link_examples():
 # ---------------------------------------------------------------------------
 
 
+def boundary_matrix(K, n):
+    """The n-th boundary map, columns indexed by n-simplices and rows by
+    (n-1)-simplices, faces signed (-1)^i in lexicographic vertex order."""
+    rows = {s: i for i, s in enumerate(K.by_dim.get(n - 1, ()))}
+    cols = K.by_dim.get(n, [])
+    entries = []
+    for j, s in enumerate(cols):
+        for i in range(len(s)):
+            entries.append((rows[s[:i] + s[i + 1:]], j, (-1) ** i))
+    return SparseMatrix(len(rows), len(cols), entries)
+
+
 def test_boundary_squared_is_zero():
     K = barycentric_subdivision(simplex_boundary(4))
+    boundary = _chain_complex(K)
+    for col in boundary:
+        acc: dict[int, int] = {}
+        for b, v in col.items():
+            for a, w in boundary[b].items():
+                acc[a] = acc.get(a, 0) + v * w
+        assert all(x == 0 for x in acc.values())
     for n in range(1, K.dimension + 1):
         d_n = boundary_matrix(K, n)
         d_n1 = boundary_matrix(K, n + 1) if n < K.dimension else None
@@ -125,6 +146,82 @@ def test_cohomology_universal_coefficients():
     h = homology(K)
     assert [universal_coefficients(h, n) for n in range(-1, 5)] == \
         [cohomology_degree(K, n) for n in range(-1, 5)]
+
+
+# ---------------------------------------------------------------------------
+# homology against the unreduced route: one SNF per boundary matrix
+# ---------------------------------------------------------------------------
+
+
+def snf_homology(K):
+    """H_n(K; Z) from the Smith normal form of every boundary matrix of K,
+    with no reduction of the chain complex first."""
+    if K.dimension < 0:
+        return []
+    f = K.f_vector()
+    snf = [smith_normal_form(boundary_matrix(K, n))
+           for n in range(1, K.dimension + 1)]
+    ranks = [0] + [r.rank for r in snf] + [0]
+    return [HomologyGroup(f[n] - ranks[n] - ranks[n + 1],
+                          snf[n].torsion if n < K.dimension else ())
+            for n in range(K.dimension + 1)]
+
+
+@st.composite
+def flag_complexes(draw):
+    """The clique complex of a random graph on up to 9 vertices."""
+    n = draw(st.integers(1, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = {e for e in pairs if draw(st.booleans())}
+    cliques = [c for r in range(1, n + 1)
+               for c in itertools.combinations(range(n), r)
+               if all(e in edges for e in itertools.combinations(c, 2))]
+    return SimplicialComplex(n, cliques)
+
+
+@settings(max_examples=150, deadline=None)
+@given(flag_complexes())
+def test_homology_matches_snf_on_flag_complexes(K):
+    assert homology(K) == snf_homology(K)
+
+
+def _disjoint(A, B):
+    return SimplicialComplex(
+        A.n_vertices + B.n_vertices,
+        list(A.facets()) + [[v + A.n_vertices for v in f]
+                            for f in B.facets()])
+
+
+def _sd_quotient(K):
+    K = barycentric_subdivision(K)
+    return davis_quotient(racg_from_complex(K),
+                          torsion_free_coloring(K)).complex
+
+
+@pytest.mark.parametrize("K", [
+    *(moore_complex(n) for n in range(2, 7)),
+    *(simplex_boundary(l) for l in range(2, 7)),
+    barycentric_subdivision(simplex_boundary(4)),
+    barycentric_subdivision(simplex_boundary(5)),
+    barycentric_subdivision(moore_complex(3)),
+    _disjoint(moore_complex(2), simplex_boundary(4)),
+    SimplicialComplex(1, [[0]]),
+    SimplicialComplex(0, []),
+    _sd_quotient(simplex_boundary(4)),
+    _sd_quotient(SimplicialComplex(5, [[i, (i + 1) % 5] for i in range(5)])),
+], ids=lambda K: str(K.f_vector()))
+def test_homology_matches_snf(K):
+    assert homology(K) == snf_homology(K)
+
+
+@pytest.mark.parametrize("cap", [0, 1, 3])
+def test_homology_with_capped_pivot_costs(monkeypatch, cap):
+    # costs above the cap share one FIFO bucket; the order changes, the
+    # homology may not
+    from cohomolab import exact_linalg
+    monkeypatch.setattr(exact_linalg, "_MAX_COST", cap)
+    for K in (moore_complex(3), _sd_quotient(simplex_boundary(4))):
+        assert homology(K) == snf_homology(K)
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +380,9 @@ def test_bestvina_n2(monkeypatch):
     assert rep.h3_cohomology.rank == 0
     assert rep.torsion_exponent == 2
     assert rep.rank_h3_zero
+    # the observed value: torsion_divides_n also holds with no torsion
+    assert rep.torsion_divides_n
+    assert rep.h3_cohomology == HomologyGroup(0, (2,))
 
 
 def test_bestvina_n3_torsion_divides():
@@ -290,3 +390,11 @@ def test_bestvina_n3_torsion_divides():
     assert rep.passed
     assert 3 % rep.torsion_exponent == 0
     assert all(g == ZERO for g in rep.quotient_homology[4:])
+    assert rep.torsion_divides_n
+    assert rep.h3_cohomology == HomologyGroup(0, (3,))
+
+
+def test_bestvina_n4_h3_is_z4():
+    rep = bestvina_check(4)
+    assert rep.passed and rep.torsion_divides_n
+    assert rep.h3_cohomology == HomologyGroup(0, (4,))
