@@ -56,6 +56,22 @@ class Cochain:
                 clean[key] = v
         self.data = clean
 
+    @classmethod
+    def _trusted(cls, group: FiniteGroup, degree: int, data: dict,
+                 p: Optional[int]) -> "Cochain":
+        """A cochain on keys that the caller built from valid keys: the key
+        checks are skipped, values are still reduced mod p and zeros
+        dropped."""
+        self = cls.__new__(cls)
+        self.group = group
+        self.degree = degree
+        self.p = p
+        if p is None:
+            self.data = {k: v for k, v in data.items() if v}
+        else:
+            self.data = {k: r for k, v in data.items() if (r := v % p)}
+        return self
+
     # -- algebra --------------------------------------------------------------
 
     def _compat(self, other: "Cochain") -> None:
@@ -71,14 +87,15 @@ class Cochain:
         out = dict(self.data)
         for k, v in other.data.items():
             out[k] = out.get(k, 0) + v
-        return Cochain(self.group, self.degree, out, self.p)
+        return Cochain._trusted(self.group, self.degree, out, self.p)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "Cochain":
-        return Cochain(self.group, self.degree,
-                       {k: c * v for k, v in self.data.items()}, self.p)
+        return Cochain._trusted(self.group, self.degree,
+                                {k: c * v for k, v in self.data.items()},
+                                self.p)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cochain) and self.degree == other.degree
@@ -164,7 +181,7 @@ def coboundary(c: Cochain) -> Cochain:
         # back face: append any non-identity g
         for g in range(1, m):
             acc(key + (g,), sgn_last * v)
-    return Cochain(G, n + 1, out, c.p)
+    return Cochain._trusted(G, n + 1, out, c.p)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +277,7 @@ def cup(u: Cochain, v: Cochain) -> Cochain:
         for kv, b in v.data.items():
             key = ku + kv
             out[key] = out.get(key, 0) + a * b
-    return Cochain(u.group, u.degree + v.degree, out, u.p)
+    return Cochain._trusted(u.group, u.degree + v.degree, out, u.p)
 
 
 def cup1(u: Cochain, v: Cochain) -> Cochain:
@@ -295,7 +312,7 @@ def cup1(u: Cochain, v: Cochain) -> Cochain:
                 key = ku[:i] + kv + ku[i + 1:]
                 s = _cup1_sign(pdeg, qdeg, i)
                 out[key] = out.get(key, 0) + s * a * b
-    return Cochain(G, pdeg + qdeg - 1, out, u.p)
+    return Cochain._trusted(G, pdeg + qdeg - 1, out, u.p)
 
 
 def _cup1_sign(pdeg: int, qdeg: int, i: int) -> int:
@@ -330,7 +347,7 @@ class CoboundarySolver:
         vec = {cell_index(self.G, k): v for k, v in c.data.items()}
         res = self.ech.reduce(vec)
         data = {index_cell(self.G, c.degree, k): v for k, v in res.items()}
-        return Cochain(self.G, c.degree, data, self.p)
+        return Cochain._trusted(self.G, c.degree, data, self.p)
 
 
 def _solver(G: FiniteGroup, n: int, p: Optional[int]) -> CoboundarySolver:
@@ -378,7 +395,7 @@ def cocycle_basis(G: FiniteGroup, n: int, p: int) -> list[Cochain]:
     out = []
     for vec in kernel_mod_p(M):
         data = {index_cell(G, n, j): v for j, v in enumerate(vec) if v}
-        out.append(Cochain(G, n, data, p))
+        out.append(Cochain._trusted(G, n, data, p))
     return out
 
 

@@ -9,6 +9,7 @@ deterministic (fixed reduction order of the row basis).
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from math import gcd, isqrt
@@ -231,16 +232,23 @@ class Echelon:
     exact, over Z as well.  All updates are unimodular, so the spanned
     lattice is preserved exactly.
 
-    Over Z, basis maps each pivot to its row as a sparse dict.  Over F_p it
+    Over Z, basis maps each pivot to its row as a sparse dict, with a
+    positive pivot value.  Only an incoming row is size-reduced against the
+    rows already stored; rows stored earlier are never re-reduced when a
+    later row arrives.  Re-reducing them made the entries grow, not shrink,
+    and residues do not need it: floor reduction at each pivot gives the
+    same residue for any echelon basis of the lattice, since the pivot
+    positions and values are invariants of the lattice.  Over F_p it
     maps each pivot to (packed row, inverse of the pivot value), the row
     packed from its pivot (see _Packing); row(piv) unpacks one.
     """
 
-    __slots__ = ("p", "basis", "_pk", "_mask", "_mask_bits")
+    __slots__ = ("p", "basis", "_pivots", "_pk", "_mask", "_mask_bits")
 
     def __init__(self, p: Optional[int] = None):
         self.p = p
         self.basis: dict = {}  # pivot index -> row
+        self._pivots: list[int] = []  # over Z: the pivots, increasing
         self._pk = None if p is None else _packing(p)
         # over F_p: the low 8k - s bits of every field in the first
         # _mask_bits bits, which cover every Y swept so far
@@ -257,24 +265,23 @@ class Echelon:
             self._sweep(*pk.pack(vec), res)
             return res
         vec = {k: v for k, v in vec.items() if v}
-        lo = -1
-        while vec:
-            pending = [k for k in vec if k > lo]
-            if not pending:
-                break
-            piv = min(pending)
-            row = self.basis.get(piv)
-            if row is None:
-                lo = piv
-                continue
-            a = row[piv]
-            b = vec[piv]
-            q = b // a  # floor: leaves vec[piv] = b mod a in [0, a)
-            if q:
-                _axpy(vec, row, -q)
-            if vec.get(piv):
-                lo = piv
+        self._reduce_z(vec, -1)
         return vec
+
+    def _reduce_z(self, vec: dict[int, int], lo: int) -> None:
+        """Floor-reduce vec in place at every pivot position above lo, in
+        increasing position (a row only changes coordinates from its own
+        pivot on)."""
+        basis, pivots = self.basis, self._pivots
+        for piv in pivots[bisect_right(pivots, lo):]:
+            b = vec.get(piv)
+            if b:
+                row = basis[piv]
+                q = b // row[piv]  # floor: vec[piv] ends in [0, row[piv])
+                if q:
+                    _axpy(vec, row, -q)
+                    if not vec:
+                        return
 
     def add(self, vec: dict[int, int]) -> bool:
         """Insert vec into the spanned lattice.  Returns True if rank grew."""
@@ -355,29 +362,15 @@ class Echelon:
                 enumerate(self._pk.fields(self.basis[piv][0])) if v}
 
     def _store(self, piv: int, vec: dict[int, int]) -> None:
-        """Install vec as the basis row with pivot piv, keeping the basis
-        size-reduced over Z (coordinates sitting at other pivots reduced
-        modulo that pivot's value) to tame integer growth."""
+        """Install vec as the basis row with pivot piv over Z: a positive
+        pivot value, and the coordinates at later pivots floor-reduced
+        modulo their rows (size reduction of the incoming row only)."""
         if vec[piv] < 0:
             vec = {k: -v for k, v in vec.items()}
+        self._reduce_z(vec, piv)
+        if piv not in self.basis:
+            insort(self._pivots, piv)
         self.basis[piv] = vec
-        self._size_reduce(piv)
-        for other in list(self.basis):
-            if other != piv and piv in self.basis[other]:
-                self._size_reduce(other)
-
-    def _size_reduce(self, piv: int) -> None:
-        row = self.basis[piv]
-        for k in sorted(self.basis):
-            if k == piv:
-                continue
-            v = row.get(k)
-            if not v:
-                continue
-            other = self.basis[k]
-            q = v // other[k]
-            if q:
-                _axpy(row, other, -q)
 
     @property
     def rank(self) -> int:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import random
 from typing import Iterable, Optional, Sequence
 
 from .exact_linalg import _mat_mul, is_prime
@@ -54,13 +53,6 @@ class FiniteGroup:
             if inv[g] is None or mul[inv[g]][g] != 0:
                 raise ValueError(f"no two-sided inverse for element {g}")
         self.inv = inv
-        # associativity spot-check on random triples
-        rng = random.Random(0xC0C0)
-        trials = min(200, order ** 3)
-        for _ in range(trials):
-            a, b, c = (rng.randrange(order) for _ in range(3))
-            if mul[mul[a][b]][c] != mul[a][mul[b][c]]:
-                raise ValueError("multiplication table is not associative")
         self.generators = tuple(generators)
         gen = set(self.generators) | {0}
         frontier = list(gen)
@@ -73,6 +65,16 @@ class FiniteGroup:
                         frontier.append(h)
         if len(gen) != order:
             raise ValueError("declared generators do not generate the group")
+        # Light's test: (x*s)*y = x*(s*y) for every x, y and generator s,
+        # one row comparison per (s, x).  The elements s passing it are
+        # closed under products and every element is a product of
+        # generators, so the whole table is associative.
+        for s in self.generators:
+            row_s = mul[s]
+            for x in range(order):
+                row_x = mul[x]
+                if mul[row_x[s]] != [row_x[t] for t in row_s]:
+                    raise ValueError("multiplication table is not associative")
         self._digest = None
 
     def conj(self, g: int, h: int) -> int:

@@ -6,6 +6,15 @@ translates of the chosen generators), so the image of the next
 differential equals the kernel exactly — exactness holds by construction,
 which certifies every homology group read off the induced complex.
 
+Each d_n is a ZG-module map, stored as all group translates of its
+generator columns: column j*|G| + g is the g-translate of column j*|G|
+(G. Ellis, "Computing group resolutions", J. Symb. Comput. 38, 2004).  So
+d_(n-1) o d_n = 0 on the generator columns implies it on every column,
+given that both differentials are equivariant and the group table is
+associative (``FiniteGroup`` runs Light's test).  A differential built
+here is equivariant by construction; one read from the cache is checked
+for equivariance before a new degree is built on top of it.
+
 The induced complex F (x)_ZG Z has one Z per module generator, so its
 boundary matrices stay tiny even when the group has order 81.
 """
@@ -29,6 +38,7 @@ class FreeResolution:
         self.p = p  # None: resolution over ZG; prime: over F_pG
         self.ranks: list[int] = [1]
         self.diffs: list[SparseMatrix] = []  # integer matrix of d_n, n >= 1
+        self._last_loaded = False  # diffs[-1] came from the cache unchecked
         self.cache_dir = cache_dir if cache_dir is not None else os.environ.get(
             "COHOMOLAB_CACHE")
 
@@ -62,7 +72,10 @@ class FreeResolution:
                 A = SparseMatrix.load(fh.read())
             self.diffs.append(A)
             self.ranks.append(A.n_cols // o)
+            self._last_loaded = True
             return
+        if self._last_loaded:
+            self._assert_equivariant(n - 1)
         if n == 1:
             # kernel of the augmentation: spanned by g - e
             kernel = [{g: 1, 0: -1 if self.p is None else self.p - 1}
@@ -98,15 +111,27 @@ class FreeResolution:
                     entries.append((i, col, v))
         A = SparseMatrix(n_rows, len(gens) * o, entries, p=self.p)
         if self.diffs:
-            _assert_composes_to_zero(self.diffs[-1], A)
+            _assert_composes_to_zero(self.diffs[-1], A, o)
         self.diffs.append(A)
         self.ranks.append(len(gens))
+        self._last_loaded = False
         if path:
             os.makedirs(self.cache_dir, exist_ok=True)
             tmp = path + ".tmp"
             with open(tmp, "w") as fh:
                 fh.write(A.dump())
             os.replace(tmp, path)
+
+    def _assert_equivariant(self, n: int) -> None:
+        """d_n is a ZG-module map: every column is the translate of its
+        generator column."""
+        A = self.diffs[n - 1]
+        o = self.G.order
+        cols = A.cols
+        if A.n_cols % o or any(
+                cols.get(j + g, {}) != self._translate(cols.get(j, {}), g)
+                for j in range(0, A.n_cols, o) for g in range(1, o)):
+            raise ArithmeticError(f"differential d_{n} is not G-equivariant")
 
     # -- induced complex ------------------------------------------------------
 
@@ -150,9 +175,13 @@ class FreeResolution:
         return rank, rep_next.torsion
 
 
-def _assert_composes_to_zero(A_prev: SparseMatrix, A: SparseMatrix) -> None:
+def _assert_composes_to_zero(A_prev: SparseMatrix, A: SparseMatrix,
+                             o: int) -> None:
+    """A_prev o A = 0 on the generator columns j*o of A, which implies it on
+    every column when both maps are equivariant (see the module docstring)."""
     p = A.p
-    for j, col in A.cols.items():
+    for j in range(0, A.n_cols, o):
+        col = A.cols.get(j, {})
         acc: dict[int, int] = {}
         for k, v in col.items():
             for i, w in A_prev.cols.get(k, {}).items():

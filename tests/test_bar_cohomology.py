@@ -26,6 +26,26 @@ def y_generator(p):
 
 
 # ---------------------------------------------------------------------------
+# construction
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("key", [(1, 2), (0,), (3,), (-1,)])
+def test_cochain_rejects_bad_keys(key):
+    with pytest.raises(ValueError):
+        bc.Cochain(C3, 1, {key: 1}, 3)
+
+
+@pytest.mark.parametrize("p", [None, 3])
+def test_trusted_cochain_normalises_like_the_public_one(p):
+    data = {(1, 2): 4, (2, 2): -3, (2, 1): 0, (1, 1): 6}
+    trusted = bc.Cochain._trusted(C3, 2, data, p)
+    assert trusted == bc.Cochain(C3, 2, data, p)
+    assert trusted.data == ({(1, 2): 4, (2, 2): -3, (1, 1): 6} if p is None
+                            else {(1, 2): 1})
+
+
+# ---------------------------------------------------------------------------
 # coboundary
 # ---------------------------------------------------------------------------
 
@@ -95,6 +115,22 @@ def test_resolution_memo_is_kept_per_cache_dir(tmp_path, monkeypatch):
     for d in dirs:  # d_1 .. d_3, each written into every directory
         names = sorted(os.listdir(d))
         assert len(names) == 3 and all(n.startswith("res_") for n in names)
+
+
+@pytest.mark.parametrize("p", [3, None])
+def test_resolution_extends_a_cached_prefix(tmp_path, p):
+    # d_1, d_2 come from the cache and pass the equivariance check that
+    # runs before d_3 is built on top of them
+    from cohomolab.resolution import FreeResolution
+    V = build_product([build_cyclic(3), build_cyclic(3)])
+    FreeResolution(V, p, str(tmp_path)).extend_to(2)
+    cached = FreeResolution(V, p, str(tmp_path))
+    cached.extend_to(4)
+    fresh = FreeResolution(V, p, "")
+    fresh.extend_to(4)
+    assert cached.ranks == fresh.ranks
+    assert [A.entries() for A in cached.diffs] == \
+        [A.entries() for A in fresh.diffs]
 
 
 def test_known_dimension_tables():

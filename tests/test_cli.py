@@ -275,6 +275,42 @@ def test_differentials_not_composing_exits_1(capsys, monkeypatch):
     _exits_1_without_traceback(capsys, DIMS_C3, "do not compose to zero")
 
 
+def test_last_generator_not_composing_exits_1(capsys, monkeypatch):
+    # the true kernel plus one vector outside it, which the cover takes as
+    # its last generator: only that generator's column j*|G| has d o d != 0
+    resolution = _fresh_resolutions(monkeypatch)
+    kernel_mod_p = resolution.kernel_mod_p
+
+    def with_a_stray_vector(A):
+        return kernel_mod_p(A) + [[1] + [0] * (A.n_cols - 1)]
+
+    monkeypatch.setattr(resolution, "kernel_mod_p", with_a_stray_vector)
+    _exits_1_without_traceback(capsys, DIMS_C3, "do not compose to zero")
+
+
+def test_cached_differential_not_equivariant_exits_1(capsys, monkeypatch,
+                                                     tmp_path):
+    from cohomolab.exact_linalg import SparseMatrix
+    resolution = _fresh_resolutions(monkeypatch)
+    cache = ["--cache-dir", str(tmp_path)]
+    dims = DIMS_C3[:-1]
+    assert main(cache + dims + ["0"]) == EXIT_PASS  # caches d_1 only
+    capsys.readouterr()
+    (path,) = tmp_path.glob("res_*_d1_F3.txt")
+    d1 = SparseMatrix.load(path.read_text())
+    # negate column 1, the translate of generator column 0 by element 1
+    cols = dict(d1.cols)
+    cols[1] = {i: -v for i, v in cols[1].items()}
+    path.write_text(SparseMatrix(
+        d1.n_rows, d1.n_cols,
+        [(i, j, v) for j, col in cols.items() for i, v in col.items()],
+        p=3).dump())
+    monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+    # reads d_1 from the cache and builds d_2 on top of it
+    _exits_1_without_traceback(capsys, cache + dims + ["1"],
+                               "d_1 is not G-equivariant")
+
+
 def test_bockstein_divisibility_failure_exits_1(capsys, monkeypatch):
     from cohomolab.bar_cohomology import Cochain
     lift = Cochain.lift_to_z

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+import random
 
 import pytest
 
@@ -181,6 +182,23 @@ def test_table_validation_rejects_nonassociative():
          [3, 2, 4, 0, 1],
          [4, 3, 1, 2, 0]]
     with pytest.raises(ValueError):
+        FiniteGroup(t, [1], "bad")
+
+
+def test_table_validation_rejects_one_wrong_entry():
+    # C_12 with 2*4 set to 1 instead of 6: identity, inverses and generation
+    # still pass, and 42 of the 1728 triples are not associative.
+    t = [[(i + j) % 12 for j in range(12)] for i in range(12)]
+    t[2][4] = 1
+    bad = {(x, y, z) for x in range(12) for y in range(12)
+           for z in range(12) if t[t[x][y]][z] != t[x][t[y][z]]}
+    assert len(bad) == 42
+    # 200 seeded random triples, the sample this check once relied on,
+    # contain none of them
+    rng = random.Random(0xC0C0)
+    sample = {tuple(rng.randrange(12) for _ in range(3)) for _ in range(200)}
+    assert not sample & bad
+    with pytest.raises(ValueError, match="not associative"):
         FiniteGroup(t, [1], "bad")
 
 
