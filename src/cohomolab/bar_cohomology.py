@@ -2,10 +2,13 @@
 
 Cochains are finitely supported maps from tuples of non-identity group
 elements to Z or F_p.  Products (cup, cup-1), Bocksteins, transfer and
-(matrix) Massey products all live at the cochain level; dimension and
-integral computations go through a certified free resolution, with the
-literal bar boundary kept alongside as an independent route for
-cross-checking on small groups.
+matric Massey products (the triple product is the 1 x 1 case) all live
+at the cochain level.  Each coboundary map delta_n is eliminated once
+per (group, n, ring), and that one echelon (CoboundarySolver) gives the
+cocycles, the class representatives and certified primitives.
+Dimension and integral computations go through a certified free
+resolution, with the literal bar boundary kept alongside as an
+independent route for cross-checking on small groups.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .exact_linalg import Echelon, SparseMatrix, kernel_mod_p, solve
+from .exact_linalg import (Echelon, SparseMatrix, _augmented_echelon,
+                           _kernel_from_augmented, _solve_augmented)
 from .groups import FiniteGroup, Subgroup
 from .resolution import resolution_for
 
@@ -325,28 +329,38 @@ def _cup1_sign(pdeg: int, qdeg: int, i: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+# One entry per (group digest, degree n, ring) used in the process: the
+# shape of delta_n and the echelon of the columns of [delta_n ; I], at
+# most n_cols rows of n_rows + n_cols coordinates.  It is not bounded: a
+# CLI process runs one job, which makes a few entries (the massey
+# scenario six, criterion 5 nine).  A long-lived caller may clear it.
 _SOLVERS: dict[tuple, "CoboundarySolver"] = {}
 
 
 class CoboundarySolver:
-    """Echelonized coboundary image for (G, degree n, ring): decides whether
-    a degree-(n+1) cochain is a coboundary and produces canonical class
-    representatives by full reduction."""
+    """One elimination of delta_n: C^n -> C^(n+1) for (G, n, ring), the
+    echelon of the columns of [delta_n ; I] (exact_linalg's augmented
+    echelon).  Its kernel rows are the n-cocycles (cocycle_basis), the
+    cell coordinates of a residue are the canonical representative of a
+    class modulo coboundaries (reduce), and the bookkeeping coordinates
+    of a coboundary's residue give a primitive (find_primitive).  The
+    bookkeeping coordinates come after every cell coordinate, so every
+    pivot and multiplier on cells is that of a plain echelon of delta_n's
+    columns, and so are the cell residues."""
 
     def __init__(self, G: FiniteGroup, n: int, p: Optional[int]):
         self.G = G
         self.n = n
         self.p = p
         M = coboundary_matrix(G, n, p)
-        self.matrix = M
-        self.ech = Echelon(p=p)
-        for j in sorted(M.cols):
-            self.ech.add(dict(M.cols[j]))
+        self.shape = (M.n_rows, M.n_cols)
+        self.ech = _augmented_echelon(M)
 
     def reduce(self, c: Cochain) -> Cochain:
-        vec = {cell_index(self.G, k): v for k, v in c.data.items()}
-        res = self.ech.reduce(vec)
-        data = {index_cell(self.G, c.degree, k): v for k, v in res.items()}
+        n_rows = self.shape[0]
+        res = self.ech.reduce(_cell_vector(c))
+        data = {index_cell(self.G, c.degree, k): v
+                for k, v in res.items() if k < n_rows}
         return Cochain._trusted(self.G, c.degree, data, self.p)
 
 
@@ -355,6 +369,10 @@ def _solver(G: FiniteGroup, n: int, p: Optional[int]) -> CoboundarySolver:
     if key not in _SOLVERS:
         _SOLVERS[key] = CoboundarySolver(G, n, p)
     return _SOLVERS[key]
+
+
+def _cell_vector(c: Cochain) -> dict[int, int]:
+    return {cell_index(c.group, k): v for k, v in c.data.items()}
 
 
 def is_cocycle(c: Cochain) -> bool:
@@ -375,41 +393,47 @@ def class_equal(u: Cochain, v: Cochain) -> bool:
 
 
 def find_primitive(c: Cochain) -> Optional[Cochain]:
-    """Some cochain a with delta(a) = c, or None."""
+    """Some cochain a with delta(a) = c, or None.  delta(a) = c is checked
+    before a is returned (ArithmeticError otherwise)."""
     if c.degree == 0:
         return None
-    G = c.group
-    M = _solver(G, c.degree - 1, c.p).matrix
-    x = solve(M, cochain_vector(c))
+    G, n = c.group, c.degree - 1
+    sol = _solver(G, n, c.p)
+    x = _solve_augmented(sol.ech, sol.shape[0], _cell_vector(c))
     if x is None:
         return None
-    data = {index_cell(G, c.degree - 1, j): v for j, v in enumerate(x) if v}
-    return Cochain(G, c.degree - 1, data, c.p)
+    a = Cochain._trusted(G, n, {index_cell(G, n, j): v
+                                for j, v in x.items()}, c.p)
+    if coboundary(a) != c:
+        raise ArithmeticError("primitive certificate failed: delta(a) != c")
+    return a
 
 
 def cocycle_basis(G: FiniteGroup, n: int, p: int) -> list[Cochain]:
     """Basis of the degree-n cocycles over F_p."""
     if n == 0:
         return [constant_one(G, p)]
-    M = coboundary_matrix(G, n, p)
+    sol = _solver(G, n, p)
     out = []
-    for vec in kernel_mod_p(M):
+    for vec in _kernel_from_augmented(sol.ech, *sol.shape):
         data = {index_cell(G, n, j): v for j, v in enumerate(vec) if v}
         out.append(Cochain._trusted(G, n, data, p))
     return out
 
 
-def class_basis(G: FiniteGroup, n: int, p: int) -> list[Cochain]:
-    """Cocycle representatives of a basis of H^n(G;F_p)."""
+def _independent_classes(cands: list[Cochain], G: FiniteGroup, n: int,
+                         p: Optional[int]) -> list[Cochain]:
+    """The degree-n candidates whose classes are independent of the
+    classes of the candidates before them, in order."""
     sol = _solver(G, n - 1, p) if n > 0 else None
     span = Echelon(p=p)
-    out = []
-    for z in cocycle_basis(G, n, p):
-        red = sol.reduce(z) if sol else z
-        vec = {cell_index(G, k): v for k, v in red.data.items()}
-        if vec and span.add(dict(vec)):
-            out.append(z)
-    return out
+    return [c for c in cands
+            if span.add(_cell_vector(sol.reduce(c) if sol else c))]
+
+
+def class_basis(G: FiniteGroup, n: int, p: int) -> list[Cochain]:
+    """Cocycle representatives of a basis of H^n(G;F_p)."""
+    return _independent_classes(cocycle_basis(G, n, p), G, n, p)
 
 
 @dataclass
@@ -470,115 +494,55 @@ class MasseyResult:
 
     def equals_cochain(self, other: Cochain) -> bool:
         diff = self.representative.representative - other
-        G = diff.group
-        sol = _solver(G, diff.degree - 1, diff.p)
-        span = Echelon(p=diff.p)
-        for z in self.indeterminacy:
-            red = sol.reduce(z)
-            span.add({cell_index(G, k): v for k, v in red.data.items()})
-        res = sol.reduce(diff)
-        vec = {cell_index(G, k): v for k, v in res.data.items()}
-        return not span.reduce(vec)
+        kept = _independent_classes(self.indeterminacy + [diff], diff.group,
+                                    diff.degree, diff.p)
+        return not kept or kept[-1] is not diff
 
 
 def massey(u: Cochain, v: Cochain, w: Cochain) -> MasseyResult:
-    """Triple Massey product <[u],[v],[w]> with indeterminacy basis."""
-    for c in (u, v, w):
-        if not is_cocycle(c):
-            raise ValueError("Massey inputs must be cocycles")
-    uv = cup(u, v)
-    vw = cup(v, w)
-    a = find_primitive(uv)
-    b = find_primitive(vw)
-    if a is None or b is None:
-        raise ValueError("Massey product undefined: uv or vw is not a coboundary")
-    sign = -1 if u.degree % 2 else 1
-    rep = cup(u, b).scale(sign) - cup(a, w)
-    indet = _massey_indeterminacy(u, w, rep.degree)
-    return MasseyResult(CohomologyClass(rep), indet)
-
-
-def _massey_indeterminacy(u: Cochain, w: Cochain, target: int) -> list[Cochain]:
-    G = u.group
-    p = u.p
-    out = []
-    deg_b = target - u.degree
-    if deg_b >= 0:
-        for z in class_basis(G, deg_b, p):
-            out.append(cup(u, z))
-    deg_a = target - w.degree
-    if deg_a >= 0:
-        for z in class_basis(G, deg_a, p):
-            out.append(cup(z, w))
-    # keep only a spanning set of nonzero classes
-    sol = _solver(G, target - 1, p)
-    span = Echelon(p=p)
-    basis = []
-    for c in out:
-        red = sol.reduce(c)
-        vec = {cell_index(G, k): v for k, v in red.data.items()}
-        if vec and span.add(dict(vec)):
-            basis.append(c)
-    return basis
+    """Triple Massey product <[u],[v],[w]> with indeterminacy basis: the
+    1 x 1 matric product <(u), (v), (w)>."""
+    return matrix_massey([u], [[v]], [w])
 
 
 def matrix_massey(U: list[Cochain], V: list[list[Cochain]],
                   W: list[Cochain]) -> MasseyResult:
-    """<U, V, W> for a row U (1 x s), matrix V (s x t), column W (t x 1)."""
+    """<U, V, W> for a row U (1 x s), matrix V (s x t), column W (t x 1):
+    J. P. May's matric Massey product (J. Algebra 12, 1969).  With
+    delta(A_j) = sum_i u_i v_ij and delta(B_i) = sum_j v_ij w_j, the
+    representative is sum_i (-1)^|u_i| u_i B_i - sum_j A_j w_j, and the
+    indeterminacy is spanned by the u_i H + H w_j."""
     s, t = len(U), len(W)
     if len(V) != s or any(len(row) != t for row in V):
         raise ValueError("shape mismatch")
     for c in U + W + [x for row in V for x in row]:
         if not is_cocycle(c):
-            raise ValueError("matrix Massey inputs must be cocycles")
-    A = []
-    for j in range(t):
-        acc = None
-        for i in range(s):
-            term = cup(U[i], V[i][j])
-            acc = term if acc is None else acc + term
-        prim = find_primitive(acc)
-        if prim is None:
-            raise ValueError("row-times-matrix product is not a coboundary")
-        A.append(prim)
-    B = []
-    for i in range(s):
-        acc = None
-        for j in range(t):
-            term = cup(V[i][j], W[j])
-            acc = term if acc is None else acc + term
-        prim = find_primitive(acc)
-        if prim is None:
-            raise ValueError("matrix-times-column product is not a coboundary")
-        B.append(prim)
-    rep = None
-    for i in range(s):
-        sign = -1 if U[i].degree % 2 else 1
-        term = cup(U[i], B[i]).scale(sign)
-        rep = term if rep is None else rep + term
-    for j in range(t):
-        rep = rep - cup(A[j], W[j])
-    # indeterminacy of the matrix product: sum over u_i H + H w_j
-    sol = _solver(rep.group, rep.degree - 1, rep.p)
-    span = Echelon(p=rep.p)
-    basis = []
-    cands = []
-    for i in range(s):
-        db = rep.degree - U[i].degree
-        if db >= 0:
-            for z in class_basis(rep.group, db, rep.p):
-                cands.append(cup(U[i], z))
-    for j in range(t):
-        da = rep.degree - W[j].degree
-        if da >= 0:
-            for z in class_basis(rep.group, da, rep.p):
-                cands.append(cup(z, W[j]))
-    for c in cands:
-        red = sol.reduce(c)
-        vec = {cell_index(rep.group, k): v for k, v in red.data.items()}
-        if vec and span.add(dict(vec)):
-            basis.append(c)
-    return MasseyResult(CohomologyClass(rep), basis)
+            raise ValueError("Massey inputs must be cocycles")
+    A = [_primitive_of_sum([cup(U[i], V[i][j]) for i in range(s)])
+         for j in range(t)]
+    B = [_primitive_of_sum([cup(V[i][j], W[j]) for j in range(t)])
+         for i in range(s)]
+    terms = [cup(u, b).scale(-1 if u.degree % 2 else 1)
+             for u, b in zip(U, B)]
+    terms += [cup(a, w).scale(-1) for a, w in zip(A, W)]
+    rep = sum(terms[1:], terms[0])
+    G, n, p = rep.group, rep.degree, rep.p
+
+    def classes(d: int) -> list[Cochain]:
+        return class_basis(G, d, p) if d >= 0 else []
+
+    cands = [cup(u, z) for u in U for z in classes(n - u.degree)]
+    cands += [cup(z, w) for w in W for z in classes(n - w.degree)]
+    return MasseyResult(CohomologyClass(rep),
+                        _independent_classes(cands, G, n, p))
+
+
+def _primitive_of_sum(terms: list[Cochain]) -> Cochain:
+    prim = find_primitive(sum(terms[1:], terms[0]))
+    if prim is None:
+        raise ValueError("Massey product undefined: a product of adjacent "
+                         "entries is not a coboundary")
+    return prim
 
 
 # ---------------------------------------------------------------------------

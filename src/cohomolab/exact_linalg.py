@@ -461,14 +461,16 @@ def _augmented_echelon(M: SparseMatrix) -> Echelon:
     return ech
 
 
-def _kernel_from_augmented(M: SparseMatrix, ech: Echelon) -> list[list[int]]:
-    n = M.n_rows
+def _kernel_from_augmented(ech: Echelon, n_rows: int,
+                           n_cols: int) -> list[list[int]]:
+    """The kernel rows of the augmented echelon of an n_rows x n_cols
+    matrix M (pivot at a bookkeeping coordinate), as dense vectors."""
     kern = []
     for piv in sorted(ech.basis):
-        if piv >= n:
-            dense = [0] * M.n_cols
+        if piv >= n_rows:
+            dense = [0] * n_cols
             for k, v in ech.row(piv).items():
-                dense[k - n] = v
+                dense[k - n_rows] = v
             kern.append(dense)
     return kern
 
@@ -477,30 +479,40 @@ def kernel_mod_p(M: SparseMatrix) -> list[list[int]]:
     """Basis of the right kernel of M over F_p, as dense vectors."""
     if M.p is None:
         raise ValueError("kernel_mod_p requires a matrix over F_p")
-    return _kernel_from_augmented(M, _augmented_echelon(M))
+    return _kernel_from_augmented(_augmented_echelon(M), M.n_rows, M.n_cols)
 
 
 def kernel_z(M: SparseMatrix) -> list[list[int]]:
     """Basis of the integer right-kernel lattice of M (complete over Z)."""
     if M.p is not None:
         raise ValueError("kernel_z requires a matrix over Z")
-    return _kernel_from_augmented(M, _augmented_echelon(M))
+    return _kernel_from_augmented(_augmented_echelon(M), M.n_rows, M.n_cols)
+
+
+def _solve_augmented(ech: Echelon, n_rows: int,
+                     target: dict[int, int]) -> Optional[dict[int, int]]:
+    """Some sparse x with Mx = target, or None, from the augmented echelon
+    of M: target's residue has no row coordinate exactly when target is in
+    the image, and then its bookkeeping coordinates hold -x."""
+    res = ech.reduce(target)
+    if any(k < n_rows for k in res):
+        return None
+    p = ech.p
+    return {k - n_rows: (-v) % p if p is not None else -v
+            for k, v in res.items()}
 
 
 def solve(M: SparseMatrix, b: list[int]) -> Optional[list[int]]:
     """Some x with Mx = b, or None.  Exact over Z (no rational relaxation)."""
     if len(b) != M.n_rows:
         raise ValueError("dimension mismatch")
-    n = M.n_rows
-    ech = _augmented_echelon(M)
-    target = {i: v for i, v in enumerate(b) if v}
-    res = ech.reduce(target)
-    if any(k < n for k in res):
+    sol = _solve_augmented(_augmented_echelon(M), M.n_rows,
+                           {i: v for i, v in enumerate(b) if v})
+    if sol is None:
         return None
     x = [0] * M.n_cols
-    p = M.p
-    for k, v in res.items():
-        x[k - n] = (-v) % p if p is not None else -v
+    for j, v in sol.items():
+        x[j] = v
     return x
 
 

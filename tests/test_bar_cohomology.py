@@ -338,6 +338,34 @@ def test_matrix_massey_reduces_to_triple():
     assert res2.equals_cochain(bc.bockstein(y))
 
 
+# <x, x, x> on C_3 x C_3 at p = 3 for the first class_basis class x: the
+# representative as computed before massey became the 1 x 1 matric product
+MASSEY_XXX_C3xC3 = {
+    (1, 2): 2, (1, 4): 1, (1, 5): 1, (1, 6): 2, (1, 7): 1, (1, 8): 2,
+    (2, 1): 2, (2, 2): 2, (2, 3): 1, (2, 4): 2, (2, 5): 1, (2, 8): 1,
+    (3, 2): 1, (3, 4): 2, (3, 5): 2, (3, 6): 1, (3, 7): 2, (3, 8): 1,
+    (4, 1): 1, (4, 2): 2, (4, 3): 2, (4, 5): 1, (4, 6): 1, (4, 7): 2,
+    (5, 1): 1, (5, 2): 1, (5, 3): 2, (5, 4): 1, (5, 5): 2, (5, 8): 2,
+    (6, 1): 2, (6, 3): 1, (6, 4): 1, (6, 6): 1, (6, 7): 2, (6, 8): 2,
+    (7, 1): 1, (7, 3): 2, (7, 4): 2, (7, 6): 2, (7, 7): 1, (7, 8): 1,
+    (8, 1): 2, (8, 2): 1, (8, 3): 1, (8, 5): 2, (8, 6): 2, (8, 7): 1,
+}
+
+
+def test_massey_with_indeterminacy_on_c3xc3():
+    V = build_product([build_cyclic(3), build_cyclic(3)])
+    x = bc.class_basis(V, 1, 3)[0]
+    res = bc.massey(x, x, x)
+    assert res.representative.representative.data == MASSEY_XXX_C3xC3
+    assert len(res.indeterminacy) == 1
+    assert not res.is_zero_modulo_indeterminacy()
+    # a representative shifted by the indeterminacy is the same product
+    shifted = res.representative.representative + res.indeterminacy[0]
+    assert res.equals_cochain(shifted)
+    assert res.equals_cochain(shifted + bc.coboundary(
+        bc.random_cochain(V, 1, 3, RNG)))
+
+
 def test_matrix_massey_shape_validation():
     y = y_generator(3)
     with pytest.raises(ValueError):

@@ -327,6 +327,57 @@ def test_bockstein_divisibility_failure_exits_1(capsys, monkeypatch):
         "not divisible by p")
 
 
+def test_wrong_primitive_exits_1(capsys, monkeypatch):
+    from cohomolab import bar_cohomology as bc
+    solve = bc._solve_augmented
+
+    def one_entry_off(ech, n_rows, target):
+        x = solve(ech, n_rows, target)
+        if x is not None:  # off by one at the first bookkeeping coordinate
+            x[0] = x.get(0, 0) + 1
+        return x
+
+    monkeypatch.setattr(bc, "_SOLVERS", {})
+    monkeypatch.setattr(bc, "_solve_augmented", one_entry_off)
+    _exits_1_without_traceback(
+        capsys, ["massey", "triple", "--group", C3, "--p", "3"],
+        "primitive certificate failed")
+
+
+def test_undefined_massey_product_exits_2(capsys):
+    code = main(["massey", "triple", "--group",
+                 '{"family": "cyclic", "n": 2}', "--p", "2"])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "undefined" in err
+    assert "Traceback" not in err
+
+
+def test_each_coboundary_matrix_is_eliminated_once(capsys, monkeypatch):
+    from cohomolab import bar_cohomology as bc, exact_linalg
+    built, eliminated = [], []
+    build, eliminate = bc.coboundary_matrix, exact_linalg._augmented_echelon
+
+    def counted_build(G, n, p=None):
+        built.append((G.digest(), n, p))
+        return build(G, n, p)
+
+    def counted_elimination(M):
+        eliminated.append((M.n_rows, M.n_cols, M.p))
+        return eliminate(M)
+
+    monkeypatch.setattr(bc, "_SOLVERS", {})
+    monkeypatch.setattr(bc, "coboundary_matrix", counted_build)
+    monkeypatch.setattr(bc, "_augmented_echelon", counted_elimination)
+    monkeypatch.setattr(exact_linalg, "_augmented_echelon",
+                        counted_elimination)
+    code, rep = run_json(capsys, ["scenario", "run", "massey.json"])
+    assert code == EXIT_PASS and rep["passed"]
+    # (C_p, 0, p) and (C_p, 1, p) for p = 3, 5, 7
+    assert len(built) == len(set(built)) == 6
+    assert len(eliminated) == 6
+
+
 def test_nonzero_homology_rank_exits_1(capsys, monkeypatch):
     resolution = _fresh_resolutions(monkeypatch)
     monkeypatch.setattr(resolution.FreeResolution, "integral_homology",
