@@ -415,8 +415,8 @@ def cocycle_basis(G: FiniteGroup, n: int, p: int) -> list[Cochain]:
         return [constant_one(G, p)]
     sol = _solver(G, n, p)
     out = []
-    for vec in _kernel_from_augmented(sol.ech, *sol.shape):
-        data = {index_cell(G, n, j): v for j, v in enumerate(vec) if v}
+    for vec in _kernel_from_augmented(sol.ech, sol.shape[0]):
+        data = {index_cell(G, n, j): v for j, v in vec.items()}
         out.append(Cochain._trusted(G, n, data, p))
     return out
 

@@ -218,11 +218,13 @@ def _subset_match(expected, actual) -> bool:
     return expected == actual
 
 
-def run_scenario(path: str, cache_dir: Optional[str] = None,
+def run_scenario(path: str, parser: argparse.ArgumentParser,
+                 cache_dir: Optional[str] = None,
                  max_cells: Optional[int] = None) -> dict:
     """Run every step of a scenario file, matching each step's report
     against its expectations.  Raises ResourceLimitError past the declared
-    time budget and ValueError on a malformed file."""
+    time budget and ValueError on a malformed file.  The steps are parsed
+    by parser, the one built for the enclosing CLI call."""
     with open(_resolve_scenario(path)) as fh:
         try:
             scenario = json.load(fh)
@@ -242,7 +244,7 @@ def run_scenario(path: str, cache_dir: Optional[str] = None,
         entry = {"step": i, "argv": step["argv"],
                  "provenance": step.get("provenance", "derived")}
         try:
-            report, _ = _dispatch(argv)
+            report, _ = _dispatch(parser, argv)
             entry["passed"] = _subset_match(step.get("expect", {}), report)
             entry["report"] = report
         except Exception as exc:  # a failing step must not halt the run
@@ -346,11 +348,12 @@ _HANDLERS = {
 }
 
 
-def _dispatch(argv: list[str]) -> tuple[dict, Optional[str]]:
+def _dispatch(parser: argparse.ArgumentParser,
+              argv: list[str]) -> tuple[dict, Optional[str]]:
     """Parse argv and run the handler; returns (report, json_out path)."""
-    args = build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
     if args.command == "scenario":
-        report = run_scenario(args.path, cache_dir=args.cache_dir,
+        report = run_scenario(args.path, parser, cache_dir=args.cache_dir,
                               max_cells=args.max_cells)
     else:
         report = _HANDLERS[args.command](args)
@@ -364,7 +367,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     start = time.monotonic()
     try:
-        report, out = _dispatch(argv)
+        report, out = _dispatch(build_parser(), argv)
     except (ValueError, KeyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -461,32 +461,29 @@ def _augmented_echelon(M: SparseMatrix) -> Echelon:
     return ech
 
 
-def _kernel_from_augmented(ech: Echelon, n_rows: int,
-                           n_cols: int) -> list[list[int]]:
-    """The kernel rows of the augmented echelon of an n_rows x n_cols
-    matrix M (pivot at a bookkeeping coordinate), as dense vectors."""
-    kern = []
-    for piv in sorted(ech.basis):
-        if piv >= n_rows:
-            dense = [0] * n_cols
-            for k, v in ech.row(piv).items():
-                dense[k - n_rows] = v
-            kern.append(dense)
-    return kern
+def _kernel_from_augmented(ech: Echelon,
+                           n_rows: int) -> list[dict[int, int]]:
+    """The kernel rows of the augmented echelon of a matrix M with n_rows
+    rows (pivot at a bookkeeping coordinate), as sparse vectors
+    {column of M: value}."""
+    return [{k - n_rows: v for k, v in ech.row(piv).items()}
+            for piv in sorted(ech.basis) if piv >= n_rows]
 
 
-def kernel_mod_p(M: SparseMatrix) -> list[list[int]]:
-    """Basis of the right kernel of M over F_p, as dense vectors."""
+def kernel_mod_p(M: SparseMatrix) -> list[dict[int, int]]:
+    """Basis of the right kernel of M over F_p, as sparse vectors
+    {column: value}."""
     if M.p is None:
         raise ValueError("kernel_mod_p requires a matrix over F_p")
-    return _kernel_from_augmented(_augmented_echelon(M), M.n_rows, M.n_cols)
+    return _kernel_from_augmented(_augmented_echelon(M), M.n_rows)
 
 
-def kernel_z(M: SparseMatrix) -> list[list[int]]:
-    """Basis of the integer right-kernel lattice of M (complete over Z)."""
+def kernel_z(M: SparseMatrix) -> list[dict[int, int]]:
+    """Basis of the integer right-kernel lattice of M (complete over Z), as
+    sparse vectors {column: value}."""
     if M.p is not None:
         raise ValueError("kernel_z requires a matrix over Z")
-    return _kernel_from_augmented(_augmented_echelon(M), M.n_rows, M.n_cols)
+    return _kernel_from_augmented(_augmented_echelon(M), M.n_rows)
 
 
 def _solve_augmented(ech: Echelon, n_rows: int,

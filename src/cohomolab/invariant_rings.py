@@ -150,7 +150,7 @@ def fixed_kernel(ring: GradedRing,
             entries.extend((gi * n + index[mm], j, c)
                            for mm, c in img.items() if c)
     mat = SparseMatrix(n * max(1, len(maps)), n, entries, p=ring.p)
-    return [{basis[j]: v for j, v in enumerate(vec) if v}
+    return [{basis[j]: v for j, v in vec.items()}
             for vec in kernel_mod_p(mat)]
 
 
@@ -260,18 +260,27 @@ class GradedAlgebra(GradedRing):
 
     def mul(self, u: Element, v: Element) -> Element:
         out: dict[Monomial, int] = {}
+        p = self.p
+        add = int.__add__
+        terms = [(e2, b2, any(b2), c2) for (e2, b2), c2 in v.items()]
         for (e1, b1), c1 in u.items():
-            for (e2, b2), c2 in v.items():
-                if any(x and y for x, y in zip(b1, b2)):
-                    continue  # repeated exterior factor
-                # sign: inversions moving b2's factors past b1's later ones
-                sign = 1
-                for j, y in enumerate(b2):
-                    if y and sum(b1[j + 1:]) % 2:
-                        sign = -sign
-                m = (tuple(x + y for x, y in zip(e1, e2)),
-                     tuple(x + y for x, y in zip(b1, b2)))
-                nc = (out.get(m, 0) + sign * c1 * c2) % self.p
+            ext1 = any(b1)
+            for e2, b2, ext2, c2 in terms:
+                if ext1 and ext2:
+                    if any(x and y for x, y in zip(b1, b2)):
+                        continue  # repeated exterior factor
+                    # sign: inversions moving b2's factors past b1's later ones
+                    sign = 1
+                    for j, y in enumerate(b2):
+                        if y and sum(b1[j + 1:]) % 2:
+                            sign = -sign
+                    b = tuple(map(add, b1, b2))
+                    c = sign * c1 * c2
+                else:  # at most one factor has exterior bits: no sign
+                    b = b1 if ext1 else b2
+                    c = c1 * c2
+                m = (tuple(map(add, e1, e2)), b)
+                nc = (out.get(m, 0) + c) % p
                 if nc:
                     out[m] = nc
                 else:

@@ -119,8 +119,8 @@ def test_resolution_memo_is_kept_per_cache_dir(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("p", [3, None])
 def test_resolution_extends_a_cached_prefix(tmp_path, p):
-    # d_1, d_2 come from the cache and pass the equivariance check that
-    # runs before d_3 is built on top of them
+    # d_1, d_2 are expanded from the generator columns in the cache, and
+    # d_3, d_4 are built on top of them
     from cohomolab.resolution import FreeResolution
     V = build_product([build_cyclic(3), build_cyclic(3)])
     FreeResolution(V, p, str(tmp_path)).extend_to(2)

@@ -7,6 +7,7 @@ from cohomolab.cli import (
     EXIT_INPUT,
     EXIT_PASS,
     EXIT_RESOURCE,
+    build_parser,
     main,
     run_scenario,
 )
@@ -240,6 +241,12 @@ def _fresh_resolutions(monkeypatch):
 
 DIMS_C3 = ["cohomology", "dims", "--group", C3, "--p", "3",
            "--max-degree", "2"]
+# S_3 is not a 3-group, so over F_3 its resolution takes the greedy cover
+DIMS_S3 = ["cohomology", "dims", "--group",
+           '{"family": "semidirect", "p": 3, "n": 1, "matrices": [[[2]]]}',
+           "--p", "3", "--max-degree", "2"]
+C3xC3 = ('{"family": "product", "factors": [{"family": "cyclic", "n": 3}, '
+         '{"family": "cyclic", "n": 3}]}')
 
 
 def test_kernel_cover_failed_exits_1(capsys, monkeypatch):
@@ -250,7 +257,7 @@ def test_kernel_cover_failed_exits_1(capsys, monkeypatch):
             return {}
 
     monkeypatch.setattr(resolution, "Echelon", NothingOutside)
-    _exits_1_without_traceback(capsys, DIMS_C3, "kernel cover failed")
+    _exits_1_without_traceback(capsys, DIMS_S3, "kernel cover failed")
 
 
 def test_kernel_cover_incomplete_exits_1(capsys, monkeypatch):
@@ -261,18 +268,17 @@ def test_kernel_cover_incomplete_exits_1(capsys, monkeypatch):
             pass
 
     monkeypatch.setattr(resolution, "Echelon", SpansNothing)
-    _exits_1_without_traceback(capsys, DIMS_C3, "kernel cover incomplete")
+    _exits_1_without_traceback(capsys, DIMS_S3, "kernel cover incomplete")
 
 
 def test_differentials_not_composing_exits_1(capsys, monkeypatch):
     resolution = _fresh_resolutions(monkeypatch)
 
     def every_unit_vector(A):  # a "kernel" that is the whole domain
-        return [[int(i == j) for i in range(A.n_cols)]
-                for j in range(A.n_cols)]
+        return [{j: 1} for j in range(A.n_cols)]
 
     monkeypatch.setattr(resolution, "kernel_mod_p", every_unit_vector)
-    _exits_1_without_traceback(capsys, DIMS_C3, "do not compose to zero")
+    _exits_1_without_traceback(capsys, DIMS_S3, "do not compose to zero")
 
 
 def test_last_generator_not_composing_exits_1(capsys, monkeypatch):
@@ -282,33 +288,101 @@ def test_last_generator_not_composing_exits_1(capsys, monkeypatch):
     kernel_mod_p = resolution.kernel_mod_p
 
     def with_a_stray_vector(A):
-        return kernel_mod_p(A) + [[1] + [0] * (A.n_cols - 1)]
+        return kernel_mod_p(A) + [{0: 1}]
 
     monkeypatch.setattr(resolution, "kernel_mod_p", with_a_stray_vector)
-    _exits_1_without_traceback(capsys, DIMS_C3, "do not compose to zero")
+    _exits_1_without_traceback(capsys, DIMS_S3, "do not compose to zero")
 
 
-def test_cached_differential_not_equivariant_exits_1(capsys, monkeypatch,
-                                                     tmp_path):
-    from cohomolab.exact_linalg import SparseMatrix
+def _minimal_cover_of_d1(monkeypatch, resolution, change):
+    """Apply change(resolution, generators) to the minimal cover of d_1."""
+    cover = resolution.FreeResolution._minimal_cover
+
+    def changed(self, kernel):
+        gens = cover(self, kernel)
+        return gens if self.diffs else change(self, gens)
+
+    monkeypatch.setattr(resolution.FreeResolution, "_minimal_cover", changed)
+
+
+def test_inexact_differential_exits_1(capsys, monkeypatch):
+    # d_1 misses a generator and d_2 covers the kernel of that d_1 exactly,
+    # so only the rank of d_1 read off d_2's kernel echelon shows it
     resolution = _fresh_resolutions(monkeypatch)
+    _minimal_cover_of_d1(monkeypatch, resolution, lambda res, gens: gens[:-1])
+    _exits_1_without_traceback(
+        capsys, ["cohomology", "dims", "--group", C3xC3, "--p", "3",
+                 "--max-degree", "1"],
+        "not exact at F_0: rank d_1 = 6, dim ker d_0 = 8")
+
+
+def test_inexact_top_differential_exits_1(capsys, monkeypatch):
+    # d_1 is the top differential: no next kernel, so rank_mod_p checks it
+    resolution = _fresh_resolutions(monkeypatch)
+    _minimal_cover_of_d1(monkeypatch, resolution, lambda res, gens: gens[:-1])
+    for _ in range(2):  # and again from the memo, which keeps d_1
+        _exits_1_without_traceback(
+            capsys, ["cohomology", "dims", "--group", C3xC3, "--p", "3",
+                     "--max-degree", "0"],
+            "not exact at F_0: rank d_1 = 6, dim ker d_0 = 8")
+
+
+def test_non_minimal_cover_exits_1(capsys, monkeypatch):
+    # one more generator of d_1, (s - 1) times the first: d_1 stays exact,
+    # but the relation it adds has a unit coefficient, so d_2 (x) F_3 != 0
+    resolution = _fresh_resolutions(monkeypatch)
+
+    def redundant(res, gens):
+        g, s = gens[0], res.G.generators[0]
+        extra = res._translate(g, s)
+        for k, v in g.items():
+            extra[k] = extra.get(k, 0) - v
+        return gens + [{k: v % 3 for k, v in extra.items() if v % 3}]
+
+    _minimal_cover_of_d1(monkeypatch, resolution, redundant)
+    _exits_1_without_traceback(capsys, DIMS_C3,
+                               "induced differential d_2 does not vanish")
+
+
+def _cache_inexact_d1(capsys, tmp_path):
+    """Cache d_1 of C3 over F_3, then overwrite its one generator column
+    with one of rank 1; returns the argv that builds d_2 on top of it."""
+    from cohomolab.exact_linalg import SparseMatrix
     cache = ["--cache-dir", str(tmp_path)]
     dims = DIMS_C3[:-1]
     assert main(cache + dims + ["0"]) == EXIT_PASS  # caches d_1 only
     capsys.readouterr()
-    (path,) = tmp_path.glob("res_*_d1_F3.txt")
+    (path,) = tmp_path.glob("res_v2_*_d1_F3.txt")
     d1 = SparseMatrix.load(path.read_text())
-    # negate column 1, the translate of generator column 0 by element 1
-    cols = dict(d1.cols)
-    cols[1] = {i: -v for i, v in cols[1].items()}
-    path.write_text(SparseMatrix(
-        d1.n_rows, d1.n_cols,
-        [(i, j, v) for j, col in cols.items() for i, v in col.items()],
-        p=3).dump())
+    assert (d1.n_rows, d1.n_cols) == (3, 1)  # one generator column, g - e
+    # (g - e)^2 = 1 + g + g^2 over F_3: its image is J^2, of dimension 1
+    path.write_text(SparseMatrix(3, 1, [(0, 0, 1), (1, 0, 1), (2, 0, 1)],
+                                 p=3).dump())
+    return cache + dims + ["1"]
+
+
+def test_cached_differential_not_exact_exits_1(capsys, monkeypatch,
+                                               tmp_path):
+    # the cache holds generator columns only, so a loaded differential is
+    # equivariant by construction; a wrong generator column of d_1 is
+    # caught by rank additivity when d_2 is built on top of it
+    resolution = _fresh_resolutions(monkeypatch)
+    argv = _cache_inexact_d1(capsys, tmp_path)
     monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
-    # reads d_1 from the cache and builds d_2 on top of it
-    _exits_1_without_traceback(capsys, cache + dims + ["1"],
-                               "d_1 is not G-equivariant")
+    _exits_1_without_traceback(capsys, argv,
+                               "not exact at F_0: rank d_1 = 1")
+
+
+def test_failed_exactness_check_fails_again_from_the_memo(
+        capsys, monkeypatch, tmp_path):
+    # the resolution that failed stays in the process-wide memo; a second
+    # call in the same process must not build d_2 on the inexact d_1
+    resolution = _fresh_resolutions(monkeypatch)
+    argv = _cache_inexact_d1(capsys, tmp_path)
+    monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+    for _ in range(2):
+        _exits_1_without_traceback(capsys, argv,
+                                   "not exact at F_0: rank d_1 = 1")
 
 
 def test_bockstein_divisibility_failure_exits_1(capsys, monkeypatch):
@@ -376,6 +450,21 @@ def test_each_coboundary_matrix_is_eliminated_once(capsys, monkeypatch):
     # (C_p, 0, p) and (C_p, 1, p) for p = 3, 5, 7
     assert len(built) == len(set(built)) == 6
     assert len(eliminated) == 6
+
+
+def test_one_parser_per_main_call(capsys, monkeypatch):
+    from cohomolab import cli
+    built = []
+    build = cli.build_parser
+
+    def counted_build():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted_build)
+    code, rep = run_json(capsys, ["scenario", "run", "massey.json"])
+    assert code == EXIT_PASS and rep["passed"] and len(rep["steps"]) == 3
+    assert len(built) == 1
 
 
 def test_nonzero_homology_rank_exits_1(capsys, monkeypatch):
@@ -451,7 +540,7 @@ def test_scenario_step_error_is_contained(tmp_path):
             {"argv": ["invariants", "dickson", "--p", "3",
                       "--max-degree", "8"], "expect": {"passed": True}},
         ],
-    })))
+    })), build_parser())
     assert not rep["passed"]
     assert not rep["steps"][0]["passed"] and "error" in rep["steps"][0]
     assert rep["steps"][1]["passed"]

@@ -80,7 +80,7 @@ def oracle_echelon(M):
 
 def oracle_kernel(M):
     ech, n = oracle_echelon(M), M.n_rows
-    return [[ech.basis[piv].get(n + j, 0) for j in range(M.n_cols)]
+    return [{k - n: v for k, v in sorted(ech.basis[piv].items()) if v}
             for piv in sorted(ech.basis) if piv >= n]
 
 

@@ -171,7 +171,8 @@ def test_kernel_z_matches_all_rows_oracle(n_rows, n_cols, data):
                                        max_size=n_cols),
                               min_size=n_rows, max_size=n_rows))
     M = SparseMatrix.from_dense(rows)
-    kern, expected = kernel_z(M), oracle_kernel(M)
+    kern = [[v.get(j, 0) for j in range(n_cols)] for v in kernel_z(M)]
+    expected = oracle_kernel(M)
     assert len(kern) == len(expected)
     for v in kern:
         assert M.mul_vector(v) == [0] * n_rows

@@ -41,6 +41,14 @@ def mat_mul_vec(rows, x):
     return [sum(a * b for a, b in zip(r, x)) for r in rows]
 
 
+def dense(vectors, n):
+    """Sparse kernel vectors {column: value} as dense rows of length n;
+    each vector is nonzero, stores no zero and has every column below n."""
+    for v in vectors:
+        assert v and all(v.values()) and all(0 <= j < n for j in v)
+    return [[v.get(j, 0) for j in range(n)] for v in vectors]
+
+
 # ---------------------------------------------------------------------------
 # rank_mod_p
 # ---------------------------------------------------------------------------
@@ -98,7 +106,7 @@ def test_kernel_mod_p_dimension_and_membership():
     p = 5
     rows = [[rng.randrange(p) for _ in range(9)] for _ in range(4)]
     M = SparseMatrix.from_dense(rows, p=p)
-    kern = kernel_mod_p(M)
+    kern = dense(kernel_mod_p(M), 9)
     assert len(kern) == 9 - rank_mod_p(M)
     for v in kern:
         assert all(c % p == 0 for c in mat_mul_vec(rows, v))
@@ -111,7 +119,7 @@ def test_kernel_mod_p_dimension_and_membership():
 def test_kernel_z_complete_lattice():
     # M = [2 4]: integer kernel is generated by (2, -1), NOT (4, -2)
     M = SparseMatrix.from_dense([[2, 4]])
-    kern = kernel_z(M)
+    kern = dense(kernel_z(M), 2)
     assert len(kern) == 1
     v = kern[0]
     assert [2 * v[0] + 4 * v[1]] == [0]
@@ -122,7 +130,7 @@ def test_kernel_z_complete_lattice():
 def test_kernel_z_saturated_example():
     # columns (2,0),(0,3),(2,3): kernel generated by (1,1,-1) primitively
     M = SparseMatrix.from_dense([[2, 0, 2], [0, 3, 3]])
-    kern = kernel_z(M)
+    kern = dense(kernel_z(M), 3)
     assert len(kern) == 1
     v = kern[0]
     assert mat_mul_vec([[2, 0, 2], [0, 3, 3]], v) == [0, 0]
@@ -135,7 +143,7 @@ def test_kernel_z_saturated_example():
 def test_kernel_z_property(n, m, rng):
     rows = [[rng.randrange(-4, 5) for _ in range(m)] for _ in range(n)]
     M = SparseMatrix.from_dense(rows)
-    kern = kernel_z(M)
+    kern = dense(kernel_z(M), m)
     for v in kern:
         assert mat_mul_vec(rows, v) == [0] * n
     # rank-nullity over Q: kernel lattice rank = m - rank(M over a big prime)

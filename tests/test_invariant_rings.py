@@ -52,6 +52,39 @@ def test_exterior_generators_anticommute_and_square_to_zero():
     assert A.mul(w0, w1) == A.scale(A.mul(w1, w0), -1)
 
 
+def reference_mul(A, u, v):
+    """The product term pair by term pair, with the sign loop for every
+    pair: the oracle of GradedAlgebra.mul."""
+    out = {}
+    for (e1, b1), c1 in u.items():
+        for (e2, b2), c2 in v.items():
+            if any(x and y for x, y in zip(b1, b2)):
+                continue
+            sign = 1
+            for j, y in enumerate(b2):
+                if y and sum(b1[j + 1:]) % 2:
+                    sign = -sign
+            m = (tuple(x + y for x, y in zip(e1, e2)),
+                 tuple(x + y for x, y in zip(b1, b2)))
+            nc = (out.get(m, 0) + sign * c1 * c2) % A.p
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+    return out
+
+
+@pytest.mark.parametrize("ext", [(), (1,), (1, 3), (2, 1, 1)])
+def test_mul_matches_the_pairwise_reference(ext):
+    rng = random.Random(len(ext))
+    A = GradedAlgebra(5, [1, 2], ext)
+    for _ in range(40):
+        u, v = ({m: rng.randrange(1, 5) for m in
+                 rng.sample(A.basis(d), min(4, len(A.basis(d))))}
+                for d in (rng.randrange(6), rng.randrange(6)))
+        assert A.mul(u, v) == reference_mul(A, u, v)
+
+
 def test_element_degree_checks_homogeneity():
     A = GradedAlgebra(3, [1, 1])
     x, y = A.variable(0), A.variable(1)
