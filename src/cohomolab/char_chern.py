@@ -446,8 +446,10 @@ class PcReport:
 
 
 def pc_report(G: FiniteGroup, p: int) -> PcReport:
-    if G.order % p != 0:
-        raise ValueError("p must divide the group order")
+    # divisibility first, so that is_prime only sees divisors of |G|
+    if not (p > 1 and G.order % p == 0 and is_prime(p)):
+        raise ValueError(f"p must be a prime dividing the group order, "
+                         f"not {p}")
     irreducibles = irreducible_characters(G)
     reports = [chern_exponents_at(G, C, irreducibles)
                for C in order_p_subgroup_classes(G, p)]

@@ -28,6 +28,7 @@ from .cohomology_ring_models import (
     fixed_dims as model_fixed_dims,
     named_action,
 )
+from .exact_linalg import is_prime
 from .groups import build_group
 from .invariant_rings import (
     GradedAlgebra,
@@ -51,6 +52,23 @@ def _frac(x: Fraction) -> str:
 
 def _group(arg: str):
     return build_group(json.loads(arg))
+
+
+def _prime(text: str) -> int:
+    """argparse type of every --p option.  The bound keeps the trial
+    division of is_prime short."""
+    p = int(text)
+    if not (p < 1 << 31 and is_prime(p)):
+        raise argparse.ArgumentTypeError(f"{p} is not a prime below 2^31")
+    return p
+
+
+def _degree(text: str) -> int:
+    """argparse type of every --max-degree option."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is not a degree (n >= 0)")
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     ca = c.add_subparsers(dest="action", required=True)
     dims = ca.add_parser("dims")
     dims.add_argument("--group", required=True)
-    dims.add_argument("--p", type=int, required=True)
-    dims.add_argument("--max-degree", type=int, required=True)
+    dims.add_argument("--p", type=_prime, required=True)
+    dims.add_argument("--max-degree", type=_degree, required=True)
     dims.add_argument("--dump-matrix", default=None)
     integ = ca.add_parser("integral")
     integ.add_argument("--group", required=True)
@@ -294,32 +312,32 @@ def build_parser() -> argparse.ArgumentParser:
     ma = m.add_subparsers(dest="action", required=True)
     tri = ma.add_parser("triple")
     tri.add_argument("--group", required=True)
-    tri.add_argument("--p", type=int, required=True)
+    tri.add_argument("--p", type=_prime, required=True)
 
     ch = sub.add_parser("chern")
     cha = ch.add_subparsers(dest="action", required=True)
     pcp = cha.add_parser("pc")
     pcp.add_argument("--group", required=True)
-    pcp.add_argument("--p", type=int, required=True)
+    pcp.add_argument("--p", type=_prime, required=True)
 
     inv = sub.add_parser("invariants")
     inva = inv.add_subparsers(dest="action", required=True)
     dk = inva.add_parser("dickson")
-    dk.add_argument("--p", type=int, required=True)
-    dk.add_argument("--max-degree", type=int, required=True)
+    dk.add_argument("--p", type=_prime, required=True)
+    dk.add_argument("--max-degree", type=_degree, required=True)
     h5 = inva.add_parser("held5")
-    h5.add_argument("--max-degree", type=int, default=120)
+    h5.add_argument("--max-degree", type=_degree, default=120)
     fx = inva.add_parser("fixed")
-    fx.add_argument("--p", type=int, required=True)
+    fx.add_argument("--p", type=_prime, required=True)
     fx.add_argument("--action", dest="action_spec", required=True)
-    fx.add_argument("--max-degree", type=int, required=True)
+    fx.add_argument("--max-degree", type=_degree, required=True)
 
     rm = sub.add_parser("ringmodel")
     rma = rm.add_subparsers(dest="action", required=True)
     rfx = rma.add_parser("fixed")
-    rfx.add_argument("--p", type=int, required=True)
+    rfx.add_argument("--p", type=_prime, required=True)
     rfx.add_argument("--action", dest="action_spec", required=True)
-    rfx.add_argument("--max-degree", type=int, required=True)
+    rfx.add_argument("--max-degree", type=_degree, required=True)
 
     dvp = sub.add_parser("davis")
     dva = dvp.add_subparsers(dest="action", required=True)

@@ -8,7 +8,6 @@ deterministic (fixed reduction order of the row basis).
 
 from __future__ import annotations
 
-import heapq
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
@@ -404,6 +403,18 @@ def _combine(u: dict[int, int], v: dict[int, int], a: int, b: int) -> dict[int, 
     return out
 
 
+def composes_to_zero(A: SparseMatrix, B: SparseMatrix,
+                     cols: Iterable[int]) -> bool:
+    """Whether A * B vanishes, modulo B.p if set, on the given columns of B."""
+    for j in cols:
+        acc: dict[int, int] = {}
+        for k, v in B.cols.get(j, {}).items():
+            _axpy(acc, A.cols.get(k, {}), v)
+        if any(x % B.p for x in acc.values()) if B.p else acc:
+            return False
+    return True
+
+
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:
@@ -521,152 +532,74 @@ def solve(M: SparseMatrix, b: list[int]) -> Optional[list[int]]:
 def smith_normal_form(M: SparseMatrix) -> SmithReport:
     """Elementary divisors of an integer matrix.
 
-    Sparse elimination; pivots preferred by (|value|, Markowitz fill
-    estimate) via a lazily validated heap, which keeps coefficient growth
-    small on the +-1 boundary matrices this serves.
+    Euclid's algorithm on sparse dict rows: the pivot is a +-1 entry when
+    there is one, else one of least absolute value, and _euclid_step
+    moves it to ever smaller remainders until it is alone in its row and
+    its column.
     """
     if M.p is not None:
         raise ValueError("smith_normal_form requires a matrix over Z")
     rows: dict[int, dict[int, int]] = {}
-    for i, j, v in M.entries():
-        rows.setdefault(i, {})[j] = v
-    col_rows: dict[int, set[int]] = {}
-    for i, r in rows.items():
-        for j in r:
-            col_rows.setdefault(j, set()).add(i)
-
-    heap: list[tuple[int, int, int, int]] = []
-
-    def push(i: int, j: int) -> None:
-        v = rows.get(i, {}).get(j)
-        if v is not None:
-            fill = (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
-            heapq.heappush(heap, (abs(v), fill, i, j))
-
-    def set_entry(i: int, j: int, v: int) -> None:
-        r = rows.get(i)
-        if v:
-            if r is None:
-                r = rows[i] = {}
-            if j not in r:
-                col_rows.setdefault(j, set()).add(i)
-            r[j] = v
-            push(i, j)
-        elif r is not None and j in r:
-            del r[j]
-            col_rows[j].discard(i)
-            if not col_rows[j]:
-                del col_rows[j]
-            if not r:
-                del rows[i]
-
-    def row_axpy(dst: int, src: int, c: int) -> None:
-        """row[dst] += c * row[src]"""
-        for j, v in list(rows.get(src, {}).items()):
-            set_entry(dst, j, rows.get(dst, {}).get(j, 0) + c * v)
-
-    def row_combine(i1: int, i2: int, a: int, b: int, c: int, d: int) -> None:
-        """(row i1, row i2) <- (a*r1 + b*r2, c*r1 + d*r2); ad-bc = +-1."""
-        r1 = dict(rows.get(i1, {}))
-        r2 = dict(rows.get(i2, {}))
-        support = set(r1) | set(r2)
-        for j in support:
-            u, w = r1.get(j, 0), r2.get(j, 0)
-            set_entry(i1, j, a * u + b * w)
-            set_entry(i2, j, c * u + d * w)
-
-    def col_combine(j1: int, j2: int, a: int, b: int, c: int, d: int) -> None:
-        support = set(col_rows.get(j1, ())) | set(col_rows.get(j2, ()))
-        for i in support:
-            r = rows.get(i, {})
-            u, w = r.get(j1, 0), r.get(j2, 0)
-            set_entry(i, j1, a * u + b * w)
-            set_entry(i, j2, c * u + d * w)
-
-    for i in list(rows):
-        for j in rows[i]:
-            fill = (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
-            heapq.heappush(heap, (abs(rows[i][j]), fill, i, j))
-
+    for j, col in M.cols.items():
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
     diagonal: list[int] = []
-
-    def pop_pivot() -> Optional[tuple[int, int]]:
-        while heap:
-            v, fill, i, j = heapq.heappop(heap)
-            cur = rows.get(i, {}).get(j)
-            if cur is None:
-                continue
-            cur_fill = (len(rows[i]) - 1) * (len(col_rows[j]) - 1)
-            if abs(cur) != v or cur_fill > fill:
-                heapq.heappush(heap, (abs(cur), cur_fill, i, j))
-                continue
-            return i, j
-        return None
-
-    while True:
-        piv = pop_pivot()
-        if piv is None:
-            break
-        pi, pj = piv
-
-        while True:
-            a = rows[pi][pj]
-            # clear column pj with row operations
-            for r in sorted(col_rows.get(pj, set()) - {pi}):
-                b = rows[r].get(pj)
-                if b is None:
-                    continue
-                if b % a == 0:
-                    row_axpy(r, pi, -(b // a))
-                else:
-                    g, x, y = _xgcd(a, b)
-                    row_combine(pi, r, x, y, -(b // g), a // g)
-                    a = rows[pi][pj]
-            # clear row pi with column operations
-            a = rows[pi][pj]
-            done = True
-            for j in sorted(set(rows[pi]) - {pj}):
-                b = rows[pi].get(j)
-                if b is None:
-                    continue
-                if b % a == 0:
-                    q = b // a
-                    for r in list(col_rows.get(pj, ())):
-                        set_entry(r, j, rows[r].get(j, 0) - q * rows[r][pj])
-                else:
-                    g, x, y = _xgcd(a, b)
-                    col_combine(pj, j, x, y, -(b // g), a // g)
-                    a = rows[pi][pj]
-                    done = False
-            if done and col_rows.get(pj, set()) == {pi}:
-                break
-        diagonal.append(abs(rows[pi][pj]))
-        set_entry(pi, pj, 0)
-
+    while rows:
+        pivot = _smith_pivot(rows)
+        while pivot:
+            pi, pj = pivot
+            pivot = _euclid_step(rows, pi, pj)
+        diagonal.append(abs(rows.pop(pi)[pj]))
     divisors = _divisor_chain(diagonal)
     return SmithReport(tuple(divisors), len(divisors))
 
 
+def _smith_pivot(rows: dict[int, dict[int, int]]) -> tuple[int, int]:
+    """A +-1 entry of the nonempty rows if there is one, else one of
+    least absolute value."""
+    least = 0
+    for i, row in rows.items():
+        for j, v in row.items():
+            if v == 1 or v == -1:
+                return i, j
+            if not least or abs(v) < least:
+                pivot, least = (i, j), abs(v)
+    return pivot
+
+
+def _euclid_step(rows: dict[int, dict[int, int]], pi: int,
+                 pj: int) -> Optional[tuple[int, int]]:
+    """Reduce the other entries of column pj by row operations, then of
+    row pi by column operations (which, the column clear, change only row
+    pi), to floor remainders modulo the pivot rows[pi][pj].  Returns the
+    first nonzero one, the next pivot, or None when none is left."""
+    row = rows[pi]
+    a = row[pj]
+    for r in [r for r, other in rows.items() if pj in other and r != pi]:
+        other = rows[r]
+        _axpy(other, row, -(other[pj] // a))
+        if pj in other:
+            return r, pj
+        if not other:
+            del rows[r]
+    for j in [j for j in row if j != pj]:
+        b = row.pop(j) % a
+        if b:
+            row[j] = b
+            return pi, j
+    return None
+
+
 def _divisor_chain(diagonal: list[int]) -> list[int]:
-    vals = [abs(d) for d in diagonal if d != 0]
-    ones = sum(1 for d in vals if d == 1)
-    rest = [d for d in vals if d != 1]
-    changed = True
-    while changed:
-        changed = False
-        rest.sort()
-        for a in range(len(rest)):
-            if rest[a] == 1:
-                continue
-            for b in range(a + 1, len(rest)):
-                if rest[b] % rest[a] != 0:
-                    g = gcd(rest[a], rest[b])
-                    rest[a], rest[b] = g, rest[a] * rest[b] // g
-                    changed = True
-        if changed:
-            ones += sum(1 for d in rest if d == 1)
-            rest = [d for d in rest if d != 1]
-    return [1] * ones + sorted(rest)
+    """The positive diagonal of a diagonal matrix as a divisor chain with
+    the same cokernel: one left-to-right pass of (gcd, lcm) swaps leaves
+    each entry dividing every later one."""
+    rest = [d for d in diagonal if d != 1]
+    for i in range(len(rest)):
+        for j in range(i + 1, len(rest)):
+            g = gcd(rest[i], rest[j])
+            rest[i], rest[j] = g, rest[i] // g * rest[j]
+    return [1] * (len(diagonal) - len(rest)) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -703,13 +636,8 @@ def reduce_chain_complex(dims: Sequence[int],
         index = {c: j for j, c in enumerate(cells)}
         start += size
     for lower, upper in zip(out[1:], out[2:]):
-        for col in upper.cols.values():
-            acc: dict[int, int] = {}
-            for b, v in col.items():
-                _axpy(acc, lower.cols.get(b, {}), v)
-            if acc:
-                raise ArithmeticError(
-                    "reduced chain complex has a nonzero d o d")
+        if not composes_to_zero(lower, upper, upper.cols):
+            raise ArithmeticError("reduced chain complex has a nonzero d o d")
     chi = sum((-1) ** n * size for n, size in enumerate(dims))
     if sum((-1) ** n * d.n_cols for n, d in enumerate(out)) != chi:
         raise ArithmeticError(
@@ -825,13 +753,8 @@ def _mat_mul(A, B, p):
 
 
 def _mat_det(A, p):
-    k = len(A)
-    if k == 1:
-        return A[0][0] % p
-    if k == 2:
-        return (A[0][0] * A[1][1] - A[0][1] * A[1][0]) % p
-    det = 0
-    for j in range(k):
-        minor = tuple(row[:j] + row[j + 1:] for row in A[1:])
-        det += (-1) ** j * A[0][j] * _mat_det(minor, p)
-    return det % p
+    """Determinant mod p by cofactor expansion along the first row."""
+    if len(A) < 2:
+        return A[0][0] % p if A else 0
+    return sum((-1) ** j * v * _mat_det([r[:j] + r[j + 1:] for r in A[1:]], p)
+               for j, v in enumerate(A[0])) % p

@@ -473,7 +473,14 @@ def build_group(spec: dict) -> FiniteGroup:
     {"family": "P"|"M"|"B"|"G_a1"|"cyclic"|"product"|"semidirect",
      "p": int, "n": int, "epsilon": int, "factors": [...], "matrices": [[..]]}
     Extras: family "P_2" (= P(3)) and "singer" (primitive-polynomial action).
+    Raises ValueError on a spec of the wrong shape.
     """
+    if not isinstance(spec, dict):
+        raise ValueError(f"a group spec must be an object, not {spec!r}")
+    for key in ("p", "n", "epsilon", "a"):
+        # type(), not isinstance(): JSON true must not pass for 1
+        if key in spec and type(spec[key]) is not int:
+            raise ValueError(f"group spec field {key!r} must be an integer")
     fam = spec.get("family")
     if fam == "P":
         return build_P(spec["n"], spec["p"])
@@ -484,13 +491,23 @@ def build_group(spec: dict) -> FiniteGroup:
     if fam == "B":
         return build_B(spec["n"], spec.get("epsilon", 1), spec["p"])
     if fam == "G_a1":
-        return build_G_a1(spec.get("a", spec.get("n")), spec["p"])
+        return build_G_a1(spec["a"] if "a" in spec else spec["n"], spec["p"])
     if fam == "cyclic":
         return build_cyclic(spec["n"])
     if fam == "product":
+        if not isinstance(spec["factors"], list):
+            raise ValueError("group spec field 'factors' must be a list")
         return build_product([build_group(f) for f in spec["factors"]])
     if fam == "semidirect":
-        return build_semidirect(spec["p"], spec["n"], spec["matrices"])
+        n, mats = spec["n"], spec["matrices"]
+        if not (isinstance(mats, list) and all(
+                isinstance(M, list) and len(M) == n and all(
+                    isinstance(r, list) and len(r) == n
+                    and all(type(v) is int for v in r) for r in M)
+                for M in mats)):
+            raise ValueError("group spec field 'matrices' must be a list "
+                             "of n x n integer matrices")
+        return build_semidirect(spec["p"], n, mats)
     if fam == "singer":
         return singer_group(spec["p"], spec["n"])
     raise ValueError(f"unknown group family: {fam!r}")

@@ -42,8 +42,9 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from .exact_linalg import (Echelon, SparseMatrix, kernel_mod_p, kernel_z,
-                           rank_mod_p, smith_normal_form)
+from .exact_linalg import (Echelon, SparseMatrix, composes_to_zero,
+                           is_prime, kernel_mod_p, kernel_z, rank_mod_p,
+                           smith_normal_form)
 from .groups import FiniteGroup
 
 # Version of the cache file layout, part of every file name.  Version 2
@@ -56,6 +57,8 @@ class FreeResolution:
 
     def __init__(self, G: FiniteGroup, p: Optional[int] = None,
                  cache_dir: Optional[str] = None):
+        if p is not None and not is_prime(p):
+            raise ValueError(f"the coefficient field needs a prime, not {p}")
         self.G = G
         self.p = p  # None: resolution over ZG; prime: over F_pG
         self.ranks: list[int] = [1]
@@ -123,8 +126,12 @@ class FreeResolution:
         else:
             gens = self._greedy_cover(kernel)
         A = self._module_map(gens, n_rows)
-        if self.diffs:
-            _assert_composes_to_zero(self.diffs[-1], A, o)
+        # on the generator columns, which suffices by equivariance (see
+        # the module docstring)
+        if self.diffs and not composes_to_zero(self.diffs[-1], A,
+                                               range(0, A.n_cols, o)):
+            raise ArithmeticError(
+                "resolution differentials do not compose to zero")
         if self.minimal:
             if self._induced(A).cols:
                 raise ArithmeticError(
@@ -258,27 +265,8 @@ def _is_power_of(order: int, p: int) -> bool:
     return order == 1
 
 
-def _assert_composes_to_zero(A_prev: SparseMatrix, A: SparseMatrix,
-                             o: int) -> None:
-    """A_prev o A = 0 on the generator columns j*o of A, which implies it on
-    every column when both maps are equivariant (see the module docstring)."""
-    p = A.p
-    for j in range(0, A.n_cols, o):
-        col = A.cols.get(j, {})
-        acc: dict[int, int] = {}
-        for k, v in col.items():
-            for i, w in A_prev.cols.get(k, {}).items():
-                nv = acc.get(i, 0) + v * w
-                if p is not None:
-                    nv %= p
-                if nv:
-                    acc[i] = nv
-                else:
-                    acc.pop(i, None)
-        if acc:
-            raise ArithmeticError("resolution differentials do not compose to zero")
-
-
+# Not bounded: a CLI process runs one job, which makes an entry for each
+# of its groups and rings (README "Design notes").
 _RESOLUTIONS: dict[tuple[str, Optional[int], Optional[str]],
                    FreeResolution] = {}
 

@@ -1,4 +1,5 @@
 import json
+import signal
 
 import pytest
 
@@ -594,3 +595,109 @@ def test_reduced_complex_losing_a_cell_exits_1(capsys, monkeypatch,
     _corrupt_reduction(monkeypatch, drop_vertex)
     _exits_1_without_traceback(capsys, argv,
                                "lost the Euler characteristic")
+
+
+# ---------------------------------------------------------------------------
+# input validation: bad input exits 2 and never hangs
+# ---------------------------------------------------------------------------
+
+
+class _Hung(BaseException):
+    """Raised by the alarm of _within; no except clause of cli.main is
+    that broad."""
+
+
+def _within(seconds, call, *args):
+    """call(*args), failing instead of hanging once the seconds are up."""
+    def hung(signum, frame):
+        raise _Hung(f"no return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        return call(*args)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _exits_2_without_traceback(capsys, argv, message):
+    assert _within(30, main, argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.err.startswith("input error:") and message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+FIXED_ACTION = '{"poly_degrees": [2, 2], "matrices": []}'
+
+
+def _argv_with_p(p):
+    return [
+        ["cohomology", "dims", "--group", C3, "--p", p, "--max-degree", "2"],
+        ["cohomology", "dims", "--group", '{"family": "cyclic", "n": 2}',
+         "--p", p, "--max-degree", "2"],
+        ["massey", "triple", "--group", C3, "--p", p],
+        ["chern", "pc", "--group", C3, "--p", p],
+        ["invariants", "dickson", "--p", p, "--max-degree", "2"],
+        ["invariants", "fixed", "--p", p, "--action", FIXED_ACTION,
+         "--max-degree", "2"],
+        ["ringmodel", "fixed", "--p", p, "--action", "[]",
+         "--max-degree", "2"],
+    ]
+
+
+@pytest.mark.parametrize("p", ["-3", "0", "1", "4", "9",
+                               "2305843009213693951"])  # 2^61 - 1, prime
+def test_bad_p_exits_2(capsys, monkeypatch, p):
+    _fresh_resolutions(monkeypatch)
+    for argv in _argv_with_p(p):
+        _exits_2_without_traceback(capsys, argv,
+                                   f"{p} is not a prime below 2^31")
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9])
+def test_library_entry_points_reject_a_non_prime_p(p):
+    from cohomolab.char_chern import pc_report
+    from cohomolab.groups import build_cyclic
+    from cohomolab.resolution import FreeResolution
+    G = build_cyclic(3)
+    for call in (FreeResolution, pc_report):
+        with pytest.raises(ValueError, match="prime"):
+            _within(30, call, G, p)
+
+
+@pytest.mark.parametrize("degree", ["-1", "-3"])
+def test_negative_max_degree_exits_2(capsys, degree):
+    for argv in (
+            ["cohomology", "dims", "--group", C3, "--p", "3"],
+            ["invariants", "fixed", "--p", "5", "--action", FIXED_ACTION],
+            ["ringmodel", "fixed", "--p", "5", "--action", "C4A4-5.8"],
+            ["invariants", "held5"],
+            ["invariants", "dickson", "--p", "3"]):
+        _exits_2_without_traceback(capsys, argv + ["--max-degree", degree],
+                                   f"{degree} is not a degree")
+
+
+def test_max_degree_zero_is_accepted(capsys):
+    code, rep = run_json(capsys, ["invariants", "dickson", "--p", "3",
+                                  "--max-degree", "0"])
+    assert code == EXIT_PASS and rep["passed"]
+
+
+@pytest.mark.parametrize("spec", [
+    "[1]", '"C3"', "null",
+    '{"family": "product", "factors": {"a": 1}}',
+    '{"family": "product", "factors": 5}',
+    '{"family": "cyclic", "n": "3"}',
+    '{"family": "cyclic", "n": 3.5}',
+    '{"family": "cyclic", "n": true}',
+    '{"family": "P", "n": 3, "p": "3"}',
+    '{"family": "semidirect", "p": 3, "n": 2, "matrices": [[[1]]]}',
+    '{"family": "semidirect", "p": 3, "n": 1, "matrices": [[["2"]]]}',
+    '{"family": "G_a1", "p": 3}',  # neither "a" nor "n"
+])
+def test_malformed_group_exits_2(capsys, spec):
+    _exits_2_without_traceback(
+        capsys, ["cohomology", "dims", "--group", spec, "--p", "3",
+                 "--max-degree", "1"],
+        "'n'" if "G_a1" in spec else "group spec")

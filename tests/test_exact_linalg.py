@@ -1,8 +1,13 @@
+import ast
+import inspect
 import random
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohomolab import exact_linalg
 from cohomolab.exact_linalg import (
     Echelon,
     SmithReport,
@@ -322,6 +327,79 @@ def test_snf_property_rank_and_chain(n, m, rng):
     assert rep.rank == dense_rank_mod_p(rows, 2_147_483_647)
     for a, b in zip(rep.elementary_divisors, rep.elementary_divisors[1:]):
         assert b % a == 0
+
+
+def det(a):
+    """Laplace expansion along the first row; det of the 0 x 0 matrix is 1."""
+    return sum((-1) ** j * v * det([r[:j] + r[j + 1:] for r in a[1:]])
+               for j, v in enumerate(a[0]) if v) if a else 1
+
+
+def determinantal_divisors(rows):
+    """Independent oracle: the elementary divisors are d_k / d_(k-1),
+    d_k the gcd of all k x k minors (d_0 = 1), up to the rank."""
+    out, prev = [], 1
+    for k in range(1, min(len(rows), len(rows[0])) + 1):
+        d = 0
+        for I in combinations(range(len(rows)), k):
+            for J in combinations(range(len(rows[0])), k):
+                d = gcd(d, det([[rows[i][j] for j in J] for i in I]))
+        if d == 0:
+            break
+        out.append(d // prev)
+        prev = d
+    return tuple(out)
+
+
+BIG = 2 ** 160
+ENTRIES = [
+    st.integers(-4, 4),
+    st.sampled_from([0, 6, -6, 10, -10, 15, -15]),  # no entry is a unit
+    st.sampled_from([0, 0, 1, -2, 3, BIG, -BIG, BIG + 1, 3 * BIG]),
+]
+
+
+@st.composite
+def integer_matrices(draw):
+    entry = draw(st.sampled_from(ENTRIES))
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    return [[draw(entry) for _ in range(m)] for _ in range(n)]
+
+
+@given(integer_matrices())
+@settings(max_examples=200, deadline=None)
+def test_snf_matches_determinantal_divisors(rows):
+    rep = smith_normal_form(SparseMatrix.from_dense(rows))
+    assert rep.elementary_divisors == determinantal_divisors(rows)
+
+
+def test_snf_exact_beyond_float_range():
+    # quotients of 2000-bit entries do not fit a float: only exact floor
+    # division reduces them
+    H = 2 ** 2000
+    for rows in ([[H + 1, H], [H, H - 1]],
+                 [[6 * H, 10 * H + 4, 0], [15, 6 * H - 1, 2], [H, 0, 4 * H]]):
+        rep = smith_normal_form(SparseMatrix.from_dense(rows))
+        assert rep.elementary_divisors == determinantal_divisors(rows)
+
+
+def test_snf_is_independent_of_the_chain_complex_reduction():
+    # the per-degree SNF is the tests' oracle for davis.homology, so no
+    # function reachable from smith_normal_form may use the unit-pair
+    # reduction that davis.homology runs first
+    tree = ast.parse(inspect.getsource(exact_linalg))
+    functions = {f.name: f for f in tree.body
+                 if isinstance(f, ast.FunctionDef)}
+    reached, todo = set(), ["smith_normal_form"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo.extend(n.id for n in ast.walk(functions[name])
+                    if isinstance(n, ast.Name) and n.id in functions)
+    assert {"_smith_pivot", "_divisor_chain"} <= reached
+    assert not reached & {"reduce_chain_complex", "_eliminate_unit_pairs"}
 
 
 def test_smith_report_validates():
