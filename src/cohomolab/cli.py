@@ -55,8 +55,10 @@ def _group(arg: str):
 
 
 def _prime(text: str) -> int:
-    """argparse type of every --p option.  The bound keeps the trial
-    division of is_prime short."""
+    """argparse type of every --p option.  The bound limits the input, not
+    the primality test (is_prime is exact far beyond it): a prime of a
+    supported group order is at most MAX_TABLE_ORDER, and below 2^31 a
+    packed F_p echelon field stays within 16 bytes."""
     p = int(text)
     if not (p < 1 << 31 and is_prime(p)):
         raise argparse.ArgumentTypeError(f"{p} is not a prime below 2^31")
@@ -181,9 +183,8 @@ def _load_complex(path: str) -> dv.SimplicialComplex:
         return dv.complex_from_dict(json.load(fh))
 
 
-def _homology_table(K: dv.SimplicialComplex) -> list:
-    return [{"rank": h.rank, "torsion": list(h.torsion)}
-            for h in dv.homology(K)]
+def _homology_table(h: list) -> list:
+    return [{"rank": g.rank, "torsion": list(g.torsion)} for g in h]
 
 
 def _cmd_davis(args) -> dict:
@@ -192,7 +193,7 @@ def _cmd_davis(args) -> dict:
     K = _load_complex(args.k)
     if args.action == "homology":
         return {"f_vector": K.f_vector(), "full": K.is_full(),
-                "homology": _homology_table(K)}
+                "homology": _homology_table(dv.homology(K))}
     if args.action == "chi":
         chis, orb = dv.chiswell_chi(K), dv.orbifold_chi(K)
         return {"n_i": K.f_vector(), "chi_chiswell": _frac(chis),
@@ -207,7 +208,7 @@ def _cmd_davis(args) -> dict:
         "chi_orbifold": _frac(q.euler.chi_orbifold),
         "chi_quotient_over_index": _frac(q.euler.chi_quotient_over_index),
         "euler_passed": q.euler.passed,
-        "homology": _homology_table(q.complex),
+        "homology": _homology_table(dv.quotient_homology(q)),
     }
 
 

@@ -10,7 +10,12 @@ homomorphism onto (C_2)^k whose kernel is torsion-free of index 2^k;
 the quotient of the Davis complex by that kernel is the order complex
 of the finite poset of pairs (spherical subset S, coset of the image of
 the special subgroup on S), built here with exact Euler-characteristic
-and simplex-count cross-checks.
+and simplex-count cross-checks.  That order complex is the barycentric
+subdivision of a cube complex with one |S|-cube per pair (M. W. Davis,
+The Geometry and Topology of Coxeter Groups, 2008), and the homology of
+the quotient is computed on those cubes, about 33 times fewer cells
+than simplices on the Bestvina quotients; the simplicial route stays as
+the test oracle.
 """
 
 from __future__ import annotations
@@ -176,7 +181,7 @@ def link(K: SimplicialComplex, simplex: Sequence[int]) -> SimplicialComplex:
 
 
 # ---------------------------------------------------------------------------
-# Homology (unit-pair reduction, then SNF; lexicographic orientation)
+# Homology (unit-pair reduction, then SNF)
 # ---------------------------------------------------------------------------
 
 
@@ -208,22 +213,27 @@ def _chain_complex(K: SimplicialComplex) -> list[dict[int, int]]:
     return boundary
 
 
-def homology(K: SimplicialComplex) -> list[HomologyGroup]:
-    """[H_n(K; Z) for n = 0..dim]: the chain complex is shrunk by
-    eliminating unit pairs (reduce_chain_complex, which certifies the
+def chain_homology(dims: Sequence[int],
+                   boundary: list[dict[int, int]]) -> list[HomologyGroup]:
+    """[H_n(C; Z) for n = 0..len(dims)-1] of the chain complex with dims[n]
+    cells in degree n and boundary columns as in reduce_chain_complex: the
+    complex is shrunk by eliminating unit pairs (which certifies the
     remainder), then the Smith normal form of what remains gives the
     ranks and torsion."""
-    if K.dimension < 0:
-        return []
-    d = reduce_chain_complex(K.f_vector(), _chain_complex(K))
+    d = reduce_chain_complex(dims, boundary)
     snf = [smith_normal_form(m) for m in d[1:]]
     ranks = [0] + [r.rank for r in snf] + [0]
-    out = []
-    for n in range(K.dimension + 1):
-        torsion = snf[n].torsion if n < K.dimension else ()
-        out.append(HomologyGroup(d[n].n_cols - ranks[n] - ranks[n + 1],
-                                 torsion))
-    return out
+    top = len(dims) - 1
+    return [HomologyGroup(d[n].n_cols - ranks[n] - ranks[n + 1],
+                          snf[n].torsion if n < top else ())
+            for n in range(len(dims))]
+
+
+def homology(K: SimplicialComplex) -> list[HomologyGroup]:
+    """[H_n(K; Z) for n = 0..dim] from the simplicial chain complex."""
+    if K.dimension < 0:
+        return []
+    return chain_homology(K.f_vector(), _chain_complex(K))
 
 
 def universal_coefficients(h: Sequence[HomologyGroup],
@@ -491,6 +501,47 @@ def davis_quotient(gp: GraphProduct,
     return DavisQuotient(gp, tuple(coloring), k, Q, tuple(labels), report)
 
 
+def quotient_cubes(q: DavisQuotient) -> list[tuple[Simplex, int]]:
+    """The cubes (S, x) of the quotient, in order of dimension |S|: one for
+    each spherical S, the empty set included, and each x in [0, 2^k)
+    with no bit in the colors of S.  Q is their barycentric subdivision,
+    with these cubes as its vertex labels."""
+    cubes = []
+    for s in q.graph_product.spherical_subsets():
+        m = sum(1 << q.coloring[v] for v in s)
+        cubes.extend((s, x) for x in range(2 ** q.k) if not x & m)
+    return cubes
+
+
+def quotient_homology(q: DavisQuotient) -> list[HomologyGroup]:
+    """H_n(Q; Z) for n = 0..dim Q, from the cubes rather than from the
+    simplices of Q.  The boundary of (S, x), S = (v_0 < ... < v_(m-1)),
+    is the sum over i of (-1)^i [(S - v_i, x) - (S - v_i, x | e_i)], e_i
+    the bit of the color of v_i.  Certified against Q before any
+    reduction: the cubes are Q's vertex labels and have Q's Euler
+    characteristic (ArithmeticError otherwise)."""
+    cubes = quotient_cubes(q)
+    if set(cubes) != set(q.vertex_labels):
+        raise ArithmeticError("the cubes are not the vertex labels of Q")
+    if sum((-1) ** len(s) for s, _ in cubes) != \
+            q.complex.euler_characteristic():
+        raise ArithmeticError("the cubes do not have the Euler "
+                              "characteristic of Q")
+    index = {cube: i for i, cube in enumerate(cubes)}
+    dims = [0] * (q.complex.dimension + 1)
+    boundary = []
+    for s, x in cubes:
+        dims[len(s)] += 1
+        col = {}
+        for i, v in enumerate(s):
+            face = s[:i] + s[i + 1:]
+            sign = -1 if i & 1 else 1
+            col[index[face, x]] = sign
+            col[index[face, x | 1 << q.coloring[v]]] = -sign
+        boundary.append(col)
+    return chain_homology(dims, boundary)
+
+
 # ---------------------------------------------------------------------------
 # The Bestvina suite
 # ---------------------------------------------------------------------------
@@ -522,7 +573,7 @@ def bestvina_check(n: int) -> BestvinaReport:
     the torsion exponent of H^3 divides n."""
     K = barycentric_subdivision(moore_complex(n))  # self-certified input
     q = davis_quotient(racg_from_complex(K), torsion_free_coloring(K))
-    h = homology(q.complex)
+    h = quotient_homology(q)
     h3 = universal_coefficients(h, 3)
     exponent = max(h3.torsion, default=1)
     return BestvinaReport(

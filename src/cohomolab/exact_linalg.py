@@ -11,7 +11,7 @@ from __future__ import annotations
 from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 
@@ -742,8 +742,37 @@ def _eliminate_unit_pairs(boundary: list[Optional[dict[int, int]]]) -> None:
 # ---------------------------------------------------------------------------
 
 
+# The least strong pseudoprime to every base up to 37 (Sorenson & Webster,
+# Math. Comp. 86, 2017): below it those twelve bases decide primality.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MILLER_RABIN_LIMIT = 318665857834031151167461
+
+
 def is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+    """Deterministic Miller-Rabin, exact for n < _MILLER_RABIN_LIMIT
+    (about 3.2e23); ValueError for larger n rather than a probable
+    answer."""
+    if n >= _MILLER_RABIN_LIMIT:
+        raise ValueError(f"{n} is beyond the exact primality range")
+    if n < 2:
+        return False
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def _mat_mul(A, B, p):

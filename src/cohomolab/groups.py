@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from typing import Iterable, Optional, Sequence
 
 from .exact_linalg import _mat_mul, is_prime
@@ -191,12 +192,29 @@ class Subgroup:
 # ---------------------------------------------------------------------------
 
 
+def _table_order(order: int) -> int:
+    """order, once FiniteGroup would take a table of that order; checked
+    before a |G| x |G| table is allocated (ValueError otherwise)."""
+    if not 0 < order <= MAX_TABLE_ORDER:
+        raise ValueError(f"group order {order} outside supported range "
+                         f"1..{MAX_TABLE_ORDER}")
+    return order
+
+
+def _power_order(p: int, n: int) -> int:
+    """_table_order(p^n) for p >= 2, without computing p^n for a huge n."""
+    if not 0 <= n <= MAX_TABLE_ORDER.bit_length():
+        raise ValueError(f"group order {p}^{n} outside supported range "
+                         f"1..{MAX_TABLE_ORDER}")
+    return _table_order(p ** n)
+
+
 def _table_from_normal_form(moduli: list[int], compose, gens_exp, name: str) -> FiniteGroup:
     """Tabulate a group whose elements are exponent vectors with the given
     moduli (lexicographic numbering) and whose product is computed by
     `compose(e1, e2) -> exponent vector`."""
-    shapes = moduli
-    elems = list(itertools.product(*[range(m) for m in shapes]))
+    _table_order(math.prod(moduli))
+    elems = list(itertools.product(*[range(m) for m in moduli]))
     num = {e: i for i, e in enumerate(elems)}
     n = len(elems)
     mul = [[0] * n for _ in range(n)]
@@ -229,6 +247,7 @@ def build_P(n: int, p: int) -> FiniteGroup:
     _check_odd_prime(p)
     if n < 3:
         raise ValueError("P(n) needs n >= 3")
+    _power_order(p, n)
     m = p ** (n - 3)
     pc = p ** (n - 2)
     # B^b A^a = A^a B^b C^{-m a b} with C central
@@ -249,6 +268,7 @@ def build_M(n: int, p: int) -> FiniteGroup:
     _check_odd_prime(p)
     if n < 3:
         raise ValueError("M(n) needs n >= 3")
+    _power_order(p, n)
     pb = p ** (n - 1)
     r = 1 + p ** (n - 2)
     # B^A = B^r hence B^b A^a = A^a B^{b r^a}
@@ -271,6 +291,7 @@ def build_B(n: int, epsilon: int, p: int) -> FiniteGroup:
         raise ValueError("B(n,epsilon) needs n >= 4")
     if epsilon % p == 0:
         raise ValueError("epsilon must be nonzero mod p")
+    _power_order(p, n)
     m = p ** (n - 3)
     pc = p ** (n - 2)
 
@@ -302,6 +323,7 @@ def build_G_a1(a: int, p: int) -> FiniteGroup:
     _check_odd_prime(p)
     if a < 1:
         raise ValueError("G(a,1) needs a >= 1")
+    _power_order(p, a + 2)
     pa = p ** a
 
     def compose(e1, e2):
@@ -316,8 +338,7 @@ def build_G_a1(a: int, p: int) -> FiniteGroup:
 
 
 def build_cyclic(m: int) -> FiniteGroup:
-    if m < 1:
-        raise ValueError("cyclic order must be positive")
+    _table_order(m)
     mul = [[(i + j) % m for j in range(m)] for i in range(m)]
     gens = [1] if m > 1 else []
     return FiniteGroup(mul, gens, f"C{m}", [f"g^{i}" for i in range(m)])
@@ -327,9 +348,7 @@ def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     if not factors:
         raise ValueError("empty product")
     orders = [G.order for G in factors]
-    total = 1
-    for o in orders:
-        total *= o
+    total = _table_order(math.prod(orders))
     elems = list(itertools.product(*[range(o) for o in orders]))
     num = {e: i for i, e in enumerate(elems)}
     mul = [[0] * total for _ in range(total)]
@@ -360,6 +379,7 @@ def build_semidirect(p: int, k: int, matrices: Sequence[Sequence[Sequence[int]]]
     """
     if not is_prime(p):
         raise ValueError(f"p={p} must be prime")
+    n_vecs = _power_order(p, k)
     ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
     gens_m = [tuple(tuple(r[j] % p for j in range(k)) for r in M) for M in matrices]
     # closure of the matrix group
@@ -374,11 +394,10 @@ def build_semidirect(p: int, k: int, matrices: Sequence[Sequence[Sequence[int]]]
                 Q[B] = len(order_list)
                 order_list.append(B)
                 frontier.append(B)
+                _table_order(n_vecs * len(order_list))
     vecs = list(itertools.product(range(p), repeat=k))
     vnum = {v: i for i, v in enumerate(vecs)}
-    total = len(vecs) * len(order_list)
-    if total > MAX_TABLE_ORDER:
-        raise ValueError(f"semidirect product order {total} too large")
+    total = n_vecs * len(order_list)
     # numbering: (v, Q) -> vnum[v] * |Q| + Q index; identity (0, I) -> 0
     nq = len(order_list)
 
@@ -458,6 +477,8 @@ def singer_group(p: int, n: int) -> FiniteGroup:
     """(C_p)^n semidirect C_{p^n - 1}, the cyclic group acting as the
     multiplicative group of the field of order p^n (transitive on nonzero
     vectors)."""
+    q = _power_order(p, n)
+    _table_order(q * (q - 1))
     coeffs = _primitive_polynomial(p, n)
     C = [[0] * n for _ in range(n)]
     for i in range(1, n):

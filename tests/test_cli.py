@@ -145,6 +145,36 @@ def test_davis_bestvina(capsys):
     assert rep["passed"] and rep["torsion_exponent"] == 2
 
 
+def _tamper_cubes(monkeypatch, tamper):
+    from cohomolab import davis
+    monkeypatch.setattr(davis, "quotient_cubes",
+                        lambda q, f=davis.quotient_cubes: tamper(q, f(q)))
+
+
+def _davis_build_argv(tmp_path):
+    path = tmp_path / "sd-boundary-4.json"
+    K = barycentric_subdivision(simplex_boundary(4))
+    path.write_text(json.dumps(complex_to_dict(K)))
+    return ["davis", "build", "--k", str(path)]
+
+
+def _with_foreign_cube(q, cubes):
+    s, x = cubes[-1]
+    return cubes[:-1] + [(s, x | 1 << q.coloring[s[0]])]
+
+
+@pytest.mark.parametrize("tamper,message", [
+    (lambda q, cubes: cubes + cubes[-1:], "Euler characteristic"),
+    (_with_foreign_cube, "vertex labels"),
+], ids=["duplicated", "foreign"])
+def test_tampered_cubes_exit_1(capsys, monkeypatch, tmp_path, tamper,
+                               message):
+    _tamper_cubes(monkeypatch, tamper)
+    for argv in (_davis_build_argv(tmp_path),
+                 ["davis", "bestvina", "--n", "2"]):
+        _exits_1_without_traceback(capsys, argv, message)
+
+
 def test_json_out_global_flag(capsys, tmp_path):
     out = tmp_path / "r.json"
     code = main(["--json-out", str(out), "massey", "triple",
@@ -701,3 +731,47 @@ def test_malformed_group_exits_2(capsys, spec):
         capsys, ["cohomology", "dims", "--group", spec, "--p", "3",
                  "--max-degree", "1"],
         "'n'" if "G_a1" in spec else "group spec")
+
+
+def _without_allocating(megabytes, call, *args):
+    """call(*args) under a memory guard: the soft address-space limit of
+    this process is lowered to its current size plus megabytes (so an
+    attempted large table raises MemoryError instead of filling the
+    machine), and tracemalloc checks the peak of what the call allocated."""
+    import resource
+    import tracemalloc
+    with open("/proc/self/statm") as fh:
+        size = int(fh.read().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    resource.setrlimit(resource.RLIMIT_AS, (size + (megabytes << 20), hard))
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+    assert peak < megabytes << 20
+    return result
+
+
+_IDENTITY_8 = [[int(i == j) for j in range(8)] for i in range(8)]
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "cyclic", "n": 1000000},
+    {"family": "product", "factors": [{"family": "cyclic", "n": 100},
+                                      {"family": "cyclic", "n": 100}]},
+    {"family": "semidirect", "p": 3, "n": 8, "matrices": [_IDENTITY_8]},
+    {"family": "P", "n": 100000000, "p": 3},
+    {"family": "G_a1", "a": 100000000, "p": 3},
+    {"family": "singer", "p": 3, "n": 40},
+], ids=["cyclic-10^6", "product-10^4", "semidirect-3^8", "P-huge-n",
+        "G_a1-huge-a", "singer-3^40"])
+def test_oversized_group_exits_2_without_its_table(capsys, spec):
+    argv = ["cohomology", "dims", "--group", json.dumps(spec), "--p", "3",
+            "--max-degree", "1"]
+    assert _within(30, _without_allocating, 16, main, argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "outside supported range" in err
+    assert "Traceback" not in err

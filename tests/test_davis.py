@@ -1,8 +1,9 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cohomolab.davis import (
     BestvinaReport,
@@ -21,6 +22,8 @@ from cohomolab.davis import (
     link,
     moore_complex,
     orbifold_chi,
+    quotient_cubes,
+    quotient_homology,
     racg_from_complex,
     simplex_boundary,
     torsion_free_coloring,
@@ -168,9 +171,9 @@ def snf_homology(K):
 
 
 @st.composite
-def flag_complexes(draw):
-    """The clique complex of a random graph on up to 9 vertices."""
-    n = draw(st.integers(1, 9))
+def flag_complexes(draw, n_max=9):
+    """The clique complex of a random graph on up to n_max vertices."""
+    n = draw(st.integers(1, n_max))
     pairs = list(itertools.combinations(range(n), 2))
     edges = {e for e in pairs if draw(st.booleans())}
     cliques = [c for r in range(1, n + 1)
@@ -368,12 +371,18 @@ def test_quotient_rejects_improper_coloring():
 
 def test_bestvina_n2(monkeypatch):
     from cohomolab import davis
-    calls = []
+    calls, quotients = [], []
     monkeypatch.setattr(davis, "homology",
                         lambda K, h=davis.homology: calls.append(K) or h(K))
+    monkeypatch.setattr(
+        davis, "quotient_homology",
+        lambda q, h=davis.quotient_homology: quotients.append(q) or h(q))
     rep = bestvina_check(2)
-    # H^3 is read from the quotient's homology, not computed again
+    # H^3 is read from the quotient's homology, not computed again, and
+    # that homology comes from the cubes, not from the simplices of Q
     assert len({id(K) for K in calls}) == len(calls)
+    assert len(quotients) == 1
+    assert all(K is not quotients[0].complex for K in calls)
     assert isinstance(rep, BestvinaReport)
     assert rep.passed
     assert rep.quotient_homology[0] == Z
@@ -398,3 +407,116 @@ def test_bestvina_n4_h3_is_z4():
     rep = bestvina_check(4)
     assert rep.passed and rep.torsion_divides_n
     assert rep.h3_cohomology == HomologyGroup(0, (4,))
+
+
+# ---------------------------------------------------------------------------
+# quotient homology from the cubes, against the simplices of Q as oracle
+# ---------------------------------------------------------------------------
+
+
+def _quotient(K):
+    return davis_quotient(racg_from_complex(K), torsion_free_coloring(K))
+
+
+@pytest.mark.parametrize("K", [
+    *(barycentric_subdivision(moore_complex(n)) for n in (2, 3, 4)),
+    barycentric_subdivision(simplex_boundary(4)),
+    SimplicialComplex(1, [[0]]),
+    full_simplex(2),
+    two_points(),
+    SimplicialComplex(5, [[i, (i + 1) % 5] for i in range(5)]),
+], ids=["sd-moore-2", "sd-moore-3", "sd-moore-4", "sd-boundary-4", "point",
+        "edge", "two-points", "cycle-5"])
+def test_quotient_homology_matches_simplicial(K):
+    q = _quotient(K)
+    assert quotient_homology(q) == homology(q.complex)
+
+
+@st.composite
+def small_quotients(draw):
+    """The Davis quotient of the clique complex of a random graph on up
+    to 7 vertices, drawn only when Q has at most 4,000 facets."""
+    K = draw(flag_complexes(7))
+    k = len(set(torsion_free_coloring(K)))
+    size = sum(math.factorial(len(F)) for F in K.facets()) << k
+    assume(size <= 4000)
+    return _quotient(K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_quotients())
+def test_quotient_homology_matches_simplicial_on_flag_complexes(q):
+    assert quotient_homology(q) == homology(q.complex)
+
+
+def test_quotient_cubes_are_the_vertex_labels():
+    q = _quotient(barycentric_subdivision(moore_complex(2)))
+    cubes = quotient_cubes(q)
+    assert len(cubes) == len(set(cubes)) == q.complex.n_vertices
+    assert set(cubes) == set(q.vertex_labels)
+    assert [len(s) for s, _ in cubes] == sorted(len(s) for s, _ in cubes)
+    # 2^(k - |S|) cubes per spherical S
+    assert len(cubes) == sum(2 ** (q.k - len(s))
+                             for s in q.graph_product.spherical_subsets())
+
+
+def _cube_boundaries(monkeypatch, q):
+    """(dims, boundary columns) that quotient_homology hands to
+    chain_homology, copied before the reduction consumes them."""
+    from cohomolab import davis
+    seen = []
+    monkeypatch.setattr(
+        davis, "chain_homology",
+        lambda dims, boundary, f=davis.chain_homology:
+        seen.append((list(dims), [dict(c) for c in boundary]))
+        or f(dims, boundary))
+    quotient_homology(q)
+    (dims, boundary), = seen
+    return dims, boundary
+
+
+def test_cube_boundaries_are_oriented_and_compose_to_zero(monkeypatch):
+    q = _quotient(barycentric_subdivision(moore_complex(2)))
+    dims, boundary = _cube_boundaries(monkeypatch, q)
+    cubes = quotient_cubes(q)
+    assert dims == [sum(len(s) == n for s, _ in cubes)
+                    for n in range(len(dims))]
+    for (s, _), col in zip(cubes, boundary):
+        assert len(col) == 2 * len(s)
+        assert sorted(col.values()) == [-1] * len(s) + [1] * len(s)
+    # each edge runs from (S - v, x) to (S - v, x | e): the augmentation
+    # vanishes on boundaries
+    assert all(sum(col.values()) == 0
+               for (s, _), col in zip(cubes, boundary) if len(s) == 1)
+    for col in boundary:
+        dd = {}
+        for face, a in col.items():
+            for f, b in boundary[face].items():
+                dd[f] = dd.get(f, 0) + a * b
+        assert not any(dd.values())
+
+
+def _tampered(monkeypatch, tamper):
+    from cohomolab import davis
+    monkeypatch.setattr(davis, "quotient_cubes",
+                        lambda q, f=davis.quotient_cubes: tamper(q, f(q)))
+
+
+def test_duplicated_cube_fails_the_euler_check(monkeypatch):
+    q = _quotient(barycentric_subdivision(simplex_boundary(4)))
+    _tampered(monkeypatch, lambda q, cubes: cubes + cubes[-1:])
+    with pytest.raises(ArithmeticError, match="Euler characteristic"):
+        quotient_homology(q)
+
+
+def test_foreign_cube_fails_the_label_check(monkeypatch):
+    # (S, x) with a bit of S's own colors set: the same dimension, so the
+    # Euler characteristic still matches
+    def foreign(q, cubes):
+        s, x = cubes[-1]
+        return cubes[:-1] + [(s, x | 1 << q.coloring[s[0]])]
+
+    q = _quotient(barycentric_subdivision(simplex_boundary(4)))
+    _tampered(monkeypatch, foreign)
+    with pytest.raises(ArithmeticError, match="vertex labels"):
+        quotient_homology(q)

@@ -20,6 +20,66 @@ from cohomolab.exact_linalg import (
 )
 
 
+# ---------------------------------------------------------------------------
+# is_prime: deterministic Miller-Rabin
+# ---------------------------------------------------------------------------
+
+
+def test_is_prime_agrees_with_a_sieve_below_10_5():
+    n = 10 ** 5
+    composite = bytearray(n)
+    composite[0] = composite[1] = 1
+    for d in range(2, 317):
+        if not composite[d]:
+            composite[d * d::d] = b"\x01" * len(range(d * d, n, d))
+    assert [n for n in range(n) if exact_linalg.is_prime(n)] == \
+        [n for n in range(n) if not composite[n]]
+
+
+@pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911,
+                               41041, 825265, 321197185, 9746347772161])
+def test_is_prime_rejects_carmichael_numbers(n):
+    assert not exact_linalg.is_prime(n)
+
+
+def _strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(
+        pow(x, 2 ** r, n) == n - 1 for r in range(1, s))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # 3215031751 = 151 * 751 * 28351 passes bases 2, 3, 5 and 7
+    n = 3215031751
+    assert n == 151 * 751 * 28351
+    assert all(_strong_probable_prime(n, a) for a in (2, 3, 5, 7))
+    assert not exact_linalg.is_prime(n)
+
+
+def test_is_prime_limit_is_the_first_pseudoprime_to_all_bases():
+    n = exact_linalg._MILLER_RABIN_LIMIT
+    assert n == 399165290221 * 798330580441
+    assert all(_strong_probable_prime(n, a)
+               for a in exact_linalg._MILLER_RABIN_BASES)
+    for m in (n, n + 1, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match="exact primality range"):
+            exact_linalg.is_prime(m)
+    assert not exact_linalg.is_prime(n - 1)
+
+
+def test_is_prime_is_fast_on_large_primes():
+    import time
+    start = time.perf_counter()
+    assert exact_linalg.is_prime(2 ** 61 - 1)
+    assert exact_linalg.is_prime(2 ** 31 - 1)
+    assert not exact_linalg.is_prime((2 ** 31 - 1) ** 2)
+    assert not exact_linalg.is_prime(65537 * (2 ** 61 - 1))
+    assert time.perf_counter() - start < 0.05
+
+
 def dense_rank_mod_p(rows, p):
     """Independent oracle: plain dense Gaussian elimination over F_p."""
     rows = [[v % p for v in r] for r in rows]

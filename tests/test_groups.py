@@ -113,6 +113,33 @@ def test_cyclic_and_product():
     assert Z.order == 9 and D.order == 1
 
 
+@pytest.mark.parametrize("build,args", [
+    (build_cyclic, (4097,)),
+    (build_cyclic, (0,)),
+    (build_P, (10 ** 9, 3)),
+    (build_M, (14, 3)),
+    (build_B, (9, 1, 3)),
+    (build_G_a1, (7, 3)),
+])
+def test_orders_beyond_the_table_bound_are_rejected_first(build, args):
+    with pytest.raises(ValueError, match="outside supported range"):
+        build(*args)
+
+
+def test_semidirect_closure_stops_at_the_order_bound(monkeypatch):
+    # a 12-cycle permuting the coordinates of (C_2)^12: the matrix group
+    # has order 12, and 2^12 * 2 already exceeds MAX_TABLE_ORDER
+    from cohomolab import groups
+    shift = [[int(j == (i + 1) % 12) for j in range(12)] for i in range(12)]
+    products = []
+    monkeypatch.setattr(groups, "_mat_mul",
+                        lambda A, B, p, f=groups._mat_mul:
+                        products.append(1) or f(A, B, p))
+    with pytest.raises(ValueError, match="outside supported range"):
+        groups.build_semidirect(2, 12, [shift])
+    assert len(products) == 1
+
+
 def test_s3():
     G = symmetric_3()
     assert G.order == 6
