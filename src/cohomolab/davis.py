@@ -7,21 +7,26 @@ when every vertex group is C_2 this is a right-angled Coxeter group and
 the simplices of K (plus the empty set) are exactly the spherical
 subsets.  A proper coloring of the 1-skeleton with k colors defines a
 homomorphism onto (C_2)^k whose kernel is torsion-free of index 2^k;
-the quotient of the Davis complex by that kernel is the order complex
+the quotient Q of the Davis complex by that kernel is the order complex
 of the finite poset of pairs (spherical subset S, coset of the image of
-the special subgroup on S), built here with exact Euler-characteristic
-and simplex-count cross-checks.  That order complex is the barycentric
-subdivision of a cube complex with one |S|-cube per pair (M. W. Davis,
-The Geometry and Topology of Coxeter Groups, 2008), and the homology of
-the quotient is computed on those cubes, about 33 times fewer cells
-than simplices on the Bestvina quotients; the simplicial route stays as
-the test oracle.
+the special subgroup on S), ordered by coset containment.  Q is
+certified on that poset without listing its simplices: the vertex-count
+law, connectivity, and an Euler characteristic read off the chain
+counts of the poset, checked against two independent group Euler
+characteristics.  Q is the barycentric subdivision of a cube complex
+with one |S|-cube per pair (M. W. Davis, The Geometry and Topology of
+Coxeter Groups, 2008), and the homology of the quotient is computed on
+those cubes, about 33 times fewer cells than simplices on the Bestvina
+quotients.  Q itself is built from the flags of the complex only when
+asked for: it is the test oracle and carries the links of criterion 12.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -77,7 +82,7 @@ class SimplicialComplex:
                 range(self.dimension + 1)]
 
     def euler_characteristic(self) -> int:
-        return sum((-1) ** d * n for d, n in enumerate(self.f_vector()))
+        return _alternating_sum(self.f_vector())
 
     def facets(self) -> list[Simplex]:
         """Maximal simplices (every non-maximal one is a codimension-one
@@ -98,15 +103,22 @@ class SimplicialComplex:
 
     def is_full(self) -> bool:
         """Whether every clique of the 1-skeleton spans a simplex
-        (checked on maximal cliques, Bron-Kerbosch with pivoting)."""
+        (checked on maximal cliques, Bron-Kerbosch with pivoting; the
+        empty clique, maximal only in the empty complex, spans the empty
+        simplex)."""
         if self._full is None:
             adj = self.adjacency()
             self._full = True
             for clique in _maximal_cliques(adj):
-                if tuple(sorted(clique)) not in self.simplices:
+                if clique and tuple(sorted(clique)) not in self.simplices:
                     self._full = False
                     break
         return self._full
+
+
+def _alternating_sum(f: Sequence[int]) -> int:
+    """The Euler characteristic sum over m of (-1)^m f[m]."""
+    return sum((-1) ** m * n for m, n in enumerate(f))
 
 
 def _maximal_cliques(adj: list[set[int]]):
@@ -126,8 +138,21 @@ def _maximal_cliques(adj: list[set[int]]):
 
 
 def complex_from_dict(data: dict) -> SimplicialComplex:
-    """{"vertices": l, "facets": [[v, ...], ...]}"""
-    return SimplicialComplex(data["vertices"], data["facets"])
+    """{"vertices": l, "facets": [[v, ...], ...]}; ValueError on any other
+    shape."""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"a complex must be an object, not {type(data).__name__}")
+    n, facets = data["vertices"], data["facets"]
+    # type(), not isinstance(): JSON true must not pass for 1
+    if type(n) is not int:
+        raise ValueError("complex field 'vertices' must be an integer")
+    if not (isinstance(facets, list) and all(
+            isinstance(f, list) and all(type(v) is int for v in f)
+            for f in facets)):
+        raise ValueError("complex field 'facets' must be a list of lists "
+                         "of integers")
+    return SimplicialComplex(n, facets)
 
 
 def complex_to_dict(K: SimplicialComplex) -> dict:
@@ -248,22 +273,6 @@ def universal_coefficients(h: Sequence[HomologyGroup],
 def cohomology_degree(K: SimplicialComplex, n: int) -> HomologyGroup:
     """H^n(K; Z) by universal coefficients."""
     return universal_coefficients(homology(K), n)
-
-
-def _connected(K: SimplicialComplex) -> bool:
-    if K.n_vertices == 0:
-        return False
-    parent = list(range(K.n_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (u, v) in K.by_dim.get(1, ()):
-        parent[find(u)] = find(v)
-    return len({find(v) for v in range(K.n_vertices)}) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -429,22 +438,121 @@ class EulerReport:
 
 @dataclass(frozen=True)
 class DavisQuotient:
-    """The quotient of the Davis complex by the coloring kernel: the
-    order complex of pairs (spherical subset S, coset of the image of
-    the special subgroup on S in (C_2)^k)."""
+    """The quotient Q of the Davis complex by the coloring kernel: the
+    order complex of the poset of pairs (spherical subset S, coset of the
+    image of the special subgroup on S in (C_2)^k), ordered by coset
+    containment.  Its f-vector is counted on the poset; Q itself and its
+    vertex labels are built from the flags of K on first access only."""
     graph_product: GraphProduct
     coloring: tuple[int, ...]
     k: int
-    complex: SimplicialComplex
-    vertex_labels: tuple[tuple[Simplex, int], ...]  # (S, coset bitmask)
+    elements: tuple[tuple[Simplex, int], ...]  # (S, coset bitmask)
+    f_vector: tuple[int, ...]
     euler: EulerReport
+
+    @cached_property
+    def _order_complex(self) -> tuple[SimplicialComplex, tuple]:
+        return _flag_quotient(self.graph_product.complex, self.coloring,
+                              self.k)
+
+    @property
+    def complex(self) -> SimplicialComplex:
+        return self._order_complex[0]
+
+    @property
+    def vertex_labels(self) -> tuple[tuple[Simplex, int], ...]:
+        return self._order_complex[1]
+
+
+def _mask(s: Simplex, coloring: Sequence[int]) -> int:
+    """The bits of the colors of s (distinct on a simplex)."""
+    return sum(1 << coloring[v] for v in s)
+
+
+def _flag_quotient(K: SimplicialComplex, coloring: Sequence[int],
+                   k: int) -> tuple[SimplicialComplex, tuple]:
+    """Q and its vertex labels, simplex by simplex: each ordering of a
+    facet F of K (the empty set when K has none) gives the flag of its
+    initial segments, and each x in [0, 2^k) the simplex of the cosets of
+    x along that flag."""
+    vid: dict[tuple[Simplex, int], int] = {}
+
+    def vertex_id(s: Simplex, x: int) -> int:
+        key = (s, x & ~_mask(s, coloring))
+        if key not in vid:
+            vid[key] = len(vid)
+        return vid[key]
+
+    qfacets = []
+    for F in K.facets() or [()]:
+        for perm in itertools.permutations(F):
+            flags = [tuple(sorted(perm[:i])) for i in range(len(F) + 1)]
+            for x in range(2 ** k):
+                qfacets.append([vertex_id(s, x) for s in flags])
+    return SimplicialComplex(len(vid), qfacets), tuple(vid)
+
+
+def _coset_elements(masks: dict[Simplex, int],
+                    k: int) -> list[tuple[Simplex, int]]:
+    """The pairs (S, x & ~mask(S)) for every spherical S (the keys of
+    masks, in order of size) and every x in [0, 2^k), deduplicated."""
+    elements: dict[tuple[Simplex, int], None] = {}
+    for s, m in masks.items():
+        for x in range(2 ** k):
+            elements.setdefault((s, x & ~m), None)
+    return list(elements)
+
+
+def _chain_counts(elements: Sequence[tuple[Simplex, int]],
+                  masks: dict[Simplex, int]) -> tuple[list[int], int]:
+    """(f, c) for the poset of elements (in order of |S|): f[m] is the
+    number of its chains of m + 1 elements, the m-simplices of its order
+    complex, and c the number of connected components of that complex.
+    The elements below (S, x) are the (T, x | b) with T a proper subset
+    of S and b a subset of mask(S) & ~mask(T); the chains topped by
+    (S, x) are (S, x) alone plus, for each element below, its own chains
+    with (S, x) on top.  Each element is joined to the minimal elements
+    (the empty set, y) below it; two comparable elements share one, so
+    the components are those of the 1-skeleton of the order complex."""
+    index = {e: i for i, e in enumerate(elements)}
+    parent = list(range(len(elements)))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    chains: list[list[int]] = []  # chains[i][m]: m + 1 elements, i on top
+    f: list[int] = []
+    for i, (s, x) in enumerate(elements):
+        c = [1] + [0] * len(s)
+        for r in range(len(s)):
+            for t in itertools.combinations(s, r):
+                free = masks[s] & ~masks[t]
+                b = free
+                while True:
+                    j = index[t, x | b]
+                    for m, n in enumerate(chains[j], 1):
+                        c[m] += n
+                    if not t:
+                        parent[find(j)] = find(i)
+                    if not b:
+                        break
+                    b = (b - 1) & free
+        chains.append(c)
+        f.extend([0] * (len(c) - len(f)))
+        for m, n in enumerate(c):
+            f[m] += n
+    return f, sum(1 for i in range(len(parent)) if find(i) == i)
 
 
 def davis_quotient(gp: GraphProduct,
                    coloring: Sequence[int]) -> DavisQuotient:
-    """Build the quotient and certify it: vertex counts obey the
-    2^(k-|S|) law, the complex is connected, and its Euler
-    characteristic is 2^k times both group Euler characteristics."""
+    """Certify the quotient on the poset of its vertices, without listing
+    its simplices: vertex counts obey the 2^(k-|S|) law, it is connected,
+    and its Euler characteristic is 2^k times both group Euler
+    characteristics."""
     if not gp.is_racg:
         raise ValueError("quotients are built for order-two vertex "
                          "groups only")
@@ -459,46 +567,25 @@ def davis_quotient(gp: GraphProduct,
             raise ValueError("coloring is not proper on the 1-skeleton")
     k = len(palette)
 
-    def mask(s: Simplex) -> int:
-        m = 0
-        for v in s:
-            m |= 1 << coloring[v]
-        return m
-
-    vid: dict[tuple[Simplex, int], int] = {}
-
-    def vertex_id(s: Simplex, x: int) -> int:
-        key = (s, x & ~mask(s))
-        if key not in vid:
-            vid[key] = len(vid)
-        return vid[key]
-
-    qfacets = []
-    for F in K.facets():
-        for perm in itertools.permutations(F):
-            flags = [tuple(sorted(perm[:i])) for i in range(len(F) + 1)]
-            for x in range(2 ** k):
-                qfacets.append([vertex_id(s, x) for s in flags])
-    Q = SimplicialComplex(len(vid), qfacets)
-    labels = [None] * len(vid)
-    for (s, x), i in vid.items():
-        labels[i] = (s, x)
-
-    for s in gp.spherical_subsets():
-        count = sum(1 for (t, _) in vid if t == s)
-        if count != 2 ** (k - len(s)):
+    masks = {s: _mask(s, coloring) for s in gp.spherical_subsets()}
+    elements = _coset_elements(masks, k)
+    counts = Counter(s for s, _ in elements)
+    for s in masks:
+        if counts[s] != 2 ** (k - len(s)):
             raise ArithmeticError(
-                f"vertex count law fails for {s}: {count}")
-    if not _connected(Q):
+                f"vertex count law fails for {s}: {counts[s]}")
+    f, components = _chain_counts(elements, masks)
+    if components != 1:
         raise ArithmeticError("quotient is not connected")
     report = EulerReport(
         tuple(K.f_vector()),
         chiswell_chi(K),
         orbifold_chi(K),
-        Fraction(Q.euler_characteristic(), 2 ** k))
+        Fraction(_alternating_sum(f), 2 ** k))
     if not report.passed:
         raise ArithmeticError(f"Euler cross-check fails: {report}")
-    return DavisQuotient(gp, tuple(coloring), k, Q, tuple(labels), report)
+    return DavisQuotient(gp, tuple(coloring), k, tuple(elements), tuple(f),
+                         report)
 
 
 def quotient_cubes(q: DavisQuotient) -> list[tuple[Simplex, int]]:
@@ -508,7 +595,7 @@ def quotient_cubes(q: DavisQuotient) -> list[tuple[Simplex, int]]:
     with these cubes as its vertex labels."""
     cubes = []
     for s in q.graph_product.spherical_subsets():
-        m = sum(1 << q.coloring[v] for v in s)
+        m = _mask(s, q.coloring)
         cubes.extend((s, x) for x in range(2 ** q.k) if not x & m)
     return cubes
 
@@ -517,18 +604,19 @@ def quotient_homology(q: DavisQuotient) -> list[HomologyGroup]:
     """H_n(Q; Z) for n = 0..dim Q, from the cubes rather than from the
     simplices of Q.  The boundary of (S, x), S = (v_0 < ... < v_(m-1)),
     is the sum over i of (-1)^i [(S - v_i, x) - (S - v_i, x | e_i)], e_i
-    the bit of the color of v_i.  Certified against Q before any
-    reduction: the cubes are Q's vertex labels and have Q's Euler
-    characteristic (ArithmeticError otherwise)."""
+    the bit of the color of v_i.  Certified against the poset of Q's
+    vertices before any reduction: the cubes are its elements, the vertex
+    labels of Q, and have the Euler characteristic of its chain counts
+    (ArithmeticError otherwise)."""
     cubes = quotient_cubes(q)
-    if set(cubes) != set(q.vertex_labels):
+    if set(cubes) != set(q.elements):
         raise ArithmeticError("the cubes are not the vertex labels of Q")
     if sum((-1) ** len(s) for s, _ in cubes) != \
-            q.complex.euler_characteristic():
+            _alternating_sum(q.f_vector):
         raise ArithmeticError("the cubes do not have the Euler "
                               "characteristic of Q")
     index = {cube: i for i, cube in enumerate(cubes)}
-    dims = [0] * (q.complex.dimension + 1)
+    dims = [0] * len(q.f_vector)
     boundary = []
     for s, x in cubes:
         dims[len(s)] += 1
@@ -578,7 +666,7 @@ def bestvina_check(n: int) -> BestvinaReport:
     exponent = max(h3.torsion, default=1)
     return BestvinaReport(
         n=n,
-        quotient_f_vector=tuple(q.complex.f_vector()),
+        quotient_f_vector=q.f_vector,
         quotient_homology=tuple(h),
         h3_cohomology=h3,
         h0_is_z=h[0] == HomologyGroup(1, ()),

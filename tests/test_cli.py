@@ -8,6 +8,7 @@ from cohomolab.cli import (
     EXIT_INPUT,
     EXIT_PASS,
     EXIT_RESOURCE,
+    MAX_BESTVINA_N,
     build_parser,
     main,
     run_scenario,
@@ -173,6 +174,107 @@ def test_tampered_cubes_exit_1(capsys, monkeypatch, tmp_path, tamper,
     for argv in (_davis_build_argv(tmp_path),
                  ["davis", "bestvina", "--n", "2"]):
         _exits_1_without_traceback(capsys, argv, message)
+
+
+def _tamper_poset(monkeypatch, name, tamper):
+    from cohomolab import davis
+    monkeypatch.setattr(davis, name,
+                        lambda *args, f=getattr(davis, name):
+                        tamper(f(*args)))
+
+
+@pytest.mark.parametrize("name,tamper,message", [
+    ("_coset_elements", lambda elements: elements + elements[-1:],
+     "vertex count law"),
+    ("_chain_counts", lambda counted: (counted[0], 2), "not connected"),
+], ids=["duplicated-element", "split-poset"])
+def test_tampered_poset_exits_1(capsys, monkeypatch, tmp_path, name, tamper,
+                                message):
+    _tamper_poset(monkeypatch, name, tamper)
+    for argv in (_davis_build_argv(tmp_path),
+                 ["davis", "bestvina", "--n", "2"]):
+        _exits_1_without_traceback(capsys, argv, message)
+
+
+def test_davis_build_and_bestvina_never_build_q(capsys, monkeypatch,
+                                                tmp_path):
+    """The f-vector, the connectivity check, chi(Q) and the homology all
+    come from the poset of Q's vertices and from the cubes: no simplicial
+    complex with Q's vertices is built."""
+    from cohomolab import davis
+    flags, sizes, quotients = [], [], []
+    monkeypatch.setattr(davis, "_flag_quotient",
+                        lambda *args: flags.append(args))
+    init = davis.SimplicialComplex.__init__
+
+    def counted_init(self, n_vertices, *args, **kwargs):
+        sizes.append(n_vertices)
+        init(self, n_vertices, *args, **kwargs)
+
+    monkeypatch.setattr(davis.SimplicialComplex, "__init__", counted_init)
+    monkeypatch.setattr(
+        davis, "davis_quotient",
+        lambda *args, f=davis.davis_quotient: quotients.append(f(*args))
+        or quotients[-1])
+    for argv in (_davis_build_argv(tmp_path),
+                 ["davis", "bestvina", "--n", "2"]):
+        code, rep = run_json(capsys, argv)
+        assert code == EXIT_PASS
+        q = quotients[-1]
+        assert rep["quotient_f_vector"] == list(q.f_vector)
+        assert len(q.elements) not in sizes
+    assert [len(q.elements) for q in quotients] == [160, 660]
+    assert flags == []
+
+
+def test_empty_complex_is_the_trivial_group(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"vertices": 0, "facets": []}')
+    code, rep = run_json(capsys, ["davis", "chi", "--k", str(path)])
+    assert code == EXIT_PASS
+    assert rep["chi_chiswell"] == rep["chi_orbifold"] == "1" and rep["equal"]
+    code, rep = run_json(capsys, ["davis", "build", "--k", str(path)])
+    assert code == EXIT_PASS and rep["euler_passed"]
+    assert rep["k"] == 0 and rep["quotient_f_vector"] == [1]
+    assert rep["chi_quotient_over_index"] == "1"
+    assert rep["homology"] == [{"rank": 1, "torsion": []}]
+
+
+@pytest.mark.parametrize("text,message", [
+    ("[1, 2]", "must be an object"),
+    ("null", "must be an object"),
+    ('{"vertices": "a", "facets": []}', "'vertices' must be an integer"),
+    ('{"vertices": true, "facets": []}', "'vertices' must be an integer"),
+    ('{"vertices": 2.0, "facets": []}', "'vertices' must be an integer"),
+    ('{"vertices": 2, "facets": "01"}', "'facets' must be a list"),
+    ('{"vertices": 2, "facets": [0, 1]}', "'facets' must be a list"),
+    ('{"vertices": 2, "facets": [[0, "1"]]}', "'facets' must be a list"),
+    ('{"vertices": 2, "facets": [[0, true]]}', "'facets' must be a list"),
+    ('{"vertices": 2}', "'facets'"),
+])
+def test_malformed_complex_exits_2(capsys, tmp_path, text, message):
+    path = tmp_path / "k.json"
+    path.write_text(text)
+    for action in ("build", "chi", "homology"):
+        _exits_2_without_traceback(
+            capsys, ["davis", action, "--k", str(path)], message)
+
+
+def test_bestvina_n_is_bounded_before_allocating(capsys, monkeypatch):
+    from cohomolab import davis
+    built = []
+    monkeypatch.setattr(davis, "moore_complex",
+                        lambda n, f=davis.moore_complex: built.append(n)
+                        or f(n))
+    for n in (MAX_BESTVINA_N + 1, 10 ** 8):
+        argv = ["davis", "bestvina", "--n", str(n)]
+        assert _within(30, _without_allocating, 16, main, argv) \
+            == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("resource limit:")
+        assert f"--n {n} is above the limit" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+    assert built == []
 
 
 def test_json_out_global_flag(capsys, tmp_path):

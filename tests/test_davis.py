@@ -29,7 +29,7 @@ from cohomolab.davis import (
     torsion_free_coloring,
     universal_coefficients,
 )
-from cohomolab.davis import _chain_complex
+from cohomolab.davis import _chain_complex, _chain_counts
 from cohomolab.exact_linalg import SparseMatrix, smith_normal_form
 
 Z = HomologyGroup(1, ())
@@ -520,3 +520,94 @@ def test_foreign_cube_fails_the_label_check(monkeypatch):
     _tampered(monkeypatch, foreign)
     with pytest.raises(ArithmeticError, match="vertex labels"):
         quotient_homology(q)
+
+
+# ---------------------------------------------------------------------------
+# the poset of Q's vertices, against Q itself as oracle
+# ---------------------------------------------------------------------------
+
+
+def _assert_poset_is_q(q):
+    """The f-vector, the Euler characteristic and the elements counted on
+    the poset are those of the order complex built simplex by simplex."""
+    Q = q.complex
+    assert list(q.f_vector) == Q.f_vector()
+    assert q.euler.chi_quotient_over_index * 2 ** q.k == \
+        Q.euler_characteristic()
+    assert len(q.elements) == len(set(q.elements)) == Q.n_vertices
+    assert set(q.elements) == set(q.vertex_labels)
+
+
+@pytest.mark.parametrize("K", [
+    *(barycentric_subdivision(moore_complex(n)) for n in (2, 3, 4)),
+    barycentric_subdivision(simplex_boundary(4)),
+    SimplicialComplex(1, [[0]]),
+    full_simplex(2),
+    two_points(),
+    SimplicialComplex(0, []),
+], ids=["bestvina-2", "bestvina-3", "bestvina-4", "sd-boundary-4", "point",
+        "edge", "two-points", "empty"])
+def test_poset_counts_match_the_order_complex(K):
+    _assert_poset_is_q(_quotient(K))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_quotients())
+def test_poset_counts_match_the_order_complex_on_flag_complexes(q):
+    _assert_poset_is_q(q)
+
+
+def test_poset_chain_counts_by_hand():
+    # the point: (0, x) for x in {0, 1} below (v, 0), an arc of two edges
+    point = [((), 0), ((), 1), ((0,), 0)]
+    assert _chain_counts(point, {(): 0, (0,): 1}) == ([3, 2], 1)
+    # without (v, 0) the two cosets of the trivial subgroup are apart
+    assert _chain_counts(point[:2], {(): 0}) == ([2], 2)
+
+
+def test_empty_complex_is_the_trivial_group():
+    K = SimplicialComplex(0, [])
+    assert K.is_full()
+    assert chiswell_chi(K) == orbifold_chi(K) == 1
+    q = _quotient(K)
+    assert (q.k, q.elements, q.f_vector) == (0, (((), 0),), (1,))
+    assert q.euler.passed and q.euler.chi_quotient_over_index == 1
+    assert quotient_homology(q) == [Z]
+    # the simplicial oracle takes the empty set as K's one facet
+    assert q.complex.f_vector() == [1] and homology(q.complex) == [Z]
+
+
+def _tampered_poset(monkeypatch, name, tamper):
+    from cohomolab import davis
+    monkeypatch.setattr(davis, name,
+                        lambda *args, f=getattr(davis, name):
+                        tamper(f(*args)))
+
+
+def test_duplicated_element_fails_the_count_law(monkeypatch):
+    _tampered_poset(monkeypatch, "_coset_elements",
+                    lambda elements: elements + elements[-1:])
+    with pytest.raises(ArithmeticError, match="vertex count law"):
+        _quotient(barycentric_subdivision(simplex_boundary(4)))
+
+
+def test_split_poset_fails_the_connectivity_check(monkeypatch):
+    # the f-vector stays right, so only the connectivity check can see it
+    _tampered_poset(monkeypatch, "_chain_counts",
+                    lambda counted: (counted[0], 2))
+    with pytest.raises(ArithmeticError, match="not connected"):
+        _quotient(barycentric_subdivision(simplex_boundary(4)))
+
+
+def test_quotient_complex_is_built_once_on_demand(monkeypatch):
+    from cohomolab import davis
+    built = []
+    monkeypatch.setattr(davis, "_flag_quotient",
+                        lambda *args, f=davis._flag_quotient:
+                        built.append(args) or f(*args))
+    q = _quotient(barycentric_subdivision(simplex_boundary(4)))
+    assert built == []
+    quotient_homology(q)
+    assert built == []
+    assert q.complex.n_vertices == len(q.vertex_labels) == 160
+    assert len(built) == 1
