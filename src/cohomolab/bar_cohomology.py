@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import product
 from typing import Optional, Sequence
 
 from .exact_linalg import (Echelon, SparseMatrix, _augmented_echelon,
@@ -159,32 +160,31 @@ def random_cochain(G: FiniteGroup, degree: int, p: int,
 
 def coboundary(c: Cochain) -> Cochain:
     G = c.group
-    mul = G.mul
+    mul, inv = G.mul, G.inv
     n = c.degree
     m = G.order
     out: dict[tuple, int] = {}
-
-    def acc(key: tuple, v: int):
-        if v:
-            out[key] = out.get(key, 0) + v
-
+    get = out.get
     sgn_last = -1 if (n + 1) % 2 else 1
     for key, v in c.data.items():
         # front face: prepend any non-identity g
         for g in range(1, m):
-            acc((g,) + key, v)
+            k = (g,) + key
+            out[k] = get(k, 0) + v
         # merged faces: split entry i-1 of key as a product a*b
         for i in range(1, n + 1):
-            s = -1 if i % 2 else 1
-            target = key[i - 1]
+            s = -v if i % 2 else v
+            head, target, tail = key[:i - 1], key[i - 1], key[i:]
             for a in range(1, m):
-                b = mul[G.inv[a]][target]
-                if b == 0:
-                    continue
-                acc(key[:i - 1] + (a, b) + key[i:], s * v)
+                b = mul[inv[a]][target]
+                if b:
+                    k = head + (a, b) + tail
+                    out[k] = get(k, 0) + s
         # back face: append any non-identity g
+        s = sgn_last * v
         for g in range(1, m):
-            acc(key + (g,), sgn_last * v)
+            k = key + (g,)
+            out[k] = get(k, 0) + s
     return Cochain._trusted(G, n + 1, out, c.p)
 
 
@@ -222,15 +222,45 @@ def cochain_vector(c: Cochain) -> list[int]:
 
 
 def coboundary_matrix(G: FiniteGroup, n: int, p: Optional[int] = None) -> SparseMatrix:
-    """Matrix of delta: C^n -> C^(n+1); columns are coboundaries of the
-    indicator cochains of the n-cells."""
-    entries = []
-    for j in range(n_cells(G, n)):
-        key = index_cell(G, n, j)
-        dc = coboundary(Cochain(G, n, {key: 1}, p))
-        for k, v in dc.data.items():
-            entries.append((cell_index(G, k), j, v))
-    return SparseMatrix(n_cells(G, n + 1), n_cells(G, n), entries, p)
+    """Matrix of delta: C^n -> C^(n+1); column j is the coboundary of the
+    indicator cochain of the n-cell j, in coboundary's order of terms.
+    Built by index arithmetic: with w = m^(n-i), splitting the entry t of
+    cell j = (hi*m + t - 1)*w + lo as a*b gives the (n+1)-cell
+    (hi*m*m + (a-1)*m + b-1)*w + lo, and splits[t] lists the middle terms
+    (a-1)*m + b-1."""
+    m = G.order - 1
+    mul, inv = G.mul, G.inv
+    splits: list[list[int]] = [[] for _ in range(m + 1)]
+    for a in range(1, m + 1):
+        row = mul[inv[a]]
+        for t in range(1, m + 1):
+            if row[t]:
+                splits[t].append((a - 1) * m + row[t] - 1)
+    size = m ** n
+    last = -1 if (n + 1) % 2 else 1
+    cols: dict[int, dict[int, int]] = {}
+    for j, key in enumerate(product(range(1, m + 1), repeat=n)):
+        col = dict.fromkeys(range(j, j + m * size, size), 1)  # front faces
+        get = col.get
+        w = size
+        for i, t in enumerate(key, 1):
+            w //= m
+            s = -1 if i % 2 else 1
+            base = j // (w * m) * m * m * w + j % w
+            for mid in splits[t]:
+                k = base + mid * w
+                col[k] = get(k, 0) + s
+        for k in range(j * m, j * m + m):  # back faces
+            col[k] = get(k, 0) + last
+        if p is None:
+            col = {k: v for k, v in col.items() if v}
+        else:
+            col = {k: r for k, v in col.items() if (r := v % p)}
+        if col:
+            cols[j] = col
+    M = SparseMatrix(m * size, size, p=p)
+    M.cols = cols
+    return M
 
 
 def bar_boundary_matrix(G: FiniteGroup, n: int, p: Optional[int] = None) -> SparseMatrix:
@@ -346,7 +376,9 @@ class CoboundarySolver:
     of a coboundary's residue give a primitive (find_primitive).  The
     bookkeeping coordinates come after every cell coordinate, so every
     pivot and multiplier on cells is that of a plain echelon of delta_n's
-    columns, and so are the cell residues."""
+    columns, and so are the cell residues.  col_cells and row_cells list
+    the n- and (n+1)-cells by index, in itertools.product order, which is
+    the index order of cell_index."""
 
     def __init__(self, G: FiniteGroup, n: int, p: Optional[int]):
         self.G = G
@@ -355,12 +387,20 @@ class CoboundarySolver:
         M = coboundary_matrix(G, n, p)
         self.shape = (M.n_rows, M.n_cols)
         self.ech = _augmented_echelon(M)
+        elements = range(1, G.order)
+        self.col_cells = list(product(elements, repeat=n))
+        self.row_cells = list(product(elements, repeat=n + 1))
+        self._row_index = {k: i for i, k in enumerate(self.row_cells)}
+
+    def vector(self, c: Cochain) -> dict[int, int]:
+        """The (n+1)-cochain c as a sparse vector on the row cells."""
+        index = self._row_index
+        return {index[k]: v for k, v in c.data.items()}
 
     def reduce(self, c: Cochain) -> Cochain:
-        n_rows = self.shape[0]
-        res = self.ech.reduce(_cell_vector(c))
-        data = {index_cell(self.G, c.degree, k): v
-                for k, v in res.items() if k < n_rows}
+        n_rows, cells = self.shape[0], self.row_cells
+        res = self.ech.reduce(self.vector(c))
+        data = {cells[k]: v for k, v in res.items() if k < n_rows}
         return Cochain._trusted(self.G, c.degree, data, self.p)
 
 
@@ -369,10 +409,6 @@ def _solver(G: FiniteGroup, n: int, p: Optional[int]) -> CoboundarySolver:
     if key not in _SOLVERS:
         _SOLVERS[key] = CoboundarySolver(G, n, p)
     return _SOLVERS[key]
-
-
-def _cell_vector(c: Cochain) -> dict[int, int]:
-    return {cell_index(c.group, k): v for k, v in c.data.items()}
 
 
 def is_cocycle(c: Cochain) -> bool:
@@ -399,11 +435,11 @@ def find_primitive(c: Cochain) -> Optional[Cochain]:
         return None
     G, n = c.group, c.degree - 1
     sol = _solver(G, n, c.p)
-    x = _solve_augmented(sol.ech, sol.shape[0], _cell_vector(c))
+    x = _solve_augmented(sol.ech, sol.shape[0], sol.vector(c))
     if x is None:
         return None
-    a = Cochain._trusted(G, n, {index_cell(G, n, j): v
-                                for j, v in x.items()}, c.p)
+    a = Cochain._trusted(G, n, {sol.col_cells[j]: v for j, v in x.items()},
+                         c.p)
     if coboundary(a) != c:
         raise ArithmeticError("primitive certificate failed: delta(a) != c")
     return a
@@ -415,8 +451,9 @@ def cocycle_basis(G: FiniteGroup, n: int, p: int) -> list[Cochain]:
         return [constant_one(G, p)]
     sol = _solver(G, n, p)
     out = []
+    cells = sol.col_cells
     for vec in _kernel_from_augmented(sol.ech, sol.shape[0]):
-        data = {index_cell(G, n, j): v for j, v in vec.items()}
+        data = {cells[j]: v for j, v in vec.items()}
         out.append(Cochain._trusted(G, n, data, p))
     return out
 
@@ -425,10 +462,12 @@ def _independent_classes(cands: list[Cochain], G: FiniteGroup, n: int,
                          p: Optional[int]) -> list[Cochain]:
     """The degree-n candidates whose classes are independent of the
     classes of the candidates before them, in order."""
-    sol = _solver(G, n - 1, p) if n > 0 else None
     span = Echelon(p=p)
-    return [c for c in cands
-            if span.add(_cell_vector(sol.reduce(c) if sol else c))]
+    if n == 0:
+        return [c for c in cands
+                if span.add({0: v for v in c.data.values()})]
+    sol = _solver(G, n - 1, p)
+    return [c for c in cands if span.add(sol.vector(sol.reduce(c)))]
 
 
 def class_basis(G: FiniteGroup, n: int, p: int) -> list[Cochain]:
@@ -564,7 +603,10 @@ def restrict(c: Cochain, H: Subgroup) -> Cochain:
 
 def transfer(c: Cochain, H: Subgroup) -> Cochain:
     """Corestriction (transfer) of a cochain on H up to the parent group,
-    via a fixed left transversal."""
+    via a fixed left transversal.  Reading a key from its last entry, g
+    moves the coset of the transversal element t to the coset of g*t =
+    t'*h; step[g][j] is (j', index of h in H) for t = trans[j], and a key
+    whose walk meets h = 1 contributes nothing (normalization)."""
     G = H.parent
     Hg = H.as_group()
     if c.group.digest() != Hg.digest():
@@ -584,31 +626,33 @@ def transfer(c: Cochain, H: Subgroup) -> Cochain:
     limit = (m ** n) * len(trans)
     if limit > 4_000_000:
         raise ResourceLimitError(f"transfer would evaluate {limit} terms")
+    step: list = [None]
+    for g in range(1, m + 1):
+        row = []
+        for t in trans:
+            gt = mul[g][t]
+            j = coset_of[gt]
+            row.append((j, idx[mul[inv[trans[j]]][gt]]))
+        step.append(row)
+    data, p = c.data, c.p
     out: dict[tuple, int] = {}
-    import itertools
-    for key in itertools.product(range(1, m + 1), repeat=n):
+    for key in product(range(1, m + 1), repeat=n):
         total = 0
-        for j in range(len(trans)):
-            ji = j
-            hkey = []
-            ok = True
-            for i in range(n - 1, -1, -1):
-                gt = mul[key[i]][trans[ji]]
-                jprev = coset_of[gt]
-                h = mul[inv[trans[jprev]]][gt]
-                if h == 0:
-                    ok = False
+        for start in range(len(trans)):
+            j, hkey = start, []
+            for g in reversed(key):
+                j, h = step[g][j]
+                if not h:
                     break
                 hkey.append(h)
-                ji = jprev
-            if ok:
+            else:
                 hkey.reverse()
-                total += c.data.get(tuple(idx[h] for h in hkey), 0)
-        if c.p is not None:
-            total %= c.p
+                total += data.get(tuple(hkey), 0)
+        if p is not None:
+            total %= p
         if total:
             out[key] = total
-    return Cochain(G, n, out, c.p)
+    return Cochain._trusted(G, n, out, p)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .bar_cohomology import ResourceLimitError
 from .exact_linalg import reduce_chain_complex, smith_normal_form
 
 Simplex = tuple  # sorted tuple of vertex indices
@@ -137,9 +138,16 @@ def _maximal_cliques(adj: list[set[int]]):
     yield from bron(set(), set(range(n)), set())
 
 
+# Bounds on an input complex, checked before anything is allocated: the
+# vertex count sizes the adjacency table of is_full, and a facet on d
+# vertices makes SimplicialComplex list its 2^d - 1 faces.
+MAX_VERTICES = 1 << 16
+MAX_FACET_SIZE = 16
+
+
 def complex_from_dict(data: dict) -> SimplicialComplex:
     """{"vertices": l, "facets": [[v, ...], ...]}; ValueError on any other
-    shape."""
+    shape, ResourceLimitError beyond MAX_VERTICES or MAX_FACET_SIZE."""
     if not isinstance(data, dict):
         raise ValueError(
             f"a complex must be an object, not {type(data).__name__}")
@@ -152,6 +160,13 @@ def complex_from_dict(data: dict) -> SimplicialComplex:
             for f in facets)):
         raise ValueError("complex field 'facets' must be a list of lists "
                          "of integers")
+    if n > MAX_VERTICES:
+        raise ResourceLimitError(
+            f"{n} vertices are above the limit {MAX_VERTICES}")
+    size = max(map(len, facets), default=0)
+    if size > MAX_FACET_SIZE:
+        raise ResourceLimitError(
+            f"a facet of {size} vertices is above the limit {MAX_FACET_SIZE}")
     return SimplicialComplex(n, facets)
 
 

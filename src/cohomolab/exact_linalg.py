@@ -134,7 +134,8 @@ class SparseMatrix:
 
 
 class _Packing:
-    """F_p vectors packed into one int, k bytes per coordinate.
+    """F_p vectors packed into one int, k bytes per coordinate, for p != 3
+    (F_3 rows are bit planes, see _planes).
 
     Field j of a packed vector (bits 8k*j .. 8k*j + 8k - 1) holds, in
     0..p-1, the coordinate at the vector's base index plus j.  A step
@@ -222,6 +223,42 @@ def _packing(p: int) -> _Packing:
     return pk
 
 
+# F_3 coordinates 0, 1, 2 as the bytes of a binary numeral for each plane,
+# and the digits 0, 1, 2 as the coordinates
+_ONES = bytes.maketrans(b"\0\1\2", b"010")
+_TWOS = bytes.maketrans(b"\0\1\2", b"001")
+_DIGITS = bytes.maketrans(b"012", b"\0\1\2")
+_WINDOW = (1 << 64) - 1
+
+
+def _planes(vec: dict[int, int]) -> tuple[int, int, int]:
+    """(base, P, M): vec mod 3 as two bit planes from base, bit j of P (of
+    M) set where the coordinate base + j is 1 (is 2), and bit 0 set in one
+    of them; (0, 0, 0) when vec is zero mod 3."""
+    if not vec:
+        return 0, 0, 0
+    lo = min(vec)
+    P = M = 0
+    if len(vec) <= _FEW:
+        for i, v in vec.items():
+            v %= 3
+            if v == 1:
+                P |= 1 << i - lo
+            elif v:
+                M |= 1 << i - lo
+    else:
+        data = bytearray(max(vec) - lo + 1)
+        for i, v in vec.items():
+            data[i - lo] = v % 3
+        data.reverse()  # the highest coordinate is the first digit
+        P, M = int(data.translate(_ONES), 2), int(data.translate(_TWOS), 2)
+    x = P | M
+    if x and not x & 1:
+        t = (x & -x).bit_length() - 1
+        P, M, lo = P >> t, M >> t, lo + t
+    return lo, P, M
+
+
 class Echelon:
     """Echelon basis of a subspace (F_p) or sublattice (Z) of Z^N.
 
@@ -239,7 +276,11 @@ class Echelon:
     same residue for any echelon basis of the lattice, since the pivot
     positions and values are invariants of the lattice.  Over F_p it
     maps each pivot to (packed row, inverse of the pivot value), the row
-    packed from its pivot (see _Packing); row(piv) unpacks one.
+    packed from its pivot (see _Packing), and over F_3 to the row's two
+    bit planes (P, M) from its pivot (see _planes); row(piv) unpacks one.
+    Rows are never normalised: a row keeps the pivot value it arrived
+    with, so the stored rows, residues and kernel rows are the same in
+    every layout.
     """
 
     __slots__ = ("p", "basis", "_pivots", "_pk", "_mask", "_mask_bits")
@@ -248,8 +289,8 @@ class Echelon:
         self.p = p
         self.basis: dict = {}  # pivot index -> row
         self._pivots: list[int] = []  # over Z: the pivots, increasing
-        self._pk = None if p is None else _packing(p)
-        # over F_p: the low 8k - s bits of every field in the first
+        self._pk = None if p is None or p == 3 else _packing(p)
+        # over F_p, p != 3: the low 8k - s bits of every field in the first
         # _mask_bits bits, which cover every Y swept so far
         self._mask = self._mask_bits = 0
 
@@ -258,6 +299,10 @@ class Echelon:
         inserting): coordinates at pivot positions are fully eliminated over
         F_p and floor-reduced over Z, sweeping in increasing position.  The
         residue is zero exactly when vec lies in the span."""
+        if self.p == 3:
+            res: dict[int, int] = {}
+            self._sweep3(*_planes(vec), res)
+            return res
         pk = self._pk
         if pk is not None:
             res: dict[int, int] = {}
@@ -284,6 +329,14 @@ class Echelon:
 
     def add(self, vec: dict[int, int]) -> bool:
         """Insert vec into the spanned lattice.  Returns True if rank grew."""
+        if self.p == 3:
+            lo, P, M = _planes(vec)
+            if lo in self.basis:
+                lo, P, M = self._sweep3(lo, P, M)
+            if not (P or M):
+                return False
+            self.basis[lo] = (P, M)
+            return True
         pk = self._pk
         if pk is not None:
             lo, V = pk.pack(vec)
@@ -353,8 +406,47 @@ class Echelon:
                 lo += t
         return lo, 0
 
+    def _sweep3(self, lo: int, P: int, M: int,
+                res: Optional[dict[int, int]] = None) -> tuple[int, int, int]:
+        """_sweep over F_3 on the bit planes (P, M) of V.  At a row (R, S)
+        with V_0 = R_0, V - R is V + (S, R), as negation swaps the planes;
+        otherwise V - 2R is V + (R, S).  A sum of planes takes six
+        operations (Kawahara, Aoki & Takagi, Pairing 2008).  Returns
+        (lo, 0, 0) when nothing is left."""
+        basis = self.basis
+        while P or M:
+            row = basis.get(lo)
+            if row is None:
+                if res is None:
+                    return lo, P, M
+                res[lo] = 1 if P & 1 else 2
+                x = (P & _WINDOW | M & _WINDOW) >> 1 or (P | M) >> 1
+                if not x:
+                    break
+                t = (x & -x).bit_length()  # past field 0, now in res
+            else:
+                R, S = row
+                if (P & 1) == (R & 1):  # V_0 = R_0
+                    R, S = S, R
+                t = (P | S) ^ (M | R)
+                P, M = (M | S) ^ t, (P | R) ^ t
+                # the lowest nonzero field, most often a near one
+                x = P & _WINDOW | M & _WINDOW or P | M
+                if x & 1:  # so every step moves past its pivot
+                    raise ArithmeticError("bit-plane elimination mod 3 failed")
+                if not x:
+                    break
+                t = (x & -x).bit_length() - 1
+            P, M, lo = P >> t, M >> t, lo + t
+        return lo, 0, 0
+
     def row(self, piv: int) -> dict[int, int]:
         """The basis row with pivot piv, as a sparse dict."""
+        if self.p == 3:  # read in hex, a binary numeral has a digit per bit
+            P, M = self.basis[piv]
+            data = f"{int(f'{P:b}', 16) + 2 * int(f'{M:b}', 16):x}".encode()
+            data = data[::-1].translate(_DIGITS)  # coordinate j in byte j
+            return {piv + j: v for j, v in enumerate(data) if v}
         if self._pk is None:
             return dict(self.basis[piv])
         return {piv + j: v for j, v in

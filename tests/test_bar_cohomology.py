@@ -84,6 +84,26 @@ def test_coboundary_matrix_matches_coboundary():
             assert via_matrix == bc.cochain_vector(bc.coboundary(c))
 
 
+C3xC3 = build_product([build_cyclic(3), build_cyclic(3)])
+
+
+@pytest.mark.parametrize("G", [C2, C3, S3, C3xC3], ids=lambda G: G.name)
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", [None, 3])
+def test_coboundary_matrix_columns_are_cell_coboundaries(G, n, p):
+    # the face-table matrix against coboundary of each cell's indicator:
+    # same entries in the same order, and no empty column stored
+    M = bc.coboundary_matrix(G, n, p)
+    assert (M.n_rows, M.n_cols) == (bc.n_cells(G, n + 1), bc.n_cells(G, n))
+    for j in range(M.n_cols):
+        cell = bc.Cochain(G, n, {bc.index_cell(G, n, j): 1}, p)
+        want = {bc.cell_index(G, k): v
+                for k, v in bc.coboundary(cell).data.items()}
+        got = M.cols.get(j, {})
+        assert got == want and list(got) == list(want)
+    assert all(M.cols.values()) and list(M.cols) == sorted(M.cols)
+
+
 # ---------------------------------------------------------------------------
 # dual route: literal bar boundary vs resolution engine
 # ---------------------------------------------------------------------------

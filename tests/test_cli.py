@@ -277,6 +277,33 @@ def test_bestvina_n_is_bounded_before_allocating(capsys, monkeypatch):
     assert built == []
 
 
+@pytest.mark.parametrize("K,message", [
+    ({"vertices": 10 ** 9, "facets": []},
+     "1000000000 vertices are above the limit 65536"),
+    ({"vertices": 40, "facets": [[0, 1], list(range(40))]},
+     "a facet of 40 vertices is above the limit 16"),
+])
+def test_complex_is_bounded_before_allocating(capsys, monkeypatch, tmp_path,
+                                              K, message):
+    from cohomolab import davis
+    built = []
+    init = davis.SimplicialComplex.__init__
+    monkeypatch.setattr(davis.SimplicialComplex, "__init__",
+                        lambda self, *args: built.append(args)
+                        or init(self, *args))
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(K))
+    for action in ("build", "chi", "homology"):
+        argv = ["davis", action, "--k", str(path)]
+        assert _within(5, _without_allocating, 16, main, argv) \
+            == EXIT_RESOURCE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("resource limit:")
+        assert message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+    assert built == []
+
+
 def test_json_out_global_flag(capsys, tmp_path):
     out = tmp_path / "r.json"
     code = main(["--json-out", str(out), "massey", "triple",

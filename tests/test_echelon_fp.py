@@ -1,20 +1,24 @@
 """Packed F_p echelon rows against the dict-based elimination they replaced.
 
 The oracle below is the per-coordinate dict code that ``Echelon`` used over
-F_p before rows were packed into integers; both must agree on every return
-value, stored row, residue, kernel and solution.
+F_p before rows were packed into integers (bytes per coordinate for p != 3,
+two bit planes for p = 3); both must agree on every return value, stored
+row, residue, kernel and solution.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohomolab import bar_cohomology as bc
 from cohomolab.exact_linalg import (
     Echelon,
     SparseMatrix,
     _Packing,
+    _augmented_echelon,
     kernel_mod_p,
     solve,
 )
+from cohomolab.groups import build_cyclic, build_product, symmetric_3
 
 PRIMES = [2, 3, 5, 7, 11, 13, 10007, 65537]
 
@@ -122,6 +126,67 @@ def test_add_and_reduce_match_dict_oracle(p, ops):
         else:
             assert ech.reduce(dict(vec)) == oracle.reduce(dict(vec))
     assert_same(ech, oracle)
+
+
+# over F_3, vectors spread over thousands of coordinates: rows and sweeps
+# then cross the 64-bit window that the bit-plane sweep looks in first,
+# and a clustered vector packs through the buffer route
+def _spread(base, offsets):
+    return {base + k: v for k, v in offsets.items()}
+
+
+wide_vectors = (
+    st.dictionaries(st.integers(0, 5000), values, max_size=24)
+    | st.builds(_spread, st.integers(0, 5000),
+                st.dictionaries(st.integers(0, 200), values, min_size=17,
+                                max_size=40)))
+
+
+@given(st.lists(st.tuples(st.booleans(), wide_vectors | vectors),
+                max_size=30))
+@settings(max_examples=75, deadline=None)
+def test_f3_streams_over_thousands_of_coordinates(ops):
+    ech, oracle = Echelon(3), DictEchelon(3)
+    for is_add, vec in ops:
+        if is_add:
+            assert ech.add(dict(vec)) == oracle.add(dict(vec))
+        else:
+            assert ech.reduce(dict(vec)) == oracle.reduce(dict(vec))
+    assert_same(ech, oracle)
+
+
+@pytest.mark.parametrize("r0,v0", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("gap", [1, 97])
+def test_f3_plane_addition_on_all_nine_pairs(r0, v0, gap):
+    # one sweep step V - (v0/r0)*R adds R or -R to all nine pairs of
+    # coordinates at once; a gap of 97 puts them past the 64-bit window
+    pairs = [(x, y) for x in range(3) for y in range(3)]
+    row = {0: r0, **{gap * i: y for i, (x, y) in enumerate(pairs, 1)}}
+    vec = {0: v0, **{gap * i: x for i, (x, y) in enumerate(pairs, 1)}}
+    c = v0 * r0 % 3  # v0 / r0, as r0 is its own inverse mod 3
+    want = {gap * i: (x - c * y) % 3 for i, (x, y) in enumerate(pairs, 1)
+            if (x - c * y) % 3}
+    assert sorted(set(want.values())) == [1, 2]
+    ech = Echelon(3)
+    assert ech.add(row)
+    assert ech.row(0) == {k: v for k, v in row.items() if v}
+    assert ech.reduce(vec) == want
+    assert ech.add(vec)
+    assert ech.row(min(want)) == want
+
+
+@pytest.mark.parametrize("G,n", [
+    (build_product([build_cyclic(3), build_cyclic(3)]), 2),
+    (symmetric_3(), 3),
+], ids=["C3xC3-delta2", "S3-delta3"])
+def test_f3_coboundary_echelon_matches_dict_oracle(G, n):
+    M = bc.coboundary_matrix(G, n, 3)
+    ech, oracle = _augmented_echelon(M), oracle_echelon(M)
+    assert_same(ech, oracle)
+    assert kernel_mod_p(M) == oracle_kernel(M)
+    for j in range(0, M.n_rows, 7):
+        target = {j: 1, (5 * j + 3) % M.n_rows: 2}
+        assert ech.reduce(dict(target)) == oracle.reduce(target)
 
 
 @given(st.sampled_from(PRIMES), st.integers(1, 7), st.integers(1, 9),
