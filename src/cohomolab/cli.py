@@ -133,6 +133,15 @@ def _cmd_chern(args) -> dict:
     }
 
 
+def _is_int_list(value) -> bool:
+    # type(), not isinstance(): JSON true must not pass for 1
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
+def _is_int_matrix(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int_list, value))
+
+
 def _encode_elements(A: GradedAlgebra, elements) -> list:
     """[[e1, e2, ..., b1, b2, ...], coef] per monomial, sorted."""
     out = []
@@ -148,10 +157,23 @@ def _cmd_invariants(args) -> dict:
     if args.action == "held5":
         return dataclasses.asdict(held_5_part_check(args.max_degree))
     spec = json.loads(args.action_spec)
+    if not isinstance(spec, dict):
+        raise ValueError("an invariants action must be an object")
+    twists = spec.get("ext_twists")  # null: every twist is 1
+    for key, value in (("poly_degrees", spec["poly_degrees"]),
+                       ("ext_degrees", spec.get("ext_degrees", [])),
+                       ("ext_twists", [] if twists is None else twists)):
+        if not _is_int_list(value):
+            raise ValueError(f"action field {key!r} must be a list of "
+                             "integers")
+    if not (isinstance(spec["matrices"], list)
+            and all(map(_is_int_matrix, spec["matrices"]))):
+        raise ValueError("action field 'matrices' must be a list of "
+                         "integer matrices")
     A = GradedAlgebra(args.p, spec["poly_degrees"],
                       spec.get("ext_degrees", []))
     act = MatrixAction(A, [tuple(map(tuple, M)) for M in spec["matrices"]],
-                       ext_twists=spec.get("ext_twists"))
+                       ext_twists=twists)
     dims = []
     basis = {}
     for d, fixed in enumerate(fixed_subspaces(A, act, args.max_degree)):
@@ -166,9 +188,16 @@ def _cmd_invariants(args) -> dict:
 def _cmd_ringmodel(args) -> dict:
     model = build_model(args.p)
     if args.action_spec.lstrip().startswith("["):
+        spec = json.loads(args.action_spec)
+        if not all(isinstance(a, dict) and _is_int_matrix(a.get("matrix"))
+                   and len(a["matrix"]) == 2
+                   and all(len(row) == 2 for row in a["matrix"])
+                   and type(a.get("j")) is int for a in spec):
+            raise ValueError('a custom action must be a list of '
+                             '{"matrix": 2 x 2 integer matrix, "j": integer}')
         autos = [RingAutomorphism.from_matrix(
                      model, tuple(map(tuple, a["matrix"])), a["j"])
-                 for a in json.loads(args.action_spec)]
+                 for a in spec]
         action_name = "custom"
     else:
         autos = named_action(model, args.action_spec)

@@ -41,6 +41,9 @@ Element = dict    # Monomial -> scalar mod p
 
 GENERATOR_ORDER = ("alpha", "beta", "mu", "nu", "zeta")  # plus chi_i
 
+CERTIFY_SAMPLES = 500
+CERTIFY_SEED = 0
+
 
 class RingModel(GradedRing):
     """The mod-p reduction of the presented cohomology ring of P(3).
@@ -212,12 +215,13 @@ class RingModel(GradedRing):
             if basis:
                 return {rng.choice(basis): rng.randrange(1, self.p)}
 
-    def certify(self, samples: int = 500, seed: int = 0) -> None:
+    def certify(self) -> None:
         """Randomized associativity and graded-commutativity check of the
-        rewriting multiplication on basis monomials of degree <= 4p."""
-        rng = random.Random(seed)
+        rewriting multiplication on CERTIFY_SAMPLES triples of basis
+        monomials of degree <= 4p, drawn from random.Random(CERTIFY_SEED)."""
+        rng = random.Random(CERTIFY_SEED)
         D = 4 * self.p
-        for _ in range(samples):
+        for _ in range(CERTIFY_SAMPLES):
             u = self.random_monomial(rng, D)
             v = self.random_monomial(rng, D)
             w = self.random_monomial(rng, D)
@@ -228,71 +232,75 @@ class RingModel(GradedRing):
             if self.mul(u, v) != self.scale(self.mul(v, u), sign):
                 raise ArithmeticError(f"graded commutativity fails: {u},{v}")
 
-    def relation_checks(self) -> list[tuple[str, bool]]:
-        """Each defining relation, evaluated through the multiplication."""
-        g = {name: self.gen(name) for name in self.generator_names()}
-        p = self.p
-        pw = lambda e, n: self.power(e, n)
+    def relation_checks(self, images: Optional[dict] = None,
+                        target: Optional[GradedRing] = None
+                        ) -> list[tuple[str, bool]]:
+        """Each defining relation, and graded commutativity of each pair of
+        generators, evaluated on the generator images in target: by
+        default the generators in the model itself.  The model is a
+        presentation of the ring, so images extend to a ring map exactly
+        when every check holds."""
+        T = self if target is None else target
+        names = self.generator_names()
+        g = images or {name: self.gen(name) for name in names}
+        p, mul, sc, pw = self.p, T.mul, T.scale, T.power
+        top = f"chi_{p - 1}"
         checks = [
             ("alpha*mu = beta*nu",
-             self.mul(g["alpha"], g["mu"]) == self.mul(g["beta"], g["nu"])),
+             mul(g["alpha"], g["mu"]) == mul(g["beta"], g["nu"])),
             ("alpha^p*beta = beta^p*alpha",
-             self.mul(pw(g["alpha"], p), g["beta"])
-             == self.mul(pw(g["beta"], p), g["alpha"])),
+             mul(pw(g["alpha"], p), g["beta"])
+             == mul(pw(g["beta"], p), g["alpha"])),
             ("alpha^p*mu = beta^p*nu",
-             self.mul(pw(g["alpha"], p), g["mu"])
-             == self.mul(pw(g["beta"], p), g["nu"])),
-            ("mu^2 = 0", self.mul(g["mu"], g["mu"]) == {}),
-            ("nu^2 = 0", self.mul(g["nu"], g["nu"]) == {}),
-            ("mu*nu = -nu*mu",
-             self.mul(g["mu"], g["nu"])
-             == self.scale(self.mul(g["nu"], g["mu"]), -1)),
+             mul(pw(g["alpha"], p), g["mu"])
+             == mul(pw(g["beta"], p), g["nu"])),
+            ("mu^2 = 0", mul(g["mu"], g["mu"]) == {}),
+            ("nu^2 = 0", mul(g["nu"], g["nu"]) == {}),
         ]
-        top = f"chi_{p - 1}"
-        for x, px in (("alpha", pw(g["alpha"], p)), ("beta", pw(g["beta"], p))):
-            for i in range(2, p - 1):
-                checks.append((f"{x}*chi_{i} = 0",
-                               self.mul(g[x], g[f"chi_{i}"]) == {}))
-            checks.append((f"{x}*chi_{p-1} = -{x}^p",
-                           self.mul(g[x], g[top]) == self.scale(px, -1)))
+        for x in ("alpha", "beta", "mu", "nu"):
+            checks += [(f"{x}*chi_{i} = 0", mul(g[x], g[f"chi_{i}"]) == {})
+                       for i in range(2, p - 1)]
+        for x in ("alpha", "beta"):
+            checks.append((f"{x}*{top} = -{x}^p",
+                           mul(g[x], g[top]) == sc(pw(g[x], p), -1)))
         for x, other in (("mu", "beta"), ("nu", "alpha")):
-            for i in range(2, p - 1):
-                checks.append((f"{x}*chi_{i} = 0",
-                               self.mul(g[x], g[f"chi_{i}"]) == {}))
             checks.append(
-                (f"{x}*chi_{p-1} = -{other}^(p-1)*{x}",
-                 self.mul(g[x], g[top])
-                 == self.scale(self.mul(pw(g[other], p - 1), g[x]), -1)))
-        for i in range(2, p):
-            for j in range(i, p):
-                if i == p - 1 and j == p - 1:
-                    expected = self.add(
-                        self.add(pw(g["alpha"], 2 * p - 2),
-                                 pw(g["beta"], 2 * p - 2)),
-                        self.scale(self.mul(pw(g["alpha"], p - 1),
-                                            pw(g["beta"], p - 1)), -1))
-                    checks.append(("chi_(p-1)^2 relation",
-                                   self.mul(g[top], g[top]) == expected))
-                else:
-                    checks.append((f"chi_{i}*chi_{j} = 0",
-                                   self.mul(g[f"chi_{i}"],
-                                            g[f"chi_{j}"]) == {}))
-        mn = self.mul(g["mu"], g["nu"])
+                (f"{x}*{top} = -{other}^(p-1)*{x}", mul(g[x], g[top])
+                 == sc(mul(pw(g[other], p - 1), g[x]), -1)))
+        checks += [(f"chi_{i}*chi_{j} = 0",
+                    mul(g[f"chi_{i}"], g[f"chi_{j}"]) == {})
+                   for i in range(2, p - 1) for j in range(i, p)]
+        a, b = pw(g["alpha"], p - 1), pw(g["beta"], p - 1)
+        checks.append(("chi_(p-1)^2 relation", mul(g[top], g[top]) == T.add(
+            T.add(mul(a, a), mul(b, b)), sc(mul(a, b), -1))))
+        mn = mul(g["mu"], g["nu"])
         if p == 3:
             checks.append(("mu*nu = 0 (p=3)", mn == {}))
         else:
             checks.append(("mu*nu = lam*chi_3",
-                           mn == self.scale(g["chi_3"], self.lam)))
+                           mn == sc(g["chi_3"], self.lam)))
+        for i, x in enumerate(names):
+            for y in names[i + 1:]:
+                odd = {x, y} == {"mu", "nu"}  # the one pair of odd degrees
+                checks.append((f"{x}*{y} = {'-' * odd}{y}*{x}",
+                               mul(g[x], g[y])
+                               == sc(mul(g[y], g[x]), -1 if odd else 1)))
         return checks
 
+    def require_relations(self, images: Optional[dict] = None,
+                          target: Optional[GradedRing] = None,
+                          what: str = "the model") -> None:
+        """ArithmeticError naming each failed check of relation_checks."""
+        bad = [name for name, ok in self.relation_checks(images, target)
+               if not ok]
+        if bad:
+            raise ArithmeticError(f"{what} breaks the relations {bad}")
 
-def build_model(p: int, n: int = 3, lam: int = 1,
-                samples: int = 500) -> RingModel:
+
+def build_model(p: int, n: int = 3, lam: int = 1) -> RingModel:
     model = RingModel(p, n, lam)
-    model.certify(samples=samples)
-    bad = [name for name, ok in model.relation_checks() if not ok]
-    if bad:
-        raise ArithmeticError(f"relations fail in the model: {bad}")
+    model.certify()
+    model.require_relations()
     return model
 
 
@@ -303,14 +311,13 @@ def build_model(p: int, n: int = 3, lam: int = 1,
 
 class _GeneratorMap:
     """A ring map out of a RingModel into target given by the images of
-    the generators.  Each image must have its generator's degree; with
-    check, the map is certified multiplicative on `samples` random
-    basis-monomial pairs drawn from random.Random(seed).  A subclass
-    names its kind (for the error message) and defines apply."""
+    the generators.  Each image must have its generator's degree
+    (ValueError), and the images must satisfy the model's relation_checks
+    (ArithmeticError), which makes the map a ring map.  A subclass names
+    its kind (for the error message) and defines apply."""
 
     def __init__(self, model: RingModel, target: GradedRing,
-                 images: dict[str, Element], check: bool, samples: int,
-                 seed: int):
+                 images: dict[str, Element]):
         self.model = model
         self.target = target
         self.images = {name: dict(images[name])
@@ -320,36 +327,32 @@ class _GeneratorMap:
             if d is not None and \
                     d != model.element_degree(model.gen(name)):
                 raise ValueError(f"image of {name} has the wrong degree")
-        if check:
-            rng = random.Random(seed)
-            for _ in range(samples):
-                u = model.random_monomial(rng, 4 * model.p)
-                v = model.random_monomial(rng, 4 * model.p)
-                if self.apply(model.mul(u, v)) != \
-                        target.mul(self.apply(u), self.apply(v)):
-                    raise ArithmeticError(
-                        f"{self.kind} is not multiplicative on {u}, {v}")
+        model.require_relations(self.images, target, f"the {self.kind}")
 
 
 class RingAutomorphism(_GeneratorMap):
     """A ring endomorphism given by images of the generators, certified
-    multiplicative on random basis-monomial pairs at construction."""
+    by the relations at construction."""
 
     kind = "automorphism"
 
-    def __init__(self, model: RingModel, images: dict[str, Element],
-                 check: bool = True, samples: int = 100):
-        super().__init__(model, model, images, check, samples, seed=11)
+    def __init__(self, model: RingModel, images: dict[str, Element]):
+        super().__init__(model, model, images)
 
     @classmethod
-    def from_matrix(cls, model: RingModel, matrix, j: int,
-                    check: bool = True) -> "RingAutomorphism":
+    def from_matrix(cls, model: RingModel, matrix,
+                    j: int) -> "RingAutomorphism":
         """Images per the presented ring's automorphism rule: the matrix
         (n1 n2 / n3 n4) acts on <alpha, beta>, the central scalar j gives
         chi_i -> j^i chi_i, zeta -> j^p zeta, mu -> j(n4 mu + n3 nu),
-        nu -> j(n2 mu + n1 nu)."""
+        nu -> j(n2 mu + n1 nu).  ValueError on a singular matrix or
+        j = 0 mod p."""
         p = model.p
         (n1, n2), (n3, n4) = matrix
+        if (n1 * n4 - n2 * n3) % p == 0:
+            raise ValueError("automorphism matrix not invertible mod p")
+        if j % p == 0:
+            raise ValueError("the scalar j must be a unit mod p")
         g = {name: model.gen(name) for name in model.generator_names()}
         images = {
             "alpha": model.add(model.scale(g["alpha"], n1),
@@ -365,7 +368,7 @@ class RingAutomorphism(_GeneratorMap):
         for i in range(2, p):
             images[f"chi_{i}"] = model.scale(g[f"chi_{i}"],
                                              pow(j % p, i, p))
-        return cls(model, images, check=check)
+        return cls(model, images)
 
     def apply(self, u: Element, memo: Optional[dict] = None) -> Element:
         return self.model.evaluate(u, self.images, self.target, memo)
@@ -374,7 +377,7 @@ class RingAutomorphism(_GeneratorMap):
         """self after other."""
         images = {name: self.apply(img)
                   for name, img in other.images.items()}
-        return RingAutomorphism(self.model, images, check=False)
+        return RingAutomorphism(self.model, images)
 
 
 def named_action(model: RingModel, name: str) -> list[RingAutomorphism]:
@@ -454,7 +457,7 @@ def check_lemma_3_4(p: int, max_degree: int,
     """Even-degree fixed subring of the shear (beta -> beta + alpha,
     mu -> mu + nu) vs the closure of alpha, chi_i, zeta, and
     beta^m(beta^p - alpha^(p-1)*beta)."""
-    model = build_model(p, samples=200)
+    model = build_model(p)
     if trivial_action:
         autos = [RingAutomorphism.from_matrix(model, ((1, 0), (0, 1)), 1)]
     else:
@@ -512,7 +515,7 @@ def _d8_span_elements(model: RingModel, d: int) -> list[Element]:
 def check_theorem_5_10(max_degree: int = 24) -> FixedRingReport:
     """p=3: the D_8-fixed subring equals both the published monomial span
     and the closure of the five stated generators, degree by degree."""
-    model = build_model(3, samples=200)
+    model = build_model(3)
     autos = named_action(model, "D8-5.10")
     fixed = fixed_subring(model, autos, max_degree)
     g = model.gen
@@ -551,7 +554,7 @@ def check_theorem_5_10(max_degree: int = 24) -> FixedRingReport:
 def check_theorem_5_12(max_degree: int = 60) -> FixedRingReport:
     """p=7: the fifteen stated elements generate the fixed subring of the
     full S_3 x C_3 action, degree by degree."""
-    model = build_model(7, samples=200)
+    model = build_model(7)
     autos = named_action(model, "S3xC3-5.12")
     fixed = fixed_dims(model, autos, max_degree)
     closed = subalgebra_dims(model, theorem_5_12_generators(model),
@@ -614,14 +617,9 @@ def theorem_5_14_generators(model: RingModel) -> list[Element]:
 
 class RestrictionMap(_GeneratorMap):
     """Generator-image map from a RingModel into a GradedAlgebra,
-    certified multiplicative on random basis-monomial pairs."""
+    certified by the relations at construction."""
 
     kind = "restriction"
-
-    def __init__(self, model: RingModel, target: GradedAlgebra,
-                 images: dict[str, Element], check: bool = True,
-                 samples: int = 100):
-        super().__init__(model, target, images, check, samples, seed=13)
 
     def apply(self, u: Element, memo: Optional[dict] = None) -> Element:
         return self.model.evaluate(u, self.images, self.target, memo)
@@ -679,7 +677,7 @@ class MembershipReport:
 def check_theorem_5_14(model: Optional[RingModel] = None) -> MembershipReport:
     """Each of the twelve stated elements restricts (via the K map) into
     the subring generated by zeta'*eps, zeta'^6 + eps^42, and delta."""
-    model = model or build_model(7, samples=200)
+    model = model or build_model(7)
     rmap = named_restriction(model, "K-5.13")
     T = rmap.target
     zp, eps, dl = T.variable(0), T.variable(1), T.ext_variable(0)

@@ -144,6 +144,16 @@ def _maximal_cliques(adj: list[set[int]]):
 MAX_VERTICES = 1 << 16
 MAX_FACET_SIZE = 16
 
+# Bounds on a Davis quotient, counted from the f-vector before its elements
+# are listed: the |spherical| * 2^k pairs (S, x) that _coset_elements walks,
+# and the steps of _chain_counts, one per element (S, y) and (T, b) below
+# or equal to it, 2^(k-|S|) * 3^|S| for each S.  Bestvina n = 256 needs
+# 319,600 pairs and 806,600 steps (davis_quotient 1.5 s); the full simplex
+# on 9 vertices 262,144 and 1,953,125 (1.7 s); on 10 vertices 2^20 and
+# 9,765,625 (about 12 s and 97 MB).  Python 3.11, one core.
+MAX_QUOTIENT_PAIRS = 1 << 19
+MAX_QUOTIENT_STEPS = 1 << 21
+
 
 def complex_from_dict(data: dict) -> SimplicialComplex:
     """{"vertices": l, "facets": [[v, ...], ...]}; ValueError on any other
@@ -567,7 +577,8 @@ def davis_quotient(gp: GraphProduct,
     """Certify the quotient on the poset of its vertices, without listing
     its simplices: vertex counts obey the 2^(k-|S|) law, it is connected,
     and its Euler characteristic is 2^k times both group Euler
-    characteristics."""
+    characteristics.  ResourceLimitError above MAX_QUOTIENT_PAIRS or
+    MAX_QUOTIENT_STEPS."""
     if not gp.is_racg:
         raise ValueError("quotients are built for order-two vertex "
                          "groups only")
@@ -582,6 +593,15 @@ def davis_quotient(gp: GraphProduct,
             raise ValueError("coloring is not proper on the 1-skeleton")
     k = len(palette)
 
+    # the spherical subsets are the empty set and f[i] subsets of size i+1
+    sizes = [(0, 1)] + list(enumerate(K.f_vector(), 1))
+    pairs = sum(n for _, n in sizes) << k
+    steps = sum(n * 3 ** size << (k - size) for size, n in sizes)
+    if pairs > MAX_QUOTIENT_PAIRS or steps > MAX_QUOTIENT_STEPS:
+        raise ResourceLimitError(
+            f"the quotient needs {pairs} coset pairs and {steps} chain-count "
+            f"steps, above the limits {MAX_QUOTIENT_PAIRS} and "
+            f"{MAX_QUOTIENT_STEPS}")
     masks = {s: _mask(s, coloring) for s in gp.spherical_subsets()}
     elements = _coset_elements(masks, k)
     counts = Counter(s for s, _ in elements)

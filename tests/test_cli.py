@@ -304,6 +304,22 @@ def test_complex_is_bounded_before_allocating(capsys, monkeypatch, tmp_path,
     assert built == []
 
 
+def test_full_16_simplex_quotient_is_bounded_before_enumerating(
+        capsys, monkeypatch, tmp_path):
+    # 2^32 coset pairs: this ran for minutes and reached gigabytes
+    from cohomolab import davis
+    monkeypatch.setattr(davis, "_coset_elements",
+                        lambda *args: pytest.fail("cosets enumerated"))
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"vertices": 16, "facets": [list(range(16))]}))
+    assert _within(5, main, ["davis", "build", "--k", str(path)]) \
+        == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("resource limit:")
+    assert "4294967296 coset pairs" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
 def test_json_out_global_flag(capsys, tmp_path):
     out = tmp_path / "r.json"
     code = main(["--json-out", str(out), "massey", "triple",
@@ -363,6 +379,46 @@ def _exits_1_without_traceback(capsys, argv, message):
     err = capsys.readouterr().err
     assert err.startswith("certification failure:") and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ('[1]', "must be a list of"),
+    ('[{"matrix": [[1, 0], [0, 1]], "j": "1"}]', "must be a list of"),
+    ('[{"matrix": [[1, 0], [0, 1]], "j": 1.5}]', "must be a list of"),
+    ('[{"matrix": [[1, 0], [0, 1]], "j": true}]', "must be a list of"),
+    ('[{"matrix": [[1, 0, 0], [0, 1]], "j": 1}]', "must be a list of"),
+    ('[{"matrix": [[1, 0], [0, 0]], "j": 1}]', "not invertible"),
+    ('[{"matrix": [[1, 0], [0, 1]], "j": 5}]', "j must be a unit"),
+])
+def test_ringmodel_malformed_custom_action_exits_2(capsys, spec, message):
+    _exits_2_without_traceback(
+        capsys, ["ringmodel", "fixed", "--p", "5", "--max-degree", "4",
+                 "--action", spec], message)
+
+
+def test_ringmodel_custom_action_breaking_a_relation_exits_1(capsys):
+    # j must be det(M): mu*nu = lam*chi_3 maps to j^2 det(M) = j^3
+    _exits_1_without_traceback(
+        capsys, ["ringmodel", "fixed", "--p", "5", "--max-degree", "4",
+                 "--action", '[{"matrix": [[2, 0], [0, 1]], "j": 1}]'],
+        "mu*nu = lam*chi_3")
+
+
+@pytest.mark.parametrize("spec,message", [
+    ('[1]', "must be an object"),
+    ('{"poly_degrees": "ab", "matrices": []}',
+     "'poly_degrees' must be a list of integers"),
+    ('{"poly_degrees": [1, 1], "matrices": [[[1, "a"], [0, 1]]]}',
+     "'matrices' must be a list of integer matrices"),
+    ('{"poly_degrees": [1], "ext_degrees": [true], "matrices": []}',
+     "'ext_degrees' must be a list of integers"),
+    ('{"poly_degrees": [1], "ext_degrees": [1], "ext_twists": 0, '
+     '"matrices": []}', "'ext_twists' must be a list of integers"),
+])
+def test_invariants_malformed_action_exits_2(capsys, spec, message):
+    _exits_2_without_traceback(
+        capsys, ["invariants", "fixed", "--p", "3", "--max-degree", "4",
+                 "--action", spec], message)
 
 
 def test_invariants_fixed_empty_matrix_list(capsys):

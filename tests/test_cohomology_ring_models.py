@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from cohomolab.cohomology_ring_models import (
     theorem_5_14_generators,
 )
 from cohomolab.groups import build_P
+from cohomolab.invariant_rings import GradedAlgebra
 
 
 # ---------------------------------------------------------------------------
@@ -27,24 +29,24 @@ from cohomolab.groups import build_P
 
 
 def test_model_degree_four_component_p3():
-    m = build_model(3, samples=100)
+    m = build_model(3)
     basis = m.basis(4)
     assert len(basis) == 4  # alpha^2, alpha*beta, beta^2, chi_2
     assert (0, 0, 0, 0, 0, 2) in basis
 
 
 def test_mu_nu_vanishes_p3():
-    m = build_model(3, samples=100)
+    m = build_model(3)
     assert m.mul(m.gen("mu"), m.gen("nu")) == {}
 
 
 def test_mu_nu_is_lam_chi3_p5():
-    m = build_model(5, lam=2, samples=100)
+    m = build_model(5, lam=2)
     assert m.mul(m.gen("mu"), m.gen("nu")) == m.scale(m.gen("chi_3"), 2)
 
 
 def test_beta_chi_products_p7():
-    m = build_model(7, samples=100)
+    m = build_model(7)
     assert m.mul(m.gen("beta"), m.gen("chi_3")) == {}
     assert m.mul(m.gen("beta"), m.gen("chi_6")) == \
         m.scale(m.power(m.gen("beta"), 7), -1)
@@ -52,12 +54,12 @@ def test_beta_chi_products_p7():
 
 def test_relation_checks_exhaustive():
     for p in (3, 5, 7):
-        m = build_model(p, samples=100)
+        m = build_model(p)
         assert all(ok for _, ok in m.relation_checks())
 
 
 def test_straightening_rule():
-    m = build_model(3, samples=100)
+    m = build_model(3)
     a, b = m.gen("alpha"), m.gen("beta")
     lhs = m.mul(m.power(a, 3), b)
     rhs = m.mul(m.power(b, 3), a)
@@ -65,7 +67,7 @@ def test_straightening_rule():
 
 
 def test_graded_commutativity_on_odd_generators():
-    m = build_model(7, samples=100)
+    m = build_model(7)
     mu, nu = m.gen("mu"), m.gen("nu")
     assert m.mul(mu, nu) == m.scale(m.mul(nu, mu), -1) != {}
     assert m.mul(mu, mu) == {}
@@ -87,7 +89,7 @@ def test_model_validation():
 def test_dims_match_mod_p_cohomology_of_p27():
     # dim H^n(G; F_p) = model_n + model_(n+1) for n >= 1, because the
     # positive-degree integral cohomology is all exponent p here
-    m = build_model(3, samples=100)
+    m = build_model(3)
     G = build_P(3, 3)
     dims = cohomology_dims_mod_p(G, 3, 4)
     assert dims[0] == 1 and m.dim(0) == 1 and m.dim(1) == 0
@@ -101,7 +103,7 @@ def test_dims_match_mod_p_cohomology_of_p27():
 
 
 def test_from_matrix_shear_action():
-    m = build_model(3, samples=100)
+    m = build_model(3)
     phi = RingAutomorphism.from_matrix(m, ((1, 0), (1, 1)), 1)
     assert phi.apply(m.gen("alpha")) == m.gen("alpha")
     assert phi.apply(m.gen("beta")) == m.add(m.gen("alpha"), m.gen("beta"))
@@ -111,7 +113,7 @@ def test_from_matrix_shear_action():
 
 
 def test_automorphism_composition_matches_matrix_product():
-    m = build_model(3, samples=50)
+    m = build_model(3)
     rot = RingAutomorphism.from_matrix(m, ((0, -1), (1, 0)), 1)
     twice = rot.compose(rot)
     direct = RingAutomorphism.from_matrix(m, ((-1, 0), (0, -1)), 1)
@@ -122,7 +124,7 @@ def test_automorphism_composition_matches_matrix_product():
 
 
 def test_automorphism_rejects_bad_multiplicative_images():
-    m = build_model(3, samples=50)
+    m = build_model(3)
     images = {name: m.gen(name) for name in m.generator_names()}
     images["beta"] = m.add(m.gen("beta"), m.gen("alpha"))  # not mu-shifted
     with pytest.raises(ArithmeticError):
@@ -130,7 +132,7 @@ def test_automorphism_rejects_bad_multiplicative_images():
 
 
 def test_named_action_validation():
-    m = build_model(3, samples=50)
+    m = build_model(3)
     with pytest.raises(ValueError):
         named_action(m, "S3xC3-5.12")  # wrong prime
     with pytest.raises(ValueError):
@@ -143,14 +145,14 @@ def test_named_action_validation():
 
 
 def test_identity_action_fixes_everything():
-    m = build_model(3, samples=50)
+    m = build_model(3)
     ident = RingAutomorphism.from_matrix(m, ((1, 0), (0, 1)), 1)
     for d, basis in enumerate(fixed_subring(m, [ident], 10)):
         assert len(basis) == m.dim(d)
 
 
 def test_fixed_dims_shrink_with_more_generators():
-    m = build_model(3, samples=50)
+    m = build_model(3)
     autos = named_action(m, "D8-5.10")
     partial = fixed_dims(m, autos[:1], 16)
     full = fixed_dims(m, autos, 16)
@@ -159,7 +161,7 @@ def test_fixed_dims_shrink_with_more_generators():
 
 
 def test_fixed_elements_are_fixed():
-    m = build_model(3, samples=50)
+    m = build_model(3)
     autos = named_action(m, "D8-5.10")
     for basis in fixed_subring(m, autos, 12):
         for v in basis:
@@ -168,13 +170,13 @@ def test_fixed_elements_are_fixed():
 
 
 def test_fixed_subring_degree_cap():
-    m = build_model(3, samples=50)
+    m = build_model(3)
     with pytest.raises(ValueError):
         fixed_subring(m, named_action(m, "D8-5.10"), 12 * 3 + 1)
 
 
 def test_c4a4_action_builds_and_has_trivial_low_degrees():
-    m = build_model(5, samples=100)
+    m = build_model(5)
     autos = named_action(m, "C4A4-5.8")
     sub = fixed_subring(m, autos, 10)
     # every determinant squares to 1 mod 5, so chi_2 and chi_4 survive
@@ -221,8 +223,8 @@ def test_s3xc3_fixed_subring():
 
 
 def test_fixed_subring_independent_of_lam():
-    m1 = build_model(7, lam=1, samples=50)
-    m3 = build_model(7, lam=3, samples=50)
+    m1 = build_model(7, lam=1)
+    m3 = build_model(7, lam=3)
     f1 = fixed_dims(m1, named_action(m1, "S3xC3-5.12"), 30)
     f3 = fixed_dims(m3, named_action(m3, "S3xC3-5.12"), 30)
     assert f1 == f3
@@ -234,7 +236,7 @@ def test_fixed_subring_independent_of_lam():
 
 
 def test_restriction_h_5_10_images():
-    m = build_model(3, samples=50)
+    m = build_model(3)
     rmap = named_restriction(m, "H-5.10")
     T = rmap.target
     assert rmap.apply(m.gen("alpha")) == {}
@@ -245,7 +247,7 @@ def test_restriction_h_5_10_images():
 
 
 def test_restriction_k_5_13_spot_images():
-    m = build_model(7, samples=50)
+    m = build_model(7)
     rmap = named_restriction(m, "K-5.13")
     T = rmap.target
     zp, eps = T.variable(0), T.variable(1)
@@ -262,16 +264,16 @@ def test_restriction_k_5_13_spot_images():
 
 
 def test_restriction_rejects_wrong_degree_image():
-    m = build_model(3, samples=50)
+    m = build_model(3)
     T = named_restriction(m, "H-5.10").target
     images = {name: {} for name in m.generator_names()}
     images["alpha"] = T.ext_variable(0)  # degree 3, alpha has degree 2
     with pytest.raises(ValueError, match="image of alpha"):
-        RestrictionMap(m, T, images, check=False)
+        RestrictionMap(m, T, images)
 
 
 def test_restriction_validation():
-    m = build_model(3, samples=50)
+    m = build_model(3)
     with pytest.raises(ValueError):
         named_restriction(m, "K-5.13")
     with pytest.raises(ValueError):
@@ -282,3 +284,132 @@ def test_twelve_elements_restrict_into_s():
     rep = check_theorem_5_14()
     assert rep.passed
     assert len(rep.in_subring) == 12
+
+
+# ---------------------------------------------------------------------------
+# the relation certificate of generator maps
+# ---------------------------------------------------------------------------
+
+
+def _refused(m, target, images):
+    """The checks that the generator images (zero where not given) fail,
+    after checking that the map is refused with each of them named."""
+    full = {name: {} for name in m.generator_names()}
+    full.update(images)
+    bad = [name for name, ok in m.relation_checks(full, target) if not ok]
+    with pytest.raises(ArithmeticError) as err:
+        if target is m:
+            RingAutomorphism(m, full)
+        else:
+            RestrictionMap(m, target, full)
+    assert str(bad) in str(err.value)
+    return set(bad)
+
+
+def test_automorphism_mutants_that_samples_accepted():
+    # 100 sampled pairs (seed 11) took both for ring maps
+    m = build_model(5)
+    images = {name: m.gen(name) for name in m.generator_names()}
+    images["chi_3"] = m.scale(m.gen("chi_3"), 2)  # breaks mu*nu = lam*chi_3
+    assert _refused(m, m, images) == {"mu*nu = lam*chi_3"}
+    m = build_model(7)
+    images = {name: m.gen(name) for name in m.generator_names()}
+    images["chi_2"] = m.add(m.gen("chi_2"), m.power(m.gen("alpha"), 2))
+    assert "alpha*chi_2 = 0" in _refused(m, m, images)
+
+
+def test_restriction_refused_only_by_graded_commutativity():
+    # w1*w2 = -w2*w1 although both have even degree; every relation holds
+    m = build_model(3)
+    T = GradedAlgebra(3, [], [2, 2])
+    images = {"alpha": T.ext_variable(0), "beta": T.ext_variable(1)}
+    assert _refused(m, T, images) == {"alpha*beta = beta*alpha"}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_each_relation_refuses_a_map_that_breaks_it(p):
+    """Maps with most generator images zero, each breaking a few named
+    relations: together they break every relation of the list."""
+    m = build_model(p)
+    top = f"chi_{p - 1}"
+    top_sq = "chi_(p-1)^2 relation"
+    mu_nu = "mu*nu = 0 (p=3)" if p == 3 else "mu*nu = lam*chi_3"
+    # mu, nu -> w1, w2 in an exterior algebra: only mu*nu is wrong
+    T = GradedAlgebra(p, [], [3, 3])
+    assert _refused(m, T, {"mu": T.ext_variable(0),
+                           "nu": T.ext_variable(1)}) == {mu_nu}
+    # an odd polynomial generator squares to nonzero
+    T = GradedAlgebra(p, [3])
+    for x in ("mu", "nu"):
+        assert _refused(m, T, {x: T.variable(0)}) == {f"{x}^2 = 0"}
+    # alpha, beta -> x, y with chi_(p-1) -> 0
+    T = GradedAlgebra(p, [2, 2])
+    assert _refused(m, T, {"alpha": T.variable(0),
+                           "beta": T.variable(1)}) == {
+        "alpha^p*beta = beta^p*alpha", f"alpha*{top} = -alpha^p",
+        f"beta*{top} = -beta^p", top_sq}
+    # alpha, mu -> x, w with beta, nu -> 0
+    T = GradedAlgebra(p, [2], [3])
+    assert _refused(m, T, {"alpha": T.variable(0),
+                           "mu": T.ext_variable(0)}) == {
+        "alpha*mu = beta*nu", "alpha^p*mu = beta^p*nu",
+        f"alpha*{top} = -alpha^p", top_sq}
+    # mu or nu -> w and chi_(p-1) -> x with alpha, beta -> 0
+    T = GradedAlgebra(p, [2 * p - 2], [3])
+    for x, other in (("mu", "beta"), ("nu", "alpha")):
+        assert _refused(m, T, {x: T.ext_variable(0),
+                               top: T.variable(0)}) == {
+            f"{x}*{top} = -{other}^(p-1)*{x}", top_sq}
+    # chi_i -> x_i, polynomial: every chi product is wrong
+    T = GradedAlgebra(p, [2 * i for i in range(2, p)])
+    chis = {f"chi_{i}": T.variable(i - 2) for i in range(2, p)}
+    assert _refused(m, T, chis) == {
+        f"chi_{i}*chi_{j} = 0" for i in range(2, p - 1)
+        for j in range(i, p)} | {top_sq} | ({mu_nu} if p > 3 else set())
+    # chi_i -> chi_i + alpha^i in the model, i < p-1
+    for i in range(2, p - 1):
+        images = {name: m.gen(name) for name in m.generator_names()}
+        images[f"chi_{i}"] = m.add(m.gen(f"chi_{i}"),
+                                   m.power(m.gen("alpha"), i))
+        assert _refused(m, m, images) == {
+            f"{x}*chi_{i} = 0" for x in ("alpha", "beta", "mu", "nu")} | {
+            f"chi_{i}*chi_{i} = 0", f"chi_{i}*{top} = 0"} | (
+            {mu_nu} if i == 3 else set())
+
+
+def _multiplicative(m, phi, max_degree):
+    """Brute force: phi(u*v) = phi(u)*phi(v) for all basis monomials u, v
+    of total degree <= max_degree."""
+    images = {}
+    for d in range(max_degree + 1):
+        for u in m.basis(d):
+            images[u] = phi.apply({u: 1})
+    return all(
+        phi.apply(m.mul({u: 1}, {v: 1}))
+        == m.mul(images[u], images[v])
+        for u in images for v in images
+        if m.monomial_degree(u) + m.monomial_degree(v) <= max_degree)
+
+
+def test_certificate_agrees_with_brute_force_multiplicativity(monkeypatch):
+    """A seeded sample of the 1,920 maps from_matrix builds from
+    (M in GL_2(5), j): the relations accept exactly those that are
+    multiplicative on every basis pair up to degree 10."""
+    m = build_model(5)
+    pairs = [(((a, b), (c, d)), j)
+             for a, b, c, d in itertools.product(range(5), repeat=4)
+             if (a * d - b * c) % 5 for j in range(1, 5)]
+    assert len(pairs) == 1920
+    pairs = random.Random(3).sample(pairs, 100)
+    accepted = []
+    for M, j in pairs:
+        try:
+            RingAutomorphism.from_matrix(m, M, j)
+            accepted.append(True)
+        except ArithmeticError:
+            accepted.append(False)
+    monkeypatch.setattr(RingModel, "require_relations", lambda *args: None)
+    brute = [_multiplicative(m, RingAutomorphism.from_matrix(m, M, j), 10)
+             for M, j in pairs]
+    assert accepted == brute
+    assert 0 < sum(accepted) < len(accepted)

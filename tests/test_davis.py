@@ -611,3 +611,26 @@ def test_quotient_complex_is_built_once_on_demand(monkeypatch):
     assert built == []
     assert q.complex.n_vertices == len(q.vertex_labels) == 160
     assert len(built) == 1
+
+
+def test_quotient_bound_counts_pairs_and_steps(monkeypatch):
+    """The limits compare the (S, x) pairs and the chain-count steps, one
+    per element (S, y) and subset T of S: sum over T of 2^(k - |T|)."""
+    from cohomolab import davis
+    from cohomolab.bar_cohomology import ResourceLimitError
+    K = barycentric_subdivision(simplex_boundary(4))
+    gp, coloring = racg_from_complex(K), torsion_free_coloring(K)
+    k = len(set(coloring))
+    spherical = gp.spherical_subsets()
+    pairs = len(spherical) << k
+    steps = sum(2 ** (k - r) for s in spherical for r in range(len(s) + 1)
+                for _ in itertools.combinations(s, r))
+    for name, exact in (("MAX_QUOTIENT_PAIRS", pairs),
+                        ("MAX_QUOTIENT_STEPS", steps)):
+        monkeypatch.setattr(davis, name, exact)
+        davis_quotient(gp, coloring)
+        monkeypatch.setattr(davis, name, exact - 1)
+        with pytest.raises(ResourceLimitError, match=f"{pairs} coset pairs "
+                           f"and {steps} chain-count steps"):
+            davis_quotient(gp, coloring)
+        monkeypatch.undo()
