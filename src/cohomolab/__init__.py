@@ -66,6 +66,7 @@ from .invariant_rings import (
     dickson_check,
     dickson_pair,
     fixed_subspace,
+    fixed_subspaces,
     held_5_part_check,
     subalgebra_basis,
     subalgebra_dims,
@@ -79,7 +80,6 @@ from .cohomology_ring_models import (
     check_theorem_5_10,
     check_theorem_5_12,
     check_theorem_5_14,
-    fixed_subring,
     named_action,
     named_restriction,
 )

@@ -25,7 +25,6 @@ from .char_chern import pc_report
 from .cohomology_ring_models import (
     RingAutomorphism,
     build_model,
-    fixed_dims as model_fixed_dims,
     named_action,
 )
 from .exact_linalg import is_prime
@@ -34,6 +33,7 @@ from .invariant_rings import (
     GradedAlgebra,
     MatrixAction,
     dickson_check,
+    fixed_dims,
     fixed_subspaces,
     held_5_part_check,
 )
@@ -176,7 +176,7 @@ def _cmd_invariants(args) -> dict:
                        ext_twists=twists)
     dims = []
     basis = {}
-    for d, fixed in enumerate(fixed_subspaces(A, act, args.max_degree)):
+    for d, fixed in enumerate(fixed_subspaces(A, act.maps, args.max_degree)):
         dims.append(len(fixed))
         if fixed:
             basis[str(d)] = _encode_elements(A, fixed)
@@ -186,6 +186,8 @@ def _cmd_invariants(args) -> dict:
 
 
 def _cmd_ringmodel(args) -> dict:
+    if args.max_degree > 12 * args.p:
+        raise ValueError("max_degree capped at 12p")
     model = build_model(args.p)
     if args.action_spec.lstrip().startswith("["):
         spec = json.loads(args.action_spec)
@@ -202,7 +204,7 @@ def _cmd_ringmodel(args) -> dict:
     else:
         autos = named_action(model, args.action_spec)
         action_name = args.action_spec
-    dims = model_fixed_dims(model, autos, args.max_degree)
+    dims = fixed_dims(model, [phi.apply for phi in autos], args.max_degree)
     return {"p": args.p, "action": action_name,
             "max_degree": args.max_degree, "fixed_dims": dims}
 

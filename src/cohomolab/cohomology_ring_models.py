@@ -21,16 +21,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Optional, Sequence
+from typing import Optional
 
 from .exact_linalg import Echelon, _mat_det, is_prime
 from .invariant_rings import (
     GradedAlgebra,
     GradedRing,
     HELD5_MATRICES,
-    fixed_kernel,
-    fixed_sweep,
+    fixed_dims,
+    fixed_subspaces,
     in_span,
     subalgebra_basis,
     subalgebra_dims,
@@ -50,15 +49,12 @@ class RingModel(GradedRing):
 
     Generator keys are the names from generator_names()."""
 
-    def __init__(self, p: int, n: int = 3, lam: int = 1):
+    def __init__(self, p: int, lam: int = 1):
         if p < 3 or not is_prime(p):
             raise ValueError("p must be an odd prime")
-        if n != 3:
-            raise ValueError("only the order-p^3 model is implemented")
         if lam % p == 0:
             raise ValueError("lam must be a unit mod p")
         super().__init__(p)
-        self.n = n
         self.lam = lam % p
 
     # -- monomials ----------------------------------------------------------
@@ -297,8 +293,8 @@ class RingModel(GradedRing):
             raise ArithmeticError(f"{what} breaks the relations {bad}")
 
 
-def build_model(p: int, n: int = 3, lam: int = 1) -> RingModel:
-    model = RingModel(p, n, lam)
+def build_model(p: int, lam: int = 1) -> RingModel:
+    model = RingModel(p, lam)
     model.certify()
     model.require_relations()
     return model
@@ -411,30 +407,6 @@ def named_action(model: RingModel, name: str) -> list[RingAutomorphism]:
 
 
 # ---------------------------------------------------------------------------
-# Fixed subrings
-# ---------------------------------------------------------------------------
-
-
-def fixed_subring(model: RingModel, autos: Sequence[RingAutomorphism],
-                  max_degree: int) -> list[list[Element]]:
-    """Per-degree bases of the common fixed subspace: kernel of the
-    stacked (action - identity) on the monomial basis, from one memoised
-    sweep."""
-    if max_degree > 12 * model.p:
-        raise ValueError("max_degree capped at 12p")
-    return list(fixed_sweep(
-        model, len(autos), max_degree,
-        lambda d, memos: fixed_kernel(
-            model, [partial(phi.apply, memo=memo)
-                    for phi, memo in zip(autos, memos)], d)))
-
-
-def fixed_dims(model: RingModel, autos: Sequence[RingAutomorphism],
-               max_degree: int) -> list[int]:
-    return [len(b) for b in fixed_subring(model, autos, max_degree)]
-
-
-# ---------------------------------------------------------------------------
 # Published fixed-ring checks
 # ---------------------------------------------------------------------------
 
@@ -472,7 +444,7 @@ def check_lemma_3_4(p: int, max_degree: int,
     while 2 * (m + p) <= max_degree:
         gens.append(model.mul(model.power(beta, m), core))
         m += 1
-    fixed = fixed_dims(model, autos, max_degree)
+    fixed = fixed_dims(model, [phi.apply for phi in autos], max_degree)
     closed = subalgebra_dims(model, gens, max_degree)
     evens = list(range(0, max_degree + 1, 2))
     return FixedRingReport(
@@ -517,7 +489,8 @@ def check_theorem_5_10(max_degree: int = 24) -> FixedRingReport:
     and the closure of the five stated generators, degree by degree."""
     model = build_model(3)
     autos = named_action(model, "D8-5.10")
-    fixed = fixed_subring(model, autos, max_degree)
+    fixed = list(fixed_subspaces(model, [phi.apply for phi in autos],
+                                 max_degree))
     g = model.gen
     a2b2 = model.add(model.power(g("alpha"), 2), model.power(g("beta"), 2))
     gens = [
@@ -556,7 +529,7 @@ def check_theorem_5_12(max_degree: int = 60) -> FixedRingReport:
     full S_3 x C_3 action, degree by degree."""
     model = build_model(7)
     autos = named_action(model, "S3xC3-5.12")
-    fixed = fixed_dims(model, autos, max_degree)
+    fixed = fixed_dims(model, [phi.apply for phi in autos], max_degree)
     closed = subalgebra_dims(model, theorem_5_12_generators(model),
                              max_degree)
     return FixedRingReport(max_degree, fixed, closed)

@@ -154,6 +154,11 @@ MAX_FACET_SIZE = 16
 MAX_QUOTIENT_PAIRS = 1 << 19
 MAX_QUOTIENT_STEPS = 1 << 21
 
+# The (face, simplex) pairs of orbifold_chi, sum of f_i * (2^(i+1) - 1):
+# 3^n - 2^n on the n-vertex simplex, 1.59M at n = 13 (0.63 s).  No lower
+# than the step bound, as a quotient has more steps than pairs.
+MAX_CHI_PAIRS = MAX_QUOTIENT_STEPS
+
 
 def complex_from_dict(data: dict) -> SimplicialComplex:
     """{"vertices": l, "facets": [[v, ...], ...]}; ValueError on any other
@@ -405,7 +410,13 @@ def orbifold_chi(K: SimplicialComplex) -> Fraction:
     """Ground-truth Euler characteristic of the graph product: the sum
     over chains S_0 < ... < S_n of spherical subsets (empty set
     included) of (-1)^n / 2^|S_0|, evaluated by downward recursion
-    g(S) = 1 - sum over strict spherical supersets T of g(T)."""
+    g(S) = 1 - sum over strict spherical supersets T of g(T).
+    ResourceLimitError above MAX_CHI_PAIRS."""
+    pairs = sum(n * ((2 << i) - 1) for i, n in enumerate(K.f_vector()))
+    if pairs > MAX_CHI_PAIRS:
+        raise ResourceLimitError(
+            f"the Euler characteristic sums over {pairs} (face, simplex) "
+            f"pairs, above the limit {MAX_CHI_PAIRS}")
     if not K.is_full():
         raise ValueError("complex is not full")
     g: dict[Simplex, int] = {}

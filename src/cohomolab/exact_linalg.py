@@ -873,6 +873,25 @@ def _mat_mul(A, B, p):
                        for j in range(k)) for i in range(k))
 
 
+def matrix_group_closure(mats, p, k: int, cap: int) -> list:
+    """The group generated by the k x k matrices mats mod p (trivial if
+    none): the identity, then each new product A*M in depth-first order.
+    ValueError once it has more than cap elements."""
+    ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    gens = [tuple(tuple(x % p for x in row) for row in M) for M in mats]
+    group, stack = {ident: None}, [ident]  # a dict keeps insertion order
+    while stack:
+        A = stack.pop()
+        for M in gens:
+            B = _mat_mul(A, M, p)
+            if B not in group:
+                group[B] = None
+                stack.append(B)
+                if len(group) > cap:
+                    raise ValueError(f"matrix group order above {cap}")
+    return list(group)
+
+
 def _mat_det(A, p):
     """Determinant mod p by cofactor expansion along the first row."""
     if len(A) < 2:

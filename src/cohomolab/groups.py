@@ -21,7 +21,7 @@ import itertools
 import math
 from typing import Iterable, Optional, Sequence
 
-from .exact_linalg import _mat_mul, is_prime
+from .exact_linalg import _mat_mul, is_prime, matrix_group_closure
 
 MAX_TABLE_ORDER = 4096
 
@@ -380,21 +380,9 @@ def build_semidirect(p: int, k: int, matrices: Sequence[Sequence[Sequence[int]]]
     if not is_prime(p):
         raise ValueError(f"p={p} must be prime")
     n_vecs = _power_order(p, k)
-    ident = tuple(tuple(1 if i == j else 0 for j in range(k)) for i in range(k))
     gens_m = [tuple(tuple(r[j] % p for j in range(k)) for r in M) for M in matrices]
-    # closure of the matrix group
-    Q = {ident: 0}
-    order_list = [ident]
-    frontier = [ident]
-    while frontier:
-        A = frontier.pop()
-        for M in gens_m:
-            B = _mat_mul(A, M, p)
-            if B not in Q:
-                Q[B] = len(order_list)
-                order_list.append(B)
-                frontier.append(B)
-                _table_order(n_vecs * len(order_list))
+    order_list = matrix_group_closure(gens_m, p, k, MAX_TABLE_ORDER // n_vecs)
+    Q = {A: i for i, A in enumerate(order_list)}
     vecs = list(itertools.product(range(p), repeat=k))
     vnum = {v: i for i, v in enumerate(vecs)}
     total = n_vecs * len(order_list)

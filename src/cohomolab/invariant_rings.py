@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
-from .exact_linalg import (Echelon, SparseMatrix, _mat_det, _mat_mul,
-                           is_prime, kernel_mod_p, rank_mod_p)
+from .exact_linalg import (Echelon, SparseMatrix, _mat_det, is_prime,
+                           kernel_mod_p, matrix_group_closure, rank_mod_p)
 
 Monomial = tuple  # (poly exponent tuple, exterior bit tuple)
 Element = dict    # Monomial -> scalar mod p
@@ -130,9 +130,9 @@ class GradedRing:
         return self.basis(d)[self._index_cache[d][m]]
 
 
-def fixed_kernel(ring: GradedRing,
-                 maps: Sequence[Callable[[Element], Element]],
-                 d: int) -> list[Element]:
+def fixed_subspace(ring: GradedRing,
+                   maps: Sequence[Callable[[Element], Element]],
+                   d: int) -> list[Element]:
     """Basis of the degree-d subspace fixed by every linear map in maps:
     the kernel of the blocks (g - 1), block gi on rows gi*n .. gi*n + n-1.
     The maps preserve degree.  With no maps the zero matrix leaves the
@@ -154,21 +154,20 @@ def fixed_kernel(ring: GradedRing,
             for vec in kernel_mod_p(mat)]
 
 
-def fixed_sweep(ring: GradedRing, n_maps: int, max_degree: int,
-                basis_at: Callable[[int, list[dict]], list[Element]]):
-    """Yield basis_at(d, memos), the fixed basis in degree d, for
-    d = 0..max_degree, where memos holds one monomial-image memo per map
-    (see GradedRing.evaluate) for basis_at to pass to its maps.  After
-    degree d each memo keeps only the images of the monomials that are the
-    word prefix of a basis monomial of degree d+1 .. d+g, g the largest
-    generator degree, which is every image a later degree reads; the
-    memos are freed when the sweep ends."""
-    memos: list[dict] = [{} for _ in range(n_maps)]
+def fixed_sweep(ring: GradedRing, maps: Sequence[Callable], max_degree: int):
+    """Yield (d, bound) for d = 0..max_degree, where bound holds each map
+    f(u, memo=None) of maps bound to a monomial-image memo of its own
+    (see GradedRing.evaluate).  After degree d each memo keeps only the
+    images of the monomials that are the word prefix of a basis monomial
+    of degree d+1 .. d+g, g the largest generator degree, which is every
+    image a later degree reads; the memos are freed when the sweep ends."""
+    memos: list[dict] = [{} for _ in maps]
+    bound = [partial(f, memo=memo) for f, memo in zip(maps, memos)]
     needed: dict = {}  # word prefix -> last degree whose basis uses it
     top = ring.top_generator_degree()
     seen = 0  # the prefixes of degrees 1..seen are in needed
     for d in range(max_degree + 1):
-        yield basis_at(d, memos)
+        yield d, bound
         # every use of a monomial of degree <= d lies in degrees <= d + g
         for e in range(seen + 1, min(d + top, max_degree) + 1):
             for m in ring.basis(e):
@@ -179,6 +178,19 @@ def fixed_sweep(ring: GradedRing, n_maps: int, max_degree: int,
         for memo in memos:
             for m in [m for m in memo if m not in needed]:
                 del memo[m]
+
+
+def fixed_subspaces(ring: GradedRing, maps: Sequence[Callable],
+                    max_degree: int):
+    """Bases of the subspace fixed by every map in degrees
+    0..max_degree, one at a time, from one memoised sweep."""
+    for d, bound in fixed_sweep(ring, maps, max_degree):
+        yield fixed_subspace(ring, bound, d)
+
+
+def fixed_dims(ring: GradedRing, maps: Sequence[Callable],
+               max_degree: int) -> list[int]:
+    return [len(b) for b in fixed_subspaces(ring, maps, max_degree)]
 
 
 class GradedAlgebra(GradedRing):
@@ -293,31 +305,10 @@ class GradedAlgebra(GradedRing):
 # ---------------------------------------------------------------------------
 
 
-def matrix_group_closure(mats, p, k: int, cap: int = 100_000) -> set:
-    """The group generated by k x k matrices mod p (trivial if none)."""
-    ident = tuple(tuple(1 if i == j else 0 for j in range(k))
-                  for i in range(k))
-    seen = {ident}
-    frontier = [ident]
-    gens = [tuple(tuple(x % p for x in row) for row in M) for M in mats]
-    while frontier:
-        nxt = []
-        for A in frontier:
-            for g in gens:
-                B = _mat_mul(A, g, p)
-                if B not in seen:
-                    seen.add(B)
-                    nxt.append(B)
-                    if len(seen) > cap:
-                        raise ValueError("matrix group closure exceeds cap")
-        frontier = nxt
-    return seen
-
-
 class MatrixAction:
     """Generator matrices acting linearly on the span of the polynomial
     generators (which must share a common degree); each exterior generator
-    is multiplied by det(g)^twist."""
+    is multiplied by det(g)^twist.  maps: apply_matrix of each matrix."""
 
     def __init__(self, algebra: GradedAlgebra, matrices,
                  ext_twists: Optional[Sequence[int]] = None):
@@ -338,14 +329,16 @@ class MatrixAction:
             raise ValueError("one determinant twist per exterior generator")
         self.ext_twists = tuple(ext_twists) if ext_twists is not None \
             else (1,) * len(algebra.ext_degrees)
-        self._closure: Optional[set] = None
         self._images = {M: self._generator_images(M) for M in self.matrices}
+        self.maps = [partial(self.apply_matrix, M) for M in self.matrices]
+
+    @cached_property
+    def group(self) -> list:
+        return matrix_group_closure(self.matrices, self.algebra.p,
+                                    len(self.algebra.poly_degrees), 100_000)
 
     def group_order(self) -> int:
-        if self._closure is None:
-            self._closure = matrix_group_closure(
-                self.matrices, self.algebra.p, len(self.algebra.poly_degrees))
-        return len(self._closure)
+        return len(self.group)
 
     def _generator_images(self, M) -> list[Element]:
         """Images of the generators under M (x_i -> sum_j M[j][i] x_j,
@@ -382,38 +375,12 @@ class MatrixAction:
         return SparseMatrix(len(basis), len(basis), entries, p=A.p)
 
 
-def fixed_subspace(algebra: GradedAlgebra, action: MatrixAction, d: int,
-                   memos: Optional[list[dict]] = None) -> list[Element]:
-    """Basis of the degree-d invariants: kernel of the stacked (g - 1);
-    memos, one per matrix, come from fixed_sweep."""
-    memos = memos or [None] * len(action.matrices)
-    return fixed_kernel(algebra, [partial(action.apply_matrix, M, memo=memo)
-                                  for M, memo in zip(action.matrices, memos)],
-                        d)
-
-
-def fixed_subspaces(algebra: GradedAlgebra, action: MatrixAction,
-                    max_degree: int):
-    """Bases of the invariants in degrees 0..max_degree, one at a time,
-    from one memoised sweep."""
-    return fixed_sweep(algebra, len(action.matrices), max_degree,
-                       lambda d, memos: fixed_subspace(algebra, action, d,
-                                                       memos))
-
-
-def fixed_dims(algebra: GradedAlgebra, action: MatrixAction,
-               max_degree: int) -> list[int]:
-    return [len(b) for b in fixed_subspaces(algebra, action, max_degree)]
-
-
 def averaging_rank(algebra: GradedAlgebra, action: MatrixAction,
                    d: int) -> int:
     """Rank of the averaging idempotent (1/|G|) sum of the group action on
     the degree-d component; requires p coprime to the group order."""
     p = algebra.p
-    if action._closure is None:
-        action.group_order()
-    group = action._closure
+    group = action.group
     if len(group) % p == 0:
         raise ValueError("averaging needs p coprime to the group order")
     basis = algebra.basis(d)
@@ -541,27 +508,28 @@ def dickson_check(p: int, max_degree: int,
         raise ValueError("max_degree too large for the configured budget")
     A = GradedAlgebra(p, [1, 1])
     pair = pair or dickson_pair(p)
-    sl2 = MatrixAction(A, sl2_generators(p))
     gl2 = MatrixAction(A, gl2_generators(p))
-    if sl2.group_order() != p * (p * p - 1):
+    sl2 = gl2.matrices[:2]  # gl2_generators begins with sl2_generators
+    if MatrixAction(A, sl2).group_order() != p * (p * p - 1):
         raise ArithmeticError("SL_2 generators give the wrong group order")
     if gl2.group_order() != (p * p - 1) * (p * p - p):
         raise ArithmeticError("GL_2 generators give the wrong group order")
-    for M in sl2.matrices:
-        for g in (pair.a, pair.b):
-            if sl2.apply_matrix(M, g) != g:
-                raise ArithmeticError("generator is not SL_2-invariant")
+    if any(gl2.apply_matrix(M, g) != g
+           for M in sl2 for g in (pair.a, pair.b)):
+        raise ArithmeticError("generator is not SL_2-invariant")
     a_pow = A.power(pair.a, p - 1)
-    for M in gl2.matrices:
-        for g in (a_pow, pair.b):
-            if gl2.apply_matrix(M, g) != g:
-                raise ArithmeticError("generator is not GL_2-invariant")
+    if any(gl2.apply_matrix(M, g) != g
+           for M in gl2.matrices for g in (a_pow, pair.b)):
+        raise ArithmeticError("generator is not GL_2-invariant")
+    # one sweep over GL_2's maps: SL_2's invariants are those of the first two
+    sl2_fixed, gl2_fixed = [], []
+    for d, maps in fixed_sweep(A, gl2.maps, max_degree):
+        sl2_fixed.append(len(fixed_subspace(A, maps[:2], d)))
+        gl2_fixed.append(len(fixed_subspace(A, maps, d)))
     return DicksonReport(
         p, max_degree,
-        fixed_dims(A, sl2, max_degree),
-        subalgebra_dims(A, [pair.a, pair.b], max_degree),
-        fixed_dims(A, gl2, max_degree),
-        subalgebra_dims(A, [a_pow, pair.b], max_degree),
+        sl2_fixed, subalgebra_dims(A, [pair.a, pair.b], max_degree),
+        gl2_fixed, subalgebra_dims(A, [a_pow, pair.b], max_degree),
     )
 
 
@@ -624,7 +592,7 @@ def held_5_part_check(max_degree: int = 120) -> Held5Report:
     act = MatrixAction(A, HELD5_MATRICES, ext_twists=[1])
     return Held5Report(
         act.group_order(), max_degree,
-        fixed_dims(A, act, max_degree),
+        fixed_dims(A, act.maps, max_degree),
         _presented_ring_dims(max_degree),
         HELD5_RELATION_PRINTED, HELD5_RELATION_USED,
     )

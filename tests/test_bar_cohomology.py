@@ -476,3 +476,20 @@ def test_resource_limits():
         bc.integral_cohomology(big, 4)
     with pytest.raises(bc.ResourceLimitError):
         bc.cohomology_dims_mod_p(C3, 3, 2, max_cells=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coboundary_bound_counts_every_term_it_writes(monkeypatch, n):
+    """Both coboundary routes write 2m + n(m - 1) terms per n-cell, m =
+    |G| - 1; the limit admits exactly that count and refuses one less."""
+    G = symmetric_3()
+    m = G.order - 1
+    c = bc.Cochain(G, n, {(1,) * n: 1, (2,) * n: 1}, 3)
+    for call, cells in ((lambda: bc.coboundary_matrix(G, n, 3), m ** n),
+                        (lambda: bc.coboundary(c), 2)):
+        terms = cells * (2 * m + n * (m - 1))
+        monkeypatch.setattr(bc, "MAX_COBOUNDARY_TERMS", terms)
+        call()
+        monkeypatch.setattr(bc, "MAX_COBOUNDARY_TERMS", terms - 1)
+        with pytest.raises(bc.ResourceLimitError, match=f"writes {terms} "):
+            call()

@@ -1,5 +1,6 @@
 import json
 import signal
+import time
 
 import pytest
 
@@ -318,6 +319,43 @@ def test_full_16_simplex_quotient_is_bounded_before_enumerating(
     assert captured.err.startswith("resource limit:")
     assert "4294967296 coset pairs" in captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+def _exits_3_within_a_second(capsys, argv, message):
+    start = time.monotonic()
+    assert _within(5, main, argv) == EXIT_RESOURCE
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("resource limit:")
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_massey_on_c256_is_refused_before_its_coboundary(capsys):
+    # 66M coboundary terms: this took 25 s and 1.7 GB
+    _exits_3_within_a_second(
+        capsys, ["massey", "triple", "--group",
+                 json.dumps({"family": "cyclic", "n": 256}), "--p", "2"],
+        "above the limit 8388608")
+
+
+def test_degree_8_coboundary_dump_is_refused_before_it_is_built(
+        capsys, tmp_path):
+    dump = tmp_path / "delta.txt"
+    _exits_3_within_a_second(
+        capsys, ["cohomology", "dims", "--group",
+                 json.dumps({"family": "cyclic", "n": 7}), "--p", "7",
+                 "--max-degree", "8", "--dump-matrix", str(dump)],
+        "1679616 8-cells of C7 writes 87340032 terms")
+    assert not dump.exists()
+
+
+def test_davis_chi_on_the_full_16_simplex_is_refused(capsys, tmp_path):
+    # 3^16 - 2^16 (face, simplex) pairs: about 17 s
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps({"vertices": 16, "facets": [list(range(16))]}))
+    _exits_3_within_a_second(capsys, ["davis", "chi", "--k", str(path)],
+                             "42981185 (face, simplex) pairs")
 
 
 def test_json_out_global_flag(capsys, tmp_path):

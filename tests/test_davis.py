@@ -634,3 +634,18 @@ def test_quotient_bound_counts_pairs_and_steps(monkeypatch):
                            f"and {steps} chain-count steps"):
             davis_quotient(gp, coloring)
         monkeypatch.undo()
+
+
+def test_orbifold_chi_bound_counts_face_simplex_pairs(monkeypatch):
+    """The limit compares the (face, simplex) pairs orbifold_chi visits:
+    every proper face, the empty one included, of every simplex."""
+    from cohomolab import davis
+    from cohomolab.bar_cohomology import ResourceLimitError
+    K = barycentric_subdivision(simplex_boundary(4))
+    pairs = sum(2 ** len(s) - 1 for s in K.simplices if s)
+    assert davis.MAX_CHI_PAIRS >= davis.MAX_QUOTIENT_STEPS
+    monkeypatch.setattr(davis, "MAX_CHI_PAIRS", pairs)
+    assert orbifold_chi(K) == chiswell_chi(K)
+    monkeypatch.setattr(davis, "MAX_CHI_PAIRS", pairs - 1)
+    with pytest.raises(ResourceLimitError, match=f"{pairs} "):
+        orbifold_chi(K)

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cohomolab.cohomology_ring_models import (
     RingModel,
-    fixed_subring,
     named_action,
     named_restriction,
 )
@@ -17,7 +16,6 @@ from cohomolab.invariant_rings import (
     GradedAlgebra,
     HELD5_MATRICES,
     MatrixAction,
-    fixed_kernel,
     fixed_subspace,
     fixed_subspaces,
     fixed_sweep,
@@ -25,7 +23,7 @@ from cohomolab.invariant_rings import (
 
 
 def plain_fixed(ring, maps, max_degree):
-    return [fixed_kernel(ring, maps, d) for d in range(max_degree + 1)]
+    return [fixed_subspace(ring, maps, d) for d in range(max_degree + 1)]
 
 
 @st.composite
@@ -51,7 +49,7 @@ def test_sweep_matches_plain_matrix_action(case):
     A, act, D = case
     plain = plain_fixed(A, [partial(act.apply_matrix, M)
                             for M in act.matrices], D)
-    assert list(fixed_subspaces(A, act, D)) == plain
+    assert list(fixed_subspaces(A, act.maps, D)) == plain
 
 
 @settings(max_examples=20, deadline=None)
@@ -73,7 +71,7 @@ def test_sweep_matches_plain_ring_model_action(p, name):
     model = RingModel(p)
     autos = named_action(model, name)
     D = 4 * p
-    assert fixed_subring(model, autos, D) == \
+    assert list(fixed_subspaces(model, [phi.apply for phi in autos], D)) == \
         plain_fixed(model, [phi.apply for phi in autos], D)
 
 
@@ -109,18 +107,17 @@ def test_sweep_holds_only_prefixes_later_degrees_need():
     act = MatrixAction(A, HELD5_MATRICES, ext_twists=[1])
     top, D = A.top_generator_degree(), 40
 
-    def basis_at(d, memos):
+    swept = []
+    for d, maps in fixed_sweep(A, act.maps, D):
         ahead = {A.word_prefix(m)[0]
                  for e in range(max(d, 1), min(d + top, D + 1))
                  for m in A.basis(e)}
-        for memo in memos:
+        for f in maps:
             assert all(m in ahead and A.monomial_degree(m) < d
-                       for m in memo)
-        return fixed_subspace(A, act, d, memos)
-
-    swept = list(fixed_sweep(A, len(act.matrices), D, basis_at))
+                       for m in f.keywords["memo"])
+        swept.append(fixed_subspace(A, maps, d))
     assert [len(b) for b in swept] == \
-        [len(b) for b in fixed_subspaces(A, act, D)]
+        [len(b) for b in fixed_subspaces(A, act.maps, D)]
 
 
 def test_sweep_makes_one_product_per_monomial_and_map():
@@ -134,7 +131,7 @@ def test_sweep_makes_one_product_per_monomial_and_map():
     A = Counting(5, [2, 2], [3])
     act = MatrixAction(A, HELD5_MATRICES, ext_twists=[1])
     Counting.products = 0
-    dims = [len(b) for b in fixed_subspaces(A, act, 30)]
+    dims = [len(b) for b in fixed_subspaces(A, act.maps, 30)]
     assert dims[15] == 1
     assert Counting.products == \
         len(act.matrices) * sum(A.dim(d) for d in range(1, 31))

@@ -16,6 +16,7 @@ from cohomolab.groups import (
     build_cyclic,
     build_group,
     build_product,
+    build_semidirect,
     center_and_derived,
     order_p_subgroup_classes,
     singer_group,
@@ -129,15 +130,28 @@ def test_orders_beyond_the_table_bound_are_rejected_first(build, args):
 def test_semidirect_closure_stops_at_the_order_bound(monkeypatch):
     # a 12-cycle permuting the coordinates of (C_2)^12: the matrix group
     # has order 12, and 2^12 * 2 already exceeds MAX_TABLE_ORDER
-    from cohomolab import groups
+    from cohomolab import exact_linalg, groups
     shift = [[int(j == (i + 1) % 12) for j in range(12)] for i in range(12)]
     products = []
-    monkeypatch.setattr(groups, "_mat_mul",
-                        lambda A, B, p, f=groups._mat_mul:
+    monkeypatch.setattr(exact_linalg, "_mat_mul",
+                        lambda A, B, p, f=exact_linalg._mat_mul:
                         products.append(1) or f(A, B, p))
-    with pytest.raises(ValueError, match="outside supported range"):
+    with pytest.raises(ValueError, match="matrix group order above 1"):
         groups.build_semidirect(2, 12, [shift])
     assert len(products) == 1
+
+
+@pytest.mark.parametrize("build,digest", [
+    (lambda: singer_group(3, 2), "54b2e7f268a9c0f3"),
+    (symmetric_3, "3d361cd7efb36228"),
+    # two generators: the depth-first order of the closure shows here
+    (lambda: build_semidirect(3, 2, [((1, 1), (0, 1)), ((0, 1), (-1, 0))]),
+     "0d8144d8fb3aa2c6"),
+], ids=["Singer(3,2)", "S3", "3^2:SL2(3)"])
+def test_semidirect_numbering_is_pinned(build, digest):
+    """Cache files are named by the digest of the multiplication table, so
+    the numbering of a semidirect product's elements must not move."""
+    assert build().digest() == digest
 
 
 def test_s3():
