@@ -87,7 +87,7 @@ def _cmd_cohomology(args) -> dict:
         if args.dump_matrix:
             M = bc.coboundary_matrix(G, args.max_degree, args.p)
             with open(args.dump_matrix, "w") as fh:
-                fh.write(M.dump())
+                M.dump(fh)
         return {"group": G.name, "p": args.p,
                 "max_degree": args.max_degree, "dims": dims}
     rank, torsion = bc.integral_cohomology(G, args.degree,
@@ -327,6 +327,56 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+_GROUP = ("--group", {"required": True})
+_P = ("--p", {"type": _prime, "required": True})
+_MAX_DEGREE = ("--max-degree", {"type": _degree, "required": True})
+_ACTION = ("--action", {"dest": "action_spec", "required": True})
+_OUT = ("--out", {"default": None})
+
+# command -> action -> the (name, add_argument keywords) of its arguments
+_COMMANDS = {
+    "cohomology": {
+        "dims": [_GROUP, _P, _MAX_DEGREE, ("--dump-matrix", {"default": None})],
+        "integral": [_GROUP, ("--degree", {"type": int, "required": True})],
+    },
+    "massey": {"triple": [_GROUP, _P]},
+    "chern": {"pc": [_GROUP, _P]},
+    "invariants": {
+        "dickson": [_P, _MAX_DEGREE],
+        "held5": [("--max-degree", {"type": _degree, "default": 120})],
+        "fixed": [_P, _ACTION, _MAX_DEGREE],
+    },
+    "ringmodel": {"fixed": [_P, _ACTION, _MAX_DEGREE]},
+    "davis": {
+        **{name: [("--k", {"required": True}), _OUT]
+           for name in ("build", "homology", "chi")},
+        "bestvina": [("--n", {"type": int, "required": True}), _OUT],
+    },
+    "scenario": {"run": [("path", {})]},
+}
+
+
+class _Commands(argparse._SubParsersAction):
+    """The command subparsers.  Every command is registered, but its action
+    parsers are filled in only once argparse selects it, so a call builds
+    the parsers of its own command and no other.  argparse still picks the
+    command, and usage, help and errors are those of the full tree."""
+
+    def fill(self, name: str) -> None:
+        """Add the action parsers of command name, once."""
+        command = self.choices[name]
+        if command._subparsers is None:
+            actions = command.add_subparsers(dest="action", required=True)
+            for action, arguments in _COMMANDS[name].items():
+                parser = actions.add_parser(action)
+                for flag, keywords in arguments:
+                    parser.add_argument(flag, **keywords)
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.fill(values[0])
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser() -> argparse.ArgumentParser:
     # subparsers inherit _Parser, so bad usage raises instead of exiting
     top = _Parser(
@@ -335,64 +385,10 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--cache-dir", default=os.environ.get("COHOMOLAB_CACHE"))
     top.add_argument("--max-cells", type=int, default=None)
     top.add_argument("--json-out", default=None)
-    sub = top.add_subparsers(dest="command", required=True)
-
-    c = sub.add_parser("cohomology")
-    ca = c.add_subparsers(dest="action", required=True)
-    dims = ca.add_parser("dims")
-    dims.add_argument("--group", required=True)
-    dims.add_argument("--p", type=_prime, required=True)
-    dims.add_argument("--max-degree", type=_degree, required=True)
-    dims.add_argument("--dump-matrix", default=None)
-    integ = ca.add_parser("integral")
-    integ.add_argument("--group", required=True)
-    integ.add_argument("--degree", type=int, required=True)
-
-    m = sub.add_parser("massey")
-    ma = m.add_subparsers(dest="action", required=True)
-    tri = ma.add_parser("triple")
-    tri.add_argument("--group", required=True)
-    tri.add_argument("--p", type=_prime, required=True)
-
-    ch = sub.add_parser("chern")
-    cha = ch.add_subparsers(dest="action", required=True)
-    pcp = cha.add_parser("pc")
-    pcp.add_argument("--group", required=True)
-    pcp.add_argument("--p", type=_prime, required=True)
-
-    inv = sub.add_parser("invariants")
-    inva = inv.add_subparsers(dest="action", required=True)
-    dk = inva.add_parser("dickson")
-    dk.add_argument("--p", type=_prime, required=True)
-    dk.add_argument("--max-degree", type=_degree, required=True)
-    h5 = inva.add_parser("held5")
-    h5.add_argument("--max-degree", type=_degree, default=120)
-    fx = inva.add_parser("fixed")
-    fx.add_argument("--p", type=_prime, required=True)
-    fx.add_argument("--action", dest="action_spec", required=True)
-    fx.add_argument("--max-degree", type=_degree, required=True)
-
-    rm = sub.add_parser("ringmodel")
-    rma = rm.add_subparsers(dest="action", required=True)
-    rfx = rma.add_parser("fixed")
-    rfx.add_argument("--p", type=_prime, required=True)
-    rfx.add_argument("--action", dest="action_spec", required=True)
-    rfx.add_argument("--max-degree", type=_degree, required=True)
-
-    dvp = sub.add_parser("davis")
-    dva = dvp.add_subparsers(dest="action", required=True)
-    for name in ("build", "homology", "chi"):
-        pp = dva.add_parser(name)
-        pp.add_argument("--k", required=True)
-        pp.add_argument("--out", default=None)
-    bb = dva.add_parser("bestvina")
-    bb.add_argument("--n", type=int, required=True)
-    bb.add_argument("--out", default=None)
-
-    sc = sub.add_parser("scenario")
-    sca = sc.add_subparsers(dest="action", required=True)
-    run = sca.add_parser("run")
-    run.add_argument("path")
+    commands = top.add_subparsers(dest="command", required=True,
+                                  action=_Commands)
+    for name in _COMMANDS:
+        commands.add_parser(name)
     return top
 
 

@@ -12,7 +12,7 @@ from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, TextIO
 
 
 class SparseMatrix:
@@ -101,12 +101,14 @@ class SparseMatrix:
 
     # -- text dump ("coordinate" format) --------------------------------------
 
-    def dump(self) -> str:
+    def dump(self, fh: TextIO) -> None:
+        """Write the coordinate text to the open file fh, one column at a
+        time, so a dump never holds more than one column's lines."""
         domain = "Z" if self.p is None else f"F{self.p}"
-        lines = [f"{self.n_rows} {self.n_cols} {self.nnz()} {domain}"]
-        for i, j, v in self.entries():
-            lines.append(f"{i} {j} {v}")
-        return "\n".join(lines) + "\n"
+        fh.write(f"{self.n_rows} {self.n_cols} {self.nnz()} {domain}\n")
+        for j in sorted(self.cols):
+            col = self.cols[j]
+            fh.write("".join([f"{i} {j} {col[i]}\n" for i in sorted(col)]))
 
     @classmethod
     def load(cls, text: str) -> "SparseMatrix":

@@ -1,9 +1,10 @@
 """Finite groups as explicit multiplication tables.
 
 Groups are built from polycyclic normal forms A^a B^b C^c ... with
-hand-derived collection rules per family, then tabulated.  Element 0 is
-always the identity and numbering is lexicographic in the exponent
-vector, so matrices and cache keys are reproducible.
+hand-derived collection rules per family, then tabulated from the
+generator columns (_tabulate).  Element 0 is always the identity and
+numbering is lexicographic in the exponent vector, so matrices and cache
+keys are reproducible.
 
 Families (all with p an odd prime unless noted):
   P(n):    A^p = B^p = C^{p^(n-2)} = [A,C] = [B,C] = 1, [A,B] = C^{p^(n-3)}
@@ -44,15 +45,15 @@ class FiniteGroup:
         for g in range(order):
             if mul[0][g] != g or mul[g][0] != g:
                 raise ValueError("element 0 is not an identity")
-        inv = [None] * order
-        for g in range(order):
-            row = mul[g]
-            for h in range(order):
-                if row[h] == 0:
-                    inv[g] = h
-                    break
-            if inv[g] is None or mul[inv[g]][g] != 0:
+        inv = []
+        for g, row in enumerate(mul):
+            try:
+                h = row.index(0)
+            except ValueError:
+                raise ValueError(f"no two-sided inverse for element {g}") from None
+            if mul[h][g] != 0:
                 raise ValueError(f"no two-sided inverse for element {g}")
+            inv.append(h)
         self.inv = inv
         self.generators = tuple(generators)
         gen = set(self.generators) | {0}
@@ -72,9 +73,8 @@ class FiniteGroup:
         # generators, so the whole table is associative.
         for s in self.generators:
             row_s = mul[s]
-            for x in range(order):
-                row_x = mul[x]
-                if mul[row_x[s]] != [row_x[t] for t in row_s]:
+            for row_x in mul:
+                if mul[row_x[s]] != list(map(row_x.__getitem__, row_s)):
                     raise ValueError("multiplication table is not associative")
         self._digest = None
 
@@ -121,7 +121,7 @@ class FiniteGroup:
             h = hashlib.sha256()
             h.update(str(self.order).encode())
             for row in self.mul:
-                h.update(b",".join(str(v).encode() for v in row))
+                h.update(",".join(map(str, row)).encode())
             self._digest = h.hexdigest()[:16]
         return self._digest
 
@@ -209,22 +209,46 @@ def _power_order(p: int, n: int) -> int:
     return _table_order(p ** n)
 
 
-def _table_from_normal_form(moduli: list[int], compose, gens_exp, name: str) -> FiniteGroup:
-    """Tabulate a group whose elements are exponent vectors with the given
-    moduli (lexicographic numbering) and whose product is computed by
-    `compose(e1, e2) -> exponent vector`."""
-    _table_order(math.prod(moduli))
+def _tabulate(moduli: list[int], compose,
+              gens_exp) -> tuple[list[list[int]], list[int]]:
+    """(multiplication table, generator indices) of a group whose elements
+    are exponent vectors with the given moduli (lexicographic numbering)
+    and whose product is computed by `compose(e1, e2) -> exponent vector`.
+
+    compose is called on the generator columns only, |G| * |gens| times.
+    Column y of the table is the map x -> x*y.  A breadth-first tree from
+    the identity reaches every element y*s as an edge from y, and column
+    y*s is column y followed by right multiplication by s.  When compose
+    is associative this is its table, by induction along the tree;
+    FiniteGroup's Light's test then certifies the table as a group whose
+    generator columns are compose's."""
+    n = _table_order(math.prod(moduli))
     elems = list(itertools.product(*[range(m) for m in moduli]))
     num = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    mul = [[0] * n for _ in range(n)]
-    for i, e1 in enumerate(elems):
-        row = mul[i]
-        for j, e2 in enumerate(elems):
-            row[j] = num[tuple(compose(e1, e2))]
     gens = [num[tuple(e)] for e in gens_exp]
+    right = {s: [num[tuple(compose(e, elems[s]))] for e in elems]
+             for s in gens}
+    cols = [None] * n
+    cols[0] = range(n)
+    tree = [0]
+    for y in tree:  # the loop reads the tree as it grows
+        col = cols[y]
+        for s in gens:
+            r = right[s]
+            ys = r[y]
+            if cols[ys] is None:
+                cols[ys] = list(map(r.__getitem__, col))
+                tree.append(ys)
+    if len(tree) != n:
+        raise ValueError("declared generators do not generate the group")
+    return [list(row) for row in zip(*cols)], gens
+
+
+def _table_from_normal_form(moduli: list[int], compose, gens_exp, name: str) -> FiniteGroup:
+    """_tabulate as a FiniteGroup labelled by the exponent vectors."""
+    mul, gens = _tabulate(moduli, compose, gens_exp)
     labels = ["*".join(f"{c}^{v}" for c, v in zip("ABCDE", e) if v) or "1"
-              for e in elems]
+              for e in itertools.product(*[range(m) for m in moduli])]
     return FiniteGroup(mul, gens, name, labels)
 
 
@@ -339,29 +363,30 @@ def build_G_a1(a: int, p: int) -> FiniteGroup:
 
 def build_cyclic(m: int) -> FiniteGroup:
     _table_order(m)
-    mul = [[(i + j) % m for j in range(m)] for i in range(m)]
+    r = list(range(m))
+    mul = [r[i:] + r[:i] for i in range(m)]
     gens = [1] if m > 1 else []
     return FiniteGroup(mul, gens, f"C{m}", [f"g^{i}" for i in range(m)])
 
 
 def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
+    """Direct product, numbered lexicographically in the factor indices:
+    (a, b) is a * |H| + b, so the table of (G x H) is built row by row
+    from the rows of G (scaled by |H|) and of H, one factor at a time."""
     if not factors:
         raise ValueError("empty product")
-    orders = [G.order for G in factors]
-    total = _table_order(math.prod(orders))
-    elems = list(itertools.product(*[range(o) for o in orders]))
-    num = {e: i for i, e in enumerate(elems)}
-    mul = [[0] * total for _ in range(total)]
-    for i, e1 in enumerate(elems):
-        row = mul[i]
-        for j, e2 in enumerate(elems):
-            row[j] = num[tuple(G.mul[a][b] for G, a, b in zip(factors, e1, e2))]
+    _table_order(math.prod(G.order for G in factors))
+    mul = [[0]]
+    for H in factors:
+        m = H.order
+        mul = [[x + y for x in row_g for y in row_h]
+               for row_g in [[x * m for x in row] for row in mul]
+               for row_h in H.mul]
     gens = []
-    for k, G in enumerate(factors):
-        for g in G.generators:
-            e = [0] * len(factors)
-            e[k] = g
-            gens.append(num[tuple(e)])
+    stride = len(mul)
+    for G in factors:
+        stride //= G.order
+        gens += [g * stride for g in G.generators]
     name = " x ".join(G.name for G in factors)
     return FiniteGroup(mul, gens, name)
 
@@ -383,37 +408,23 @@ def build_semidirect(p: int, k: int, matrices: Sequence[Sequence[Sequence[int]]]
     gens_m = [tuple(tuple(r[j] % p for j in range(k)) for r in M) for M in matrices]
     order_list = matrix_group_closure(gens_m, p, k, MAX_TABLE_ORDER // n_vecs)
     Q = {A: i for i, A in enumerate(order_list)}
-    vecs = list(itertools.product(range(p), repeat=k))
-    vnum = {v: i for i, v in enumerate(vecs)}
-    total = n_vecs * len(order_list)
-    # numbering: (v, Q) -> vnum[v] * |Q| + Q index; identity (0, I) -> 0
-    nq = len(order_list)
+    # (v, Q) is the exponent vector v + (Q's index,), so (0, I) is 0
+    products = {}  # (a, b) -> index of Q_a Q_b, for the pairs compose meets
 
-    def num(v, qi):
-        return vnum[v] * nq + qi
+    def compose(e1, e2):
+        a, b = e1[k], e2[k]
+        if (a, b) not in products:
+            products[a, b] = Q[_mat_mul(order_list[a], order_list[b], p)]
+        w = _mat_vec(order_list[a], e2[:k], p)
+        return tuple((x + y) % p for x, y in zip(e1, w)) + (products[a, b],)
 
-    mul = [[0] * total for _ in range(total)]
-    mv_cache = {}
-    for qi, A in enumerate(order_list):
-        for w in vecs:
-            mv_cache[(qi, w)] = _mat_vec(A, w, p)
-    mm = [[Q[_mat_mul(order_list[a], order_list[b], p)] for b in range(nq)]
-          for a in range(nq)]
-    for v in vecs:
-        for qi in range(nq):
-            i = num(v, qi)
-            row = mul[i]
-            for w in vecs:
-                qw = mv_cache[(qi, w)]
-                vv = tuple((a + b) % p for a, b in zip(v, qw))
-                base = vnum[vv] * nq
-                for ri in range(nq):
-                    row[num(w, ri)] = base + mm[qi][ri]
-    gens = [num(v, 0) for v in vecs if sum(v) and v.count(1) == 1 and max(v) == 1]
-    gens += [num(tuple([0] * k), Q[M]) for M in gens_m]
-    label = name or f"(C{p})^{k} : Q{nq}"
+    units = [tuple(int(i == j) for j in range(k)) for i in reversed(range(k))]
+    mul, gens = _tabulate([p] * k + [len(order_list)], compose,
+                          [v + (0,) for v in units]
+                          + [(0,) * k + (Q[M],) for M in gens_m])
+    label = name or f"(C{p})^{k} : Q{len(order_list)}"
     G = FiniteGroup(mul, gens, label)
-    return _with_order(G, p ** k * nq)
+    return _with_order(G, n_vecs * len(order_list))
 
 
 def _primitive_polynomial(p: int, n: int) -> list[int]:

@@ -147,7 +147,7 @@ class FreeResolution:
             os.makedirs(self.cache_dir, exist_ok=True)
             tmp = path + ".tmp"
             with open(tmp, "w") as fh:
-                fh.write(M.dump())
+                M.dump(fh)
             os.replace(tmp, path)
 
     def _certify_exact(self, n: int, rank: int) -> None:

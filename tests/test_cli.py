@@ -1,9 +1,15 @@
+import argparse
+import importlib.resources
+import importlib.util
 import json
 import signal
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+from cohomolab.bar_cohomology import coboundary_matrix
 from cohomolab.cli import (
     EXIT_FAILURE,
     EXIT_INPUT,
@@ -20,6 +26,7 @@ from cohomolab.davis import (
     moore_complex,
     simplex_boundary,
 )
+from cohomolab.groups import build_cyclic
 
 C3 = '{"family": "cyclic", "n": 3}'
 
@@ -58,6 +65,11 @@ def test_cohomology_dump_matrix(capsys, tmp_path):
     assert code == EXIT_PASS
     header = path.read_text().splitlines()[0].split()
     assert len(header) == 4  # rows cols nnz domain
+    # the coordinate text of delta_2, one line per entry, column-major
+    M = coboundary_matrix(build_cyclic(3), 2, 3)
+    assert path.read_text() == "".join(
+        [f"{M.n_rows} {M.n_cols} {M.nnz()} F3\n"]
+        + [f"{i} {j} {v}\n" for i, j, v in M.entries()])
 
 
 def test_massey_triple(capsys):
@@ -610,8 +622,8 @@ def _cache_inexact_d1(capsys, tmp_path):
     d1 = SparseMatrix.load(path.read_text())
     assert (d1.n_rows, d1.n_cols) == (3, 1)  # one generator column, g - e
     # (g - e)^2 = 1 + g + g^2 over F_3: its image is J^2, of dimension 1
-    path.write_text(SparseMatrix(3, 1, [(0, 0, 1), (1, 0, 1), (2, 0, 1)],
-                                 p=3).dump())
+    with path.open("w") as fh:
+        SparseMatrix(3, 1, [(0, 0, 1), (1, 0, 1), (2, 0, 1)], p=3).dump(fh)
     return cache + dims + ["1"]
 
 
@@ -719,6 +731,132 @@ def test_one_parser_per_main_call(capsys, monkeypatch):
     code, rep = run_json(capsys, ["scenario", "run", "massey.json"])
     assert code == EXIT_PASS and rep["passed"] and len(rep["steps"]) == 3
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# the lazily filled parser: a call fills only its own command's parsers
+# ---------------------------------------------------------------------------
+
+
+def _full_parser():
+    """build_parser() with the action parsers of every command filled in."""
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    for name in commands.choices:
+        commands.fill(name)
+    return parser
+
+
+def _parsed(parser, argv):
+    """The Namespace of argv, or the usage error it raises."""
+    try:
+        return parser.parse_args(argv)
+    except ValueError as exc:
+        return f"usage error: {exc}"
+
+
+def _catalogue_argvs():
+    """The CLI argv of every job of the four benchmark workloads; the
+    catalogue is read from its file without writing bytecode."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("cli_test_jobs", path)
+    jobs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = jobs  # dataclasses look the module up
+    saved, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(jobs)
+    finally:
+        sys.dont_write_bytecode = saved
+        del sys.modules[spec.name]
+    return [list(job.argv)
+            for w in ("cohomology-cold", "cohomology-warm", "invariants",
+                      "chern-davis")
+            for job in jobs.all_jobs(w) if job.argv]
+
+
+def _scenario_argvs():
+    scenarios = importlib.resources.files("cohomolab") / "scenarios"
+    return [list(step["argv"]) for path in sorted(scenarios.iterdir(),
+                                                  key=str)
+            if path.name.endswith(".json")
+            for step in json.loads(path.read_text())["steps"]]
+
+
+def test_lazy_parser_parses_every_known_argv_as_the_full_tree():
+    argvs = _catalogue_argvs() + _scenario_argvs()
+    assert len(argvs) > 50
+    assert {argv[0] for argv in argvs} >= {"cohomology", "massey", "chern",
+                                           "invariants", "ringmodel",
+                                           "davis", "scenario"}
+    full, shared = _full_parser(), build_parser()
+    for argv in argvs:
+        for form in (argv, ["--cache-dir", "D"] + argv):
+            want = _parsed(full, form)
+            assert isinstance(want, argparse.Namespace), (form, want)
+            assert _parsed(build_parser(), form) == want
+            # a scenario run parses every step with one parser
+            assert _parsed(shared, form) == want
+
+
+DIMS_ARGS = ["--group", C3, "--p", "3", "--max-degree", "2"]
+
+
+@pytest.mark.parametrize("argv,outcome", [
+    (["homotopy", "dims"],
+     "usage error: argument command: invalid choice: 'homotopy' (choose "
+     "from 'cohomology', 'massey', 'chern', 'invariants', 'ringmodel', "
+     "'davis', 'scenario')"),
+    (["cohomology", "ranks", "--group", C3],
+     "usage error: argument action: invalid choice: 'ranks' (choose from "
+     "'dims', 'integral')"),
+    (["cohomology", "dims", "--p", "3", "--max-degree", "2"],
+     "usage error: the following arguments are required: --group"),
+    (["cohomology", "dims", "--group", C3, "--p", "4", "--max-degree", "2"],
+     "usage error: argument --p: 4 is not a prime below 2^31"),
+    (["cohomology", "dims"] + DIMS_ARGS + ["--cache", "D"],
+     "usage error: unrecognized arguments: --cache D"),
+    (["cohomology", "dims"] + DIMS_ARGS + ["--cache-dir=D"],
+     "usage error: unrecognized arguments: --cache-dir=D"),
+    ([], "usage error: the following arguments are required: command"),
+    (["chern"], "usage error: the following arguments are required: action"),
+    (["--cache", "D", "cohomology", "dims"] + DIMS_ARGS, "D"),
+    (["--cache-dir=D", "cohomology", "dims"] + DIMS_ARGS, "D"),
+], ids=["command", "action", "group", "p", "abbreviation", "equals-form",
+        "no-command", "no-action", "top-abbreviation", "top-equals-form"])
+def test_lazy_parser_keeps_every_usage_error(argv, outcome):
+    lazy = _parsed(build_parser(), argv)
+    assert lazy == _parsed(_full_parser(), argv)
+    assert (lazy if isinstance(lazy, str) else lazy.cache_dir) == outcome
+
+
+def test_command_help_lists_its_actions(capsys):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["chern", "-h"])
+    assert exc.value.code == 0
+    lazy = capsys.readouterr().out
+    assert lazy.startswith("usage: cohomolab chern [-h] {pc} ...")
+    with pytest.raises(SystemExit):
+        _full_parser().parse_args(["chern", "-h"])
+    assert capsys.readouterr().out == lazy
+
+
+def test_a_call_builds_only_its_own_commands_parsers(capsys, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    _full_parser()
+    assert len(built) == 21  # the program, 7 commands and 13 actions
+    built.clear()
+    code, _ = run_json(capsys, ["chern", "pc", "--group", C3, "--p", "3"])
+    assert code == EXIT_PASS
+    # the program, the 7 commands and chern's one action
+    assert len(built) == 9 and built[-1] == "cohomolab chern pc"
 
 
 def test_nonzero_homology_rank_exits_1(capsys, monkeypatch):

@@ -1,6 +1,8 @@
 import ast
 import inspect
+import io
 import random
+import tracemalloc
 from itertools import combinations
 from math import gcd
 
@@ -475,22 +477,64 @@ def test_smith_report_validates():
 # ---------------------------------------------------------------------------
 
 
+def coordinate_text(M):
+    """The coordinate dump as one string, built in memory: the oracle for
+    the streamed SparseMatrix.dump."""
+    domain = "Z" if M.p is None else f"F{M.p}"
+    lines = [f"{M.n_rows} {M.n_cols} {M.nnz()} {domain}"]
+    lines += [f"{i} {j} {v}" for i, j, v in M.entries()]
+    return "\n".join(lines) + "\n"
+
+
+def dumped(M):
+    buf = io.StringIO()
+    M.dump(buf)
+    return buf.getvalue()
+
+
 def test_dump_load_roundtrip():
     M = SparseMatrix.from_dense([[0, -2], [3, 0], [0, 7]])
-    M2 = SparseMatrix.load(M.dump())
+    M2 = SparseMatrix.load(dumped(M))
     assert M2.to_dense() == M.to_dense()
     assert M2.p is None
     Mp = SparseMatrix.from_dense([[1, 2], [0, 4]], p=5)
-    Mp2 = SparseMatrix.load(Mp.dump())
+    Mp2 = SparseMatrix.load(dumped(Mp))
     assert Mp2.p == 5 and Mp2.to_dense() == Mp.to_dense()
 
 
 def test_dump_header_format():
     M = SparseMatrix.from_dense([[1, 0], [0, 2]], p=3)
-    first = M.dump().splitlines()[0]
+    first = dumped(M).splitlines()[0]
     assert first == "2 2 2 F3"
     Mz = SparseMatrix.from_dense([[5]])
-    assert Mz.dump().splitlines()[0] == "1 1 1 Z"
+    assert dumped(Mz).splitlines()[0] == "1 1 1 Z"
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 7])
+def test_streamed_dump_writes_the_in_memory_text(p):
+    rng = random.Random(p or 0)
+    for shape in [(0, 0), (3, 0), (0, 4), (5, 5), (40, 17)]:
+        ent = {(rng.randrange(shape[0]), rng.randrange(shape[1])):
+               rng.randrange(-50, 50) for _ in range(shape[0] * shape[1] // 3)}
+        M = SparseMatrix(*shape, [(i, j, v) for (i, j), v in ent.items()], p)
+        assert dumped(M) == coordinate_text(M)
+
+
+def test_dump_streams_into_the_file(tmp_path):
+    # 200,000 entries in 2,000 columns; the text is about 3 MB
+    M = SparseMatrix(5000, 2000, [(i * 37 % 5000, j, i + j)
+                                  for j in range(2000) for i in range(100)])
+    path = tmp_path / "m.txt"
+    tracemalloc.start()
+    try:
+        with path.open("w") as fh:
+            M.dump(fh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    text = path.read_text()
+    assert text == coordinate_text(M)
+    assert peak < len(text) // 20
 
 
 def test_mul_vector_and_transpose():

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import pathlib
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 import cohomolab
 
+from cohomolab import groups
 from cohomolab.groups import (
     _with_order,
     FiniteGroup,
@@ -152,6 +154,158 @@ def test_semidirect_numbering_is_pinned(build, digest):
     """Cache files are named by the digest of the multiplication table, so
     the numbering of a semidirect product's elements must not move."""
     assert build().digest() == digest
+
+
+# ---------------------------------------------------------------------------
+# tables from generator columns, against the |G|^2-compose tabulation
+# ---------------------------------------------------------------------------
+
+
+def brute_tabulate(moduli, compose, gens_exp):
+    """(table, generators, elements) with compose called on every pair."""
+    elems = list(itertools.product(*[range(m) for m in moduli]))
+    num = {e: i for i, e in enumerate(elems)}
+    mul = [[num[tuple(compose(a, b))] for b in elems] for a in elems]
+    return mul, [num[tuple(e)] for e in gens_exp], elems
+
+
+def brute_product(factors):
+    """(table, generators) of the direct product, pair by pair."""
+    elems = list(itertools.product(*[range(G.order) for G in factors]))
+    num = {e: i for i, e in enumerate(elems)}
+    mul = [[num[tuple(G.mul[a][b] for G, a, b in zip(factors, e1, e2))]
+            for e2 in elems] for e1 in elems]
+    gens = [num[tuple(g if i == k else 0 for i in range(len(factors)))]
+            for k, G in enumerate(factors) for g in G.generators]
+    return mul, gens
+
+
+def normal_form_labels(elems):
+    return ["*".join(f"{c}^{v}" for c, v in zip("ABCDE", e) if v) or "1"
+            for e in elems]
+
+
+def assert_group_is(G, mul, gens, name, labels):
+    assert G.mul == mul
+    assert G.inv == [row.index(0) for row in mul]
+    assert G.generators == tuple(gens)
+    assert G.name == name
+    assert G.labels == labels
+
+
+@pytest.fixture
+def tabulated(monkeypatch):
+    """The (moduli, compose, generators) of every _tabulate call, and one
+    entry per compose call it makes."""
+    calls, composed = [], []
+    tabulate = groups._tabulate
+
+    def recorded(moduli, compose, gens_exp):
+        calls.append((moduli, compose, gens_exp))
+
+        def counted(e1, e2):
+            composed.append(1)
+            return compose(e1, e2)
+        return tabulate(moduli, counted, gens_exp)
+
+    monkeypatch.setattr(groups, "_tabulate", recorded)
+    return calls, composed
+
+
+SL2_3 = [((1, 1), (0, 1)), ((0, 1), (-1, 0))]
+
+
+# (builder, name, generators, labelled): the generators are pinned, not read
+# back from the builder, because the resolution's covers follow their order
+@pytest.mark.parametrize("build,name,gens,labelled", [
+    (lambda: build_P(3, 3), "P(3,p=3)", (9, 3, 1), True),
+    (lambda: build_P(4, 3), "P(4,p=3)", (27, 9, 1), True),
+    (lambda: build_group({"family": "P_2", "p": 5}), "P(3,p=5)", (25, 5, 1),
+     True),
+    (lambda: build_M(3, 3), "M(3,p=3)", (9, 1), True),
+    (lambda: build_M(4, 3), "M(4,p=3)", (27, 1), True),
+    (lambda: build_B(4, 1, 3), "B(4,1,p=3)", (27, 9, 1), True),
+    (lambda: build_B(4, 2, 3), "B(4,2,p=3)", (27, 9, 1), True),
+    (lambda: build_G_a1(1, 3), "G(1,1,p=3)", (9, 3, 1), True),
+    (lambda: build_G_a1(2, 3), "G(2,1,p=3)", (9, 3, 1), True),
+    (symmetric_3, "S3", (2, 1), False),
+    (lambda: singer_group(3, 2), "(C3)^2 : C8", (8, 24, 1), False),
+    (lambda: singer_group(2, 3), "(C2)^3 : C7", (7, 14, 28, 1), False),
+    (lambda: build_semidirect(3, 2, SL2_3), "(C3)^2 : Q24", (24, 72, 1, 2),
+     False),
+    (lambda: build_semidirect(5, 1, [[[2]]]), "(C5)^1 : Q4", (4, 1), False),
+], ids=["P(3,3)", "P(4,3)", "P_2(5)", "M(3,3)", "M(4,3)", "B(4,1,3)",
+        "B(4,2,3)", "G(1,1)", "G(2,1)", "S3", "Singer(3,2)", "Singer(2,3)",
+        "3^2:SL2(3)", "5:4"])
+def test_presented_tables_equal_the_pairwise_tables(tabulated, build, name,
+                                                    gens, labelled):
+    calls, composed = tabulated
+    G = build()
+    (moduli, compose, gens_exp), = calls
+    mul, tab_gens, elems = brute_tabulate(moduli, compose, gens_exp)
+    assert tuple(tab_gens) == gens
+    assert_group_is(G, mul, gens, name,
+                    normal_form_labels(elems) if labelled else None)
+    # compose runs on the generator columns only: |G| * |gens| calls
+    assert 0 < len(composed) <= G.order * len(gens)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 12, 81])
+def test_cyclic_table_is_addition_mod_m(m):
+    mul = [[(i + j) % m for j in range(m)] for i in range(m)]
+    assert_group_is(build_cyclic(m), mul, [1] if m > 1 else [], f"C{m}",
+                    [f"g^{i}" for i in range(m)])
+
+
+C = {"family": "cyclic"}
+
+
+@pytest.mark.parametrize("factors", [
+    [{**C, "n": 3}, {**C, "n": 3}],
+    [{**C, "n": 27}, {**C, "n": 3}],
+    [{**C, "n": 1}, {**C, "n": 4}],
+    [{"family": "P_2", "p": 3}, {**C, "n": 3}],
+    [{**C, "n": 3}] * 4,
+    [{"family": "product", "factors": [{**C, "n": 2}, {**C, "n": 3}]},
+     {"family": "semidirect", "p": 3, "n": 1, "matrices": [[[2]]]}],
+    [{**C, "n": 2},
+     {"family": "product", "factors": [{**C, "n": 3}, {**C, "n": 2}]},
+     {**C, "n": 2}],
+], ids=["C3xC3", "C27xC3", "C1xC4", "P(3,3)xC3", "C3^4", "(C2xC3)xS3",
+        "C2x(C3xC2)xC2"])
+def test_product_tables_equal_the_pairwise_tables(factors):
+    parts = [build_group(f) for f in factors]
+    mul, gens = brute_product(parts)
+    assert_group_is(build_group({"family": "product", "factors": factors}),
+                    mul, gens, " x ".join(H.name for H in parts), None)
+
+
+def test_tabulate_rejects_what_is_not_a_group():
+    def add_first(a, b):
+        return ((a[0] + b[0]) % 3, (a[1] + b[1]) % 3)
+    with pytest.raises(ValueError, match="do not generate"):
+        groups._tabulate([3, 3], add_first, [(1, 0)])
+    # the non-associative quasigroup of the table-validation test below
+    t = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+         [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    mul, gens = groups._tabulate([5], lambda a, b: (t[a[0]][b[0]],),
+                                 [(1,), (2,)])
+    with pytest.raises(ValueError):
+        FiniteGroup(mul, gens, "bad")
+
+
+@pytest.mark.parametrize("spec,digest", [
+    ({"family": "cyclic", "n": 3}, "27e7310338b99c8c"),
+    ({"family": "P", "n": 3, "p": 3}, "c382f6223459361a"),
+    ({"family": "G_a1", "a": 2, "p": 3}, "3215adae9ff7f293"),
+    ({"family": "product", "factors": [{"family": "cyclic", "n": 3}] * 4},
+     "4959b3cfc2d694ed"),
+], ids=["C3", "P(3,3)", "G(2,1)", "C3^4"])
+def test_digests_are_pinned(spec, digest):
+    """The digest names the on-disk cache files, so a changed digest would
+    silently orphan every cached resolution.  Singer(3,2) and the other
+    semidirect products are pinned by test_semidirect_numbering_is_pinned."""
+    assert build_group(spec).digest() == digest
 
 
 def test_s3():

@@ -63,28 +63,38 @@ def test_cache_holds_generator_columns(tmp_path, p):
     ring = "Z" if p is None else f"F{p}"
     for n in (1, 2, 3):
         path = tmp_path / f"res_v2_{G.digest()}_d{n}_{ring}.txt"
-        M = SparseMatrix.load(path.read_text())
+        text = path.read_text()
+        M = SparseMatrix.load(text)
         A = res.diffs[n - 1]
         assert (M.n_rows, M.n_cols) == (A.n_rows, res.ranks[n])
         assert [M.column(j) for j in range(M.n_cols)] == \
             [A.column(j * G.order) for j in range(res.ranks[n])]
+        # the coordinate format: a header, then one line per entry in
+        # column-major order
+        header = f"{M.n_rows} {M.n_cols} {M.nnz()} {ring}"
+        assert text.splitlines() == [header] + [
+            f"{i} {j} {v}" for i, j, v in M.entries()]
+        assert text.endswith("\n")
 
 
 def test_version_1_cache_file_is_not_read(tmp_path):
     # the identity as a version-1 d_1 (every column stored) would make the
     # dimensions [1, 0, 0] if it were read
     old = tmp_path / f"res_{C3.digest()}_d1_F3.txt"
-    old.write_text(SparseMatrix.identity(3, p=3).dump())
+    with old.open("w") as fh:
+        SparseMatrix.identity(3, p=3).dump(fh)
+    text = old.read_text()
     res = FreeResolution(C3, 3, str(tmp_path))
     assert res.homology_dims_mod_p(3, 2) == [1, 1, 1]
     assert sorted(os.listdir(tmp_path)) == sorted(
         [old.name] + [f"res_v2_{C3.digest()}_d{n}_F3.txt" for n in (1, 2, 3)])
-    assert old.read_text() == SparseMatrix.identity(3, p=3).dump()
+    assert old.read_text() == text
 
 
 def test_cache_file_of_the_wrong_shape_is_rejected(tmp_path):
     # d_1 of C3 maps into F_0 = F_3 C3, so its generator columns have 3 rows
     path = tmp_path / f"res_v2_{C3.digest()}_d1_F3.txt"
-    path.write_text(SparseMatrix(4, 1, [(3, 0, 1)], p=3).dump())
+    with path.open("w") as fh:
+        SparseMatrix(4, 1, [(3, 0, 1)], p=3).dump(fh)
     with pytest.raises(ArithmeticError, match="cached d_1 does not fit F_0"):
         FreeResolution(C3, 3, str(tmp_path)).extend_to(1)
