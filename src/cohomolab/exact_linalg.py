@@ -73,32 +73,6 @@ class SparseMatrix:
                 out.append((i, j, col[i]))
         return out
 
-    def column(self, j: int) -> dict[int, int]:
-        return dict(self.cols.get(j, ()))
-
-    def transpose(self) -> "SparseMatrix":
-        ent = [(j, i, v) for i, j, v in self.entries()]
-        return SparseMatrix(self.n_cols, self.n_rows, ent, self.p)
-
-    def to_dense(self) -> list[list[int]]:
-        rows = [[0] * self.n_cols for _ in range(self.n_rows)]
-        for i, j, v in self.entries():
-            rows[i][j] = v
-        return rows
-
-    def mul_vector(self, x: list[int]) -> list[int]:
-        if len(x) != self.n_cols:
-            raise ValueError("dimension mismatch")
-        out = [0] * self.n_rows
-        for j, col in self.cols.items():
-            xj = x[j]
-            if xj:
-                for i, v in col.items():
-                    out[i] += v * xj
-        if self.p is not None:
-            out = [v % self.p for v in out]
-        return out
-
     # -- text dump ("coordinate" format) --------------------------------------
 
     def dump(self, fh: TextIO) -> None:

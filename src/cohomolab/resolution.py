@@ -16,7 +16,7 @@ generator.  Which cover is used depends on the ring:
   additivity, rank d_n = dim ker d_(n-1): rank d_n is read off the next
   degree's kernel echelon, or from one rank_mod_p for the top
   differential.  Minimality is certified by the induced differential
-  d_n (x) F_p vanishing.
+  d_n (x) F_p vanishing, for every d_n built or read from the cache.
 * Greedy, over Z and for groups that are not p-groups, where F_pG is not
   local.  A kernel vector outside the span of the translates of the
   generators so far becomes a generator (its reduced residue, which keeps
@@ -24,14 +24,20 @@ generator.  Which cover is used depends on the ring:
   in that span, so im d_n = ker d_(n-1).  Over Z rank additivity would
   not show that the image is saturated.
 
-Each d_n is a ZG-module map, held as all group translates of its
-generator columns: column j*|G| + g is the g-translate of column j*|G|
-(G. Ellis, "Computing group resolutions", J. Symb. Comput. 38, 2004).  So
-d_(n-1) o d_n = 0 on the generator columns implies it on every column,
-given that the group table is associative (``FiniteGroup`` runs Light's
-test).  The disk cache stores only the rank_n generator columns, and a
-differential read from it is expanded by the same translation, so it is
-equivariant by construction.  Any failed check raises ArithmeticError.
+Each d_n is a ZG-module map, held as its rank_n generator columns, the
+matrix the disk cache stores: a module map is determined by where the
+basis elements go (G. Ellis, "Computing group resolutions", J. Symb.
+Comput. 38, 2004).  The matrix of the module map, whose column
+j*|G| + g is the g-translate of generator column j, is built on demand
+for the top degree only: for the kernel of d_(n-1) and for
+d_(n-1) o d_n = 0 when d_n is built, and for the rank of the top
+differential.  Every column of it is a translate, so d_n is equivariant
+by construction, and d_(n-1) o d_n = 0 on the generator columns implies
+it on every column, given that the group table is associative
+(``FiniteGroup`` runs Light's test).  The induced differentials and the
+minimality check read the generator columns alone, so a differential read
+from the cache is expanded only when a degree is built on top of it or its
+rank is still unchecked.  Any failed check raises ArithmeticError.
 
 The induced complex F (x)_ZG Z has one Z per module generator, so its
 boundary matrices stay tiny even when the group has order 81.
@@ -62,7 +68,10 @@ class FreeResolution:
         self.G = G
         self.p = p  # None: resolution over ZG; prime: over F_pG
         self.ranks: list[int] = [1]
-        self.diffs: list[SparseMatrix] = []  # integer matrix of d_n, n >= 1
+        # d_n for n >= 1: the rank_(n-1)*|G| x rank_n generator columns
+        self.diffs: list[SparseMatrix] = []
+        # (n, matrix of the module map d_n) for the top degree n, once built
+        self._module: Optional[tuple[int, SparseMatrix]] = None
         # the minimal cover needs F_pG local, that is |G| a power of p
         self.minimal = p is not None and _is_power_of(G.order, p)
         # n -> dim ker d_(n-1), the rank that d_n must have, while that is
@@ -96,28 +105,26 @@ class FreeResolution:
             self._extend()
         top = len(self.diffs)
         if top in self._unchecked:  # no next degree's kernel to read from
-            self._certify_exact(top, rank_mod_p(self.diffs[-1]))
+            self._certify_exact(top, rank_mod_p(self.module_matrix(top)))
 
     def _extend(self) -> None:
-        o = self.G.order
         n = len(self.diffs) + 1  # building d_n
-        n_rows = self.ranks[-1] * o
+        n_rows = self.ranks[-1] * self.G.order
         path = self._cache_path(n)
         if path and os.path.exists(path):
             with open(path) as fh:
                 M = SparseMatrix.load(fh.read())
             if M.n_rows != n_rows or M.p != self.p:
                 raise ArithmeticError(f"cached d_{n} does not fit F_{n - 1}")
-            gens = [M.column(j) for j in range(M.n_cols)]
-            self.diffs.append(self._module_map(gens, n_rows))
-            self.ranks.append(len(gens))
+            self._certify_minimal(n, M)
+            self._append(M)
             return
         if n == 1:
             # kernel of the augmentation: spanned by g - e
             kernel = [{g: 1, 0: -1 if self.p is None else self.p - 1}
-                      for g in range(1, o)]
+                      for g in range(1, self.G.order)]
         else:
-            A_prev = self.diffs[-1]
+            A_prev = self.module_matrix(n - 1)
             kernel = kernel_z(A_prev) if self.p is None else kernel_mod_p(A_prev)
             if n - 1 in self._unchecked:  # rank d_(n-1) from its kernel
                 self._certify_exact(n - 1, A_prev.n_cols - len(kernel))
@@ -125,30 +132,38 @@ class FreeResolution:
             gens = self._minimal_cover(kernel)
         else:
             gens = self._greedy_cover(kernel)
-        A = self._module_map(gens, n_rows)
+        # the covers return nonzero columns, reduced mod p, with rows below
+        # n_rows
+        M = SparseMatrix(n_rows, len(gens), p=self.p)
+        M.cols = dict(enumerate(gens))
         # on the generator columns, which suffices by equivariance (see
         # the module docstring)
-        if self.diffs and not composes_to_zero(self.diffs[-1], A,
-                                               range(0, A.n_cols, o)):
+        if n > 1 and not composes_to_zero(A_prev, M, range(M.n_cols)):
             raise ArithmeticError(
                 "resolution differentials do not compose to zero")
+        self._certify_minimal(n, M)
         if self.minimal:
-            if self._induced(A).cols:
-                raise ArithmeticError(
-                    f"induced differential d_{n} does not vanish mod "
-                    f"{self.p}: the cover of ker d_{n - 1} is not minimal")
             self._unchecked[n] = len(kernel)
-        self.diffs.append(A)
-        self.ranks.append(len(gens))
+        self._append(M)
         if path:
-            M = SparseMatrix(n_rows, len(gens),
-                             [(i, j, v) for j, vec in enumerate(gens)
-                              for i, v in vec.items()], p=self.p)
             os.makedirs(self.cache_dir, exist_ok=True)
             tmp = path + ".tmp"
             with open(tmp, "w") as fh:
                 M.dump(fh)
             os.replace(tmp, path)
+
+    def _append(self, M: SparseMatrix) -> None:
+        """Make M, the generator columns of the next d_n, the top degree."""
+        self.diffs.append(M)
+        self.ranks.append(M.n_cols)
+        self._module = None  # the old top is no longer read
+
+    def _certify_minimal(self, n: int, M: SparseMatrix) -> None:
+        """On the minimal path, d_n (x) F_p vanishes."""
+        if self.minimal and self._induced(M).cols:
+            raise ArithmeticError(
+                f"induced differential d_{n} does not vanish mod {self.p}: "
+                f"d_{n} is not a minimal cover of ker d_{n - 1}")
 
     def _certify_exact(self, n: int, rank: int) -> None:
         """Rank additivity: with d_(n-1) o d_n = 0, im d_n = ker d_(n-1)
@@ -204,27 +219,29 @@ class FreeResolution:
                 raise ArithmeticError("kernel cover incomplete")
         return gens
 
-    def _module_map(self, gens: list[dict[int, int]],
-                    n_rows: int) -> SparseMatrix:
-        """The matrix of the module map sending basis element j to gens[j]:
-        column j*|G| + g is the g-translate of gens[j].  The generators are
-        already reduced (mod p) with rows below n_rows, and translation
-        keeps each entry inside its row block."""
-        o = self.G.order
-        A = SparseMatrix(n_rows, len(gens) * o, p=self.p)
+    def module_matrix(self, n: int) -> SparseMatrix:
+        """The matrix of the module map d_n: column j*|G| + g is the
+        g-translate of generator column j.  Translation keeps each entry
+        inside its row block.  Kept only while d_n is the top degree."""
+        if self._module is not None and self._module[0] == n:
+            return self._module[1]
+        o, M = self.G.order, self.diffs[n - 1]
+        A = SparseMatrix(M.n_rows, M.n_cols * o, p=self.p)
         A.cols = {j * o + g: self._translate(vec, g)
-                  for j, vec in enumerate(gens) if vec for g in range(o)}
+                  for j, vec in M.cols.items() for g in range(o)}
+        if n == len(self.diffs):
+            self._module = (n, A)
         return A
 
     # -- induced complex ------------------------------------------------------
 
-    def _induced(self, A: SparseMatrix) -> SparseMatrix:
-        """A (x)_ZG Z: the generator columns, each row block summed."""
+    def _induced(self, M: SparseMatrix) -> SparseMatrix:
+        """d_n (x)_ZG Z from its generator columns M: each row block
+        summed."""
         o = self.G.order
-        b_n = A.n_cols // o
-        dense = [[0] * b_n for _ in range(A.n_rows // o)]
-        for j in range(b_n):
-            for i, v in A.cols.get(j * o, {}).items():
+        dense = [[0] * M.n_cols for _ in range(M.n_rows // o)]
+        for j, col in M.cols.items():
+            for i, v in col.items():
                 dense[i // o][j] += v
         return SparseMatrix.from_dense(dense, p=self.p)
 

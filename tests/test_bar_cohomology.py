@@ -11,6 +11,7 @@ from cohomolab.groups import (
     subgroup_closure,
     symmetric_3,
 )
+from matrix_helpers import mul_vector
 
 RNG = random.Random(20260823)
 
@@ -80,7 +81,7 @@ def test_coboundary_matrix_matches_coboundary():
         M = bc.coboundary_matrix(G, 1, 3)
         for _ in range(5):
             c = bc.random_cochain(G, 1, 3, RNG)
-            via_matrix = M.mul_vector(bc.cochain_vector(c))
+            via_matrix = mul_vector(M, bc.cochain_vector(c))
             assert via_matrix == bc.cochain_vector(bc.coboundary(c))
 
 
@@ -139,8 +140,8 @@ def test_resolution_memo_is_kept_per_cache_dir(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("p", [3, None])
 def test_resolution_extends_a_cached_prefix(tmp_path, p):
-    # d_1, d_2 are expanded from the generator columns in the cache, and
-    # d_3, d_4 are built on top of them
+    # d_1, d_2 are read as generator columns from the cache, and d_3, d_4
+    # are built on top of them
     from cohomolab.resolution import FreeResolution
     V = build_product([build_cyclic(3), build_cyclic(3)])
     FreeResolution(V, p, str(tmp_path)).extend_to(2)
@@ -149,8 +150,10 @@ def test_resolution_extends_a_cached_prefix(tmp_path, p):
     fresh = FreeResolution(V, p, "")
     fresh.extend_to(4)
     assert cached.ranks == fresh.ranks
-    assert [A.entries() for A in cached.diffs] == \
-        [A.entries() for A in fresh.diffs]
+    # the generator matrices, rows rank_(n-1)*|G| by columns rank_n
+    assert [(A.n_rows, A.n_cols, A.entries()) for A in cached.diffs] == \
+        [(A.n_rows, A.n_cols, A.entries()) for A in fresh.diffs]
+    assert [A.n_cols for A in cached.diffs] == cached.ranks[1:]
 
 
 def test_known_dimension_tables():

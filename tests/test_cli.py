@@ -651,6 +651,21 @@ def test_failed_exactness_check_fails_again_from_the_memo(
                                    "not exact at F_0: rank d_1 = 1")
 
 
+def test_cached_differential_not_minimal_exits_1(capsys, monkeypatch,
+                                                 tmp_path):
+    # d_2 of C3 replaced by the identity column, whose induced differential
+    # is 1 mod 3: read without a check, it made the dimensions [1, 0, 0]
+    resolution = _fresh_resolutions(monkeypatch)
+    argv = ["--cache-dir", str(tmp_path)] + DIMS_C3
+    assert main(argv) == EXIT_PASS
+    capsys.readouterr()
+    (path,) = tmp_path.glob("res_v2_*_d2_F3.txt")
+    path.write_text("3 1 1 F3\n0 0 1\n")
+    monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+    _exits_1_without_traceback(capsys, argv,
+                               "induced differential d_2 does not vanish mod 3")
+
+
 def test_bockstein_divisibility_failure_exits_1(capsys, monkeypatch):
     from cohomolab.bar_cohomology import Cochain
     lift = Cochain.lift_to_z

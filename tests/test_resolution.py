@@ -5,6 +5,7 @@ import pytest
 from cohomolab.exact_linalg import SparseMatrix
 from cohomolab.groups import build_P, build_cyclic, build_product, symmetric_3
 from cohomolab.resolution import FreeResolution
+from matrix_helpers import mul_vector
 
 C3 = build_cyclic(3)
 
@@ -65,16 +66,48 @@ def test_cache_holds_generator_columns(tmp_path, p):
         path = tmp_path / f"res_v2_{G.digest()}_d{n}_{ring}.txt"
         text = path.read_text()
         M = SparseMatrix.load(text)
-        A = res.diffs[n - 1]
-        assert (M.n_rows, M.n_cols) == (A.n_rows, res.ranks[n])
-        assert [M.column(j) for j in range(M.n_cols)] == \
-            [A.column(j * G.order) for j in range(res.ranks[n])]
+        A = res.diffs[n - 1]  # the generator matrix the resolution holds
+        assert (M.n_rows, M.n_cols, M.p) == (A.n_rows, A.n_cols, A.p) == \
+            (res.ranks[n - 1] * G.order, res.ranks[n], p)
+        assert M.entries() == A.entries()
         # the coordinate format: a header, then one line per entry in
         # column-major order
         header = f"{M.n_rows} {M.n_cols} {M.nnz()} {ring}"
         assert text.splitlines() == [header] + [
             f"{i} {j} {v}" for i, j, v in M.entries()]
         assert text.endswith("\n")
+
+
+def translate_oracle(G, vec, g):
+    """g times a vector of (ZG)^b, coordinates i*|G| + h, from the group
+    table: coordinate i*|G| + h goes to i*|G| + g*h."""
+    o = G.order
+    return {(k // o) * o + G.mul[g][k % o]: v for k, v in vec.items()}
+
+
+@pytest.mark.parametrize("G,degree", [(build_product([C3, C3]), 3),
+                                      (build_P(3, 3), 3), (symmetric_3(), 4)],
+                         ids=lambda x: getattr(x, "name", x))
+@pytest.mark.parametrize("p", [3, None])
+def test_module_matrix_is_every_translate(G, degree, p):
+    res = FreeResolution(G, p, "")
+    res.extend_to(degree)
+    # at most the top degree's module matrix is kept
+    assert res._module is None or res._module[0] == degree
+    o = G.order
+    for n in range(1, degree + 1):
+        M, A = res.diffs[n - 1], res.module_matrix(n)
+        assert (A.n_rows, A.n_cols) == (M.n_rows, M.n_cols * o)
+        assert A.cols == {j * o + g: translate_oracle(G, col, g)
+                          for j, col in M.cols.items() for g in range(o)}
+        if n == 1:
+            continue
+        # d_(n-1) o d_n = 0 on every column, not only the generators
+        B = res.module_matrix(n - 1)
+        for k in range(A.n_cols):
+            col = A.cols.get(k, {})
+            assert not any(mul_vector(B, [col.get(i, 0)
+                                          for i in range(B.n_cols)]))
 
 
 def test_version_1_cache_file_is_not_read(tmp_path):
@@ -98,3 +131,32 @@ def test_cache_file_of_the_wrong_shape_is_rejected(tmp_path):
         SparseMatrix(4, 1, [(3, 0, 1)], p=3).dump(fh)
     with pytest.raises(ArithmeticError, match="cached d_1 does not fit F_0"):
         FreeResolution(C3, 3, str(tmp_path)).extend_to(1)
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "dims", "--group", '{"family": "P", "n": 3, "p": 3}',
+     "--p", "3", "--max-degree", "4"],
+    ["cohomology", "integral", "--group",
+     '{"family": "G_a1", "a": 2, "p": 3}', "--degree", "2"],
+], ids=["dims P(3,3) d4", "integral G(2,1) d2"])
+def test_a_cache_read_builds_no_translate(argv, tmp_path, monkeypatch,
+                                          capsys):
+    from cohomolab import resolution
+    from cohomolab.cli import EXIT_PASS, main
+    monkeypatch.delenv("COHOMOLAB_CACHE", raising=False)
+    argv = ["--cache-dir", str(tmp_path)] + argv
+    monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+    assert main(argv) == EXIT_PASS  # fills the cache
+    cold = capsys.readouterr().out
+    calls = []
+    translate = FreeResolution._translate
+
+    def counted(self, vec, g):
+        calls.append(g)
+        return translate(self, vec, g)
+
+    monkeypatch.setattr(FreeResolution, "_translate", counted)
+    monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+    assert main(argv) == EXIT_PASS
+    assert capsys.readouterr().out == cold
+    assert calls == []
