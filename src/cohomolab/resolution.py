@@ -29,9 +29,8 @@ matrix the disk cache stores: a module map is determined by where the
 basis elements go (G. Ellis, "Computing group resolutions", J. Symb.
 Comput. 38, 2004).  The matrix of the module map, whose column
 j*|G| + g is the g-translate of generator column j, is built on demand
-for the top degree only: for the kernel of d_(n-1) and for
-d_(n-1) o d_n = 0 when d_n is built, and for the rank of the top
-differential.  Every column of it is a translate, so d_n is equivariant
+and not kept: for the kernel of d_(n-1) and for d_(n-1) o d_n = 0 when
+d_n is built, and for the rank of the top differential.  Every column of it is a translate, so d_n is equivariant
 by construction, and d_(n-1) o d_n = 0 on the generator columns implies
 it on every column, given that the group table is associative
 (``FiniteGroup`` runs Light's test).  The induced differentials and the
@@ -70,8 +69,6 @@ class FreeResolution:
         self.ranks: list[int] = [1]
         # d_n for n >= 1: the rank_(n-1)*|G| x rank_n generator columns
         self.diffs: list[SparseMatrix] = []
-        # (n, matrix of the module map d_n) for the top degree n, once built
-        self._module: Optional[tuple[int, SparseMatrix]] = None
         # the minimal cover needs F_pG local, that is |G| a power of p
         self.minimal = p is not None and _is_power_of(G.order, p)
         # n -> dim ker d_(n-1), the rank that d_n must have, while that is
@@ -117,7 +114,8 @@ class FreeResolution:
             if M.n_rows != n_rows or M.p != self.p:
                 raise ArithmeticError(f"cached d_{n} does not fit F_{n - 1}")
             self._certify_minimal(n, M)
-            self._append(M)
+            self.diffs.append(M)
+            self.ranks.append(M.n_cols)
             return
         if n == 1:
             # kernel of the augmentation: spanned by g - e
@@ -144,19 +142,14 @@ class FreeResolution:
         self._certify_minimal(n, M)
         if self.minimal:
             self._unchecked[n] = len(kernel)
-        self._append(M)
+        self.diffs.append(M)
+        self.ranks.append(M.n_cols)
         if path:
             os.makedirs(self.cache_dir, exist_ok=True)
             tmp = path + ".tmp"
             with open(tmp, "w") as fh:
                 M.dump(fh)
             os.replace(tmp, path)
-
-    def _append(self, M: SparseMatrix) -> None:
-        """Make M, the generator columns of the next d_n, the top degree."""
-        self.diffs.append(M)
-        self.ranks.append(M.n_cols)
-        self._module = None  # the old top is no longer read
 
     def _certify_minimal(self, n: int, M: SparseMatrix) -> None:
         """On the minimal path, d_n (x) F_p vanishes."""
@@ -222,15 +215,11 @@ class FreeResolution:
     def module_matrix(self, n: int) -> SparseMatrix:
         """The matrix of the module map d_n: column j*|G| + g is the
         g-translate of generator column j.  Translation keeps each entry
-        inside its row block.  Kept only while d_n is the top degree."""
-        if self._module is not None and self._module[0] == n:
-            return self._module[1]
+        inside its row block."""
         o, M = self.G.order, self.diffs[n - 1]
         A = SparseMatrix(M.n_rows, M.n_cols * o, p=self.p)
         A.cols = {j * o + g: self._translate(vec, g)
                   for j, vec in M.cols.items() for g in range(o)}
-        if n == len(self.diffs):
-            self._module = (n, A)
         return A
 
     # -- induced complex ------------------------------------------------------

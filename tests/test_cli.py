@@ -549,7 +549,7 @@ def test_differentials_not_composing_exits_1(capsys, monkeypatch):
 
 def test_last_generator_not_composing_exits_1(capsys, monkeypatch):
     # the true kernel plus one vector outside it, which the cover takes as
-    # its last generator: only that generator's column j*|G| has d o d != 0
+    # its last generator: only that generator column has d o d != 0
     resolution = _fresh_resolutions(monkeypatch)
     kernel_mod_p = resolution.kernel_mod_p
 
