@@ -231,13 +231,6 @@ def index_cell(G: FiniteGroup, n: int, idx: int) -> tuple:
     return tuple(reversed(out))
 
 
-def cochain_vector(c: Cochain) -> list[int]:
-    vec = [0] * n_cells(c.group, c.degree)
-    for key, v in c.data.items():
-        vec[cell_index(c.group, key)] = v
-    return vec
-
-
 def coboundary_matrix(G: FiniteGroup, n: int, p: Optional[int] = None) -> SparseMatrix:
     """Matrix of delta: C^n -> C^(n+1); column j is the coboundary of the
     indicator cochain of the n-cell j, in coboundary's order of terms.

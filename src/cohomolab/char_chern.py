@@ -4,11 +4,17 @@ invariant.
 Characters are computed by monomial induction: every 1-dimensional
 character of every subgroup (enumerated by closure over generator subsets)
 is induced up and the norm-1 results are kept.  Completeness is certified
-by the sum-of-squares count and exact pairwise orthonormality, so the
-method is self-checking on monomial groups.  Every value is a sum of
-roots of unity, so all arithmetic stays in Z[zeta_N]; the only divisions
-(by |G| in inner products, by p in eigenvalue multiplicities) must come
-out as exact integers or the certificate fails.
+three ways: as many irreducibles as conjugacy classes, the sum-of-squares
+count, and exact pairwise orthonormality, so the method is self-checking
+on monomial groups.  Every value is a sum of roots of unity, so all
+arithmetic stays in Z[zeta_N]; the only divisions (by |G| in inner
+products, by p in eigenvalue multiplicities) must come out as exact
+integers or the certificate fails.
+
+A class function holds one value per conjugacy class, and the induction
+formula is evaluated at the class representatives only.  Inner products
+and eigenvalue multiplicities add raw coefficient lists and reduce mod
+Phi_N once per result, not once per term.
 
 pc(G) is twice the least common multiple, over conjugacy classes of
 order-p subgroups C <= G, of the gcd of the degrees in which restricted
@@ -176,42 +182,45 @@ def _reduce_mod_phi(N: int, cs: list[int]) -> list[int]:
 
 @dataclass
 class ClassFunction:
-    """A function on a finite group with cyclotomic values, stored per
-    element (the constructions below are constant on conjugacy classes)."""
+    """A function on a finite group with cyclotomic values, one per
+    conjugacy class, in the numbering of ``group.classes()``."""
 
     group: FiniteGroup
     values: list[Cyclotomic]
 
     def __post_init__(self):
-        if len(self.values) != self.group.order:
-            raise ValueError("one value per group element required")
+        if len(self.values) != len(self.group.classes().reps):
+            raise ValueError("one value per conjugacy class required")
 
     @property
     def conductor(self) -> int:
         return self.values[0].N
 
     def degree(self) -> int:
-        return self.values[0].as_integer()
+        return self.values[0].as_integer()  # class 0 is the identity
 
     def inner(self, other: "ClassFunction") -> int:
-        """<self, other> = (1/|G|) sum self(g) other(g^-1), certified to be
-        an integer (as it is for characters)."""
-        G = self.group
-        acc = Cyclotomic.zero(self.conductor)
-        for g in range(G.order):
-            acc = acc + self.values[g] * other.values[G.inv[g]]
-        return acc.divide_exact(G.order)
+        """<self, other> = (1/|G|) sum_K |K| self(K) other(K^-1), certified
+        to be an integer (as it is for characters).  The products are
+        added as raw coefficient lists and reduced mod Phi_N once."""
+        if other.conductor != self.conductor:
+            raise ValueError("conductor mismatch")
+        cls = self.group.classes()
+        acc = [0] * (2 * len(self.values[0].coeffs) - 1)
+        for a, size, k_inv in zip(self.values, cls.sizes, cls.inverse):
+            b = other.values[k_inv].coeffs
+            for i, x in enumerate(a.coeffs):
+                if x:
+                    x *= size
+                    for j, y in enumerate(b, i):
+                        acc[j] += x * y
+        return Cyclotomic(self.conductor, acc).divide_exact(self.group.order)
 
     def norm(self) -> int:
         return self.inner(self)
 
     def value_key(self) -> tuple:
         return tuple(c.coeffs for c in self.values)
-
-    def is_constant_on_classes(self) -> bool:
-        G = self.group
-        return all(self.values[G.conj(x, g)] == self.values[g]
-                   for g in range(G.order) for x in range(G.order))
 
 
 # ---------------------------------------------------------------------------
@@ -286,12 +295,14 @@ def linear_character_exponents(H: FiniteGroup, N: int) -> list[list[int]]:
 
 
 def induce_linear(H: Subgroup, exponents: list[int], N: int) -> ClassFunction:
-    """Induced character Ind_H^G(lambda) where lambda(h) = zeta_N^e(h)."""
+    """Induced character Ind_H^G(lambda) where lambda(h) = zeta_N^e(h),
+    evaluated at each class representative g as the sum of
+    lambda(t^-1 g t) over the transversal t with t^-1 g t in H."""
     G = H.parent
     mul, inv = G.mul, G.inv
     idx = H.index_of
     values = []
-    for g in range(G.order):
+    for g in G.classes().reps:
         counts = [0] * N  # counts[e] = number of terms zeta_N^e
         for t in H.transversal:
             x = mul[inv[t]][mul[g][t]]
@@ -325,17 +336,11 @@ def _subgroup_sources(G: FiniteGroup) -> list[Subgroup]:
     return sorted(found.values(), key=lambda s: -s.order)
 
 
-def irreducible_characters(G: FiniteGroup,
-                           sources: Optional[list[Subgroup]] = None
-                           ) -> list[ClassFunction]:
-    """Complete list of irreducible characters, by monomial induction.
-
-    Raises ArithmeticError if the sum-of-squares or orthonormality
-    certificate fails (which signals a non-monomial input or an exhausted
-    search)."""
+def _monomial_search(G: FiniteGroup,
+                     sources: list[Subgroup]) -> list[ClassFunction]:
+    """Distinct norm-1 characters induced from linear characters of the
+    sources, until their squared degrees add up to |G|."""
     N = G.exponent()
-    if sources is None:
-        sources = _subgroup_sources(G)
     irreducibles: list[ClassFunction] = []
     seen: set[tuple] = set()
     total = 0
@@ -355,10 +360,30 @@ def irreducible_characters(G: FiniteGroup,
                 total += chi.degree() ** 2
                 if total == G.order:
                     break
+    return irreducibles
+
+
+def irreducible_characters(G: FiniteGroup,
+                           sources: Optional[list[Subgroup]] = None
+                           ) -> list[ClassFunction]:
+    """Complete list of irreducible characters, by monomial induction.
+
+    Raises ArithmeticError if the class-count, sum-of-squares or
+    orthonormality certificate fails (which signals a non-monomial input
+    or an exhausted search)."""
+    if sources is None:
+        sources = _subgroup_sources(G)
+    irreducibles = _monomial_search(G, sources)
+    n_classes = len(G.classes().reps)
+    if len(irreducibles) != n_classes:
+        raise ArithmeticError(
+            f"character search incomplete: {len(irreducibles)} irreducible "
+            f"characters for {n_classes} conjugacy classes")
+    total = sum(chi.degree() ** 2 for chi in irreducibles)
     if total != G.order:
         raise ArithmeticError(
             f"character search incomplete: sum of squares {total} != {G.order}")
-    # <b,a> is the sum of <a,b> over g^-1 in place of g, so i <= j covers all
+    # <b,a> is the sum of <a,b> over K^-1 in place of K, so i <= j covers all
     for i, a in enumerate(irreducibles):
         for j in range(i, len(irreducibles)):
             if a.inner(irreducibles[j]) != (1 if i == j else 0):
@@ -380,17 +405,26 @@ class ChernReport:
 
 
 def _eigenvalue_multiplicities(chi: ClassFunction, g: int, p: int) -> list[int]:
-    """a_j = multiplicity of zeta_p^j in chi restricted to <g>, |g| = p."""
+    """a_j = multiplicity of zeta_p^j in chi restricted to <g>, |g| = p:
+    (1/p) sum_k chi(g^k) zeta_N^(-jkN/p), added as raw coefficients with
+    exponents mod N (x^N = 1 mod Phi_N) and reduced once per j."""
     G = chi.group
     N = chi.conductor
+    of = G.classes().of
+    powers = []  # the coefficients of chi(g^k)
+    gk = 0
+    for _ in range(p):
+        powers.append(chi.values[of[gk]].coeffs)
+        gk = G.mul[gk][g]
     out = []
     for j in range(p):
-        acc = Cyclotomic.zero(N)
-        gk = 0
-        for k in range(p):
-            acc = acc + chi.values[gk] * Cyclotomic.root(N, (-j * k * (N // p)) % N)
-            gk = G.mul[gk][g]
-        a = acc.divide_exact(p)
+        acc = [0] * N
+        for k, cs in enumerate(powers):
+            shift = -j * k * (N // p)
+            for i, c in enumerate(cs):
+                if c:
+                    acc[(i + shift) % N] += c
+        a = Cyclotomic(N, acc).divide_exact(p)
         if a < 0:
             raise ArithmeticError("eigenvalue multiplicity is negative")
         out.append(a)

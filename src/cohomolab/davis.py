@@ -185,15 +185,6 @@ def complex_from_dict(data: dict) -> SimplicialComplex:
     return SimplicialComplex(n, facets)
 
 
-def complex_to_dict(K: SimplicialComplex) -> dict:
-    return {"vertices": K.n_vertices,
-            "facets": [list(f) for f in K.facets()]}
-
-
-def full_simplex(l: int) -> SimplicialComplex:
-    return SimplicialComplex(l, [range(l)])
-
-
 def simplex_boundary(l: int) -> SimplicialComplex:
     """Boundary of the full simplex on l vertices: a triangulated
     (l-2)-sphere."""

@@ -20,17 +20,28 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact_linalg import _mat_mul, is_prime, matrix_group_closure
 
 MAX_TABLE_ORDER = 4096
 
 
+class ConjugacyClasses(NamedTuple):
+    """The conjugacy classes of a group, numbered by least element, so
+    that class 0 is the identity and reps[k] is the least element of k."""
+
+    of: list[int]  # element -> its class
+    reps: tuple[int, ...]
+    sizes: tuple[int, ...]
+    inverse: tuple[int, ...]  # class k -> the class of the inverses of k
+
+
 class FiniteGroup:
     """Immutable finite group on indices 0..order-1 with 0 = identity."""
 
-    __slots__ = ("order", "mul", "inv", "generators", "name", "labels", "_digest")
+    __slots__ = ("order", "mul", "inv", "generators", "name", "labels",
+                 "_digest", "_classes")
 
     def __init__(self, mul: list[list[int]], generators: Sequence[int],
                  name: str, labels: Optional[list[str]] = None):
@@ -77,6 +88,33 @@ class FiniteGroup:
                 if mul[row_x[s]] != list(map(row_x.__getitem__, row_s)):
                     raise ValueError("multiplication table is not associative")
         self._digest = None
+        self._classes = None
+
+    def classes(self) -> ConjugacyClasses:
+        """Conjugacy classes, as orbits under conjugation by the
+        generators (which generate every conjugation); computed once."""
+        if self._classes is None:
+            of = [-1] * self.order
+            reps, sizes = [], []
+            for g in range(self.order):
+                if of[g] >= 0:
+                    continue
+                # g is the least element of a class not yet seen
+                k = len(reps)
+                of[g] = k
+                orbit = [g]
+                for x in orbit:  # the loop reads the orbit as it grows
+                    for s in self.generators:
+                        y = self.conj(s, x)
+                        if of[y] < 0:
+                            of[y] = k
+                            orbit.append(y)
+                reps.append(g)
+                sizes.append(len(orbit))
+            self._classes = ConjugacyClasses(
+                of, tuple(reps), tuple(sizes),
+                tuple(of[self.inv[g]] for g in reps))
+        return self._classes
 
     def conj(self, g: int, h: int) -> int:
         """h^g = g^-1 h g."""
@@ -595,11 +633,3 @@ def order_p_subgroup_classes(G: FiniteGroup, p: int) -> list[Subgroup]:
     classes.sort(key=lambda s: subs[s])
     return [Subgroup(G, mem) for mem in classes]
 
-
-def center_and_derived(G: FiniteGroup) -> tuple[Subgroup, Subgroup]:
-    mul = G.mul
-    center = [z for z in range(G.order)
-              if all(mul[z][g] == mul[g][z] for g in range(G.order))]
-    comms = {G.commutator(a, b) for a in range(G.order) for b in range(G.order)}
-    derived = subgroup_closure(G, comms)
-    return Subgroup(G, center), derived

@@ -244,6 +244,9 @@ class FreeResolution:
         if self.p is not None and p != self.p:
             raise ValueError("coefficient prime differs from resolution prime")
         self.extend_to(max_degree + 1)
+        if self.minimal:
+            # every d_n (x) F_p, built or loaded, was checked to vanish
+            return self.ranks[:max_degree + 1]
         ranks_p = [0]  # rank of D_0 = 0
         for n in range(1, max_degree + 2):
             D = self.induced_matrix(n)

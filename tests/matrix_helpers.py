@@ -1,5 +1,7 @@
-"""Dense views of a SparseMatrix, used by the tests as oracles."""
+"""Dense views of a SparseMatrix and of a bar cochain, used by the tests
+as oracles."""
 
+from cohomolab.bar_cohomology import Cochain, cell_index, n_cells
 from cohomolab.exact_linalg import SparseMatrix
 
 
@@ -24,3 +26,12 @@ def mul_vector(M: SparseMatrix, x: list[int]) -> list[int]:
         for i, v in col.items():
             out[i] += v * x[j]
     return out if M.p is None else [v % M.p for v in out]
+
+
+def cochain_vector(c: Cochain) -> list[int]:
+    """c as a dense vector, cell j at cell_index (coboundary_matrix's
+    column order)."""
+    vec = [0] * n_cells(c.group, c.degree)
+    for key, v in c.data.items():
+        vec[cell_index(c.group, key)] = v
+    return vec

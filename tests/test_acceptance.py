@@ -26,6 +26,7 @@ from cohomolab.groups import (
     subgroup_closure,
 )
 from cohomolab.invariant_rings import dickson_check, held_5_part_check
+from complex_helpers import full_simplex
 
 RNG = random.Random(2024)
 
@@ -192,9 +193,9 @@ def test_criterion_12_davis_euler_characteristics():
                      "on six complexes; positive chi; S^2-link 3-manifold"):
         cases = [
             dv.SimplicialComplex(1, [[0]]),
-            dv.full_simplex(2),
+            full_simplex(2),
             dv.SimplicialComplex(2, [[0], [1]]),
-            dv.full_simplex(3),
+            full_simplex(3),
             dv.barycentric_subdivision(dv.simplex_boundary(4)),
             dv.barycentric_subdivision(dv.moore_complex(2)),
         ]

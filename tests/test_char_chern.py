@@ -12,13 +12,21 @@ from cohomolab.char_chern import (
     pc,
     pc_report,
 )
+from cohomolab import char_chern
+from cohomolab.char_chern import _eigenvalue_multiplicities, _subgroup_sources
 from cohomolab.groups import (
+    build_M,
     build_P,
     build_cyclic,
     build_product,
     singer_group,
     subgroup_closure,
     symmetric_3,
+)
+from group_helpers import (
+    induce_linear_elementwise,
+    inner_elementwise,
+    per_element,
 )
 
 
@@ -114,10 +122,78 @@ def test_irreducibles_singer_72():
     assert sorted(c.degree() for c in irr) == [1] * 8 + [8]
 
 
-def test_characters_constant_on_classes():
-    G = build_P(3, 3)
+ORACLE_GROUPS = {
+    "S3": symmetric_3,
+    "P(3,3)": lambda: build_P(3, 3),
+    "M(3,3)": lambda: build_M(3, 3),
+    "Singer(3,2)": lambda: singer_group(3, 2),
+    "C2xC3xC3": lambda: build_product(
+        [build_cyclic(2), build_cyclic(3), build_cyclic(3)]),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+def test_induce_linear_matches_elementwise_oracle(name):
+    # the per-class values, read at every element, are the induction
+    # formula evaluated there, so every induced character is constant on
+    # classes
+    G = ORACLE_GROUPS[name]()
+    N = G.exponent()
+    for H in _subgroup_sources(G):
+        for exps in linear_character_exponents(H.as_group(), N):
+            assert per_element(induce_linear(H, exps, N)) == \
+                induce_linear_elementwise(H, exps, N)
+
+
+@pytest.mark.parametrize("name", ["S3", "P(3,3)", "Singer(3,2)"])
+def test_inner_matches_elementwise_sum(name):
+    G = ORACLE_GROUPS[name]()
+    N = G.exponent()
+    # permutation characters of proper subgroups: reducible, norm > 1
+    induced = [induce_linear(H, [0] * H.order, N)
+               for H in _subgroup_sources(G)[1:5]]
+    assert all(chi.norm() > 1 for chi in induced)
+    chars = irreducible_characters(G) + induced
+    for a in chars:
+        for b in chars:
+            assert a.inner(b) == inner_elementwise(per_element(a),
+                                                   per_element(b), G)
+
+
+def test_inner_and_multiplicities_reduce_once(monkeypatch):
+    G = build_P(3, 3)  # N = 3: products reach x^2 and need one reduction
+    irr = irreducible_characters(G)
+    g = next(x for x in range(G.order) if G.element_order(x) == 3)
+    reduce = char_chern._reduce_mod_phi
+    calls = []
+    monkeypatch.setattr(char_chern, "_reduce_mod_phi",
+                        lambda N, cs: calls.append(N) or reduce(N, cs))
+    for a in irr:
+        for b in irr:
+            calls.clear()
+            a.inner(b)
+            assert calls == [3]
+        calls.clear()
+        _eigenvalue_multiplicities(a, g, 3)
+        assert calls == [3] * 3  # once per eigenvalue zeta_3^j
+
+
+@pytest.mark.parametrize("name", ["P(3,3)", "Singer(3,2)"])
+def test_eigenvalue_multiplicities_match_elementwise_sum(name):
+    G = ORACLE_GROUPS[name]()
     for chi in irreducible_characters(G):
-        assert chi.is_constant_on_classes()
+        N, values = chi.conductor, per_element(chi)
+        for g in range(G.order):
+            if G.element_order(g) != 3:
+                continue
+            want = []
+            for j in range(3):
+                acc = Cyclotomic.zero(N)
+                for k in range(3):
+                    acc = acc + values[G.power(g, k)] * Cyclotomic.root(
+                        N, -j * k * (N // 3))
+                want.append(acc.divide_exact(3))
+            assert _eigenvalue_multiplicities(chi, g, 3) == want
 
 
 def test_orthonormality_checks_each_unordered_pair_once(monkeypatch):
@@ -164,20 +240,24 @@ def test_orthonormality_and_column_orthogonality():
     for i, a in enumerate(irr):
         for j, b in enumerate(irr):
             assert a.inner(b) == (1 if i == j else 0)
-    # column orthogonality: sum over chi of chi(g) chi(g^-1) = |C_G(g)|
-    for g in range(G.order):
+    # column orthogonality: sum over chi of chi(K) chi(K^-1) = |C_G(g)|
+    # for g in K, and |C_G(g)| = |G| / |K|
+    cls = G.classes()
+    for k, (g, k_inv) in enumerate(zip(cls.reps, cls.inverse)):
         centralizer = sum(1 for x in range(G.order) if G.conj(x, g) == g)
         N = irr[0].conductor
         acc = Cyclotomic.zero(N)
         for chi in irr:
-            acc = acc + chi.values[g] * chi.values[G.inv[g]]
-        assert acc.as_integer() == centralizer
+            acc = acc + chi.values[k] * chi.values[k_inv]
+        assert acc.as_integer() == centralizer == G.order // cls.sizes[k]
 
 
 def test_class_function_validation():
     G = build_cyclic(3)
     with pytest.raises(ValueError):
         ClassFunction(G, [Cyclotomic.integer(3, 1)])
+    with pytest.raises(ValueError):  # one value per element, 3 classes
+        ClassFunction(symmetric_3(), [Cyclotomic.integer(6, 1)] * 6)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,11 @@ from cohomolab.cli import (
 )
 from cohomolab.davis import (
     barycentric_subdivision,
-    complex_to_dict,
     moore_complex,
     simplex_boundary,
 )
 from cohomolab.groups import build_cyclic
+from complex_helpers import complex_to_dict
 
 C3 = '{"family": "cyclic", "n": 3}'
 
@@ -487,6 +487,19 @@ def test_character_search_incomplete_exits_1(capsys, monkeypatch):
     from cohomolab import char_chern
     monkeypatch.setattr(char_chern, "_subgroup_sources", lambda G: [])
     _exits_1_without_traceback(capsys, PC_C3, "character search incomplete")
+
+
+def test_missing_irreducible_exits_1(capsys, monkeypatch):
+    # the squared degrees of the rest no longer add up to |G| either, but
+    # the class count is checked first
+    from cohomolab import char_chern
+    search = char_chern._monomial_search
+    monkeypatch.setattr(char_chern, "_monomial_search",
+                        lambda G, sources: search(G, sources)[:-1])
+    _exits_1_without_traceback(
+        capsys, ["chern", "pc", "--group", '{"family": "P", "n": 3, "p": 3}',
+                 "--p", "3"],
+        "10 irreducible characters for 11 conjugacy classes")
 
 
 def test_orthonormality_failure_exits_1(capsys, monkeypatch):

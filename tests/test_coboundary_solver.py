@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from cohomolab import bar_cohomology as bc
 from cohomolab.exact_linalg import Echelon, kernel_mod_p, solve
 from cohomolab.groups import build_cyclic, build_product, symmetric_3
+from matrix_helpers import cochain_vector
 
 C3xC3 = build_product([build_cyclic(3), build_cyclic(3)])
 
@@ -46,7 +47,7 @@ def _from_vector(G, n, p, vec):
 def test_cocycle_basis_is_the_kernel_of_delta(G, n, p):
     M = bc.coboundary_matrix(G, n, p)
     kernel = [[v.get(j, 0) for j in range(M.n_cols)] for v in kernel_mod_p(M)]
-    assert [bc.cochain_vector(z) for z in bc.cocycle_basis(G, n, p)] \
+    assert [cochain_vector(z) for z in bc.cocycle_basis(G, n, p)] \
         == kernel
     assert all(bc.is_cocycle(z) for z in bc.cocycle_basis(G, n, p))
 
@@ -78,7 +79,7 @@ def test_find_primitive_matches_solve(case, p, data):
         c = bc.coboundary(_cochain(data.draw, G, n, p))
     else:
         c = _cochain(data.draw, G, n + 1, p)
-    x = solve(bc.coboundary_matrix(G, n, p), bc.cochain_vector(c))
+    x = solve(bc.coboundary_matrix(G, n, p), cochain_vector(c))
     prim = bc.find_primitive(c)
     if x is None:
         assert prim is None

@@ -15,9 +15,7 @@ from cohomolab.davis import (
     chiswell_chi,
     cohomology_degree,
     complex_from_dict,
-    complex_to_dict,
     davis_quotient,
-    full_simplex,
     homology,
     link,
     moore_complex,
@@ -31,6 +29,7 @@ from cohomolab.davis import (
 )
 from cohomolab.davis import _chain_complex, _chain_counts
 from cohomolab.exact_linalg import SparseMatrix, smith_normal_form
+from complex_helpers import complex_to_dict, full_simplex
 
 Z = HomologyGroup(1, ())
 ZERO = HomologyGroup(0, ())

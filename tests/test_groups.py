@@ -19,12 +19,12 @@ from cohomolab.groups import (
     build_group,
     build_product,
     build_semidirect,
-    center_and_derived,
     order_p_subgroup_classes,
     singer_group,
     subgroup_closure,
     symmetric_3,
 )
+from group_helpers import brute_classes, center_and_derived
 
 
 def brute_order_p_subgroups(G, p):
@@ -514,3 +514,33 @@ def test_no_assert_statements_in_src():
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+CLASS_COUNTS = {
+    "S3": (symmetric_3, 3),
+    "Singer(3,2)": (lambda: singer_group(3, 2), 9),
+    "P(3,3)": (lambda: build_P(3, 3), 11),
+    "M(3,3)": (lambda: build_M(3, 3), 11),
+    "G(1,1)": (lambda: build_G_a1(1, 3), 11),
+    "P_2(3)": (lambda: build_group({"family": "P_2", "p": 3}), 11),
+    "P(3,5)": (lambda: build_P(3, 5), 29),
+    "C2xC3xC3": (lambda: build_product(
+        [build_cyclic(2), build_cyclic(3), build_cyclic(3)]), 18),
+}
+
+
+@pytest.mark.parametrize("name", list(CLASS_COUNTS))
+def test_classes_match_brute_force_conjugation(name):
+    build, count = CLASS_COUNTS[name]
+    G = build()
+    cls = G.classes()
+    want = brute_classes(G)
+    assert len(cls.reps) == len(cls.sizes) == len(want) == count
+    for k, members in enumerate(want):
+        assert {g for g in range(G.order) if cls.of[g] == k} == members
+        assert cls.reps[k] == min(members)
+        assert cls.sizes[k] == len(members)
+        inverses = {G.inv[g] for g in members}
+        assert want[cls.inverse[k]] == inverses
+    assert want[0] == {0}
+    assert G.classes() is cls  # computed once per group

@@ -158,3 +158,29 @@ def test_a_cache_read_builds_no_translate(argv, tmp_path, monkeypatch,
     assert main(argv) == EXIT_PASS
     assert capsys.readouterr().out == cold
     assert calls == []
+
+
+def test_minimal_dims_rank_no_induced_matrix(tmp_path, monkeypatch, capsys):
+    # on the minimal path every d_n (x) F_p was checked to vanish, so the
+    # dims are the ranks; rank_mod_p sees module matrices only (|G| rows
+    # per generator), cold, and nothing on a warm read
+    import json
+    from cohomolab import resolution
+    from cohomolab.cli import EXIT_PASS, main
+    monkeypatch.delenv("COHOMOLAB_CACHE", raising=False)
+    argv = ["--cache-dir", str(tmp_path), "cohomology", "dims", "--group",
+            '{"family": "P", "n": 3, "p": 3}', "--p", "3", "--max-degree", "4"]
+    rank_mod_p = resolution.rank_mod_p
+    rows = []
+    monkeypatch.setattr(resolution, "rank_mod_p",
+                        lambda M: rows.append(M.n_rows) or rank_mod_p(M))
+    outs = []
+    for _ in range(2):  # cold, then warm
+        rows.clear()
+        monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+        assert main(argv) == EXIT_PASS
+        outs.append(capsys.readouterr().out)
+        assert all(n % 27 == 0 for n in rows)
+    assert rows == []
+    assert outs[0] == outs[1]
+    assert json.loads(outs[1])["dims"] == [1, 2, 4, 6, 7]
