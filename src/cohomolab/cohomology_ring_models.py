@@ -143,59 +143,76 @@ class RingModel(GradedRing):
 
     def mul(self, u: Element, v: Element) -> Element:
         out: Element = {}
+        reduce_into = self._reduce_into
         for (z1, a1, b1, m1, n1, c1), x1 in u.items():
             for (z2, a2, b2, m2, n2, c2), x2 in v.items():
-                coeff = x1 * x2
-                if n1 and m2:  # move the second mu past the first nu
-                    coeff = -coeff
-                chis = tuple(sorted(c for c in (c1, c2) if c))
-                self._reduce_into(out, z1 + z2, a1 + a2, b1 + b2,
-                                  m1 + m2, n1 + n2, chis, coeff)
-        return {m: c for m, c in out.items() if c}
+                if m1 and m2 or n1 and n2:
+                    continue  # mu^2 = nu^2 = 0
+                if c1 and c2:
+                    chis = (c1, c2) if c1 <= c2 else (c2, c1)
+                else:
+                    chis = (c1 or c2,) if c1 or c2 else ()
+                # moving the second mu past the first nu changes the sign
+                reduce_into(out, z1 + z2, a1 + a2, b1 + b2, m1 + m2, n1 + n2,
+                            chis, -x1 * x2 if n1 and m2 else x1 * x2)
+        return out
 
     def _reduce_into(self, out: Element, z: int, a: int, b: int,
                      mu: int, nu: int, chis: tuple, coeff: int) -> None:
-        coeff %= self.p
+        """Add coeff times zeta^z alpha^a beta^b mu^mu nu^nu and the chi_i,
+        i in the sorted tuple chis, to out in normal form.  Every
+        rewriting rule of the presentation is applied here."""
+        p = self.p
+        coeff %= p
         if coeff == 0 or mu > 1 or nu > 1:
             return
-        p = self.p
-        if chis and (a or b or mu or nu):
-            c, rest = chis[0], chis[1:]
-            if c < p - 1:
-                return  # alpha/beta/mu/nu times chi_i vanishes for i < p-1
-            if a:
-                self._reduce_into(out, z, a + p - 1, b, mu, nu, rest, -coeff)
-            elif b:
-                self._reduce_into(out, z, a, b + p - 1, mu, nu, rest, -coeff)
-            elif mu:
-                self._reduce_into(out, z, a, b + p - 1, 1, nu, rest, -coeff)
+        chi = 0
+        if chis:
+            if a or b or mu or nu:
+                for c in chis:
+                    if c < p - 1:
+                        return  # alpha/beta/mu/nu times chi_i, i < p-1, is 0
+                    # chi_(p-1) x = -alpha^(p-1) x if x has alpha, or nu and
+                    # no beta or mu; otherwise -beta^(p-1) x
+                    coeff = -coeff
+                    if a or not (b or mu):
+                        a += p - 1
+                    else:
+                        b += p - 1
+            elif len(chis) == 2:
+                if chis[0] == chis[1] == p - 1:
+                    # chi_(p-1)^2 = alpha^(2p-2) + beta^(2p-2)
+                    #               - alpha^(p-1) beta^(p-1)
+                    for da, db, c in ((2 * p - 2, 0, coeff),
+                                      (0, 2 * p - 2, coeff),
+                                      (p - 1, p - 1, -coeff)):
+                        self._reduce_into(out, z, da, db, 0, 0, (), c)
+                return  # all other chi products are multiples of p
             else:
-                self._reduce_into(out, z, a + p - 1, b, mu, 1, rest, -coeff)
-            return
-        if len(chis) >= 2:
-            (c1, c2), rest = chis[:2], chis[2:]
-            if c1 == p - 1 and c2 == p - 1:
-                for da, db, s in ((2 * p - 2, 0, 1), (0, 2 * p - 2, 1),
-                                  (p - 1, p - 1, -1)):
-                    self._reduce_into(out, z, a + da, b + db, mu, nu,
-                                      rest, s * coeff)
-            return  # all other chi products are multiples of p
+                chi = chis[0]
         if mu and nu:
-            if p > 3:
-                self._reduce_into(out, z, a, b, 0, 0, chis + (3,),
-                                  coeff * self.lam)
-            return  # mu*nu is a multiple of 3 for p = 3
-        if nu and b:
-            self._reduce_into(out, z, a + 1, b - 1, 1, 0, chis, coeff)
-            return
-        if mu:
-            while a >= 1 and b >= p - 1:
-                a, b = a + p - 1, b - (p - 1)
-        elif not nu:
-            while a >= 1 and b >= p:
-                a, b = a + p - 1, b - (p - 1)
-        m = (z, a, b, mu, nu, chis[0] if chis else 0)
-        nc = (out.get(m, 0) + coeff) % self.p
+            # mu*nu is a multiple of 3 for p = 3, and lam*chi_3 times alpha
+            # or beta vanishes for p > 3
+            if p == 3 or a or b:
+                return
+            mu = nu = 0
+            chi = 3
+            coeff = coeff * self.lam % p
+        elif nu and b:
+            a, b, mu, nu = a + 1, b - 1, 1, 0  # beta nu = alpha mu
+        if a:
+            # alpha beta^(p-1) mu = alpha^p mu and alpha beta^p = alpha^p
+            # beta, applied k times in one step
+            if mu:
+                k = b // (p - 1)
+            elif not nu and b >= p:
+                k = (b - 1) // (p - 1)
+            else:
+                k = 0
+            a += k * (p - 1)
+            b -= k * (p - 1)
+        m = (z, a, b, mu, nu, chi)
+        nc = (out.get(m, 0) + coeff) % p
         if nc:
             out[m] = nc
         else:
@@ -214,18 +231,21 @@ class RingModel(GradedRing):
     def certify(self) -> None:
         """Randomized associativity and graded-commutativity check of the
         rewriting multiplication on CERTIFY_SAMPLES triples of basis
-        monomials of degree <= 4p, drawn from random.Random(CERTIFY_SEED)."""
+        monomials of degree <= 4p, drawn from random.Random(CERTIFY_SEED).
+        u*v serves both checks, so a triple costs five products."""
         rng = random.Random(CERTIFY_SEED)
         D = 4 * self.p
+        mul = self.mul
         for _ in range(CERTIFY_SAMPLES):
             u = self.random_monomial(rng, D)
             v = self.random_monomial(rng, D)
             w = self.random_monomial(rng, D)
-            if self.mul(self.mul(u, v), w) != self.mul(u, self.mul(v, w)):
+            uv = mul(u, v)
+            if mul(uv, w) != mul(u, mul(v, w)):
                 raise ArithmeticError(f"associativity fails on {u},{v},{w}")
             du, dv = self.element_degree(u), self.element_degree(v)
             sign = -1 if (du * dv) % 2 else 1
-            if self.mul(u, v) != self.scale(self.mul(v, u), sign):
+            if uv != self.scale(mul(v, u), sign):
                 raise ArithmeticError(f"graded commutativity fails: {u},{v}")
 
     def relation_checks(self, images: Optional[dict] = None,

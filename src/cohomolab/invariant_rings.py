@@ -51,9 +51,14 @@ class GradedRing:
         return self._basis_cache[d]
 
     def index_of(self, m) -> int:
+        """Position of m in basis(d), d its degree; ArithmeticError when a
+        product left the normal-form basis."""
         d = self.monomial_degree(m)
         self.basis(d)
-        return self._index_cache[d][m]
+        try:
+            return self._index_cache[d][m]
+        except KeyError:
+            raise ArithmeticError(_outside_basis(m, d)) from None
 
     def dim(self, d: int) -> int:
         return len(self.basis(d))
@@ -99,8 +104,14 @@ class GradedRing:
         under this same map replays those products one at a time: the
         image of m is the image of its word prefix times the image of its
         last letter, so each monomial whose prefix is memoised costs one
-        product."""
+        product.  For a one-term u the memoised image is copied once and
+        scaled only when the coefficient is not 1."""
+        if memo is not None and len(u) == 1:
+            (m, c), = u.items()
+            term = self._image(m, images, target, memo)
+            return dict(term) if c == 1 else target.scale(term, c)
         out: Element = {}
+        p = target.p
         for m, c in u.items():
             if memo is None:
                 term = target.one()
@@ -108,7 +119,12 @@ class GradedRing:
                     term = target.mul(term, images[g])
             else:
                 term = self._image(m, images, target, memo)
-            out = target.add(out, target.scale(term, c))
+            for mm, v in term.items():
+                nc = (out.get(mm, 0) + c * v) % p
+                if nc:
+                    out[mm] = nc
+                else:
+                    out.pop(mm, None)
         return out
 
     def _image(self, m, images, target: "GradedRing", memo: dict) -> Element:
@@ -130,13 +146,18 @@ class GradedRing:
         return self.basis(d)[self._index_cache[d][m]]
 
 
+def _outside_basis(m, d: int) -> str:
+    return f"product {m} is not a monomial of the degree-{d} basis"
+
+
 def fixed_subspace(ring: GradedRing,
                    maps: Sequence[Callable[[Element], Element]],
                    d: int) -> list[Element]:
     """Basis of the degree-d subspace fixed by every linear map in maps:
     the kernel of the blocks (g - 1), block gi on rows gi*n .. gi*n + n-1.
-    The maps preserve degree.  With no maps the zero matrix leaves the
-    whole component fixed."""
+    The maps preserve degree: an image outside basis(d) raises
+    ArithmeticError.  With no maps the zero matrix leaves the whole
+    component fixed."""
     basis = ring.basis(d)
     index = ring._index_cache[d]
     n = len(basis)
@@ -144,11 +165,17 @@ def fixed_subspace(ring: GradedRing,
         return []
     entries = []
     for gi, g in enumerate(maps):
+        row = gi * n
         for j, m in enumerate(basis):
             img = g({m: 1})
-            img[m] = img.get(m, 0) - 1
-            entries.extend((gi * n + index[mm], j, c)
-                           for mm, c in img.items() if c)
+            try:  # the entries of g - 1; SparseMatrix drops the zeros
+                entries.extend((row + index[mm], j, c - 1 if mm == m else c)
+                               for mm, c in img.items())
+            except KeyError as exc:
+                raise ArithmeticError(_outside_basis(exc.args[0], d)) \
+                    from None
+            if m not in img:
+                entries.append((row + j, j, -1))
     mat = SparseMatrix(n * max(1, len(maps)), n, entries, p=ring.p)
     return [{basis[j]: v for j, v in vec.items()}
             for vec in kernel_mod_p(mat)]
@@ -273,7 +300,18 @@ class GradedAlgebra(GradedRing):
     def mul(self, u: Element, v: Element) -> Element:
         out: dict[Monomial, int] = {}
         p = self.p
-        add = int.__add__
+        add = _EXPONENT_ADD.get(len(self.poly_degrees), _add_exponents)
+        if not self.ext_degrees:  # every bit tuple is (): no signs
+            terms = [(e2, c2) for (e2, _), c2 in v.items()]
+            for (e1, _), c1 in u.items():
+                for e2, c2 in terms:
+                    m = (add(e1, e2), ())
+                    nc = (out.get(m, 0) + c1 * c2) % p
+                    if nc:
+                        out[m] = nc
+                    else:
+                        out.pop(m, None)
+            return out
         terms = [(e2, b2, any(b2), c2) for (e2, b2), c2 in v.items()]
         for (e1, b1), c1 in u.items():
             ext1 = any(b1)
@@ -286,18 +324,30 @@ class GradedAlgebra(GradedRing):
                     for j, y in enumerate(b2):
                         if y and sum(b1[j + 1:]) % 2:
                             sign = -sign
-                    b = tuple(map(add, b1, b2))
+                    b = _add_exponents(b1, b2)
                     c = sign * c1 * c2
                 else:  # at most one factor has exterior bits: no sign
                     b = b1 if ext1 else b2
                     c = c1 * c2
-                m = (tuple(map(add, e1, e2)), b)
+                m = (add(e1, e2), b)
                 nc = (out.get(m, 0) + c) % p
                 if nc:
                     out[m] = nc
                 else:
                     out.pop(m, None)
         return out
+
+
+def _add_exponents(e1: tuple, e2: tuple) -> tuple:
+    return tuple(map(int.__add__, e1, e2))
+
+
+# exponent sums written out for the small arities of every algebra here
+_EXPONENT_ADD = {
+    1: lambda e1, e2: (e1[0] + e2[0],),
+    2: lambda e1, e2: (e1[0] + e2[0], e1[1] + e2[1]),
+    3: lambda e1, e2: (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2]),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,75 @@
+"""RingModel's multiplication one rewriting step at a time, the oracle of
+RingModel.mul: the chi indices sorted per term pair, one recursive call
+per rewriting step, and the straightening as while loops.  Its two
+straightening thresholds can be moved to make mutants of the rules."""
+
+
+def reference_rules(mu_shift: int = 0, plain_shift: int = 0):
+    """A RingModel._reduce_into that applies one rule per call.
+    alpha beta^b mu straightens while b >= p - 1 + mu_shift, and alpha
+    beta^b without mu or nu while b >= p + plain_shift."""
+
+    def reduce_into(model, out, z, a, b, mu, nu, chis, coeff):
+        p = model.p
+        coeff %= p
+        if coeff == 0 or mu > 1 or nu > 1:
+            return
+        if chis and (a or b or mu or nu):
+            c, rest = chis[0], chis[1:]
+            if c < p - 1:
+                return
+            if a:
+                reduce_into(model, out, z, a + p - 1, b, mu, nu, rest, -coeff)
+            elif b:
+                reduce_into(model, out, z, a, b + p - 1, mu, nu, rest, -coeff)
+            elif mu:
+                reduce_into(model, out, z, a, b + p - 1, 1, nu, rest, -coeff)
+            else:
+                reduce_into(model, out, z, a + p - 1, b, mu, 1, rest, -coeff)
+            return
+        if len(chis) >= 2:
+            (c1, c2), rest = chis[:2], chis[2:]
+            if c1 == p - 1 and c2 == p - 1:
+                for da, db, s in ((2 * p - 2, 0, 1), (0, 2 * p - 2, 1),
+                                  (p - 1, p - 1, -1)):
+                    reduce_into(model, out, z, a + da, b + db, mu, nu,
+                                rest, s * coeff)
+            return
+        if mu and nu:
+            if p > 3:
+                reduce_into(model, out, z, a, b, 0, 0, chis + (3,),
+                            coeff * model.lam)
+            return
+        if nu and b:
+            reduce_into(model, out, z, a + 1, b - 1, 1, 0, chis, coeff)
+            return
+        if mu:
+            while a >= 1 and b >= p - 1 + mu_shift:
+                a, b = a + p - 1, b - (p - 1)
+        elif not nu:
+            while a >= 1 and b >= p + plain_shift:
+                a, b = a + p - 1, b - (p - 1)
+        m = (z, a, b, mu, nu, chis[0] if chis else 0)
+        nc = (out.get(m, 0) + coeff) % p
+        if nc:
+            out[m] = nc
+        else:
+            out.pop(m, None)
+
+    return reduce_into
+
+
+REFERENCE_RULES = reference_rules()
+
+
+def reference_ring_mul(model, u, v):
+    out = {}
+    for (z1, a1, b1, m1, n1, c1), x1 in u.items():
+        for (z2, a2, b2, m2, n2, c2), x2 in v.items():
+            coeff = x1 * x2
+            if n1 and m2:  # move the second mu past the first nu
+                coeff = -coeff
+            chis = tuple(sorted(c for c in (c1, c2) if c))
+            REFERENCE_RULES(model, out, z1 + z2, a1 + a2, b1 + b2,
+                            m1 + m2, n1 + n2, chis, coeff)
+    return {m: c for m, c in out.items() if c}

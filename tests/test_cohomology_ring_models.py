@@ -1,11 +1,13 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from cohomolab.bar_cohomology import cohomology_dims_mod_p
-from cohomolab.cli import EXIT_INPUT, main
+from cohomolab.cli import EXIT_FAILURE, EXIT_INPUT, main
 from cohomolab.cohomology_ring_models import (
+    CERTIFY_SAMPLES,
     RestrictionMap,
     RingAutomorphism,
     RingModel,
@@ -21,6 +23,7 @@ from cohomolab.cohomology_ring_models import (
 from cohomolab.groups import build_P
 from cohomolab.invariant_rings import (GradedAlgebra, fixed_dims,
                                        fixed_subspaces)
+from ring_helpers import reference_ring_mul, reference_rules
 
 
 # ---------------------------------------------------------------------------
@@ -64,6 +67,18 @@ def test_straightening_rule():
     lhs = m.mul(m.power(a, 3), b)
     rhs = m.mul(m.power(b, 3), a)
     assert lhs == rhs != {}
+
+
+@pytest.mark.parametrize("p, lam", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 3)])
+def test_mul_matches_the_stepwise_rules_on_every_basis_pair(p, lam):
+    """Every product of two basis monomials of degree <= 4p, with
+    coefficients 1 and p-1, against the rules applied step by step."""
+    m = RingModel(p, lam)
+    basis = [u for d in range(4 * p + 1) for u in m.basis(d)]
+    for i, u in enumerate(basis):
+        for j, v in enumerate(basis):
+            x, y = {u: 1}, {v: 1 if (i + j) % 2 else p - 1}
+            assert m.mul(x, y) == reference_ring_mul(m, x, y), (u, v)
 
 
 def test_graded_commutativity_on_odd_generators():
@@ -412,3 +427,83 @@ def test_certificate_agrees_with_brute_force_multiplicativity(monkeypatch):
              for M, j in pairs]
     assert accepted == brute
     assert 0 < sum(accepted) < len(accepted)
+
+
+# ---------------------------------------------------------------------------
+# the sampled certificate of the multiplication
+# ---------------------------------------------------------------------------
+
+# sha256 of the 1,500 monomials certify draws (u, v, w per triple, each
+# as its sorted items): a change to the sample must change these
+CERTIFY_SAMPLE_DIGESTS = {3: "dc46e6e67ccfa921", 5: "7b2e246dc0c1eb24",
+                          7: "97a41f53e8560172"}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_certify_draws_the_pinned_sample(monkeypatch, p):
+    drawn = []
+    draw = RingModel.random_monomial
+
+    def recording(self, rng, max_degree):
+        u = draw(self, rng, max_degree)
+        drawn.append(sorted(u.items()))
+        return u
+
+    monkeypatch.setattr(RingModel, "random_monomial", recording)
+    RingModel(p).certify()
+    assert len(drawn) == 3 * CERTIFY_SAMPLES
+    digest = hashlib.sha256(repr(drawn).encode()).hexdigest()[:16]
+    assert digest == CERTIFY_SAMPLE_DIGESTS[p]
+
+
+def test_certify_checks_each_triple_with_five_products(monkeypatch):
+    """Per drawn triple u, v, w: u*v, (u*v)*w, v*w, u*(v*w) and v*u, in
+    any order, and nothing else."""
+    draws, calls = [], []
+    draw, mul = RingModel.random_monomial, RingModel.mul
+
+    def recording_draw(self, rng, max_degree):
+        draws.append(draw(self, rng, max_degree))
+        return draws[-1]
+
+    def recording_mul(self, u, v):
+        calls.append((u, v))
+        return mul(self, u, v)
+
+    monkeypatch.setattr(RingModel, "random_monomial", recording_draw)
+    monkeypatch.setattr(RingModel, "mul", recording_mul)
+    m = RingModel(5)
+    m.certify()
+    assert len(draws) == 3 * CERTIFY_SAMPLES
+    assert len(calls) == 5 * CERTIFY_SAMPLES
+    for i in range(CERTIFY_SAMPLES):
+        u, v, w = draws[3 * i:3 * i + 3]
+        expected = [(u, v), (mul(m, u, v), w), (v, w), (u, mul(m, v, w)),
+                    (v, u)]
+        assert sorted(map(repr, calls[5 * i:5 * i + 5])) == \
+            sorted(map(repr, expected))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_certify_refuses_a_wrong_straightening_rule(monkeypatch, p):
+    # alpha beta^(p-1) -> alpha^p: every relation still holds, only the
+    # sample sees that the product is no longer associative
+    monkeypatch.setattr(RingModel, "_reduce_into",
+                        reference_rules(plain_shift=-1))
+    m = RingModel(p)
+    m.require_relations()
+    with pytest.raises(ArithmeticError, match="associativity fails"):
+        m.certify()
+
+
+def test_a_product_outside_the_basis_exits_1(monkeypatch, capsys):
+    # alpha beta^(p-2) mu -> alpha^p beta^(-1) mu passes certify and the
+    # relations; the fixed subspace meets the monomial outside the basis
+    monkeypatch.setattr(RingModel, "_reduce_into",
+                        reference_rules(mu_shift=-1))
+    for p in (3, 5, 7):
+        rc = main(["ringmodel", "fixed", "--p", str(p), "--action",
+                   "C3-shear-3.4", "--max-degree", "30"])
+        assert rc == EXIT_FAILURE
+        err = capsys.readouterr().err
+        assert f"(0, {p}, -1, 1, 0, 0) is not a monomial" in err

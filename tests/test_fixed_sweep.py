@@ -59,9 +59,10 @@ def test_memoised_images_match_plain_images(case):
     for M in act.matrices:
         memo = {}
         for d in range(D + 1):
-            for m in A.basis(d):
-                assert act.apply_matrix(M, {m: 1}, memo) == \
-                    act.apply_matrix(M, {m: 1})
+            for u in _one_and_many_terms(A, d):
+                img = act.apply_matrix(M, u, memo)
+                assert img == act.apply_matrix(M, u)
+                img.clear()  # the caller owns the image, not the memo
 
 
 @pytest.mark.parametrize("p,name", [(3, "C3-shear-3.4"), (5, "C3-shear-3.4"),
@@ -81,8 +82,18 @@ def test_memoised_restriction_matches_plain(p, name):
     rmap = named_restriction(model, name)
     memo = {}
     for d in range(4 * p + 1):
-        for m in model.basis(d):
-            assert rmap.apply({m: 1}, memo) == rmap.apply({m: 1})
+        for u in _one_and_many_terms(model, d):
+            img = rmap.apply(u, memo)
+            assert img == rmap.apply(u)
+            img.clear()
+
+
+def _one_and_many_terms(ring, d):
+    """Each degree-d basis monomial with a coefficient from 1 to p-1 in
+    turn, then their sum."""
+    terms = [{m: 1 + i % (ring.p - 1)} for i, m in enumerate(ring.basis(d))]
+    whole = {m: c for u in terms for m, c in u.items()}
+    return terms + [whole] if len(whole) > 1 else terms
 
 
 @pytest.mark.parametrize("ring", [GradedAlgebra(5, [2, 2], [3]),

@@ -76,13 +76,25 @@ def reference_mul(A, u, v):
 
 @pytest.mark.parametrize("ext", [(), (1,), (1, 3), (2, 1, 1)])
 def test_mul_matches_the_pairwise_reference(ext):
+    # one to four polynomial variables: the sums written out for arity
+    # 1 to 3 and the general sum beyond
     rng = random.Random(len(ext))
-    A = GradedAlgebra(5, [1, 2], ext)
-    for _ in range(40):
-        u, v = ({m: rng.randrange(1, 5) for m in
-                 rng.sample(A.basis(d), min(4, len(A.basis(d))))}
-                for d in (rng.randrange(6), rng.randrange(6)))
-        assert A.mul(u, v) == reference_mul(A, u, v)
+    for poly in ([1, 2], [3], [1, 2, 2], [1, 1, 1, 1]):
+        A = GradedAlgebra(5, poly, ext)
+        for _ in range(40):
+            u, v = ({m: rng.randrange(1, 5) for m in
+                     rng.sample(A.basis(d), min(4, len(A.basis(d))))}
+                    for d in (rng.randrange(7), rng.randrange(7)))
+            assert A.mul(u, v) == reference_mul(A, u, v)
+
+
+def test_a_product_outside_the_basis_is_refused():
+    A = GradedAlgebra(3, [1, 1])
+    stray = ((2, -1), ())  # degree 1, but no basis monomial
+    with pytest.raises(ArithmeticError, match=r"\(2, -1\)"):
+        A.index_of(stray)
+    with pytest.raises(ArithmeticError, match="degree-1 basis"):
+        fixed_subspace(A, [lambda u: {stray: 1}], 1)
 
 
 def test_element_degree_checks_homogeneity():
