@@ -76,8 +76,8 @@ def reference_mul(A, u, v):
 
 @pytest.mark.parametrize("ext", [(), (1,), (1, 3), (2, 1, 1)])
 def test_mul_matches_the_pairwise_reference(ext):
-    # one to four polynomial variables: the sums written out for arity
-    # 1 to 3 and the general sum beyond
+    # one to four polynomial variables: the sums written out for two and
+    # three variables and the general sum for the others
     rng = random.Random(len(ext))
     for poly in ([1, 2], [3], [1, 2, 2], [1, 1, 1, 1]):
         A = GradedAlgebra(5, poly, ext)
