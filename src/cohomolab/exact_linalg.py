@@ -551,7 +551,9 @@ def _kernel_from_augmented(ech: Echelon,
 
 def kernel_mod_p(M: SparseMatrix) -> list[dict[int, int]]:
     """Basis of the right kernel of M over F_p, as sparse vectors
-    {column: value}."""
+    {column: value}.  An echelon basis: the least coordinates of the rows
+    strictly increase (each row's is its pivot in the augmented echelon),
+    which the minimal resolution's J*K pruning relies on."""
     if M.p is None:
         raise ValueError("kernel_mod_p requires a matrix over F_p")
     return _kernel_from_augmented(_augmented_echelon(M), M.n_rows)

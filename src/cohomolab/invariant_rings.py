@@ -158,20 +158,25 @@ def fixed_subspace(ring: GradedRing,
     n = len(basis)
     if n == 0:
         return []
-    entries = []
+    p = ring.p
+    cols: list[dict[int, int]] = [{} for _ in basis]
     for gi, g in enumerate(maps):
         row = gi * n
-        for j, m in enumerate(basis):
+        for m, col in zip(basis, cols):
             img = g({m: 1})
-            try:  # the entries of g - 1; SparseMatrix drops the zeros
-                entries.extend((row + index[mm], j, c - 1 if mm == m else c)
-                               for mm, c in img.items())
+            try:  # the entries of g - 1, reduced mod p, zeros dropped
+                for mm, c in img.items():
+                    c = (c - 1 if mm == m else c) % p
+                    if c:
+                        col[row + index[mm]] = c
             except KeyError as exc:
                 raise ArithmeticError(_outside_basis(exc.args[0], d)) \
                     from None
             if m not in img:
-                entries.append((row + j, j, -1))
-    mat = SparseMatrix(n * max(1, len(maps)), n, entries, p=ring.p)
+                col[row + index[m]] = p - 1
+    # written directly: the rows are basis indices inside their block
+    mat = SparseMatrix(n * max(1, len(maps)), n, p=p)
+    mat.cols = {j: col for j, col in enumerate(cols) if col}
     return [{basis[j]: v for j, v in vec.items()}
             for vec in kernel_mod_p(mat)]
 

@@ -17,6 +17,11 @@ generator.  Which cover is used depends on the ring:
   degree's kernel echelon, or from one rank_mod_p for the top
   differential.  Minimality is certified by the induced differential
   d_n (x) F_p vanishing, for every d_n built or read from the cache.
+  J*K is built one generator at a time, in an order where each generator
+  normalizes the subgroup of those before it wherever a greedy search
+  finds one (_normal_series).  Such a generator s_j needs (s_j - 1)*k
+  only for k running over a basis of K modulo the earlier stages, read
+  off the kernel's echelon rows with one dict lookup each.
 * Greedy, over Z and for groups that are not p-groups, where F_pG is not
   local.  A kernel vector outside the span of the translates of the
   generators so far becomes a generator (its reduced residue, which keeps
@@ -50,7 +55,7 @@ from typing import Optional
 from .exact_linalg import (Echelon, SparseMatrix, composes_to_zero,
                            is_prime, kernel_mod_p, kernel_z, rank_mod_p,
                            smith_normal_form)
-from .groups import FiniteGroup
+from .groups import FiniteGroup, closure_members
 
 # Version of the cache file layout, part of every file name.  Version 2
 # holds the generator columns of d_n only; version 1 held every column.
@@ -77,6 +82,8 @@ class FreeResolution:
         # dimension |G| - 1)
         self._unchecked: dict[int, int] = (
             {1: G.order - 1} if self.minimal else {})
+        # the generator order of the minimal cover, built on first use
+        self._series: Optional[list[tuple[int, bool]]] = None
         self.cache_dir = cache_dir if cache_dir is not None else os.environ.get(
             "COHOMOLAB_CACHE")
 
@@ -172,10 +179,26 @@ class FreeResolution:
 
     def _minimal_cover(self, kernel: list[dict[int, int]]) -> list[dict[int, int]]:
         """A basis of K / J*K, K spanned by kernel: the residues of the
-        kernel vectors modulo J*K and the earlier picks."""
+        kernel vectors modulo J*K and the earlier picks.
+
+        J*K is built along the generator order of _normal_series: stage j
+        adds (s_j - 1)*k to I = sum_(i<j) (s_i - 1)*K.  When s_j normalizes
+        H = <s_1 .. s_(j-1)>, I = J_H*K and (s_j - 1)*I lies in I, so k need
+        only run over a basis of K modulo I.  If the kernel rows have
+        distinct least coordinates (kernel_mod_p's rows do; d_1's g - e
+        all start at 0), the pivots of I are among them, and the rows whose
+        least coordinate is not a pivot of I are such a basis."""
+        if self._series is None:
+            self._series = _normal_series(self.G)
+        leads = [min(vec) for vec in kernel]
+        echelon = len(set(leads)) == len(leads)
         span = Echelon(p=self.p)
-        for s in self.G.generators:
-            for vec in kernel:  # (s - 1) * vec
+        for s, normal in self._series:
+            rows = kernel
+            if normal and echelon:
+                rows = [vec for vec, lead in zip(kernel, leads)
+                        if lead not in span.basis]
+            for vec in rows:  # (s - 1) * vec
                 t = self._translate(vec, s)
                 for k, v in vec.items():
                     t[k] = t.get(k, 0) - v
@@ -266,6 +289,39 @@ class FreeResolution:
         rep_next = smith_normal_form(self.induced_matrix(n + 1))
         rank = self.ranks[n] - rep_n.rank - rep_next.rank
         return rank, rep_next.torsion
+
+
+def _normal_series(G: FiniteGroup) -> list[tuple[int, bool]]:
+    """An order of generators of G, each with whether it normalizes the
+    subgroup H that the generators before it generate.  A generator
+    already in H is left out: s - 1 lies in J_H, so (s - 1)*K lies in
+    J_H*K.  Each generator taken then enlarges H, so an order has at most
+    log_p |G| entries.  From each start the next generator is the first
+    outside H that normalizes H, else the first outside H; the order with
+    the most normalizing generators wins, the earliest start on a tie."""
+    best: tuple[int, list[tuple[int, bool]]] = (-1, [])
+    for first in dict.fromkeys(s for s in G.generators if s != 0):
+        series, prefix, members = [], [], frozenset({0})
+        s: Optional[int] = first
+        while s is not None:
+            series.append((s, _normalizes(G, s, prefix, members)))
+            prefix.append(s)
+            members = closure_members(G, prefix)
+            outside = [t for t in G.generators if t not in members]
+            s = next((t for t in outside
+                      if _normalizes(G, t, prefix, members)),
+                     outside[0] if outside else None)
+        score = sum(normal for _, normal in series)
+        if score > best[0]:
+            best = (score, series)
+    return best[1]
+
+
+def _normalizes(G: FiniteGroup, s: int, prefix: list[int],
+                members: frozenset[int]) -> bool:
+    """s H s^-1 = H for H = <prefix>, whose elements are members."""
+    mul, t = G.mul, G.inv[s]
+    return all(mul[mul[s][h]][t] in members for h in prefix)
 
 
 def _is_power_of(order: int, p: int) -> bool:

@@ -652,6 +652,31 @@ def test_cached_differential_not_exact_exits_1(capsys, monkeypatch,
                                "not exact at F_0: rank d_1 = 1")
 
 
+def test_pruning_at_a_prefix_that_is_not_normal_exits_1(capsys, monkeypatch):
+    # every prefix taken as normal keeps M(4,3)'s declared order (27, 1),
+    # and 1 does not normalize <27>: the second stage then sees too few
+    # kernel vectors, J*K comes out too small and d_3 is not minimal
+    resolution = _fresh_resolutions(monkeypatch)
+    monkeypatch.setattr(resolution, "_normalizes", lambda *args: True)
+    _exits_1_without_traceback(
+        capsys, ["cohomology", "dims", "--group",
+                 '{"family": "M", "n": 4, "p": 3}', "--p", "3",
+                 "--max-degree", "3"],
+        "induced differential d_3 does not vanish")
+
+
+def test_many_repeated_generators_finish(capsys, monkeypatch):
+    # C_2 with 40 more generators, each the identity: the generator order
+    # of the minimal cover must not search their subsets
+    _fresh_resolutions(monkeypatch)
+    spec = json.dumps({"family": "semidirect", "p": 2, "n": 1,
+                       "matrices": [[[1]]] * 40})
+    argv = ["cohomology", "dims", "--group", spec, "--p", "2",
+            "--max-degree", "3"]
+    assert _within(30, main, argv) == 0
+    assert json.loads(capsys.readouterr().out)["dims"] == [1, 1, 1, 1]
+
+
 def test_failed_exactness_check_fails_again_from_the_memo(
         capsys, monkeypatch, tmp_path):
     # the resolution that failed stays in the process-wide memo; a second

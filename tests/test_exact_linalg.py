@@ -219,6 +219,22 @@ def test_kernel_z_property(n, m, rng):
     assert len(kern) == m - dense_rank_mod_p(rows, p)
 
 
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 6), st.integers(1, 12),
+       st.randoms(use_true_random=False))
+@settings(max_examples=80, deadline=None)
+def test_kernel_mod_p_rows_have_increasing_least_coordinates(p, n, m, rng):
+    # an echelon basis of the kernel, which the J*K pruning of the minimal
+    # resolution relies on
+    rows = [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(m)]
+            for _ in range(n)]
+    kern = kernel_mod_p(SparseMatrix.from_dense(rows, p=p))
+    leads = [min(v) for v in kern]
+    assert leads == sorted(set(leads))
+    assert len(kern) == m - dense_rank_mod_p(rows, p)
+    for v in dense(kern, m):
+        assert all(c % p == 0 for c in mat_mul_vec(rows, v))
+
+
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------

@@ -97,6 +97,37 @@ def test_a_product_outside_the_basis_is_refused():
         fixed_subspace(A, [lambda u: {stray: 1}], 1)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_fixed_subspace_matrix_is_reduced_mod_p(p, monkeypatch):
+    # fixed_subspace writes its matrix without the SparseMatrix checks, so
+    # it must hold what the constructor would: entries in 1..p-1, no zeros.
+    # g(m) = (1 + p)*m + p*m' is the identity mod p, so g - 1 is zero and
+    # the whole component is fixed; the SL_2 action checks a real one
+    from cohomolab import invariant_rings
+    from cohomolab.exact_linalg import SparseMatrix
+    mats = []
+    kernel = invariant_rings.kernel_mod_p
+    monkeypatch.setattr(invariant_rings, "kernel_mod_p",
+                        lambda M: mats.append(M) or kernel(M))
+    A = GradedAlgebra(p, [1, 1])
+    basis = A.basis(2)
+
+    def g(u):
+        (m, c), = u.items()
+        other = basis[(basis.index(m) + 1) % len(basis)]
+        return {m: c * (1 + p), other: c * p}
+
+    assert fixed_subspace(A, [g], 2) == [{m: 1} for m in basis]
+    assert mats[-1].cols == {}
+    act = MatrixAction(A, sl2_generators(p))
+    for d in range(1, 7):
+        fixed_subspace(A, act.maps, d)
+        M = mats[-1]
+        assert M.cols == SparseMatrix(M.n_rows, M.n_cols, M.entries(),
+                                      p=p).cols
+        assert all(0 < v < p for col in M.cols.values() for v in col.values())
+
+
 def test_element_degree_checks_homogeneity():
     A = GradedAlgebra(3, [1, 1])
     x, y = A.variable(0), A.variable(1)
