@@ -32,7 +32,7 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .exact_linalg import is_prime
-from .groups import (FiniteGroup, Subgroup, closure_members,
+from .groups import (FiniteGroup, Subgroup, closure_members, generating_set,
                      order_p_subgroup_classes)
 
 MAX_ENUM_ORDER = 200
@@ -228,24 +228,12 @@ class ClassFunction:
 # ---------------------------------------------------------------------------
 
 
-def _minimal_generators(G: FiniteGroup) -> list[int]:
-    gens: list[int] = []
-    covered = {0}
-    for g in range(1, G.order):
-        if g not in covered:
-            gens.append(g)
-            covered = closure_members(G, gens)
-            if len(covered) == G.order:
-                break
-    return gens
-
-
 def linear_character_exponents(H: FiniteGroup, N: int) -> list[list[int]]:
     """All homomorphisms H -> Z/N (characters h -> zeta_N^e(h)), as exponent
     vectors indexed by element.  N must be a multiple of exponent(H)."""
     if N % H.exponent() != 0:
         raise ValueError("conductor does not contain the character values")
-    gens = _minimal_generators(H) or []
+    gens = generating_set(H, range(H.order))
     if not gens:
         return [[0]]
     orders = [H.element_order(g) for g in gens]

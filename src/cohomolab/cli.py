@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     top = _Parser(
         prog="cohomolab",
         description="exact-arithmetic group-cohomology workbench")
-    top.add_argument("--cache-dir", default=os.environ.get("COHOMOLAB_CACHE"))
+    top.add_argument("--cache-dir", default=None)
     top.add_argument("--max-cells", type=int, default=None)
     top.add_argument("--json-out", default=None)
     commands = top.add_subparsers(dest="command", required=True,

@@ -845,6 +845,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    primes, q = [], 2
+    while q * q <= n:
+        if n % q == 0:
+            primes.append(q)
+            while n % q == 0:
+                n //= q
+        q += 1
+    if n > 1:  # the one prime factor above the square root
+        primes.append(n)
+    return primes
+
+
 def _mat_mul(A, B, p):
     k = len(A)
     return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(k)) % p
@@ -871,8 +885,9 @@ def matrix_group_closure(mats, p, k: int, cap: int) -> list:
 
 
 def _mat_det(A, p):
-    """Determinant mod p by cofactor expansion along the first row."""
+    """Determinant mod p by cofactor expansion along the first row (1 for
+    the empty matrix)."""
     if len(A) < 2:
-        return A[0][0] % p if A else 0
+        return A[0][0] % p if A else 1
     return sum((-1) ** j * v * _mat_det([r[:j] + r[j + 1:] for r in A[1:]], p)
                for j, v in enumerate(A[0])) % p

@@ -13,6 +13,13 @@ Families (all with p an odd prime unless noted):
            [B,A] = C^{e p^(n-3)}   (convention h^g = g^-1 h g)
   G_a1:    A^{p^a} = B^p = C^p = [A,C] = [B,C] = 1, [A,B] = C
   cyclic, direct products, and (C_p)^k semidirect a matrix group over F_p.
+
+Each group question has one routine: closure_members gives the subgroup
+a set generates (FiniteGroup's generation check included),
+generating_set a greedy generating set (Subgroup.as_group and the linear
+characters), FiniteGroup.classes the conjugacy classes, which also tell
+the classes of order-p subgroups apart (order_p_subgroup_classes), and
+_primitive_polynomial the Singer cycle.
 """
 
 from __future__ import annotations
@@ -22,7 +29,8 @@ import itertools
 import math
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exact_linalg import _mat_mul, is_prime, matrix_group_closure
+from .exact_linalg import (_mat_mul, _prime_factors, is_prime,
+                           matrix_group_closure)
 
 MAX_TABLE_ORDER = 4096
 
@@ -40,18 +48,17 @@ class ConjugacyClasses(NamedTuple):
 class FiniteGroup:
     """Immutable finite group on indices 0..order-1 with 0 = identity."""
 
-    __slots__ = ("order", "mul", "inv", "generators", "name", "labels",
-                 "_digest", "_classes")
+    __slots__ = ("order", "mul", "inv", "generators", "name", "_digest",
+                 "_classes")
 
     def __init__(self, mul: list[list[int]], generators: Sequence[int],
-                 name: str, labels: Optional[list[str]] = None):
+                 name: str):
         order = len(mul)
         if order == 0 or order > MAX_TABLE_ORDER:
             raise ValueError(f"group order {order} outside supported range")
         self.order = order
         self.mul = mul
         self.name = name
-        self.labels = labels
         # identity / inverses
         for g in range(order):
             if mul[0][g] != g or mul[g][0] != g:
@@ -67,16 +74,7 @@ class FiniteGroup:
             inv.append(h)
         self.inv = inv
         self.generators = tuple(generators)
-        gen = set(self.generators) | {0}
-        frontier = list(gen)
-        while frontier:
-            g = frontier.pop()
-            for s in self.generators:
-                for h in (mul[g][s], mul[s][g]):
-                    if h not in gen:
-                        gen.add(h)
-                        frontier.append(h)
-        if len(gen) != order:
+        if len(closure_members(self, self.generators)) != order:
             raise ValueError("declared generators do not generate the group")
         # Light's test: (x*s)*y = x*(s*y) for every x, y and generator s,
         # one row comparison per (s, x).  The elements s passing it are
@@ -120,10 +118,6 @@ class FiniteGroup:
         """h^g = g^-1 h g."""
         return self.mul[self.mul[self.inv[g]][h]][g]
 
-    def commutator(self, g: int, h: int) -> int:
-        """[g, h] = g^-1 h^-1 g h."""
-        return self.mul[self.mul[self.mul[self.inv[g]][self.inv[h]]][g]][h]
-
     def power(self, g: int, k: int) -> int:
         if k < 0:
             g, k = self.inv[g], -k
@@ -148,10 +142,6 @@ class FiniteGroup:
         for g in range(self.order):
             out = lcm(out, self.element_order(g))
         return out
-
-    def is_abelian(self) -> bool:
-        return all(self.mul[a][b] == self.mul[b][a]
-                   for a in range(self.order) for b in range(self.order))
 
     def digest(self) -> str:
         """Stable hash of the multiplication table, for cache keys."""
@@ -211,15 +201,14 @@ class Subgroup:
         return len(self.transversal)
 
     def as_group(self) -> FiniteGroup:
-        """The subgroup as a standalone FiniteGroup (its own numbering)."""
-        # renumber so the identity is 0 and order is by parent index
+        """The subgroup as a standalone FiniteGroup, its members numbered
+        in parent order (so the identity is 0), generated by
+        generating_set."""
         idx = self.index_of
         mul = [[idx[self.parent.mul[a][b]] for b in self.members]
                for a in self.members]
-        gens = [i for i in range(1, len(self.members))]
-        labels = [str(m) for m in self.members]
-        return FiniteGroup(mul, gens, f"{self.parent.name}|sub{len(self.members)}",
-                           labels)
+        gens = [idx[g] for g in generating_set(self.parent, self.members)]
+        return FiniteGroup(mul, gens, f"{self.parent.name}|sub{self.order}")
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.name})"
@@ -282,14 +271,6 @@ def _tabulate(moduli: list[int], compose,
     return [list(row) for row in zip(*cols)], gens
 
 
-def _table_from_normal_form(moduli: list[int], compose, gens_exp, name: str) -> FiniteGroup:
-    """_tabulate as a FiniteGroup labelled by the exponent vectors."""
-    mul, gens = _tabulate(moduli, compose, gens_exp)
-    labels = ["*".join(f"{c}^{v}" for c, v in zip("ABCDE", e) if v) or "1"
-              for e in itertools.product(*[range(m) for m in moduli])]
-    return FiniteGroup(mul, gens, name, labels)
-
-
 def _with_order(G: FiniteGroup, expected: int) -> FiniteGroup:
     """G, once its order is the one its construction promises."""
     if G.order != expected:
@@ -319,9 +300,9 @@ def build_P(n: int, p: int) -> FiniteGroup:
         a2, b2, c2 = e2
         return ((a1 + a2) % p, (b1 + b2) % p, (c1 + c2 - m * a2 * b1) % pc)
 
-    G = _table_from_normal_form([p, p, pc], compose,
-                                [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-                                f"P({n},p={p})")
+    G = FiniteGroup(*_tabulate([p, p, pc], compose,
+                               [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                    f"P({n},p={p})")
     return _with_order(G, p ** n)
 
 
@@ -340,8 +321,8 @@ def build_M(n: int, p: int) -> FiniteGroup:
         a2, b2 = e2
         return ((a1 + a2) % p, (b1 * pow(r, a2, pb) + b2) % pb)
 
-    G = _table_from_normal_form([p, pb], compose, [(1, 0), (0, 1)],
-                                f"M({n},p={p})")
+    G = FiniteGroup(*_tabulate([p, pb], compose, [(1, 0), (0, 1)]),
+                    f"M({n},p={p})")
     return _with_order(G, p ** n)
 
 
@@ -374,9 +355,9 @@ def build_B(n: int, epsilon: int, p: int) -> FiniteGroup:
         b1a, c1a = phi_pow(a2, b1, c1)
         return ((a1 + a2) % p, (b1a + b2) % p, (c1a + c2) % pc)
 
-    G = _table_from_normal_form([p, p, pc], compose,
-                                [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-                                f"B({n},{epsilon},p={p})")
+    G = FiniteGroup(*_tabulate([p, p, pc], compose,
+                               [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                    f"B({n},{epsilon},p={p})")
     return _with_order(G, p ** n)
 
 
@@ -393,9 +374,9 @@ def build_G_a1(a: int, p: int) -> FiniteGroup:
         a2, b2, c2 = e2
         return ((a1 + a2) % pa, (b1 + b2) % p, (c1 + c2 - a2 * b1) % p)
 
-    G = _table_from_normal_form([pa, p, p], compose,
-                                [(1, 0, 0), (0, 1, 0), (0, 0, 1)],
-                                f"G({a},1,p={p})")
+    G = FiniteGroup(*_tabulate([pa, p, p], compose,
+                               [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+                    f"G({a},1,p={p})")
     return _with_order(G, p ** (a + 2))
 
 
@@ -404,7 +385,7 @@ def build_cyclic(m: int) -> FiniteGroup:
     r = list(range(m))
     mul = [r[i:] + r[:i] for i in range(m)]
     gens = [1] if m > 1 else []
-    return FiniteGroup(mul, gens, f"C{m}", [f"g^{i}" for i in range(m)])
+    return FiniteGroup(mul, gens, f"C{m}")
 
 
 def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
@@ -457,56 +438,38 @@ def build_semidirect(p: int, k: int, matrices: Sequence[Sequence[Sequence[int]]]
         return tuple((x + y) % p for x, y in zip(e1, w)) + (products[a, b],)
 
     units = [tuple(int(i == j) for j in range(k)) for i in reversed(range(k))]
-    mul, gens = _tabulate([p] * k + [len(order_list)], compose,
-                          [v + (0,) for v in units]
-                          + [(0,) * k + (Q[M],) for M in gens_m])
-    label = name or f"(C{p})^{k} : Q{len(order_list)}"
-    G = FiniteGroup(mul, gens, label)
+    G = FiniteGroup(*_tabulate([p] * k + [len(order_list)], compose,
+                               [v + (0,) for v in units]
+                               + [(0,) * k + (Q[M],) for M in gens_m]),
+                    name or f"(C{p})^{k} : Q{len(order_list)}")
     return _with_order(G, n_vecs * len(order_list))
 
 
-def _primitive_polynomial(p: int, n: int) -> list[int]:
-    """Coefficients c_0..c_{n-1} of a monic primitive polynomial
-    x^n + c_{n-1} x^{n-1} + ... + c_0 over F_p (brute force search)."""
+def _primitive_polynomial(p: int, n: int) -> tuple:
+    """The companion matrix of the first monic primitive polynomial
+    x^n + c_{n-1} x^{n-1} + ... + c_0 over F_p, (c_0, .., c_{n-1}) in
+    lexicographic order: the matrix has multiplicative order p^n - 1."""
     order = p ** n - 1
+    primes = _prime_factors(order)
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
-    def proper_divisors(m):
-        out = set()
-        d = 1
-        while d * d <= m:
-            if m % d == 0:
-                out.add(d)
-                out.add(m // d)
-            d += 1
-        out.discard(m)
-        return sorted(out)
+    def power(M, e):
+        R = ident
+        while e:
+            if e & 1:
+                R = _mat_mul(R, M, p)
+            M = _mat_mul(M, M, p)
+            e >>= 1
+        return R
 
-    divs = proper_divisors(order)
     for coeffs in itertools.product(range(p), repeat=n):
         if coeffs[0] == 0:
             continue  # x divides, not primitive
-        # companion matrix power test: x has multiplicative order p^n - 1
-        C = [[0] * n for _ in range(n)]
-        for i in range(1, n):
-            C[i][i - 1] = 1
-        for i in range(n):
-            C[i][n - 1] = (-coeffs[i]) % p
-        Ct = tuple(tuple(r) for r in C)
-
-        def mpow(M, e):
-            R = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-            while e:
-                if e & 1:
-                    R = _mat_mul(R, M, p)
-                M = _mat_mul(M, M, p)
-                e >>= 1
-            return R
-
-        I = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        if mpow(Ct, order) != I:
-            continue
-        if all(mpow(Ct, d) != I for d in divs if d >= 1):
-            return list(coeffs)
+        C = tuple(tuple((-coeffs[i]) % p if j == n - 1 else int(i == j + 1)
+                        for j in range(n)) for i in range(n))
+        if power(C, order) == ident and all(
+                power(C, order // q) != ident for q in primes):
+            return C
     raise ValueError("no primitive polynomial found")  # unreachable for prime p
 
 
@@ -516,13 +479,8 @@ def singer_group(p: int, n: int) -> FiniteGroup:
     vectors)."""
     q = _power_order(p, n)
     _table_order(q * (q - 1))
-    coeffs = _primitive_polynomial(p, n)
-    C = [[0] * n for _ in range(n)]
-    for i in range(1, n):
-        C[i][i - 1] = 1
-    for i in range(n):
-        C[i][n - 1] = (-coeffs[i]) % p
-    return build_semidirect(p, n, [C], name=f"(C{p})^{n} : C{p ** n - 1}")
+    return build_semidirect(p, n, [_primitive_polynomial(p, n)],
+                            name=f"(C{p})^{n} : C{p ** n - 1}")
 
 
 def build_group(spec: dict) -> FiniteGroup:
@@ -608,28 +566,36 @@ def closure_members(G: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
     return frozenset(members)
 
 
+def generating_set(G: FiniteGroup, members: Iterable[int]) -> list[int]:
+    """A generating set of the subgroup whose member set is members: each
+    member, in index order, that the ones picked before it do not
+    generate, until they generate all of members."""
+    members = sorted(members)
+    gens: list[int] = []
+    covered = {0}
+    for g in members:
+        if g not in covered:
+            gens.append(g)
+            covered = closure_members(G, gens)
+            if len(covered) == len(members):
+                break
+    return gens
+
+
 def order_p_subgroup_classes(G: FiniteGroup, p: int) -> list[Subgroup]:
     """One representative per conjugacy class of order-p subgroups,
-    ordered by least generator index."""
+    ordered by least generator index.  Two such subgroups are conjugate
+    exactly when a non-identity member of one is conjugate to one of the
+    other, so a class of subgroups is keyed by the least element class of
+    its non-identity members."""
     if G.order % p != 0:
         raise ValueError(f"{p} does not divide the group order {G.order}")
-    subs: dict[frozenset, int] = {}  # member set -> least generator index
+    of = G.classes().of
+    reps: dict[int, frozenset[int]] = {}  # key -> the first subgroup met
     for g in range(1, G.order):
         if G.element_order(g) == p:
             mem = frozenset(G.power(g, k) for k in range(p))
-            if mem not in subs:
-                subs[mem] = g
-    # conjugacy classes of subgroups
-    unassigned = set(subs)
-    classes = []
-    while unassigned:
-        mem = min(unassigned, key=lambda s: subs[s])
-        orbit = {mem}
-        for x in range(G.order):
-            orbit.add(frozenset(G.conj(x, h) for h in mem))
-        orbit &= set(subs)
-        unassigned -= orbit
-        classes.append(mem)
-    classes.sort(key=lambda s: subs[s])
-    return [Subgroup(G, mem) for mem in classes]
-
+            reps.setdefault(min(of[h] for h in mem if h), mem)
+    # g runs upwards, so reps holds each class's subgroup with the least
+    # generator index, in the order of that index
+    return [Subgroup(G, mem) for mem in reps.values()]

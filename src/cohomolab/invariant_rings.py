@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Optional, Sequence
 
-from .exact_linalg import (Echelon, SparseMatrix, _mat_det, is_prime,
+from .exact_linalg import (Echelon, SparseMatrix, _mat_det, _prime_factors,
                            kernel_mod_p, matrix_group_closure, rank_mod_p)
 
 Monomial = tuple  # (poly exponent tuple, exterior bit tuple)
@@ -515,9 +515,9 @@ def gl2_generators(p: int):
 
 
 def _primitive_root(p: int) -> int:
+    primes = _prime_factors(p - 1)
     for r in range(2, p):
-        if all(pow(r, (p - 1) // q, p) != 1
-               for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)):
+        if all(pow(r, (p - 1) // q, p) != 1 for q in primes):
             return r
     raise ValueError("no primitive root found")
 

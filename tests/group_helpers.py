@@ -1,16 +1,48 @@
-"""Group-theoretic oracles that only the tests use: the center and derived
-subgroup, conjugacy classes by brute force, and class functions stored
-per element."""
+"""Group-theoretic oracles that only the tests use: commutators, the
+center and derived subgroup, conjugacy classes by brute force, and class
+functions stored per element."""
 
 from cohomolab.char_chern import Cyclotomic
 from cohomolab.groups import FiniteGroup, Subgroup, subgroup_closure
+
+
+def commutator(G: FiniteGroup, g: int, h: int) -> int:
+    """[g, h] = g^-1 h^-1 g h."""
+    return G.mul[G.mul[G.mul[G.inv[g]][G.inv[h]]][g]][h]
+
+
+def is_abelian(G: FiniteGroup) -> bool:
+    return all(G.mul[a][b] == G.mul[b][a]
+               for a in range(G.order) for b in range(G.order))
+
+
+def orbit_subgroup_classes(G: FiniteGroup, p: int) -> list[frozenset[int]]:
+    """The member sets of one subgroup of order p per conjugacy class, by
+    conjugating each subgroup by every element of G; each class is
+    represented by its subgroup with the least generator index, and the
+    classes come in the order of that index."""
+    subs: dict[frozenset, int] = {}  # member set -> least generator index
+    for g in range(1, G.order):
+        if G.element_order(g) == p:
+            mem = frozenset(G.power(g, k) for k in range(p))
+            if mem not in subs:
+                subs[mem] = g
+    unassigned = set(subs)
+    classes = []
+    while unassigned:
+        mem = min(unassigned, key=lambda s: subs[s])
+        orbit = {frozenset(G.conj(x, h) for h in mem) for x in range(G.order)}
+        unassigned -= orbit
+        classes.append(mem)
+    return sorted(classes, key=lambda s: subs[s])
 
 
 def center_and_derived(G: FiniteGroup) -> tuple[Subgroup, Subgroup]:
     mul = G.mul
     center = [z for z in range(G.order)
               if all(mul[z][g] == mul[g][z] for g in range(G.order))]
-    comms = {G.commutator(a, b) for a in range(G.order) for b in range(G.order)}
+    comms = {commutator(G, a, b)
+             for a in range(G.order) for b in range(G.order)}
     derived = subgroup_closure(G, comms)
     return Subgroup(G, center), derived
 

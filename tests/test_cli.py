@@ -110,6 +110,17 @@ def test_invariants_fixed_custom_action(capsys):
     assert "1" in rep["fixed_basis"]
 
 
+def test_invariants_fixed_without_polynomial_generators(capsys):
+    # the empty matrix acts on no polynomial generator: its determinant is
+    # 1, so it is invertible and fixes the exterior generator
+    spec = json.dumps({"poly_degrees": [], "ext_degrees": [1],
+                       "matrices": [[]]})
+    code, rep = run_json(capsys, ["invariants", "fixed", "--p", "3",
+                                  "--action", spec, "--max-degree", "2"])
+    assert code == EXIT_PASS
+    assert rep["fixed_dims"] == [1, 1, 0]
+
+
 def test_ringmodel_named_and_json_actions(capsys):
     code, rep = run_json(capsys, ["ringmodel", "fixed", "--p", "3",
                                   "--action", "C3-shear-3.4",
@@ -952,6 +963,20 @@ def test_scenario_expectation_failure_exits_1(capsys, tmp_path):
     code, rep = run_json(capsys, ["scenario", "run", str(path)])
     assert code == EXIT_FAILURE
     assert not rep["passed"]
+
+
+def test_scenario_caches_in_the_directory_of_the_variable(
+        capsys, monkeypatch, tmp_path):
+    # with no --cache-dir, every step's resolution reads COHOMOLAB_CACHE
+    resolution = _fresh_resolutions(monkeypatch)
+    cache = tmp_path / "env"
+    monkeypatch.setenv("COHOMOLAB_CACHE", str(cache))
+    path = tmp_path / "dims.json"
+    path.write_text(json.dumps({"steps": [{"argv": DIMS_C3}]}))
+    code, rep = run_json(capsys, ["scenario", "run", str(path)])
+    assert code == EXIT_PASS and rep["passed"]
+    assert len(list(cache.glob("res_v2_*_F3.txt"))) == 3
+    assert [key[2] for key in resolution._RESOLUTIONS] == [str(cache)]
 
 
 def test_scenario_malformed_exits_2(capsys, tmp_path):

@@ -73,6 +73,18 @@ def test_is_prime_limit_is_the_first_pseudoprime_to_all_bases():
     assert not exact_linalg.is_prime(n - 1)
 
 
+def test_prime_factors_are_the_primes_dividing_n():
+    for n in range(1, 10 ** 4):
+        primes = exact_linalg._prime_factors(n)
+        assert primes == sorted(set(primes))
+        assert all(exact_linalg.is_prime(q) for q in primes)
+        for q in primes:  # n is a product of powers of these primes
+            assert n % q == 0
+            while n % q == 0:
+                n //= q
+        assert n == 1
+
+
 def test_is_prime_is_fast_on_large_primes():
     import time
     start = time.perf_counter()

@@ -1,5 +1,7 @@
 import ast
 import itertools
+import json
+import math
 import pathlib
 import random
 
@@ -8,6 +10,8 @@ import pytest
 import cohomolab
 
 from cohomolab import groups
+from cohomolab.char_chern import _subgroup_sources
+from cohomolab.exact_linalg import _prime_factors, is_prime
 from cohomolab.groups import (
     _with_order,
     FiniteGroup,
@@ -19,12 +23,15 @@ from cohomolab.groups import (
     build_group,
     build_product,
     build_semidirect,
+    closure_members,
     order_p_subgroup_classes,
     singer_group,
     subgroup_closure,
     symmetric_3,
 )
-from group_helpers import brute_classes, center_and_derived
+from group_helpers import (brute_classes, center_and_derived, is_abelian,
+                           orbit_subgroup_classes)
+from test_cli import _catalogue_argvs
 
 
 def brute_order_p_subgroups(G, p):
@@ -48,7 +55,7 @@ def test_p2_3_order_and_center():
     assert D.order == 3
     assert Z.member_set == D.member_set
     assert G.exponent() == 3
-    assert not G.is_abelian()
+    assert not is_abelian(G)
 
 
 def test_p2_5_exponent():
@@ -72,7 +79,7 @@ def test_m4_structure():
     assert G.exponent() == 27  # B has order p^{n-1}
     Z, D = center_and_derived(G)
     assert D.order == 3
-    assert not G.is_abelian()
+    assert not is_abelian(G)
 
 
 def test_b4_center_cyclic():
@@ -108,7 +115,7 @@ def test_g21_structure():
 def test_cyclic_and_product():
     C6 = build_cyclic(6)
     assert C6.order == 6
-    assert C6.is_abelian()
+    assert is_abelian(C6)
     G = build_product([build_cyclic(3), build_cyclic(3)])
     assert G.order == 9
     assert G.exponent() == 3
@@ -162,11 +169,11 @@ def test_semidirect_numbering_is_pinned(build, digest):
 
 
 def brute_tabulate(moduli, compose, gens_exp):
-    """(table, generators, elements) with compose called on every pair."""
+    """(table, generators) with compose called on every pair."""
     elems = list(itertools.product(*[range(m) for m in moduli]))
     num = {e: i for i, e in enumerate(elems)}
     mul = [[num[tuple(compose(a, b))] for b in elems] for a in elems]
-    return mul, [num[tuple(e)] for e in gens_exp], elems
+    return mul, [num[tuple(e)] for e in gens_exp]
 
 
 def brute_product(factors):
@@ -180,17 +187,11 @@ def brute_product(factors):
     return mul, gens
 
 
-def normal_form_labels(elems):
-    return ["*".join(f"{c}^{v}" for c, v in zip("ABCDE", e) if v) or "1"
-            for e in elems]
-
-
-def assert_group_is(G, mul, gens, name, labels):
+def assert_group_is(G, mul, gens, name):
     assert G.mul == mul
     assert G.inv == [row.index(0) for row in mul]
     assert G.generators == tuple(gens)
     assert G.name == name
-    assert G.labels == labels
 
 
 @pytest.fixture
@@ -215,37 +216,34 @@ def tabulated(monkeypatch):
 SL2_3 = [((1, 1), (0, 1)), ((0, 1), (-1, 0))]
 
 
-# (builder, name, generators, labelled): the generators are pinned, not read
-# back from the builder, because the resolution's covers follow their order
-@pytest.mark.parametrize("build,name,gens,labelled", [
-    (lambda: build_P(3, 3), "P(3,p=3)", (9, 3, 1), True),
-    (lambda: build_P(4, 3), "P(4,p=3)", (27, 9, 1), True),
-    (lambda: build_group({"family": "P_2", "p": 5}), "P(3,p=5)", (25, 5, 1),
-     True),
-    (lambda: build_M(3, 3), "M(3,p=3)", (9, 1), True),
-    (lambda: build_M(4, 3), "M(4,p=3)", (27, 1), True),
-    (lambda: build_B(4, 1, 3), "B(4,1,p=3)", (27, 9, 1), True),
-    (lambda: build_B(4, 2, 3), "B(4,2,p=3)", (27, 9, 1), True),
-    (lambda: build_G_a1(1, 3), "G(1,1,p=3)", (9, 3, 1), True),
-    (lambda: build_G_a1(2, 3), "G(2,1,p=3)", (9, 3, 1), True),
-    (symmetric_3, "S3", (2, 1), False),
-    (lambda: singer_group(3, 2), "(C3)^2 : C8", (8, 24, 1), False),
-    (lambda: singer_group(2, 3), "(C2)^3 : C7", (7, 14, 28, 1), False),
-    (lambda: build_semidirect(3, 2, SL2_3), "(C3)^2 : Q24", (24, 72, 1, 2),
-     False),
-    (lambda: build_semidirect(5, 1, [[[2]]]), "(C5)^1 : Q4", (4, 1), False),
+# (builder, name, generators): the generators are pinned, not read back
+# from the builder, because the resolution's covers follow their order
+@pytest.mark.parametrize("build,name,gens", [
+    (lambda: build_P(3, 3), "P(3,p=3)", (9, 3, 1)),
+    (lambda: build_P(4, 3), "P(4,p=3)", (27, 9, 1)),
+    (lambda: build_group({"family": "P_2", "p": 5}), "P(3,p=5)", (25, 5, 1)),
+    (lambda: build_M(3, 3), "M(3,p=3)", (9, 1)),
+    (lambda: build_M(4, 3), "M(4,p=3)", (27, 1)),
+    (lambda: build_B(4, 1, 3), "B(4,1,p=3)", (27, 9, 1)),
+    (lambda: build_B(4, 2, 3), "B(4,2,p=3)", (27, 9, 1)),
+    (lambda: build_G_a1(1, 3), "G(1,1,p=3)", (9, 3, 1)),
+    (lambda: build_G_a1(2, 3), "G(2,1,p=3)", (9, 3, 1)),
+    (symmetric_3, "S3", (2, 1)),
+    (lambda: singer_group(3, 2), "(C3)^2 : C8", (8, 24, 1)),
+    (lambda: singer_group(2, 3), "(C2)^3 : C7", (7, 14, 28, 1)),
+    (lambda: build_semidirect(3, 2, SL2_3), "(C3)^2 : Q24", (24, 72, 1, 2)),
+    (lambda: build_semidirect(5, 1, [[[2]]]), "(C5)^1 : Q4", (4, 1)),
 ], ids=["P(3,3)", "P(4,3)", "P_2(5)", "M(3,3)", "M(4,3)", "B(4,1,3)",
         "B(4,2,3)", "G(1,1)", "G(2,1)", "S3", "Singer(3,2)", "Singer(2,3)",
         "3^2:SL2(3)", "5:4"])
 def test_presented_tables_equal_the_pairwise_tables(tabulated, build, name,
-                                                    gens, labelled):
+                                                    gens):
     calls, composed = tabulated
     G = build()
     (moduli, compose, gens_exp), = calls
-    mul, tab_gens, elems = brute_tabulate(moduli, compose, gens_exp)
+    mul, tab_gens = brute_tabulate(moduli, compose, gens_exp)
     assert tuple(tab_gens) == gens
-    assert_group_is(G, mul, gens, name,
-                    normal_form_labels(elems) if labelled else None)
+    assert_group_is(G, mul, gens, name)
     # compose runs on the generator columns only: |G| * |gens| calls
     assert 0 < len(composed) <= G.order * len(gens)
 
@@ -253,8 +251,7 @@ def test_presented_tables_equal_the_pairwise_tables(tabulated, build, name,
 @pytest.mark.parametrize("m", [1, 2, 3, 12, 81])
 def test_cyclic_table_is_addition_mod_m(m):
     mul = [[(i + j) % m for j in range(m)] for i in range(m)]
-    assert_group_is(build_cyclic(m), mul, [1] if m > 1 else [], f"C{m}",
-                    [f"g^{i}" for i in range(m)])
+    assert_group_is(build_cyclic(m), mul, [1] if m > 1 else [], f"C{m}")
 
 
 C = {"family": "cyclic"}
@@ -277,7 +274,7 @@ def test_product_tables_equal_the_pairwise_tables(factors):
     parts = [build_group(f) for f in factors]
     mul, gens = brute_product(parts)
     assert_group_is(build_group({"family": "product", "factors": factors}),
-                    mul, gens, " x ".join(H.name for H in parts), None)
+                    mul, gens, " x ".join(H.name for H in parts))
 
 
 def test_tabulate_rejects_what_is_not_a_group():
@@ -311,7 +308,7 @@ def test_digests_are_pinned(spec, digest):
 def test_s3():
     G = symmetric_3()
     assert G.order == 6
-    assert not G.is_abelian()
+    assert not is_abelian(G)
     Z, D = center_and_derived(G)
     assert Z.order == 1
     assert D.order == 3
@@ -403,6 +400,13 @@ def test_table_validation_rejects_nongenerating():
         FiniteGroup(C4.mul, [2], "bad")  # <2> has order 2
 
 
+def test_table_validation_rejects_a_generator_out_of_range():
+    C4 = build_cyclic(4)
+    for gens in ([4], [-1]):
+        with pytest.raises(ValueError, match="out of range"):
+            FiniteGroup(C4.mul, gens, "bad")
+
+
 def test_power_and_order():
     C12 = build_cyclic(12)
     assert C12.power(1, 25) == 1
@@ -439,7 +443,7 @@ def test_subgroup_bc_in_p2_abelian():
     H = subgroup_closure(G, [B, C])
     assert H.order == 9
     sub = H.as_group()
-    assert sub.is_abelian()
+    assert is_abelian(sub)
 
 
 def test_subgroup_order2_in_c6():
@@ -490,6 +494,87 @@ def test_order_p_classes_p2_3_vs_bruteforce():
 def test_order_p_classes_requires_divisibility():
     with pytest.raises(ValueError):
         order_p_subgroup_classes(build_cyclic(10), 3)
+
+
+def _oracle_groups():
+    """Every group of the benchmark catalogue, and P(3,5), G(2,1),
+    B(4,1,3), C3^4, both Singer groups and S3, each table once."""
+    specs = {argv[argv.index("--group") + 1]
+             for argv in _catalogue_argvs() if "--group" in argv}
+    built = [build_group(json.loads(s)) for s in sorted(specs)] + [
+        build_P(3, 5), build_G_a1(2, 3), build_B(4, 1, 3),
+        build_product([build_cyclic(3)] * 4), singer_group(3, 2),
+        singer_group(2, 3), symmetric_3()]
+    return list({G.digest(): G for G in built}.values())
+
+
+ORACLE_GROUPS = _oracle_groups()
+
+
+@pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda G: G.name)
+def test_order_p_classes_equal_the_orbit_oracle(G):
+    for p in _prime_factors(G.order):
+        assert [H.member_set for H in order_p_subgroup_classes(G, p)] == \
+            orbit_subgroup_classes(G, p)
+
+
+@pytest.mark.parametrize("G", ORACLE_GROUPS, ids=lambda G: G.name)
+def test_as_group_is_the_parent_table_on_the_members(G):
+    # every subgroup that the pc invariant induces characters from
+    for H in _subgroup_sources(G):
+        Hg = H.as_group()
+        assert [[H.members[x] for x in row] for row in Hg.mul] == \
+            [[G.mul[a][b] for b in H.members] for a in H.members]
+        assert closure_members(Hg, Hg.generators) == frozenset(range(H.order))
+        # each generator picked at least doubles the subgroup generated
+        assert 2 ** len(Hg.generators) <= H.order
+
+
+def divisor_primitive_polynomial(p, n):
+    """(c_0, .., c_{n-1}) of the first primitive x^n + ... + c_0 over F_p,
+    its companion matrix tested against every proper divisor of p^n - 1."""
+    order = p ** n - 1
+    # largest first: a matrix of smaller order fails at the first divisor
+    divisors = sorted({d for k in range(1, math.isqrt(order) + 1)
+                       if order % k == 0 for d in (k, order // k)} - {order},
+                      reverse=True)
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+    def power(M, e):
+        R = ident
+        while e:
+            if e & 1:
+                R = groups._mat_mul(R, M, p)
+            M = groups._mat_mul(M, M, p)
+            e >>= 1
+        return R
+
+    for coeffs in itertools.product(range(p), repeat=n):
+        if coeffs[0] == 0:
+            continue
+        C = [[0] * n for _ in range(n)]
+        for i in range(1, n):
+            C[i][i - 1] = 1
+        for i in range(n):
+            C[i][n - 1] = (-coeffs[i]) % p
+        C = tuple(tuple(r) for r in C)
+        if power(C, order) == ident and all(power(C, d) != ident
+                                            for d in divisors):
+            return coeffs
+
+
+def test_primitive_polynomial_equals_the_divisor_search():
+    for p in range(2, 4097):
+        if is_prime(p):
+            for n in range(1, 13):
+                if p ** n > 4096:
+                    break
+                coeffs = divisor_primitive_polynomial(p, n)
+                C = groups._primitive_polynomial(p, n)
+                assert [(-row[-1]) % p for row in C] == list(coeffs)
+                assert [row[:-1] for row in C] == \
+                    [tuple(int(i == j + 1) for j in range(n - 1))
+                     for i in range(n)]
 
 
 def test_center_derived_abelian():

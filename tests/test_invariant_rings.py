@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from cohomolab.exact_linalg import matrix_group_closure
+from cohomolab.exact_linalg import is_prime, matrix_group_closure
 from cohomolab.invariant_rings import (
     GradedAlgebra,
     HELD5_MATRICES,
     MatrixAction,
+    _primitive_root,
     averaging_rank,
     dickson_check,
     dickson_pair,
@@ -151,6 +152,21 @@ def test_matrix_group_orders():
     assert len(matrix_group_closure(sl2_generators(3), 3, 2, 100)) == 24
     assert len(matrix_group_closure(gl2_generators(3), 3, 2, 100)) == 48
     assert len(matrix_group_closure(HELD5_MATRICES, 5, 2, 100)) == 48
+
+
+def per_q_primitive_root(p):
+    """The least primitive root mod p, trying every prime q below p as a
+    divisor of p - 1."""
+    for r in range(2, p):
+        if all(pow(r, (p - 1) // q, p) != 1
+               for q in range(2, p) if (p - 1) % q == 0 and is_prime(q)):
+            return r
+
+
+def test_primitive_root_equals_the_per_q_search():
+    for p in range(3, 2000):
+        if is_prime(p):
+            assert _primitive_root(p) == per_q_primitive_root(p), p
 
 
 def test_action_requires_invertible_matrices():
