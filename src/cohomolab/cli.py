@@ -73,6 +73,14 @@ def _degree(text: str) -> int:
     return n
 
 
+def _cell_limit(text: str) -> int:
+    """argparse type of --max-cells."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is not a cell limit (n >= 0)")
+    return n
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns a JSON-ready report dict)
 # ---------------------------------------------------------------------------
@@ -276,13 +284,11 @@ def _subset_match(expected, actual) -> bool:
     return expected == actual
 
 
-def run_scenario(path: str, parser: argparse.ArgumentParser,
-                 cache_dir: Optional[str] = None,
+def run_scenario(path: str, cache_dir: Optional[str] = None,
                  max_cells: Optional[int] = None) -> dict:
     """Run every step of a scenario file, matching each step's report
     against its expectations.  Raises ResourceLimitError past the declared
-    time budget and ValueError on a malformed file.  The steps are parsed
-    by parser, the one built for the enclosing CLI call."""
+    time budget and ValueError on a malformed file."""
     with open(_resolve_scenario(path)) as fh:
         try:
             scenario = json.load(fh)
@@ -302,7 +308,7 @@ def run_scenario(path: str, parser: argparse.ArgumentParser,
         entry = {"step": i, "argv": step["argv"],
                  "provenance": step.get("provenance", "derived")}
         try:
-            report, _ = _dispatch(parser, argv)
+            report, _ = _dispatch(argv)
             entry["passed"] = _subset_match(step.get("expect", {}), report)
             entry["report"] = report
         except Exception as exc:  # a failing step must not halt the run
@@ -318,13 +324,8 @@ def run_scenario(path: str, parser: argparse.ArgumentParser,
 
 
 # ---------------------------------------------------------------------------
-# parser and entry point
+# argv reader and entry point
 # ---------------------------------------------------------------------------
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # input errors exit 2 without argparse noise
-        raise ValueError(message)
 
 
 _GROUP = ("--group", {"required": True})
@@ -332,6 +333,13 @@ _P = ("--p", {"type": _prime, "required": True})
 _MAX_DEGREE = ("--max-degree", {"type": _degree, "required": True})
 _ACTION = ("--action", {"dest": "action_spec", "required": True})
 _OUT = ("--out", {"default": None})
+
+# the program's own options, read before the command only
+_OPTIONS = [
+    ("--cache-dir", {"default": None}),
+    ("--max-cells", {"type": _cell_limit, "default": None}),
+    ("--json-out", {"default": None}),
+]
 
 # command -> action -> the (name, add_argument keywords) of its arguments
 _COMMANDS = {
@@ -356,40 +364,199 @@ _COMMANDS = {
 }
 
 
-class _Commands(argparse._SubParsersAction):
-    """The command subparsers.  Every command is registered, but its action
-    parsers are filled in only once argparse selects it, so a call builds
-    the parsers of its own command and no other.  argparse still picks the
-    command, and usage, help and errors are those of the full tree."""
-
-    def fill(self, name: str) -> None:
-        """Add the action parsers of command name, once."""
-        command = self.choices[name]
-        if command._subparsers is None:
-            actions = command.add_subparsers(dest="action", required=True)
-            for action, arguments in _COMMANDS[name].items():
-                parser = actions.add_parser(action)
-                for flag, keywords in arguments:
-                    parser.add_argument(flag, **keywords)
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        self.fill(values[0])
-        super().__call__(parser, namespace, values, option_string)
+def _dest(name: str, keywords: dict) -> str:
+    """The Namespace attribute argparse gives an argument."""
+    return keywords.get("dest", name.lstrip("-").replace("-", "_"))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    # subparsers inherit _Parser, so bad usage raises instead of exiting
-    top = _Parser(
+def _arguments(path: tuple) -> list:
+    """The (name, keywords) pairs of the parser at path: () is the program,
+    (command,) a command and (command, action) an action.  A subcommand
+    positional carries the table of its choices."""
+    if not path:
+        return _OPTIONS + [("command", {"choices": _COMMANDS})]
+    if len(path) == 1:
+        return [("action", {"choices": _COMMANDS[path[0]]})]
+    return _COMMANDS[path[0]][path[1]]
+
+
+def build_parser(path: tuple = ()) -> argparse.ArgumentParser:
+    """The argparse tree of the whole table; returns its parser at path.
+    Only -h/--help builds it, to print that parser's help; the tests read
+    argv with it as the oracle of parse_argv."""
+    parsers = {}
+
+    def fill(parser, at):
+        parsers[at] = parser
+        for name, keywords in _arguments(at):
+            if "choices" in keywords:
+                sub = parser.add_subparsers(dest=name, required=True)
+                for choice in keywords["choices"]:
+                    fill(sub.add_parser(choice), at + (choice,))
+            else:
+                parser.add_argument(name, **keywords)
+
+    fill(argparse.ArgumentParser(
         prog="cohomolab",
-        description="exact-arithmetic group-cohomology workbench")
-    top.add_argument("--cache-dir", default=None)
-    top.add_argument("--max-cells", type=int, default=None)
-    top.add_argument("--json-out", default=None)
-    commands = top.add_subparsers(dest="command", required=True,
-                                  action=_Commands)
-    for name in _COMMANDS:
-        commands.add_parser(name)
-    return top
+        description="exact-arithmetic group-cohomology workbench"), ())
+    return parsers[path]
+
+
+def _is_negative_number(token: str) -> bool:
+    """Whether argparse reads token as a negative number, hence a value:
+    "-", then decimal digits, or digits, "." and at least one digit, with
+    one final newline allowed (its regex ends in $)."""
+    body = token[1:-1] if token.endswith("\n") else token[1:]
+    whole, dot, fraction = body.partition(".")
+    if not dot:
+        return whole.isdecimal()
+    return fraction.isdecimal() and (not whole or whole.isdecimal())
+
+
+def _option(token: str, flags: dict):
+    """argparse's reading of token in a parser with these flags: None for a
+    value, else (flag, explicit value or None), with flag None for an
+    option the parser does not know.  A unique prefix of a long flag names
+    it, and a prefix of two or more is a usage error."""
+    if not token.startswith("-"):
+        return None
+    if token in flags:
+        return token, None
+    if len(token) == 1:
+        return None
+    name, eq, value = token.partition("=")
+    if eq and name in flags:
+        return name, value
+    if token[1] == "-":
+        matches = [(flag, value if eq else None) for flag in flags
+                   if flag.startswith(name)]
+    else:  # "-hx" reads as -h with the explicit value "x"
+        matches = [(token[:2], token[2:])] if token[:2] in flags else []
+    if len(matches) > 1:
+        raise ValueError(f"ambiguous option: {token} could match "
+                         + ", ".join(flag for flag, _ in matches))
+    if matches:
+        return matches[0]
+    if _is_negative_number(token) or " " in token:
+        return None
+    return None, None
+
+
+def _value(flag: str, keywords: dict, text: str):
+    """text converted by the type of flag, as argparse converts it."""
+    convert = keywords.get("type")
+    if convert is None:
+        return text
+    try:
+        return convert(text)
+    except argparse.ArgumentTypeError as exc:
+        message = str(exc)
+    except (TypeError, ValueError):
+        message = f"invalid {convert.__name__} value: {text!r}"
+    raise ValueError(f"argument {flag}: {message}")
+
+
+def _read(tokens: list, path: tuple, values: dict) -> list:
+    """Read tokens with the parser at path as argparse does, into values;
+    returns the tokens left unrecognised.  A subcommand reads the rest of
+    the tokens with the parser below it.  Usage errors raise ValueError
+    with argparse's message, and -h/--help prints the help and exits 0."""
+    arguments = _arguments(path)
+    flags = {"-h": None, "--help": None}
+    flags.update((name, keywords) for name, keywords in arguments
+                 if name.startswith("-"))
+    positional = [(name, keywords) for name, keywords in arguments
+                  if not name.startswith("-")]
+    for name, keywords in arguments:
+        values[_dest(name, keywords)] = keywords.get("default")
+    # argparse's pattern of the tokens: "O" an option, "A" a value, "-" the
+    # first "--", after which every token is a value
+    pattern, found = "", {}
+    for i, token in enumerate(tokens):
+        if "-" in pattern:
+            pattern += "A"
+        elif token == "--":
+            pattern += "-"
+        elif (option := _option(token, flags)) is None:
+            pattern += "A"
+        else:
+            pattern += "O"
+            found[i] = option
+    seen, extras, below = set(), [], []
+
+    def take_positional(i):
+        dashes = 1 if pattern[i:i + 1] == "-" else 0
+        if not positional or pattern[i + dashes:i + dashes + 1] != "A":
+            return i
+        name, keywords = positional.pop()
+        seen.add(name)
+        if "choices" not in keywords:  # one value, "--" on either side
+            values[name] = tokens[i + dashes]
+            end = i + dashes + 1
+            return end + (pattern[end:end + 1] == "-")
+        # a subcommand reads every later token with the parser below it
+        choice, choices = tokens[i], keywords["choices"]
+        if choice not in choices:
+            raise ValueError(
+                f"argument {name}: invalid choice: {choice!r} (choose from "
+                + ", ".join(map(repr, choices)) + ")")
+        values[name] = choice
+        below.extend(_read(tokens[i + 1:], path + (choice,), values))
+        return len(tokens)
+
+    def take_option(i):
+        flag, explicit = found[i]
+        if flag is None:
+            extras.append(tokens[i])
+            return i + 1
+        if flags[flag] is None:  # -h/--help
+            if flag == "-h" and explicit:  # "-hh" is -h twice
+                explicit = explicit.lstrip("h") or None
+            if explicit is not None:
+                raise ValueError("argument -h/--help: ignored explicit "
+                                 f"argument {explicit!r}")
+            build_parser(path).print_help()
+            sys.exit(0)
+        if explicit is None:
+            if pattern[i + 1:i + 2] != "A":
+                raise ValueError(f"argument {flag}: expected one argument")
+            i, explicit = i + 1, tokens[i + 1]
+        keywords = flags[flag]
+        seen.add(flag)
+        values[_dest(flag, keywords)] = (
+            [] if explicit == "--"  # argparse drops a "--" value
+            else _value(flag, keywords, explicit))
+        return i + 1
+
+    i = 0
+    while found and i <= max(found):
+        following = min(j for j in found if j >= i)
+        if i != following:
+            j = take_positional(i)
+            if j > i:
+                i = j
+                continue
+            extras.extend(tokens[i:following])
+        i = take_option(following)
+    extras.extend(tokens[take_positional(i):])
+    missing = [name for name, keywords in arguments if name not in seen
+               and (keywords.get("required") or not name.startswith("-"))]
+    if missing:
+        raise ValueError("the following arguments are required: "
+                         + ", ".join(missing))
+    return extras + below
+
+
+def parse_argv(argv: list[str]) -> argparse.Namespace:
+    """The Namespace the argparse tree of build_parser() gives argv, read
+    from the command table without building that tree.  Usage errors
+    raise ValueError with argparse's message; -h/--help alone builds the
+    tree, prints its help and exits 0."""
+    values = {}
+    extras = _read(list(argv), (), values)
+    if extras:
+        raise ValueError("unrecognized arguments: " + " ".join(extras))
+    return argparse.Namespace(**values)
 
 
 _HANDLERS = {
@@ -402,12 +569,11 @@ _HANDLERS = {
 }
 
 
-def _dispatch(parser: argparse.ArgumentParser,
-              argv: list[str]) -> tuple[dict, Optional[str]]:
-    """Parse argv and run the handler; returns (report, json_out path)."""
-    args = parser.parse_args(argv)
+def _dispatch(argv: list[str]) -> tuple[dict, Optional[str]]:
+    """Read argv and run the handler; returns (report, output path)."""
+    args = parse_argv(argv)
     if args.command == "scenario":
-        report = run_scenario(args.path, parser, cache_dir=args.cache_dir,
+        report = run_scenario(args.path, cache_dir=args.cache_dir,
                               max_cells=args.max_cells)
     else:
         report = _HANDLERS[args.command](args)
@@ -421,7 +587,11 @@ def main(argv: Optional[list[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     start = time.monotonic()
     try:
-        report, out = _dispatch(build_parser(), argv)
+        report, out = _dispatch(argv)
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
     except (ValueError, KeyError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -431,11 +601,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ArithmeticError as exc:
         print(f"certification failure: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+    if not out:
         sys.stdout.write(text)
     print(f"elapsed: {time.monotonic() - start:.3f}s", file=sys.stderr)
     if report.get("passed") is False:

@@ -1,23 +1,37 @@
 import argparse
+import contextlib
 import importlib.resources
 import importlib.util
+import io
 import json
+import os
 import signal
+import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohomolab.bar_cohomology import coboundary_matrix
+from cohomolab import cli
 from cohomolab.cli import (
+    _COMMANDS,
+    _OPTIONS,
     EXIT_FAILURE,
     EXIT_INPUT,
     EXIT_PASS,
     EXIT_RESOURCE,
     MAX_BESTVINA_N,
+    _cell_limit,
+    _degree,
+    _prime,
     build_parser,
     main,
+    parse_argv,
     run_scenario,
 )
 from cohomolab.davis import (
@@ -388,6 +402,20 @@ def test_json_out_global_flag(capsys, tmp_path):
     assert code == EXIT_PASS
     assert capsys.readouterr().out == ""
     assert json.loads(out.read_text())["equals_bockstein"]
+
+
+def test_unwritable_json_out_exits_2(capsys, tmp_path):
+    _exits_2_without_traceback(
+        capsys, ["--json-out", str(tmp_path / "missing" / "r.json"),
+                 "chern", "pc", "--group", C3, "--p", "3"],
+        "No such file or directory")
+
+
+def test_unwritable_davis_out_exits_2(capsys, tmp_path):
+    _exits_2_without_traceback(
+        capsys, ["davis", "bestvina", "--n", "2",
+                 "--out", str(tmp_path / "missing" / "r.json")],
+        "No such file or directory")
 
 
 def test_reports_are_byte_identical(capsys):
@@ -782,42 +810,54 @@ def test_each_coboundary_matrix_is_eliminated_once(capsys, monkeypatch):
     assert len(eliminated) == 6
 
 
-def test_one_parser_per_main_call(capsys, monkeypatch):
-    from cohomolab import cli
+def test_a_main_call_builds_no_argparse_parser(capsys, monkeypatch):
     built = []
-    build = cli.build_parser
+    init = argparse.ArgumentParser.__init__
 
-    def counted_build():
-        built.append(1)
-        return build()
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_parser", counted_build)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    build_parser()
+    assert len(built) == 21  # the program, 7 commands and 13 actions
+    built.clear()
+    code, _ = run_json(capsys, ["chern", "pc", "--group", C3, "--p", "3"])
+    assert code == EXIT_PASS
     code, rep = run_json(capsys, ["scenario", "run", "massey.json"])
     assert code == EXIT_PASS and rep["passed"] and len(rep["steps"]) == 3
-    assert len(built) == 1
+    assert main(["chern", "pc", "--group", C3, "--p", "4"]) == EXIT_INPUT
+    assert built == []
 
 
 # ---------------------------------------------------------------------------
-# the lazily filled parser: a call fills only its own command's parsers
+# the argv reader: parse_argv against the argparse tree of the same table
 # ---------------------------------------------------------------------------
 
 
-def _full_parser():
-    """build_parser() with the action parsers of every command filled in."""
-    parser = build_parser()
-    (commands,) = [a for a in parser._actions
-                   if isinstance(a, argparse._SubParsersAction)]
-    for name in commands.choices:
-        commands.fill(name)
-    return parser
-
-
-def _parsed(parser, argv):
-    """The Namespace of argv, or the usage error it raises."""
+def _outcome(read, argv):
+    """What read(argv) gives: a Namespace, the usage error it raises, or
+    the exit code and text of the help it prints."""
+    printed = io.StringIO()
     try:
-        return parser.parse_args(argv)
+        with contextlib.redirect_stdout(printed):
+            return read(argv)
     except ValueError as exc:
         return f"usage error: {exc}"
+    except SystemExit as exc:
+        return ("help", exc.code, printed.getvalue())
+
+
+def _raise_usage_error(self, message):
+    raise ValueError(message)
+
+
+def _oracle(argv):
+    """argparse's reading of argv with the full tree of build_parser(),
+    its usage errors raised as ValueError."""
+    with mock.patch.object(argparse.ArgumentParser, "error",
+                           _raise_usage_error):
+        return _outcome(build_parser().parse_args, argv)
 
 
 def _catalogue_argvs():
@@ -853,14 +893,11 @@ def test_lazy_parser_parses_every_known_argv_as_the_full_tree():
     assert {argv[0] for argv in argvs} >= {"cohomology", "massey", "chern",
                                            "invariants", "ringmodel",
                                            "davis", "scenario"}
-    full, shared = _full_parser(), build_parser()
     for argv in argvs:
         for form in (argv, ["--cache-dir", "D"] + argv):
-            want = _parsed(full, form)
+            want = _oracle(form)
             assert isinstance(want, argparse.Namespace), (form, want)
-            assert _parsed(build_parser(), form) == want
-            # a scenario run parses every step with one parser
-            assert _parsed(shared, form) == want
+            assert _outcome(parse_argv, form) == want
 
 
 DIMS_ARGS = ["--group", C3, "--p", "3", "--max-degree", "2"]
@@ -886,41 +923,105 @@ DIMS_ARGS = ["--group", C3, "--p", "3", "--max-degree", "2"]
     (["chern"], "usage error: the following arguments are required: action"),
     (["--cache", "D", "cohomology", "dims"] + DIMS_ARGS, "D"),
     (["--cache-dir=D", "cohomology", "dims"] + DIMS_ARGS, "D"),
+    (["--max-cells", "-1", "cohomology", "dims"] + DIMS_ARGS,
+     "usage error: argument --max-cells: -1 is not a cell limit (n >= 0)"),
 ], ids=["command", "action", "group", "p", "abbreviation", "equals-form",
-        "no-command", "no-action", "top-abbreviation", "top-equals-form"])
+        "no-command", "no-action", "top-abbreviation", "top-equals-form",
+        "max-cells"])
 def test_lazy_parser_keeps_every_usage_error(argv, outcome):
-    lazy = _parsed(build_parser(), argv)
-    assert lazy == _parsed(_full_parser(), argv)
-    assert (lazy if isinstance(lazy, str) else lazy.cache_dir) == outcome
+    read = _outcome(parse_argv, argv)
+    assert read == _oracle(argv)
+    assert (read if isinstance(read, str) else read.cache_dir) == outcome
+
+
+_TYPED_VALUES = {_prime: ["3", "7"], _degree: ["0", "4"], int: ["-2", "6"],
+                 _cell_limit: ["0", "9"], None: ["D", "{}"]}
+# bad values, values that start with "-", and stray tokens
+_ODD_VALUES = ["4", "-1", "x", "1.5", "", "-x", "-3.5", "--", "-", "-a b",
+               "a b", "--x", "---", "--=x", "-hx", "--help=", "-h"]
+
+
+@st.composite
+def _option_tokens(draw, arguments):
+    """One option of arguments (or an unknown one) as argv tokens: its
+    flag or a prefix of it, with its value apart, after "=", or missing."""
+    flag, keywords = draw(st.sampled_from(
+        arguments + [("--bogus", {}), ("-x", {})]))
+    flag = flag[:draw(st.integers(3, len(flag)))] if flag[1] == "-" else flag
+    good = _TYPED_VALUES[keywords.get("type")]
+    value = draw(st.one_of(st.sampled_from(good),
+                           st.sampled_from(_ODD_VALUES)))
+    return draw(st.sampled_from([[flag, value], [flag, value],
+                                 [f"{flag}={value}"], [flag]]))
+
+
+@st.composite
+def _argvs(draw):
+    """An argv of the command table's words: top-level options, a command
+    and action (possibly wrong, missing or swapped), the action's
+    arguments in any order and form, top-level options after the command,
+    repeated flags and stray tokens."""
+    command = draw(st.sampled_from(list(_COMMANDS) + ["homotopy"]))
+    actions = _COMMANDS.get(command, {"ranks": []})
+    action = draw(st.sampled_from(list(actions) + ["ranks"]))
+    arguments = actions.get(action, [])
+    flags = [a for a in arguments if a[0].startswith("-")]
+    pieces = [[flag, draw(st.sampled_from(_TYPED_VALUES[kw.get("type")]))]
+              for flag, kw in flags
+              if draw(st.integers(0, 3))]  # each given 3 times in 4
+    if not flags:  # scenario run: its path
+        pieces.append([draw(st.sampled_from(["massey.json", "-1", "--"]))])
+    odd = st.one_of(_option_tokens(flags + _OPTIONS),
+                    st.lists(st.sampled_from(_ODD_VALUES), max_size=1))
+    pieces += draw(st.one_of(st.just([]), st.lists(odd, max_size=3)))
+    pieces = draw(st.permutations(pieces))
+    head = draw(st.sampled_from([[command, action]] * 3
+                                + [[command], [action, command], []]))
+    top = draw(st.one_of(st.just([]),
+                         st.lists(_option_tokens(_OPTIONS), max_size=2)))
+    return [token for piece in top + [head] + pieces for token in piece]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_argvs())
+def test_reader_matches_the_argparse_tree(argv):
+    assert _outcome(parse_argv, argv) == _oracle(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0123456789.-\n\u0663a ", max_size=6))
+def test_negative_numbers_are_argparses(tail):
+    matcher = argparse.ArgumentParser()._negative_number_matcher
+    token = "-" + tail
+    assert cli._is_negative_number(token) == bool(matcher.match(token))
 
 
 def test_command_help_lists_its_actions(capsys):
     with pytest.raises(SystemExit) as exc:
-        build_parser().parse_args(["chern", "-h"])
+        main(["chern", "-h"])
     assert exc.value.code == 0
-    lazy = capsys.readouterr().out
-    assert lazy.startswith("usage: cohomolab chern [-h] {pc} ...")
-    with pytest.raises(SystemExit):
-        _full_parser().parse_args(["chern", "-h"])
-    assert capsys.readouterr().out == lazy
+    printed = capsys.readouterr().out
+    assert printed.startswith("usage: cohomolab chern [-h] {pc} ...")
+    assert _oracle(["chern", "-h"]) == ("help", 0, printed)
 
 
-def test_a_call_builds_only_its_own_commands_parsers(capsys, monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counted_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
-    _full_parser()
-    assert len(built) == 21  # the program, 7 commands and 13 actions
-    built.clear()
-    code, _ = run_json(capsys, ["chern", "pc", "--group", C3, "--p", "3"])
-    assert code == EXIT_PASS
-    # the program, the 7 commands and chern's one action
-    assert len(built) == 9 and built[-1] == "cohomolab chern pc"
+def test_help_prints_the_help_of_the_argparse_tree(capsys):
+    for argv in [[name, "-h"] for name in _COMMANDS] + [
+            ["cohomology", "dims", "--help"]]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert _oracle(argv) == ("help", 0, capsys.readouterr().out), argv
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = [src] + [d for d in os.environ.get("PYTHONPATH", "").split(
+        os.pathsep) if d]
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(path))
+    run = subprocess.run([sys.executable, "-m", "cohomolab.cli", "davis",
+                          "-h"], capture_output=True, text=True, env=env,
+                         timeout=60)
+    assert run.returncode == 0 and run.stderr == ""
+    assert ("help", 0, run.stdout) == _oracle(["davis", "-h"])
 
 
 def test_nonzero_homology_rank_exits_1(capsys, monkeypatch):
@@ -930,6 +1031,12 @@ def test_nonzero_homology_rank_exits_1(capsys, monkeypatch):
     _exits_1_without_traceback(
         capsys, ["cohomology", "integral", "--group", C3, "--degree", "2"],
         "nonzero homology rank")
+
+
+def test_negative_max_cells_exits_2(capsys):
+    _exits_2_without_traceback(
+        capsys, ["--max-cells", "-1", "cohomology", "dims"] + DIMS_ARGS,
+        "argument --max-cells: -1 is not a cell limit (n >= 0)")
 
 
 def test_resource_limit_exits_3(capsys):
@@ -1010,7 +1117,7 @@ def test_scenario_step_error_is_contained(tmp_path):
             {"argv": ["invariants", "dickson", "--p", "3",
                       "--max-degree", "8"], "expect": {"passed": True}},
         ],
-    })), build_parser())
+    })))
     assert not rep["passed"]
     assert not rep["steps"][0]["passed"] and "error" in rep["steps"][0]
     assert rep["steps"][1]["passed"]
