@@ -222,15 +222,6 @@ def cell_index(G: FiniteGroup, key: tuple) -> int:
     return idx
 
 
-def index_cell(G: FiniteGroup, n: int, idx: int) -> tuple:
-    m = G.order - 1
-    out = []
-    for _ in range(n):
-        out.append(idx % m + 1)
-        idx //= m
-    return tuple(reversed(out))
-
-
 def coboundary_matrix(G: FiniteGroup, n: int, p: Optional[int] = None) -> SparseMatrix:
     """Matrix of delta: C^n -> C^(n+1); column j is the coboundary of the
     indicator cochain of the n-cell j, in coboundary's order of terms.
@@ -272,42 +263,6 @@ def coboundary_matrix(G: FiniteGroup, n: int, p: Optional[int] = None) -> Sparse
     M = SparseMatrix(m * size, size, p=p)
     M.cols = cols
     return M
-
-
-def bar_boundary_matrix(G: FiniteGroup, n: int, p: Optional[int] = None) -> SparseMatrix:
-    """Boundary C_n -> C_(n-1) of the normalized bar complex (the literal
-    route; kept independent of the resolution engine)."""
-    mul = G.mul
-    m = G.order - 1
-    entries = []
-    for j in range(n_cells(G, n)):
-        key = index_cell(G, n, j)
-        acc: dict[tuple, int] = {}
-
-        def put(k: tuple, v: int):
-            if 0 not in k:
-                acc[k] = acc.get(k, 0) + v
-
-        put(key[1:], 1)
-        for i in range(1, n):
-            merged = key[:i - 1] + (mul[key[i - 1]][key[i]],) + key[i + 1:]
-            put(merged, -1 if i % 2 else 1)
-        put(key[:-1], -1 if n % 2 else 1)
-        for k, v in acc.items():
-            if v:
-                entries.append((cell_index(G, k), j, v))
-    return SparseMatrix(n_cells(G, n - 1), n_cells(G, n), entries, p)
-
-
-def bar_homology_dims_mod_p(G: FiniteGroup, p: int, max_degree: int) -> list[int]:
-    """dim H_n(G;F_p) for n = 0..max_degree straight from bar boundary
-    ranks — the independent cross-check for the resolution route."""
-    from .exact_linalg import rank_mod_p
-    ranks = [0]
-    for n in range(1, max_degree + 2):
-        ranks.append(rank_mod_p(bar_boundary_matrix(G, n, p)))
-    return [n_cells(G, n) - ranks[n] - ranks[n + 1]
-            for n in range(max_degree + 1)]
 
 
 # ---------------------------------------------------------------------------

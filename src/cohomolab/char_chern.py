@@ -300,6 +300,20 @@ def induce_linear(H: Subgroup, exponents: list[int], N: int) -> ClassFunction:
     return ClassFunction(G, values)
 
 
+def _add_closure(G: FiniteGroup, found: dict, gens) -> bool:
+    """Validate the closure of gens as a Subgroup into found (member set
+    -> Subgroup), unless already found."""
+    key = closure_members(G, gens)
+    if key in found:
+        return False
+    found[key] = Subgroup(G, key)
+    return True
+
+
+def _largest_first(found: dict) -> list[Subgroup]:
+    return sorted(found.values(), key=lambda s: -s.order)
+
+
 def _subgroup_sources(G: FiniteGroup) -> list[Subgroup]:
     """All subgroups reachable as closures of <=2 elements (plus G itself),
     deduplicated, largest first."""
@@ -308,20 +322,24 @@ def _subgroup_sources(G: FiniteGroup) -> list[Subgroup]:
             f"subgroup enumeration capped at order {MAX_ENUM_ORDER}; "
             "supply induction sources explicitly")
     found: dict[frozenset, Subgroup] = {}
-
-    def add(gens) -> bool:
-        """Validate the closure of gens as a Subgroup, unless already found."""
-        key = closure_members(G, gens)
-        if key in found:
-            return False
-        found[key] = Subgroup(G, key)
-        return True
-
-    add(G.generators)
-    reps = [g for g in range(1, G.order) if add([g])]
+    _add_closure(G, found, G.generators)
+    reps = [g for g in range(1, G.order) if _add_closure(G, found, [g])]
     for a, b in itertools.combinations(reps, 2):
-        add([a, b])
-    return sorted(found.values(), key=lambda s: -s.order)
+        _add_closure(G, found, [a, b])
+    return _largest_first(found)
+
+
+def _extended_sources(G: FiniteGroup,
+                      sources: list[Subgroup]) -> list[Subgroup]:
+    """sources and the closure of each with one more element, deduplicated,
+    largest first: from closures of <=2 elements, closures of <=3."""
+    found = {H.member_set: H for H in sources}
+    for H in sources:
+        gens = generating_set(G, H.members)
+        for g in range(1, G.order):
+            if g not in H.member_set:
+                _add_closure(G, found, gens + [g])
+    return _largest_first(found)
 
 
 def _monomial_search(G: FiniteGroup,
@@ -355,14 +373,21 @@ def irreducible_characters(G: FiniteGroup,
                            sources: Optional[list[Subgroup]] = None
                            ) -> list[ClassFunction]:
     """Complete list of irreducible characters, by monomial induction.
+    Without sources, from the closures of <=2 elements, and only if they
+    come up incomplete, of <=3 (_extended_sources).
 
     Raises ArithmeticError if the class-count, sum-of-squares or
     orthonormality certificate fails (which signals a non-monomial input
     or an exhausted search)."""
-    if sources is None:
+    n_classes = len(G.classes().reps)
+    enumerated = sources is None
+    if enumerated:
         sources = _subgroup_sources(G)
     irreducibles = _monomial_search(G, sources)
-    n_classes = len(G.classes().reps)
+    if enumerated and len(irreducibles) != n_classes:
+        # a character induced only from a subgroup that needs three
+        # generators, as (C2)^3 in Singer(2,3)
+        irreducibles = _monomial_search(G, _extended_sources(G, sources))
     if len(irreducibles) != n_classes:
         raise ArithmeticError(
             f"character search incomplete: {len(irreducibles)} irreducible "

@@ -572,6 +572,10 @@ _HANDLERS = {
 def _dispatch(argv: list[str]) -> tuple[dict, Optional[str]]:
     """Read argv and run the handler; returns (report, output path)."""
     args = parse_argv(argv)
+    # argparse reads "--flag=--" as an empty list, which no handler takes
+    for name, keywords in _OPTIONS + _COMMANDS[args.command][args.action]:
+        if isinstance(getattr(args, _dest(name, keywords)), list):
+            raise ValueError(f"argument {name}: expected one argument")
     if args.command == "scenario":
         report = run_scenario(args.path, cache_dir=args.cache_dir,
                               max_cells=args.max_cells)

@@ -82,9 +82,6 @@ class SimplicialComplex:
         return [len(self.by_dim.get(d, ())) for d in
                 range(self.dimension + 1)]
 
-    def euler_characteristic(self) -> int:
-        return _alternating_sum(self.f_vector())
-
     def facets(self) -> list[Simplex]:
         """Maximal simplices (every non-maximal one is a codimension-one
         face of some simplex)."""
@@ -183,13 +180,6 @@ def complex_from_dict(data: dict) -> SimplicialComplex:
         raise ResourceLimitError(
             f"a facet of {size} vertices is above the limit {MAX_FACET_SIZE}")
     return SimplicialComplex(n, facets)
-
-
-def simplex_boundary(l: int) -> SimplicialComplex:
-    """Boundary of the full simplex on l vertices: a triangulated
-    (l-2)-sphere."""
-    return SimplicialComplex(l, list(itertools.combinations(range(l),
-                                                            l - 1)))
 
 
 def barycentric_subdivision(K: SimplicialComplex) -> SimplicialComplex:
@@ -365,12 +355,6 @@ class GraphProduct:
     def is_racg(self) -> bool:
         return all(o == 2 for o in self.orders)
 
-    @property
-    def is_finite(self) -> bool:
-        """Finite exactly when the whole vertex set is spherical."""
-        return tuple(range(self.complex.n_vertices)) in \
-            self.complex.simplices or self.complex.n_vertices == 0
-
     def spherical_subsets(self) -> list[Simplex]:
         return [()] + sorted(self.complex.simplices, key=lambda s: (len(s), s))
 
@@ -485,10 +469,6 @@ class DavisQuotient:
     @property
     def complex(self) -> SimplicialComplex:
         return self._order_complex[0]
-
-    @property
-    def vertex_labels(self) -> tuple[tuple[Simplex, int], ...]:
-        return self._order_complex[1]
 
 
 def _mask(s: Simplex, coloring: Sequence[int]) -> int:

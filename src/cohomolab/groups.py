@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
+import operator
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact_linalg import (_mat_mul, _prime_factors, is_prime,
@@ -43,6 +44,23 @@ class ConjugacyClasses(NamedTuple):
     reps: tuple[int, ...]
     sizes: tuple[int, ...]
     inverse: tuple[int, ...]  # class k -> the class of the inverses of k
+
+
+def _encode(order: int):
+    """The form of a row of a table of this order that _reader reads and
+    returns: bytes when every entry fits in a byte, else a tuple."""
+    return bytes if order <= 256 else tuple
+
+
+def _reader(index: Sequence[int], order: int):
+    """The function x -> (x[i] for i in index) on rows x in the form
+    _encode(order) gives, as one C call: bytes.translate, whose table is
+    x padded to 256 bytes, or operator.itemgetter (never of a single
+    index, which would return the item itself: order 1 takes bytes)."""
+    if order <= 256:
+        index, pad = bytes(index), bytes(256 - order)
+        return lambda x: index.translate(x + pad)
+    return operator.itemgetter(*index)
 
 
 class FiniteGroup:
@@ -80,10 +98,11 @@ class FiniteGroup:
         # one row comparison per (s, x).  The elements s passing it are
         # closed under products and every element is a product of
         # generators, so the whole table is associative.
+        rows = list(map(_encode(order), mul))
         for s in self.generators:
-            row_s = mul[s]
-            for row_x in mul:
-                if mul[row_x[s]] != list(map(row_x.__getitem__, row_s)):
+            times_s = _reader(mul[s], order)  # row x -> x*(s*y) over y
+            for row_x, code_x in zip(mul, rows):
+                if rows[row_x[s]] != times_s(code_x):
                     raise ValueError("multiplication table is not associative")
         self._digest = None
         self._classes = None
@@ -144,13 +163,18 @@ class FiniteGroup:
         return out
 
     def digest(self) -> str:
-        """Stable hash of the multiplication table, for cache keys."""
+        """Stable hash of the multiplication table, for cache keys: the
+        SHA-256 of str(order) followed by each row's entries joined by
+        commas, the rows with nothing between them."""
         if self._digest is None:
-            h = hashlib.sha256()
-            h.update(str(self.order).encode())
+            names = list(map(str, range(self.order)))
+            then = [x + "," for x in names]  # an entry a comma follows
+            parts = [str(self.order)]
             for row in self.mul:
-                h.update(",".join(map(str, row)).encode())
-            self._digest = h.hexdigest()[:16]
+                parts += map(then.__getitem__, row)
+                parts[-1] = names[row[-1]]  # a row's last entry has none
+            self._digest = hashlib.sha256(
+                "".join(parts).encode()).hexdigest()[:16]
         return self._digest
 
     def __repr__(self):
@@ -240,35 +264,36 @@ def _tabulate(moduli: list[int], compose,
               gens_exp) -> tuple[list[list[int]], list[int]]:
     """(multiplication table, generator indices) of a group whose elements
     are exponent vectors with the given moduli (lexicographic numbering)
-    and whose product is computed by `compose(e1, e2) -> exponent vector`.
+    and whose product is computed by `compose(e1, e2) -> exponent vector`
+    (a tuple).
 
     compose is called on the generator columns only, |G| * |gens| times.
     Column y of the table is the map x -> x*y.  A breadth-first tree from
-    the identity reaches every element y*s as an edge from y, and column
-    y*s is column y followed by right multiplication by s.  When compose
-    is associative this is its table, by induction along the tree;
-    FiniteGroup's Light's test then certifies the table as a group whose
-    generator columns are compose's."""
+    the identity reaches every element s*y as an edge from y, and column
+    s*y is x -> (x*s)*y, column y read at the entries of column s.  When
+    compose is associative this is its table, by induction along the
+    tree; FiniteGroup's Light's test then certifies the table as a group
+    whose generator columns are compose's."""
     n = _table_order(math.prod(moduli))
     elems = list(itertools.product(*[range(m) for m in moduli]))
     num = {e: i for i, e in enumerate(elems)}
     gens = [num[tuple(e)] for e in gens_exp]
-    right = {s: [num[tuple(compose(e, elems[s]))] for e in elems]
-             for s in gens}
+    # column s, as the function column y -> column s*y
+    then = [(s, _reader([num[compose(e, elems[s])] for e in elems], n))
+            for s in gens]
     cols = [None] * n
-    cols[0] = range(n)
+    cols[0] = _encode(n)(range(n))
     tree = [0]
     for y in tree:  # the loop reads the tree as it grows
         col = cols[y]
-        for s in gens:
-            r = right[s]
-            ys = r[y]
-            if cols[ys] is None:
-                cols[ys] = list(map(r.__getitem__, col))
-                tree.append(ys)
+        for s, times in then:
+            sy = col[s]
+            if cols[sy] is None:
+                cols[sy] = times(col)
+                tree.append(sy)
     if len(tree) != n:
         raise ValueError("declared generators do not generate the group")
-    return [list(row) for row in zip(*cols)], gens
+    return list(map(list, zip(*cols))), gens
 
 
 def _with_order(G: FiniteGroup, expected: int) -> FiniteGroup:
@@ -390,17 +415,24 @@ def build_cyclic(m: int) -> FiniteGroup:
 
 def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     """Direct product, numbered lexicographically in the factor indices:
-    (a, b) is a * |H| + b, so the table of (G x H) is built row by row
-    from the rows of G (scaled by |H|) and of H, one factor at a time."""
+    (a, b) is a * |H| + b, so the table of (G x H) is built from the rows
+    of G and of H, one factor at a time.  As (g, h) = (g, 0)(0, h), row
+    (g, h) is row (g, 0), the row of g with each entry z spread over
+    z*|H|..z*|H| + |H| - 1, read at the entries of row (0, h)."""
     if not factors:
         raise ValueError("empty product")
     _table_order(math.prod(G.order for G in factors))
     mul = [[0]]
     for H in factors:
-        m = H.order
-        mul = [[x + y for x in row_g for y in row_h]
-               for row_g in [[x * m for x in row] for row in mul]
-               for row_h in H.mul]
+        m, a = H.order, len(mul)
+        n = a * m
+        encode = _encode(n)
+        spans = [range(z * m, z * m + m) for z in range(a)]
+        rows_g0 = [encode(itertools.chain.from_iterable(
+            map(spans.__getitem__, row_g))) for row_g in mul]
+        reads_0h = [_reader([z * m + y for z in range(a) for y in row_h], n)
+                    for row_h in H.mul]
+        mul = [list(read(row)) for row in rows_g0 for read in reads_0h]
     gens = []
     stride = len(mul)
     for G in factors:
@@ -429,13 +461,16 @@ def build_semidirect(p: int, k: int, matrices: Sequence[Sequence[Sequence[int]]]
     Q = {A: i for i, A in enumerate(order_list)}
     # (v, Q) is the exponent vector v + (Q's index,), so (0, I) is 0
     products = {}  # (a, b) -> index of Q_a Q_b, for the pairs compose meets
+    images = {}  # (a, w) -> Q_a w, likewise
 
     def compose(e1, e2):
-        a, b = e1[k], e2[k]
+        a, b, w = e1[k], e2[k], e2[:k]
         if (a, b) not in products:
             products[a, b] = Q[_mat_mul(order_list[a], order_list[b], p)]
-        w = _mat_vec(order_list[a], e2[:k], p)
-        return tuple((x + y) % p for x, y in zip(e1, w)) + (products[a, b],)
+        if (a, w) not in images:
+            images[a, w] = _mat_vec(order_list[a], w, p)
+        return tuple([(x + y) % p for x, y in zip(e1, images[a, w])]
+                     + [products[a, b]])
 
     units = [tuple(int(i == j) for j in range(k)) for i in reversed(range(k))]
     G = FiniteGroup(*_tabulate([p] * k + [len(order_list)], compose,
@@ -545,24 +580,21 @@ def subgroup_closure(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 def closure_members(G: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
     """The member set of the subgroup that gens generate, without the
-    closure checks and coset transversal of a Subgroup."""
+    closure checks and coset transversal of a Subgroup: the products
+    h*g from the identity, which in a finite group already close up."""
     gens = list(gens)
     if any(not (0 <= g < G.order) for g in gens):
         raise ValueError("generator index out of range")
     members = {0}
-    frontier = [0]
-    for g in gens:
-        if g not in members:
-            members.add(g)
-            frontier.append(g)
+    found = [0]
     mul = G.mul
-    while frontier:
-        h = frontier.pop()
+    for h in found:  # the loop reads found as it grows
+        row = mul[h]
         for g in gens:
-            for x in (mul[h][g], mul[g][h]):
-                if x not in members:
-                    members.add(x)
-                    frontier.append(x)
+            x = row[g]
+            if x not in members:
+                members.add(x)
+                found.append(x)
     return frozenset(members)
 
 

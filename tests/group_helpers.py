@@ -1,6 +1,9 @@
 """Group-theoretic oracles that only the tests use: commutators, the
-center and derived subgroup, conjugacy classes by brute force, and class
-functions stored per element."""
+center and derived subgroup, conjugacy classes by brute force, class
+functions stored per element, and the table digest and Light's test as
+first written."""
+
+import hashlib
 
 from cohomolab.char_chern import Cyclotomic
 from cohomolab.groups import FiniteGroup, Subgroup, subgroup_closure
@@ -81,3 +84,24 @@ def inner_elementwise(a: list[Cyclotomic], b: list[Cyclotomic],
     for g in range(G.order):
         acc = acc + a[g] * b[G.inv[g]]
     return acc.divide_exact(G.order)
+
+
+def digest_oracle(mul: list[list[int]]) -> str:
+    """FiniteGroup.digest as first written: str(order), then each row's
+    entries joined by commas, fed to SHA-256 row by row."""
+    h = hashlib.sha256()
+    h.update(str(len(mul)).encode())
+    for row in mul:
+        h.update(",".join(map(str, row)).encode())
+    return h.hexdigest()[:16]
+
+
+def light_oracle(mul: list[list[int]], generators) -> bool:
+    """Light's test as first written: (x*s)*y = x*(s*y) for every x, y and
+    generator s, one list comparison per (s, x)."""
+    for s in generators:
+        row_s = mul[s]
+        for row_x in mul:
+            if mul[row_x[s]] != list(map(row_x.__getitem__, row_s)):
+                return False
+    return True

@@ -339,6 +339,18 @@ def test_pc_singer():
     assert pc(singer_group(3, 2), 3) == 12
 
 
+def test_singer_2_3_needs_a_three_generator_source():
+    """The degree-7 character of (C2)^3 : C7 is induced only from (C2)^3,
+    which no two elements generate: the closures of <=2 elements give the
+    7 linear characters, and one more element finds the eighth."""
+    G = singer_group(2, 3)
+    first = char_chern._monomial_search(G, _subgroup_sources(G))
+    assert sorted(c.degree() for c in first) == [1] * 7
+    irr = irreducible_characters(G)
+    assert sorted(c.degree() for c in irr) == [1] * 7 + [7]
+    assert len(irr) == len(G.classes().reps) == 8
+
+
 def test_pc_divisibility_bound():
     # pc(G) divides 2(p-1)p^(n-1) where p^n is the p-part of |G|
     cases = [

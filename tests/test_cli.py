@@ -34,13 +34,9 @@ from cohomolab.cli import (
     parse_argv,
     run_scenario,
 )
-from cohomolab.davis import (
-    barycentric_subdivision,
-    moore_complex,
-    simplex_boundary,
-)
+from cohomolab.davis import barycentric_subdivision, moore_complex
 from cohomolab.groups import build_cyclic
-from complex_helpers import complex_to_dict
+from complex_helpers import complex_to_dict, simplex_boundary
 
 C3 = '{"family": "cyclic", "n": 3}'
 
@@ -418,6 +414,21 @@ def test_unwritable_davis_out_exits_2(capsys, tmp_path):
         "No such file or directory")
 
 
+@pytest.mark.parametrize("argv,flag,dest", [
+    (["chern", "pc", "--group=--", "--p", "3"], "--group", "group"),
+    (["chern", "pc", "--group", C3, "--p=--"], "--p", "p"),
+    (["invariants", "fixed", "--p", "3", "--action=--",
+      "--max-degree", "4"], "--action", "action_spec"),
+    (["--cache-dir=--", "cohomology", "dims", "--group", C3, "--p", "3",
+      "--max-degree", "2"], "--cache-dir", "cache_dir"),
+], ids=["group", "p", "action", "cache-dir"])
+def test_an_option_valued_double_dash_exits_2(capsys, argv, flag, dest):
+    """argparse reads "--flag=--" as an empty list, not a value."""
+    assert getattr(parse_argv(argv), dest) == []
+    _exits_2_without_traceback(capsys, argv,
+                               f"argument {flag}: expected one argument")
+
+
 def test_reports_are_byte_identical(capsys):
     argv = ["invariants", "dickson", "--p", "3", "--max-degree", "12"]
     main(argv)
@@ -539,6 +550,36 @@ def test_missing_irreducible_exits_1(capsys, monkeypatch):
         capsys, ["chern", "pc", "--group", '{"family": "P", "n": 3, "p": 3}',
                  "--p", "3"],
         "10 irreducible characters for 11 conjugacy classes")
+
+
+def test_singer_2_3_pc_completes(capsys):
+    code, rep = run_json(capsys, ["chern", "pc", "--group",
+                                  '{"family": "singer", "p": 2, "n": 3}',
+                                  "--p", "7"])
+    assert code == EXIT_PASS
+    assert rep["pc"] == 2 and len(rep["per_class"]) == 1
+
+
+def test_no_catalogue_pc_group_extends_its_sources(capsys, monkeypatch):
+    """The search over closures of three elements runs only when the one
+    over two comes up incomplete, which no benchmarked group does."""
+    from cohomolab import char_chern
+    calls = []
+    extend = char_chern._extended_sources
+    monkeypatch.setattr(char_chern, "_extended_sources",
+                        lambda G, sources: calls.append(G) or
+                        extend(G, sources))
+    argvs = {tuple(argv) for argv in _catalogue_argvs()
+             if argv[:2] == ["chern", "pc"]}
+    assert len(argvs) == 8
+    for argv in argvs:
+        assert main(list(argv)) == EXIT_PASS
+    assert calls == []
+    assert main(["chern", "pc", "--group",
+                 '{"family": "singer", "p": 2, "n": 3}', "--p", "7"]) \
+        == EXIT_PASS
+    assert len(calls) == 1
+    capsys.readouterr()
 
 
 def test_orthonormality_failure_exits_1(capsys, monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from cohomolab import bar_cohomology as bc
 from cohomolab.exact_linalg import Echelon, kernel_mod_p, solve
 from cohomolab.groups import build_cyclic, build_product, symmetric_3
-from matrix_helpers import cochain_vector
+from matrix_helpers import cochain_vector, index_cell
 
 C3xC3 = build_product([build_cyclic(3), build_cyclic(3)])
 
@@ -32,12 +32,12 @@ def _cochain(draw, G, n, p):
     values = st.integers(0, p - 1) if p else st.integers(-3, 3)
     data = draw(st.dictionaries(st.integers(0, cells - 1), values,
                                 max_size=6))
-    return bc.Cochain(G, n, {bc.index_cell(G, n, j): v
+    return bc.Cochain(G, n, {index_cell(G, n, j): v
                              for j, v in data.items()}, p)
 
 
 def _from_vector(G, n, p, vec):
-    return bc.Cochain(G, n, {bc.index_cell(G, n, j): v
+    return bc.Cochain(G, n, {index_cell(G, n, j): v
                              for j, v in enumerate(vec) if v}, p)
 
 

@@ -29,8 +29,8 @@ from cohomolab.groups import (
     subgroup_closure,
     symmetric_3,
 )
-from group_helpers import (brute_classes, center_and_derived, is_abelian,
-                           orbit_subgroup_classes)
+from group_helpers import (brute_classes, center_and_derived, digest_oracle,
+                           is_abelian, light_oracle, orbit_subgroup_classes)
 from test_cli import _catalogue_argvs
 
 
@@ -303,6 +303,112 @@ def test_digests_are_pinned(spec, digest):
     silently orphan every cached resolution.  Singer(3,2) and the other
     semidirect products are pinned by test_semidirect_numbering_is_pinned."""
     assert build_group(spec).digest() == digest
+
+
+# The digest of every group the benchmark builds, as the first digest
+# computed it: these name the catalogue's res_v2_* cache files.
+CATALOGUE_DIGESTS = {
+    "C2 x C3 x C3": "4158830f8c721821",
+    "C3": "27e7310338b99c8c",
+    "C3 x C3": "857a8222cc5df0e0",
+    "C3 x C3 x C3": "f68fa2394db3a997",
+    "C3 x C3 x C3 x C3": "4959b3cfc2d694ed",
+    "C3 x C9": "d6ffca9bcf3a1c17",
+    "C5": "59ca2ac21464ad1b",
+    "C7": "5051ef624df5baf1",
+    "C9": "cc23e3b47fe08828",
+    "C9 x C3": "0b2c588f53a0248f",
+    "C11": "6a66984d9081e2d5",
+    "C27 x C3": "a19123acc1fe24c4",
+    "G(1,1,p=3)": "c382f6223459361a",
+    "G(2,1,p=3)": "3215adae9ff7f293",
+    "M(3,p=3)": "45c8e2b916908490",
+    "M(4,p=3)": "708f862f7c2faa8d",
+    "P(3,p=3)": "c382f6223459361a",
+    "(C3)^2 : C8": "54b2e7f268a9c0f3",
+}
+
+
+def _catalogue_specs():
+    specs = []
+    for argv in _catalogue_argvs():
+        if "--group" in argv:
+            spec = json.loads(argv[argv.index("--group") + 1])
+            if spec not in specs:
+                specs.append(spec)
+    return specs
+
+
+# order 1 and 2, both sides of the 256 bound of the byte rows, and tables
+# read in no catalogue job
+BEYOND_CATALOGUE = {
+    "C1": lambda: build_cyclic(1),
+    "C2": lambda: build_cyclic(2),
+    "S3": symmetric_3,
+    "Singer(3,2)": lambda: singer_group(3, 2),
+    "Singer(2,3)": lambda: singer_group(2, 3),
+    "3^2:SL2(3)": lambda: build_semidirect(3, 2, SL2_3),
+    "5:4": lambda: build_semidirect(5, 1, [[[2]]]),
+    "C256": lambda: build_cyclic(256),
+    "C257": lambda: build_cyclic(257),
+    "C4xC3^4": lambda: build_product([build_cyclic(4)]
+                                     + [build_cyclic(3)] * 4),
+    "M(4,5)": lambda: build_M(4, 5),
+}
+
+
+def test_catalogue_specs_are_pinned():
+    specs = _catalogue_specs()
+    assert len(specs) == 22
+    assert {build_group(spec).name for spec in specs} == set(CATALOGUE_DIGESTS)
+
+
+@pytest.mark.parametrize("build", [
+    *[lambda spec=spec: build_group(spec) for spec in _catalogue_specs()],
+    *BEYOND_CATALOGUE.values()],
+    ids=[json.dumps(spec, sort_keys=True) for spec in _catalogue_specs()]
+    + list(BEYOND_CATALOGUE))
+def test_digest_and_light_test_match_the_first_versions(build):
+    """The digest hashes the bytes the first digest hashed, and every table
+    that passes Light's test passes it as first written."""
+    G = build()
+    assert G.digest() == digest_oracle(G.mul)
+    assert G.digest() == CATALOGUE_DIGESTS.get(G.name, G.digest())
+    assert light_oracle(G.mul, G.generators)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_cyclic(2), lambda: build_cyclic(3), symmetric_3,
+    lambda: build_G_a1(2, 3), lambda: build_P(3, 3),
+    lambda: singer_group(2, 3), lambda: build_product([build_cyclic(3)] * 4),
+    lambda: build_cyclic(257), lambda: build_M(4, 5)],
+    ids=["C2", "C3", "S3", "G(2,1)", "P(3,3)", "Singer(2,3)", "C3^4", "C257",
+         "M(4,5)"])
+def test_one_wrong_entry_in_a_row_is_refused(build):
+    """Each change of one entry of the last generator's row, and of the
+    last row (outside the identity's column, at most 40 of each), is
+    refused, as Light's test as first written refuses it whenever the
+    other checks pass.  The last row is the row of x and of x*s that the
+    comparisons for the greatest x read."""
+    G = build()
+    for r in (G.generators[-1], G.order - 1):
+        for y in range(1, G.order)[:40]:
+            for v in {(G.mul[r][y] + 1) % G.order, 0} - {G.mul[r][y]}:
+                mul = [list(row) for row in G.mul]
+                mul[r][y] = v
+                with pytest.raises(ValueError) as refused:
+                    FiniteGroup(mul, G.generators, "bad")
+                if "associative" in str(refused.value):
+                    assert not light_oracle(mul, G.generators)
+
+
+def test_order_one_and_two_tables():
+    for mul, gens in (([[0]], []), ([[0]], [0]), ([[0, 1], [1, 0]], [1]),
+                      ([[0, 1], [1, 0]], [0, 1])):
+        G = FiniteGroup(mul, gens, "t")
+        assert G.digest() == digest_oracle(mul) and light_oracle(mul, gens)
+    with pytest.raises(ValueError, match="inverse"):
+        FiniteGroup([[0, 1], [1, 1]], [1], "bad")
 
 
 def test_s3():
