@@ -46,20 +46,11 @@ class ConjugacyClasses(NamedTuple):
     inverse: tuple[int, ...]  # class k -> the class of the inverses of k
 
 
-def _encode(order: int):
-    """The form of a row of a table of this order that _reader reads and
-    returns: bytes when every entry fits in a byte, else a tuple."""
-    return bytes if order <= 256 else tuple
-
-
-def _reader(index: Sequence[int], order: int):
-    """The function x -> (x[i] for i in index) on rows x in the form
-    _encode(order) gives, as one C call: bytes.translate, whose table is
-    x padded to 256 bytes, or operator.itemgetter (never of a single
-    index, which would return the item itself: order 1 takes bytes)."""
-    if order <= 256:
-        index, pad = bytes(index), bytes(256 - order)
-        return lambda x: index.translate(x + pad)
+def _reader(index: Sequence[int]):
+    """The function x -> tuple(x[i] for i in index), as one C call."""
+    if len(index) == 1:  # itemgetter of one index returns the item itself
+        i, = index
+        return lambda x: (x[i],)
     return operator.itemgetter(*index)
 
 
@@ -98,11 +89,10 @@ class FiniteGroup:
         # one row comparison per (s, x).  The elements s passing it are
         # closed under products and every element is a product of
         # generators, so the whole table is associative.
-        rows = list(map(_encode(order), mul))
         for s in self.generators:
-            times_s = _reader(mul[s], order)  # row x -> x*(s*y) over y
-            for row_x, code_x in zip(mul, rows):
-                if rows[row_x[s]] != times_s(code_x):
+            times_s = _reader(mul[s])  # row x -> x*(s*y) over y
+            for row_x in mul:
+                if list(times_s(row_x)) != mul[row_x[s]]:
                     raise ValueError("multiplication table is not associative")
         self._digest = None
         self._classes = None
@@ -167,14 +157,11 @@ class FiniteGroup:
         SHA-256 of str(order) followed by each row's entries joined by
         commas, the rows with nothing between them."""
         if self._digest is None:
-            names = list(map(str, range(self.order)))
-            then = [x + "," for x in names]  # an entry a comma follows
-            parts = [str(self.order)]
+            name = list(map(str, range(self.order))).__getitem__
+            h = hashlib.sha256(str(self.order).encode())
             for row in self.mul:
-                parts += map(then.__getitem__, row)
-                parts[-1] = names[row[-1]]  # a row's last entry has none
-            self._digest = hashlib.sha256(
-                "".join(parts).encode()).hexdigest()[:16]
+                h.update(",".join(map(name, row)).encode())
+            self._digest = h.hexdigest()[:16]
         return self._digest
 
     def __repr__(self):
@@ -279,10 +266,10 @@ def _tabulate(moduli: list[int], compose,
     num = {e: i for i, e in enumerate(elems)}
     gens = [num[tuple(e)] for e in gens_exp]
     # column s, as the function column y -> column s*y
-    then = [(s, _reader([num[compose(e, elems[s])] for e in elems], n))
+    then = [(s, _reader([num[compose(e, elems[s])] for e in elems]))
             for s in gens]
     cols = [None] * n
-    cols[0] = _encode(n)(range(n))
+    cols[0] = tuple(range(n))
     tree = [0]
     for y in tree:  # the loop reads the tree as it grows
         col = cols[y]
@@ -425,12 +412,10 @@ def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     mul = [[0]]
     for H in factors:
         m, a = H.order, len(mul)
-        n = a * m
-        encode = _encode(n)
         spans = [range(z * m, z * m + m) for z in range(a)]
-        rows_g0 = [encode(itertools.chain.from_iterable(
+        rows_g0 = [tuple(itertools.chain.from_iterable(
             map(spans.__getitem__, row_g))) for row_g in mul]
-        reads_0h = [_reader([z * m + y for z in range(a) for y in row_h], n)
+        reads_0h = [_reader([z * m + y for z in range(a) for y in row_h])
                     for row_h in H.mul]
         mul = [list(read(row)) for row in rows_g0 for read in reads_0h]
     gens = []

@@ -339,7 +339,7 @@ def _catalogue_specs():
     return specs
 
 
-# order 1 and 2, both sides of the 256 bound of the byte rows, and tables
+# order 1 and 2, orders on both sides of 256, and tables
 # read in no catalogue job
 BEYOND_CATALOGUE = {
     "C1": lambda: build_cyclic(1),
