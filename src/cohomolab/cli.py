@@ -288,19 +288,36 @@ def run_scenario(path: str, cache_dir: Optional[str] = None,
                  max_cells: Optional[int] = None) -> dict:
     """Run every step of a scenario file, matching each step's report
     against its expectations.  Raises ResourceLimitError past the declared
-    time budget and ValueError on a malformed file."""
+    time budget and ValueError on a malformed file, including a step that
+    runs a scenario, before any step runs."""
     with open(_resolve_scenario(path)) as fh:
         try:
             scenario = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed scenario file: {exc}") from exc
-    if not isinstance(scenario, dict) or "steps" not in scenario:
-        raise ValueError("scenario must be an object with a 'steps' list")
+    steps = scenario.get("steps") if isinstance(scenario, dict) else None
+    if not (isinstance(steps, list) and all(
+            isinstance(step, dict) and isinstance(step.get("argv"), list)
+            and all(isinstance(token, str) for token in step["argv"])
+            for step in steps)):
+        raise ValueError("scenario must be an object with a 'steps' list of "
+                         "objects, each with an 'argv' list of strings")
     budget = scenario.get("budget_seconds")
+    if budget is not None and not (type(budget) in (int, float)
+                                   and budget >= 0):
+        raise ValueError("'budget_seconds' must be a non-negative number")
+    for i, step in enumerate(steps):
+        try:
+            command = parse_argv(step["argv"]).command
+        except ValueError:  # a usage error fails its step when it runs
+            continue
+        if command == "scenario":
+            raise ValueError(f"step {i} runs a scenario, which a scenario "
+                             "step may not")
     start = time.monotonic()
     results = []
-    for i, step in enumerate(scenario["steps"]):
-        argv = list(step["argv"])
+    for i, step in enumerate(steps):
+        argv = step["argv"]
         if cache_dir:
             argv = ["--cache-dir", cache_dir] + argv
         if max_cells is not None:
@@ -369,194 +386,87 @@ def _dest(name: str, keywords: dict) -> str:
     return keywords.get("dest", name.lstrip("-").replace("-", "_"))
 
 
-def _arguments(path: tuple) -> list:
-    """The (name, keywords) pairs of the parser at path: () is the program,
-    (command,) a command and (command, action) an action.  A subcommand
-    positional carries the table of its choices."""
-    if not path:
-        return _OPTIONS + [("command", {"choices": _COMMANDS})]
-    if len(path) == 1:
-        return [("action", {"choices": _COMMANDS[path[0]]})]
-    return _COMMANDS[path[0]][path[1]]
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors raise ValueError."""
+
+    def error(self, message):
+        raise ValueError(message)
 
 
-def build_parser(path: tuple = ()) -> argparse.ArgumentParser:
-    """The argparse tree of the whole table; returns its parser at path.
-    Only -h/--help builds it, to print that parser's help; the tests read
-    argv with it as the oracle of parse_argv."""
-    parsers = {}
-
-    def fill(parser, at):
-        parsers[at] = parser
-        for name, keywords in _arguments(at):
-            if "choices" in keywords:
-                sub = parser.add_subparsers(dest=name, required=True)
-                for choice in keywords["choices"]:
-                    fill(sub.add_parser(choice), at + (choice,))
-            else:
-                parser.add_argument(name, **keywords)
-
-    fill(argparse.ArgumentParser(
-        prog="cohomolab",
-        description="exact-arithmetic group-cohomology workbench"), ())
-    return parsers[path]
+def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of the command table: the program, its commands
+    and their actions, 21 parsers."""
+    parser = _Parser(prog="cohomolab",
+                     description="exact-arithmetic group-cohomology workbench")
+    for name, keywords in _OPTIONS:
+        parser.add_argument(name, **keywords)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, actions in _COMMANDS.items():
+        below = commands.add_parser(command).add_subparsers(dest="action",
+                                                            required=True)
+        for action, arguments in actions.items():
+            leaf = below.add_parser(action)
+            for name, keywords in arguments:
+                leaf.add_argument(name, **keywords)
+    return parser
 
 
-def _is_negative_number(token: str) -> bool:
-    """Whether argparse reads token as a negative number, hence a value:
-    "-", then decimal digits, or digits, "." and at least one digit, with
-    one final newline allowed (its regex ends in $)."""
-    body = token[1:-1] if token.endswith("\n") else token[1:]
-    whole, dot, fraction = body.partition(".")
-    if not dot:
-        return whole.isdecimal()
-    return fraction.isdecimal() and (not whole or whole.isdecimal())
-
-
-def _option(token: str, flags: dict):
-    """argparse's reading of token in a parser with these flags: None for a
-    value, else (flag, explicit value or None), with flag None for an
-    option the parser does not know.  A unique prefix of a long flag names
-    it, and a prefix of two or more is a usage error."""
-    if not token.startswith("-"):
-        return None
-    if token in flags:
-        return token, None
-    if len(token) == 1:
-        return None
-    name, eq, value = token.partition("=")
-    if eq and name in flags:
-        return name, value
-    if token[1] == "-":
-        matches = [(flag, value if eq else None) for flag in flags
-                   if flag.startswith(name)]
-    else:  # "-hx" reads as -h with the explicit value "x"
-        matches = [(token[:2], token[2:])] if token[:2] in flags else []
-    if len(matches) > 1:
-        raise ValueError(f"ambiguous option: {token} could match "
-                         + ", ".join(flag for flag, _ in matches))
-    if matches:
-        return matches[0]
-    if _is_negative_number(token) or " " in token:
-        return None
-    return None, None
-
-
-def _value(flag: str, keywords: dict, text: str):
-    """text converted by the type of flag, as argparse converts it."""
-    convert = keywords.get("type")
-    if convert is None:
-        return text
-    try:
-        return convert(text)
-    except argparse.ArgumentTypeError as exc:
-        message = str(exc)
-    except (TypeError, ValueError):
-        message = f"invalid {convert.__name__} value: {text!r}"
-    raise ValueError(f"argument {flag}: {message}")
-
-
-def _read(tokens: list, path: tuple, values: dict) -> list:
-    """Read tokens with the parser at path as argparse does, into values;
-    returns the tokens left unrecognised.  A subcommand reads the rest of
-    the tokens with the parser below it.  Usage errors raise ValueError
-    with argparse's message, and -h/--help prints the help and exits 0."""
-    arguments = _arguments(path)
-    flags = {"-h": None, "--help": None}
-    flags.update((name, keywords) for name, keywords in arguments
-                 if name.startswith("-"))
-    positional = [(name, keywords) for name, keywords in arguments
-                  if not name.startswith("-")]
-    for name, keywords in arguments:
-        values[_dest(name, keywords)] = keywords.get("default")
-    # argparse's pattern of the tokens: "O" an option, "A" a value, "-" the
-    # first "--", after which every token is a value
-    pattern, found = "", {}
-    for i, token in enumerate(tokens):
-        if "-" in pattern:
-            pattern += "A"
-        elif token == "--":
-            pattern += "-"
-        elif (option := _option(token, flags)) is None:
-            pattern += "A"
+def _read(tokens: list, arguments: list, values: dict) -> Optional[int]:
+    """Read the leading tokens that are arguments into values, each an
+    exact flag with its value apart or after "=", or the value of the next
+    positional; returns how many were read.  None where a value is empty,
+    starts with "-" or fails its type, a flag is not exact or a required
+    argument is missing."""
+    by_name = dict(arguments)
+    positional = [name for name in by_name if not name.startswith("-")]
+    values.update((_dest(name, keywords), keywords.get("default"))
+                  for name, keywords in arguments)
+    given, i = set(), 0
+    while i < len(tokens):
+        name = tokens[i]
+        if name.startswith("-"):
+            name, eq, text = name.partition("=")
+            if not eq:
+                i += 1
+                text = tokens[i] if i < len(tokens) else ""
+        elif positional:
+            name, text = positional.pop(0), name
         else:
-            pattern += "O"
-            found[i] = option
-    seen, extras, below = set(), [], []
-
-    def take_positional(i):
-        dashes = 1 if pattern[i:i + 1] == "-" else 0
-        if not positional or pattern[i + dashes:i + dashes + 1] != "A":
-            return i
-        name, keywords = positional.pop()
-        seen.add(name)
-        if "choices" not in keywords:  # one value, "--" on either side
-            values[name] = tokens[i + dashes]
-            end = i + dashes + 1
-            return end + (pattern[end:end + 1] == "-")
-        # a subcommand reads every later token with the parser below it
-        choice, choices = tokens[i], keywords["choices"]
-        if choice not in choices:
-            raise ValueError(
-                f"argument {name}: invalid choice: {choice!r} (choose from "
-                + ", ".join(map(repr, choices)) + ")")
-        values[name] = choice
-        below.extend(_read(tokens[i + 1:], path + (choice,), values))
-        return len(tokens)
-
-    def take_option(i):
-        flag, explicit = found[i]
-        if flag is None:
-            extras.append(tokens[i])
-            return i + 1
-        if flags[flag] is None:  # -h/--help
-            if flag == "-h" and explicit:  # "-hh" is -h twice
-                explicit = explicit.lstrip("h") or None
-            if explicit is not None:
-                raise ValueError("argument -h/--help: ignored explicit "
-                                 f"argument {explicit!r}")
-            build_parser(path).print_help()
-            sys.exit(0)
-        if explicit is None:
-            if pattern[i + 1:i + 2] != "A":
-                raise ValueError(f"argument {flag}: expected one argument")
-            i, explicit = i + 1, tokens[i + 1]
-        keywords = flags[flag]
-        seen.add(flag)
-        values[_dest(flag, keywords)] = (
-            [] if explicit == "--"  # argparse drops a "--" value
-            else _value(flag, keywords, explicit))
-        return i + 1
-
-    i = 0
-    while found and i <= max(found):
-        following = min(j for j in found if j >= i)
-        if i != following:
-            j = take_positional(i)
-            if j > i:
-                i = j
-                continue
-            extras.extend(tokens[i:following])
-        i = take_option(following)
-    extras.extend(tokens[take_positional(i):])
-    missing = [name for name, keywords in arguments if name not in seen
-               and (keywords.get("required") or not name.startswith("-"))]
-    if missing:
-        raise ValueError("the following arguments are required: "
-                         + ", ".join(missing))
-    return extras + below
+            break
+        if name not in by_name or not text or text.startswith("-"):
+            return None
+        keywords = by_name[name]
+        convert = keywords.get("type")
+        try:
+            values[_dest(name, keywords)] = convert(text) if convert else text
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        given.add(name)
+        i += 1
+    if any(name not in given
+           and (keywords.get("required") or not name.startswith("-"))
+           for name, keywords in arguments):
+        return None
+    return i
 
 
 def parse_argv(argv: list[str]) -> argparse.Namespace:
-    """The Namespace the argparse tree of build_parser() gives argv, read
-    from the command table without building that tree.  Usage errors
-    raise ValueError with argparse's message; -h/--help alone builds the
-    tree, prints its help and exits 0."""
+    """The Namespace the argparse tree of build_parser() gives argv.  An
+    argv of the canonical grammar is read from the command table with no
+    parser: the program's options, the command, its action and then the
+    action's arguments, each option an exact flag of its level.  argparse
+    reads every other argv, so -h/--help prints its help and exits 0, and
+    a usage error raises ValueError with its message."""
     values = {}
-    extras = _read(list(argv), (), values)
-    if extras:
-        raise ValueError("unrecognized arguments: " + " ".join(extras))
-    return argparse.Namespace(**values)
+    i = _read(argv, _OPTIONS, values)
+    if i is not None and len(argv) >= i + 2:
+        command, action, rest = argv[i], argv[i + 1], argv[i + 2:]
+        arguments = _COMMANDS.get(command, {}).get(action)
+        if arguments is not None and _read(rest, arguments,
+                                           values) == len(rest):
+            return argparse.Namespace(command=command, action=action,
+                                      **values)
+    return build_parser().parse_args(argv)
 
 
 _HANDLERS = {

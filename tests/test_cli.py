@@ -851,26 +851,6 @@ def test_each_coboundary_matrix_is_eliminated_once(capsys, monkeypatch):
     assert len(eliminated) == 6
 
 
-def test_a_main_call_builds_no_argparse_parser(capsys, monkeypatch):
-    built = []
-    init = argparse.ArgumentParser.__init__
-
-    def counted_init(self, *args, **kwargs):
-        built.append(kwargs.get("prog"))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
-    build_parser()
-    assert len(built) == 21  # the program, 7 commands and 13 actions
-    built.clear()
-    code, _ = run_json(capsys, ["chern", "pc", "--group", C3, "--p", "3"])
-    assert code == EXIT_PASS
-    code, rep = run_json(capsys, ["scenario", "run", "massey.json"])
-    assert code == EXIT_PASS and rep["passed"] and len(rep["steps"]) == 3
-    assert main(["chern", "pc", "--group", C3, "--p", "4"]) == EXIT_INPUT
-    assert built == []
-
-
 # ---------------------------------------------------------------------------
 # the argv reader: parse_argv against the argparse tree of the same table
 # ---------------------------------------------------------------------------
@@ -889,16 +869,24 @@ def _outcome(read, argv):
         return ("help", exc.code, printed.getvalue())
 
 
-def _raise_usage_error(self, message):
-    raise ValueError(message)
-
-
 def _oracle(argv):
     """argparse's reading of argv with the full tree of build_parser(),
-    its usage errors raised as ValueError."""
-    with mock.patch.object(argparse.ArgumentParser, "error",
-                           _raise_usage_error):
-        return _outcome(build_parser().parse_args, argv)
+    whose parsers raise usage errors as ValueError."""
+    return _outcome(build_parser().parse_args, argv)
+
+
+@contextlib.contextmanager
+def _parsers_built():
+    """The prog of every ArgumentParser constructed inside the block."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    with mock.patch.object(argparse.ArgumentParser, "__init__", counted_init):
+        yield built
 
 
 def _catalogue_argvs():
@@ -939,6 +927,37 @@ def test_lazy_parser_parses_every_known_argv_as_the_full_tree():
             want = _oracle(form)
             assert isinstance(want, argparse.Namespace), (form, want)
             assert _outcome(parse_argv, form) == want
+
+
+def _equals_form(argv):
+    """argv with every option's value joined to its flag by "="."""
+    tokens = iter(argv)
+    return [f"{token}={next(tokens)}" if token.startswith("--") else token
+            for token in tokens]
+
+
+def test_a_main_call_builds_no_argparse_parser(capsys):
+    with _parsers_built() as built:
+        build_parser()
+    assert len(built) == 21  # the program, 7 commands and 13 actions
+    argvs = _catalogue_argvs() + _scenario_argvs()
+    with _parsers_built() as built:
+        for argv in argvs:
+            want = parse_argv(argv)
+            parse_argv(["--cache-dir", "D"] + argv)
+            assert parse_argv(_equals_form(argv)) == want, argv
+        code, _ = run_json(capsys, ["chern", "pc", "--group", C3, "--p", "3"])
+        assert code == EXIT_PASS
+        code, rep = run_json(capsys, ["scenario", "run", "massey.json"])
+        assert code == EXIT_PASS and rep["passed"] and len(rep["steps"]) == 3
+    assert built == []
+    # argparse reads the rest: one tree per call
+    with _parsers_built() as built:
+        assert main(["chern", "pc", "--group", C3, "--p", "4"]) == EXIT_INPUT
+    assert len(built) == 21
+    with _parsers_built() as built, pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0 and len(built) == 21
 
 
 DIMS_ARGS = ["--group", C3, "--p", "3", "--max-degree", "2"]
@@ -1029,12 +1048,49 @@ def test_reader_matches_the_argparse_tree(argv):
     assert _outcome(parse_argv, argv) == _oracle(argv)
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.text(alphabet="0123456789.-\n\u0663a ", max_size=6))
-def test_negative_numbers_are_argparses(tail):
-    matcher = argparse.ArgumentParser()._negative_number_matcher
-    token = "-" + tail
-    assert cli._is_negative_number(token) == bool(matcher.match(token))
+_WELL_FORMED_VALUES = {_prime: ["3", "7"], _degree: ["0", "4"],
+                       int: ["2", "6"], _cell_limit: ["0", "9"],
+                       None: ["D", "{}", "a b", "x=y"]}
+
+
+@st.composite
+def _given(draw, flag, keywords):
+    """flag with a well-formed value, apart or after "="."""
+    value = draw(st.sampled_from(_WELL_FORMED_VALUES[keywords.get("type")]))
+    return draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+
+
+@st.composite
+def _canonical_argvs(draw):
+    """An argv the table reads: the program's options, a command and its
+    action, then the action's arguments; options in any order, either
+    value form, repeated or (when optional) left out."""
+    def options(arguments):
+        pieces = []
+        for name, keywords in arguments:
+            if not name.startswith("-"):  # scenario run: its path
+                pieces.append([draw(st.sampled_from(["massey.json", "a=b"]))])
+                continue
+            least = 1 if keywords.get("required") else 0
+            pieces += [draw(_given(name, keywords))
+                       for _ in range(draw(st.integers(least, 2)))]
+        return draw(st.permutations(pieces))
+
+    command = draw(st.sampled_from(list(_COMMANDS)))
+    action = draw(st.sampled_from(list(_COMMANDS[command])))
+    pieces = (options(_OPTIONS) + [[command, action]]
+              + options(_COMMANDS[command][action]))
+    return [token for piece in pieces for token in piece]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_canonical_argvs())
+def test_the_table_reads_every_canonical_argv_without_argparse(argv):
+    want = _oracle(argv)
+    assert isinstance(want, argparse.Namespace), want
+    with _parsers_built() as built:
+        assert parse_argv(argv) == want
+    assert built == []
 
 
 def test_command_help_lists_its_actions(capsys):
@@ -1135,6 +1191,34 @@ def test_scenario_malformed_exits_2(capsys, tmp_path):
     empty = tmp_path / "nosteps.json"
     empty.write_text("[]")
     assert main(["scenario", "run", str(empty)]) == EXIT_INPUT
+    capsys.readouterr()
+    dickson = ["invariants", "dickson", "--p", "3", "--max-degree", "4"]
+    for data, message in [
+            ({"steps": [1]}, "'steps' list of objects"),
+            ({"steps": 5}, "'steps' list of objects"),
+            ({"steps": [{"argv": 7}]}, "'argv' list of strings"),
+            ({"steps": [{"argv": ["chern", 3]}]}, "'argv' list of strings"),
+            ({"steps": [{"argv": dickson}], "budget_seconds": "5"},
+             "'budget_seconds' must be a non-negative number"),
+            ({"steps": [{"argv": dickson}], "budget_seconds": True},
+             "'budget_seconds' must be a non-negative number"),
+            ({"steps": [{"argv": dickson}], "budget_seconds": -1},
+             "'budget_seconds' must be a non-negative number")]:
+        _exits_2_without_traceback(
+            capsys, ["scenario", "run", str(_write(tmp_path, data))], message)
+
+
+def test_a_scenario_step_running_a_scenario_exits_2(capsys, tmp_path):
+    path = tmp_path / "self.json"
+    for argv in (["scenario", "run", str(path)],
+                 ["--cache-dir", str(tmp_path), "scenario", "run",
+                  "massey.json"]):
+        path.write_text(json.dumps({"steps": [
+            {"argv": ["invariants", "dickson", "--p", "3",
+                      "--max-degree", "4"]},
+            {"argv": argv}]}))
+        _exits_2_without_traceback(capsys, ["scenario", "run", str(path)],
+                                   "step 1 runs a scenario")
 
 
 def test_scenario_budget_exceeded_exits_3(capsys, tmp_path):
