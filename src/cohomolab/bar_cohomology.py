@@ -1,14 +1,14 @@
 """Normalized bar-complex (co)homology of finite groups.
 
 Cochains are finitely supported maps from tuples of non-identity group
-elements to Z or F_p.  Products (cup, cup-1), Bocksteins, transfer and
-matric Massey products (the triple product is the 1 x 1 case) all live
-at the cochain level.  Each coboundary map delta_n is eliminated once
-per (group, n, ring), and that one echelon (CoboundarySolver) gives the
-cocycles, the class representatives and certified primitives.
-Dimension and integral computations go through a certified free
-resolution, with the literal bar boundary kept alongside as an
-independent route for cross-checking on small groups.
+elements to Z or F_p, stored by cell index.  Products (cup, cup-1),
+Bocksteins, transfer and matric Massey products (the triple product is
+the 1 x 1 case) all live at the cochain level.  Each coboundary map
+delta_n is eliminated once per (group, n, ring), and that one echelon
+(CoboundarySolver) gives the cocycles, the class representatives and
+certified primitives.  Dimension and integral computations go through a
+certified free resolution, with the literal bar boundary kept alongside
+as an independent route for cross-checking on small groups.
 """
 
 from __future__ import annotations
@@ -36,46 +36,50 @@ class ResourceLimitError(RuntimeError):
 class Cochain:
     """Degree-n cochain on the normalized bar complex of a finite group.
 
-    `data` maps n-tuples of non-identity element indices to nonzero scalars;
-    anything absent is 0, and tuples containing the identity are outside the
-    domain (normalization).
+    `cells` maps the cell_index of an n-tuple of non-identity element
+    indices, the row and column index of coboundary_matrix and
+    CoboundarySolver, to a nonzero scalar; anything absent is 0.  Only the
+    constructor takes tuple keys, which it checks (tuples containing the
+    identity are outside the domain: normalization); `data` reads back.
     """
 
-    __slots__ = ("group", "degree", "p", "data")
+    __slots__ = ("group", "degree", "p", "cells")
 
     def __init__(self, group: FiniteGroup, degree: int,
                  data: Optional[dict] = None, p: Optional[int] = None):
-        self.group = group
-        self.degree = degree
-        self.p = p
-        clean: dict[tuple, int] = {}
+        cells: dict[int, int] = {}
         for key, v in (data or {}).items():
             key = tuple(key)
             if len(key) != degree:
                 raise ValueError("key length does not match degree")
             if any(not (1 <= g < group.order) for g in key):
                 raise ValueError("cochain keys must avoid the identity")
-            if p is not None:
-                v %= p
-            if v:
-                clean[key] = v
-        self.data = clean
+            cells[cell_index(group, key)] = v
+        self._set(group, degree, cells, p)
+
+    def _set(self, group: FiniteGroup, degree: int, cells: dict,
+             p: Optional[int]) -> None:
+        self.group, self.degree, self.p = group, degree, p
+        if p is None:
+            self.cells = {k: v for k, v in cells.items() if v}
+        else:
+            self.cells = {k: r for k, v in cells.items() if (r := v % p)}
 
     @classmethod
-    def _trusted(cls, group: FiniteGroup, degree: int, data: dict,
+    def _trusted(cls, group: FiniteGroup, degree: int, cells: dict,
                  p: Optional[int]) -> "Cochain":
-        """A cochain on keys that the caller built from valid keys: the key
-        checks are skipped, values are still reduced mod p and zeros
-        dropped."""
+        """A cochain on cell indices that the caller built from valid
+        cells: values are reduced mod p and zeros dropped."""
         self = cls.__new__(cls)
-        self.group = group
-        self.degree = degree
-        self.p = p
-        if p is None:
-            self.data = {k: v for k, v in data.items() if v}
-        else:
-            self.data = {k: r for k, v in data.items() if (r := v % p)}
+        self._set(group, degree, cells, p)
         return self
+
+    @property
+    def data(self) -> dict[tuple, int]:
+        """A copy of the cochain keyed by n-tuples of element indices."""
+        m, n = self.group.order - 1, self.degree
+        return {tuple(j // m ** (n - 1 - i) % m + 1 for i in range(n)): v
+                for j, v in self.cells.items()}
 
     # -- algebra --------------------------------------------------------------
 
@@ -89,9 +93,10 @@ class Cochain:
         self._compat(other)
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        out = dict(self.data)
-        for k, v in other.data.items():
-            out[k] = out.get(k, 0) + v
+        out = dict(self.cells)
+        get = out.get
+        for k, v in other.cells.items():
+            out[k] = get(k, 0) + v
         return Cochain._trusted(self.group, self.degree, out, self.p)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
@@ -99,40 +104,41 @@ class Cochain:
 
     def scale(self, c: int) -> "Cochain":
         return Cochain._trusted(self.group, self.degree,
-                                {k: c * v for k, v in self.data.items()},
+                                {k: c * v for k, v in self.cells.items()},
                                 self.p)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cochain) and self.degree == other.degree
-                and self.p == other.p and self.data == other.data)
+                and self.p == other.p and self.cells == other.cells)
 
     def __hash__(self):
-        return hash((self.degree, self.p, frozenset(self.data.items())))
+        return hash((self.degree, self.p, frozenset(self.cells.items())))
 
     def is_zero(self) -> bool:
-        return not self.data
+        return not self.cells
 
     def __call__(self, key: Sequence[int]) -> int:
         key = tuple(key)
-        if 0 in key:
-            return 0
-        return self.data.get(key, 0)
+        if len(key) != self.degree or not all(0 < g < self.group.order
+                                              for g in key):
+            return 0  # outside the domain, the identity included
+        return self.cells.get(cell_index(self.group, key), 0)
 
     def reduce_mod(self, p: int) -> "Cochain":
         if self.p is not None:
             raise ValueError("already modular")
-        return Cochain(self.group, self.degree, self.data, p)
+        return Cochain._trusted(self.group, self.degree, self.cells, p)
 
     def lift_to_z(self) -> "Cochain":
         """Integer lift with values in 0..p-1."""
         if self.p is None:
             return self
-        return Cochain(self.group, self.degree, dict(self.data), None)
+        return Cochain._trusted(self.group, self.degree, self.cells, None)
 
     def __repr__(self):
         return (f"Cochain(deg={self.degree}, "
                 f"{'Z' if self.p is None else 'F%d' % self.p}, "
-                f"support={len(self.data)})")
+                f"support={len(self.cells)})")
 
 
 def zero_cochain(G: FiniteGroup, degree: int, p: Optional[int] = None) -> Cochain:
@@ -146,15 +152,17 @@ def constant_one(G: FiniteGroup, p: Optional[int] = None) -> Cochain:
 def random_cochain(G: FiniteGroup, degree: int, p: int,
                    rng: random.Random) -> Cochain:
     m = G.order - 1
-    data = {}
+    cells = {}
     for _ in range(rng.randrange(1, 2 * m + 2)):
-        key = tuple(rng.randrange(1, m + 1) for _ in range(degree))
-        data[key] = rng.randrange(p)
-    return Cochain(G, degree, data, p)
+        j = 0
+        for _ in range(degree):
+            j = j * m + rng.randrange(1, m + 1) - 1
+        cells[j] = rng.randrange(p)
+    return Cochain._trusted(G, degree, cells, p)
 
 
 # ---------------------------------------------------------------------------
-# Coboundary (support-driven: no enumeration of the full tuple space)
+# Coboundary, bar cells and coboundary matrices
 # ---------------------------------------------------------------------------
 
 
@@ -174,40 +182,40 @@ def _check_terms(G: FiniteGroup, n: int, cells: int) -> None:
 
 
 def coboundary(c: Cochain) -> Cochain:
-    """delta c; ResourceLimitError above MAX_COBOUNDARY_TERMS."""
+    """delta c, cell by cell: with w = m^(n-i), m = |G| - 1, the entry t of
+    the n-cell j = (hi*m + t - 1)*w + lo splits as a*b into the (n+1)-cell
+    (hi*m*m + (a-1)*m + b-1)*w + lo.  ResourceLimitError above
+    MAX_COBOUNDARY_TERMS."""
     G = c.group
-    mul, inv = G.mul, G.inv
     n = c.degree
-    _check_terms(G, n, len(c.data))
-    m = G.order
-    out: dict[tuple, int] = {}
+    _check_terms(G, n, len(c.cells))
+    m = G.order - 1
+    size = m ** n
+    splits: list[list[int]] = [[] for _ in range(m + 1)]  # t: (a-1)*m + b-1
+    for a, row in enumerate(G.mul[1:], 1):
+        for b in range(1, m + 1):
+            if row[b]:
+                splits[row[b]].append((a - 1) * m + b - 1)
+    out: dict[int, int] = {}
     get = out.get
     sgn_last = -1 if (n + 1) % 2 else 1
-    for key, v in c.data.items():
-        # front face: prepend any non-identity g
-        for g in range(1, m):
-            k = (g,) + key
+    for j, v in c.cells.items():
+        for k in range(j, j + m * size, size):  # front faces: prepend g
             out[k] = get(k, 0) + v
-        # merged faces: split entry i-1 of key as a product a*b
-        for i in range(1, n + 1):
+        w = size
+        for i in range(1, n + 1):  # merged faces: entry i split as a*b
+            w //= m
             s = -v if i % 2 else v
-            head, target, tail = key[:i - 1], key[i - 1], key[i:]
-            for a in range(1, m):
-                b = mul[inv[a]][target]
-                if b:
-                    k = head + (a, b) + tail
-                    out[k] = get(k, 0) + s
-        # back face: append any non-identity g
+            hi, lo = divmod(j, w)
+            hi, t = divmod(hi, m)
+            base = hi * m * m * w + lo
+            for mid in splits[t + 1]:
+                k = base + mid * w
+                out[k] = get(k, 0) + s
         s = sgn_last * v
-        for g in range(1, m):
-            k = key + (g,)
+        for k in range(j * m, j * m + m):  # back faces: append g
             out[k] = get(k, 0) + s
     return Cochain._trusted(G, n + 1, out, c.p)
-
-
-# ---------------------------------------------------------------------------
-# Bar cells and boundary/coboundary matrices
-# ---------------------------------------------------------------------------
 
 
 def n_cells(G: FiniteGroup, n: int) -> int:
@@ -272,11 +280,9 @@ def coboundary_matrix(G: FiniteGroup, n: int, p: Optional[int] = None) -> Sparse
 
 def cup(u: Cochain, v: Cochain) -> Cochain:
     u._compat(v)
-    out: dict[tuple, int] = {}
-    for ku, a in u.data.items():
-        for kv, b in v.data.items():
-            key = ku + kv
-            out[key] = out.get(key, 0) + a * b
+    shift = (u.group.order - 1) ** v.degree  # cell i, then cell j: i*shift + j
+    vs = v.cells.items()
+    out = {i * shift + j: a * b for i, a in u.cells.items() for j, b in vs}
     return Cochain._trusted(u.group, u.degree + v.degree, out, u.p)
 
 
@@ -297,21 +303,31 @@ def cup1(u: Cochain, v: Cochain) -> Cochain:
     pdeg, qdeg = u.degree, v.degree
     if pdeg == 0 or qdeg == 0:
         return zero_cochain(G, max(pdeg + qdeg - 1, 0), u.p)
-    # group v's support by the product of its entries
-    by_product: dict[int, list[tuple]] = {}
-    for kv in v.data:
-        prod = 0
-        for g in kv:
-            prod = mul[prod][g]
-        by_product.setdefault(prod, []).append(kv)
-    out: dict[tuple, int] = {}
-    for ku, a in u.data.items():
-        for i in range(pdeg):
-            for kv in by_product.get(ku[i], ()):
-                b = v.data[kv]
-                key = ku[:i] + kv + ku[i + 1:]
-                s = _cup1_sign(pdeg, qdeg, i)
-                out[key] = out.get(key, 0) + s * a * b
+    m = G.order - 1
+    # group v's support by the product of its cell's entries
+    by_product: dict[int, list[tuple[int, int]]] = {}
+    for j, b in v.cells.items():
+        prod, x = 0, j
+        for _ in range(qdeg):  # from the last entry: g_i * (g_(i+1) ...)
+            x, t = divmod(x, m)
+            prod = mul[t + 1][prod]
+        by_product.setdefault(prod, []).append((j, b))
+    shift = m ** qdeg
+    weights = [(m ** (pdeg - 1 - i), _cup1_sign(pdeg, qdeg, i))
+               for i in range(pdeg)]
+    out: dict[int, int] = {}
+    get = out.get
+    for i_u, a in u.cells.items():
+        for w, s in weights:
+            hi, lo = divmod(i_u, w)
+            hi, t = divmod(hi, m)
+            pairs = by_product.get(t + 1)
+            if pairs:
+                s *= a
+                hi *= shift
+                for j, b in pairs:
+                    k = (hi + j) * w + lo
+                    out[k] = get(k, 0) + s * b
     return Cochain._trusted(G, pdeg + qdeg - 1, out, u.p)
 
 
@@ -336,15 +352,14 @@ _SOLVERS: dict[tuple, "CoboundarySolver"] = {}
 class CoboundarySolver:
     """One elimination of delta_n: C^n -> C^(n+1) for (G, n, ring), the
     echelon of the columns of [delta_n ; I] (exact_linalg's augmented
-    echelon).  Its kernel rows are the n-cocycles (cocycle_basis), the
-    cell coordinates of a residue are the canonical representative of a
-    class modulo coboundaries (reduce), and the bookkeeping coordinates
-    of a coboundary's residue give a primitive (find_primitive).  The
-    bookkeeping coordinates come after every cell coordinate, so every
-    pivot and multiplier on cells is that of a plain echelon of delta_n's
-    columns, and so are the cell residues.  col_cells and row_cells list
-    the n- and (n+1)-cells by index, in itertools.product order, which is
-    the index order of cell_index."""
+    echelon), whose cell coordinates are a Cochain's cell indices.  Its
+    kernel rows are the n-cocycles (cocycle_basis), the cell coordinates
+    of a residue are the canonical representative of a class modulo
+    coboundaries (reduce), and the bookkeeping coordinates of a
+    coboundary's residue give a primitive (find_primitive).  They come
+    after every cell coordinate, so every pivot and multiplier on cells
+    is that of a plain echelon of delta_n's columns, and so are the cell
+    residues."""
 
     def __init__(self, G: FiniteGroup, n: int, p: Optional[int]):
         self.G = G
@@ -353,21 +368,13 @@ class CoboundarySolver:
         M = coboundary_matrix(G, n, p)
         self.shape = (M.n_rows, M.n_cols)
         self.ech = _augmented_echelon(M)
-        elements = range(1, G.order)
-        self.col_cells = list(product(elements, repeat=n))
-        self.row_cells = list(product(elements, repeat=n + 1))
-        self._row_index = {k: i for i, k in enumerate(self.row_cells)}
-
-    def vector(self, c: Cochain) -> dict[int, int]:
-        """The (n+1)-cochain c as a sparse vector on the row cells."""
-        index = self._row_index
-        return {index[k]: v for k, v in c.data.items()}
 
     def reduce(self, c: Cochain) -> Cochain:
-        n_rows, cells = self.shape[0], self.row_cells
-        res = self.ech.reduce(self.vector(c))
-        data = {cells[k]: v for k, v in res.items() if k < n_rows}
-        return Cochain._trusted(self.G, c.degree, data, self.p)
+        n_rows = self.shape[0]
+        res = self.ech.reduce(c.cells)
+        return Cochain._trusted(self.G, c.degree,
+                                {k: v for k, v in res.items() if k < n_rows},
+                                self.p)
 
 
 def _solver(G: FiniteGroup, n: int, p: Optional[int]) -> CoboundarySolver:
@@ -382,9 +389,12 @@ def is_cocycle(c: Cochain) -> bool:
 
 
 def is_coboundary(c: Cochain) -> bool:
+    """Whether c's residue modulo the coboundaries has no cell coordinate:
+    one sweep that ends at the residue's least coordinate."""
     if c.degree == 0:
         return c.is_zero()
-    return _solver(c.group, c.degree - 1, c.p).reduce(c).is_zero()
+    sol = _solver(c.group, c.degree - 1, c.p)
+    return not sol.ech.reduce(c.cells, sol.shape[0])
 
 
 def class_equal(u: Cochain, v: Cochain) -> bool:
@@ -401,11 +411,10 @@ def find_primitive(c: Cochain) -> Optional[Cochain]:
         return None
     G, n = c.group, c.degree - 1
     sol = _solver(G, n, c.p)
-    x = _solve_augmented(sol.ech, sol.shape[0], sol.vector(c))
+    x = _solve_augmented(sol.ech, sol.shape[0], c.cells)
     if x is None:
         return None
-    a = Cochain._trusted(G, n, {sol.col_cells[j]: v for j, v in x.items()},
-                         c.p)
+    a = Cochain._trusted(G, n, x, c.p)
     if coboundary(a) != c:
         raise ArithmeticError("primitive certificate failed: delta(a) != c")
     return a
@@ -416,24 +425,27 @@ def cocycle_basis(G: FiniteGroup, n: int, p: int) -> list[Cochain]:
     if n == 0:
         return [constant_one(G, p)]
     sol = _solver(G, n, p)
-    out = []
-    cells = sol.col_cells
-    for vec in _kernel_from_augmented(sol.ech, sol.shape[0]):
-        data = {cells[j]: v for j, v in vec.items()}
-        out.append(Cochain._trusted(G, n, data, p))
-    return out
+    return [Cochain._trusted(G, n, vec, p)
+            for vec in _kernel_from_augmented(sol.ech, sol.shape[0])]
 
 
 def _independent_classes(cands: list[Cochain], G: FiniteGroup, n: int,
                          p: Optional[int]) -> list[Cochain]:
     """The degree-n candidates whose classes are independent of the
-    classes of the candidates before them, in order."""
-    span = Echelon(p=p)
+    classes of the candidates before them, in order: one sweep each
+    through a copy of the echelon of [delta_(n-1) ; I], and a candidate
+    whose residue has a cell coordinate is kept and added to the copy."""
     if n == 0:
-        return [c for c in cands
-                if span.add({0: v for v in c.data.values()})]
+        span = Echelon(p=p)
+        return [c for c in cands if span.add(c.cells)]
     sol = _solver(G, n - 1, p)
-    return [c for c in cands if span.add(sol.vector(sol.reduce(c)))]
+    span, n_rows = sol.ech.copy(), sol.shape[0]
+    kept = []
+    for c in cands:
+        if span.reduce(c.cells, n_rows):
+            span.add(c.cells)
+            kept.append(c)
+    return kept
 
 
 def class_basis(G: FiniteGroup, n: int, p: int) -> list[Cochain]:
@@ -455,7 +467,7 @@ class CohomologyClass:
 
 
 # ---------------------------------------------------------------------------
-# Bockstein
+# Bockstein and Massey products
 # ---------------------------------------------------------------------------
 
 
@@ -466,24 +478,17 @@ def bockstein(u: Cochain, kind: str = "beta") -> Cochain:
     if not is_cocycle(u):
         raise ValueError("Bockstein input must be a cocycle")
     p = u.p
-    lifted = u.lift_to_z()
-    d = coboundary(lifted)
-    data = {}
-    for k, v in d.data.items():
+    cells = {}
+    for k, v in coboundary(u.lift_to_z()).cells.items():
         if v % p != 0:
             raise ArithmeticError("coboundary of the lift not divisible by p")
-        data[k] = v // p
-    delta_p = Cochain(u.group, u.degree + 1, data, None)
+        cells[k] = v // p
+    delta_p = Cochain._trusted(u.group, u.degree + 1, cells, None)
     if kind == "delta_p":
         return delta_p
     if kind == "beta":
         return delta_p.reduce_mod(p)
     raise ValueError("kind must be 'beta' or 'delta_p'")
-
-
-# ---------------------------------------------------------------------------
-# Massey products
-# ---------------------------------------------------------------------------
 
 
 @dataclass
@@ -492,10 +497,8 @@ class MasseyResult:
     indeterminacy: list[Cochain] = field(default_factory=list)
 
     def is_zero_modulo_indeterminacy(self) -> bool:
-        return self.equals_cochain(
-            zero_cochain(self.representative.representative.group,
-                         self.representative.degree,
-                         self.representative.representative.p))
+        rep = self.representative.representative
+        return self.equals_cochain(zero_cochain(rep.group, rep.degree, rep.p))
 
     def equals_cochain(self, other: Cochain) -> bool:
         diff = self.representative.representative - other
@@ -559,66 +562,62 @@ def restrict(c: Cochain, H: Subgroup) -> Cochain:
     """Restriction to a subgroup: precomposition, on the subgroup's own
     element numbering."""
     Hg = H.as_group()
-    data = {}
+    m, mh = c.group.order - 1, Hg.order - 1
     idx = H.index_of
-    for key, v in c.data.items():
-        if all(g in idx for g in key):
-            data[tuple(idx[g] for g in key)] = v
-    return Cochain(Hg, c.degree, data, c.p)
+    cells = {}
+    for j, v in c.cells.items():
+        k, w = 0, 1
+        for _ in range(c.degree):  # from the last entry
+            j, t = divmod(j, m)
+            h = idx.get(t + 1)
+            if h is None:
+                break
+            k += (h - 1) * w
+            w *= mh
+        else:
+            cells[k] = v
+    return Cochain._trusted(Hg, c.degree, cells, c.p)
 
 
 def transfer(c: Cochain, H: Subgroup) -> Cochain:
     """Corestriction (transfer) of a cochain on H up to the parent group,
-    via a fixed left transversal.  Reading a key from its last entry, g
-    moves the coset of the transversal element t to the coset of g*t =
-    t'*h; step[g][j] is (j', index of h in H) for t = trans[j], and a key
-    whose walk meets h = 1 contributes nothing (normalization)."""
+    via a fixed left transversal.  Reading a cell from its last entry, g
+    moves the coset of the transversal element t_r to the coset of
+    g*t_r = t_j*h, and a cell whose walk meets h = 1 contributes nothing
+    (normalization).  The walks of the cells of length L + 1 extend those
+    of length L by an entry in front: walk i*k + r, from t_r, is k times
+    the index in H of the cell it spells plus the j it ends at, or -1."""
     G = H.parent
     Hg = H.as_group()
     if c.group.digest() != Hg.digest():
         raise ValueError("cochain does not live on the given subgroup")
     mul, inv = G.mul, G.inv
-    trans = H.transversal
-    # coset index of each parent element
-    coset_of = {}
-    for j, t in enumerate(trans):
-        for h in H.members:
-            coset_of[mul[t][h]] = j
-    idx = H.index_of
+    trans, idx = H.transversal, H.index_of
+    k = len(trans)
+    coset_of = {mul[t][h]: j for j, t in enumerate(trans) for h in H.members}
     n = c.degree
     m = G.order - 1
     if n == 0:
-        return Cochain(G, 0, {(): len(trans) * c.data.get((), 0)}, c.p)
-    limit = (m ** n) * len(trans)
+        return Cochain._trusted(G, 0, {0: k * c.cells.get(0, 0)}, c.p)
+    limit = (m ** n) * k
     if limit > 4_000_000:
         raise ResourceLimitError(f"transfer would evaluate {limit} terms")
-    step: list = [None]
-    for g in range(1, m + 1):
-        row = []
-        for t in trans:
-            gt = mul[g][t]
-            j = coset_of[gt]
-            row.append((j, idx[mul[inv[trans[j]]][gt]]))
-        step.append(row)
-    data, p = c.data, c.p
-    out: dict[tuple, int] = {}
-    for key in product(range(1, m + 1), repeat=n):
-        total = 0
-        for start in range(len(trans)):
-            j, hkey = start, []
-            for g in reversed(key):
-                j, h = step[g][j]
-                if not h:
-                    break
-                hkey.append(h)
-            else:
-                hkey.reverse()
-                total += data.get(tuple(hkey), 0)
-        if p is not None:
-            total %= p
-        if total:
-            out[key] = total
-    return Cochain._trusted(G, n, out, p)
+    walks, w = list(range(k)), k  # w = k * (|H| - 1)^L
+    for _ in range(n):
+        longer: list[int] = []
+        for g in range(1, m + 1):  # g moves walk x from t_r to x + moves[r]
+            moves = []
+            for r, t in enumerate(trans):
+                j = coset_of[mul[g][t]]
+                h = idx[mul[inv[trans[j]]][mul[g][t]]]
+                moves.append(j - r + (h - 1) * w if h else None)
+            longer += [-1 if x < 0 or (d := moves[x % k]) is None else x + d
+                       for x in walks]
+        walks, w = longer, w * (Hg.order - 1)
+    get = c.cells.get
+    return Cochain._trusted(G, n, {i // k: sum(get(x // k, 0) for x in
+                                               walks[i:i + k] if x >= 0)
+                                   for i in range(0, len(walks), k)}, c.p)
 
 
 # ---------------------------------------------------------------------------

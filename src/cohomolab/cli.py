@@ -10,8 +10,10 @@ Exit codes: 0 pass, 1 expectation/certification failure, 2 input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import importlib.resources
+import io
 import json
 import os
 import sys
@@ -289,7 +291,7 @@ def run_scenario(path: str, cache_dir: Optional[str] = None,
     """Run every step of a scenario file, matching each step's report
     against its expectations.  Raises ResourceLimitError past the declared
     time budget and ValueError on a malformed file, including a step that
-    runs a scenario, before any step runs."""
+    runs a scenario or asks for help, before any step runs."""
     with open(_resolve_scenario(path)) as fh:
         try:
             scenario = json.load(fh)
@@ -308,9 +310,13 @@ def run_scenario(path: str, cache_dir: Optional[str] = None,
         raise ValueError("'budget_seconds' must be a non-negative number")
     for i, step in enumerate(steps):
         try:
-            command = parse_argv(step["argv"]).command
+            with contextlib.redirect_stdout(io.StringIO()):
+                command = parse_argv(step["argv"]).command
         except ValueError:  # a usage error fails its step when it runs
             continue
+        except SystemExit:  # argparse printed help and exited
+            raise ValueError(f"step {i} asks for help, which a scenario "
+                             "step may not") from None
         if command == "scenario":
             raise ValueError(f"step {i} runs a scenario, which a scenario "
                              "step may not")

@@ -12,6 +12,7 @@ from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence, TextIO
 
 
@@ -210,7 +211,10 @@ _WINDOW = (1 << 64) - 1
 def _planes(vec: dict[int, int]) -> tuple[int, int, int]:
     """(base, P, M): vec mod 3 as two bit planes from base, bit j of P (of
     M) set where the coordinate base + j is 1 (is 2), and bit 0 set in one
-    of them; (0, 0, 0) when vec is zero mod 3."""
+    of them; P = M = 0 when vec is zero mod 3.  A few entries are shifted
+    in one by one, entries spread wider than 8 coordinates apart each set
+    a bit in two bit-packed buffers, and denser ones fill a byte per
+    coordinate that is read as two binary numerals."""
     if not vec:
         return 0, 0, 0
     lo = min(vec)
@@ -222,6 +226,15 @@ def _planes(vec: dict[int, int]) -> tuple[int, int, int]:
                 P |= 1 << i - lo
             elif v:
                 M |= 1 << i - lo
+    elif len(vec) * 8 < max(vec) - lo + 1:  # wide: set bits in the planes
+        ones = bytearray((max(vec) - lo >> 3) + 1)
+        twos = bytearray(len(ones))
+        for i, v in vec.items():
+            v %= 3
+            if v:
+                i -= lo
+                (ones if v == 1 else twos)[i >> 3] |= 1 << (i & 7)
+        P, M = int.from_bytes(ones, "little"), int.from_bytes(twos, "little")
     else:
         data = bytearray(max(vec) - lo + 1)
         for i, v in vec.items():
@@ -270,23 +283,50 @@ class Echelon:
         # _mask_bits bits, which cover every Y swept so far
         self._mask = self._mask_bits = 0
 
-    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
+    def reduce(self, vec: dict[int, int],
+               stop: Optional[int] = None) -> dict[int, int]:
         """Canonical residue of vec modulo the spanned lattice (without
         inserting): coordinates at pivot positions are fully eliminated over
         F_p and floor-reduced over Z, sweeping in increasing position.  The
-        residue is zero exactly when vec lies in the span."""
+        residue is zero exactly when vec lies in the span.  With stop, only
+        the residue's coordinates below stop are asked for: the result is
+        empty when they are all zero, and else holds the least of them
+        alone, where an F_p sweep ends (a row changes coordinates from its
+        own pivot on, so the residue is final below the sweep)."""
         if self.p == 3:
+            if stop is not None:
+                lo, P, M = self._sweep3(*_planes(vec))
+                if (P or M) and lo < stop:
+                    return {lo: 1 if P & 1 else 2}
+                return {}
             res: dict[int, int] = {}
             self._sweep3(*_planes(vec), res)
             return res
         pk = self._pk
         if pk is not None:
+            if stop is not None:
+                lo, V = self._sweep(*pk.pack(vec))
+                return {lo: V & pk.low} if V and lo < stop else {}
             res: dict[int, int] = {}
             self._sweep(*pk.pack(vec), res)
             return res
         vec = {k: v for k, v in vec.items() if v}
         self._reduce_z(vec, -1)
+        if stop is not None:
+            lo = min((k for k in vec if k < stop), default=None)
+            return {} if lo is None else {lo: vec[lo]}
         return vec
+
+    def copy(self) -> "Echelon":
+        """An echelon of the same span that is added to independently."""
+        other = Echelon(self.p)
+        if self.p is None:  # Z rows are dicts that add changes in place
+            other.basis = {piv: dict(row) for piv, row in self.basis.items()}
+        else:
+            other.basis = dict(self.basis)
+        other._pivots = list(self._pivots)
+        other._mask, other._mask_bits = self._mask, self._mask_bits
+        return other
 
     def _reduce_z(self, vec: dict[int, int], lo: int) -> None:
         """Floor-reduce vec in place at every pivot position above lo, in
@@ -870,12 +910,13 @@ def matrix_group_closure(mats, p, k: int, cap: int) -> list:
     none): the identity, then each new product A*M in depth-first order.
     ValueError once it has more than cap elements."""
     ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-    gens = [tuple(tuple(x % p for x in row) for row in M) for M in mats]
+    gens = [tuple(zip(*[[x % p for x in row] for row in M])) for M in mats]
     group, stack = {ident: None}, [ident]  # a dict keeps insertion order
     while stack:
         A = stack.pop()
-        for M in gens:
-            B = _mat_mul(A, M, p)
+        for cols in gens:  # the columns of M
+            B = tuple(tuple(sum(map(mul, row, col)) % p for col in cols)
+                      for row in A)
             if B not in group:
                 group[B] = None
                 stack.append(B)

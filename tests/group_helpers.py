@@ -105,3 +105,23 @@ def light_oracle(mul: list[list[int]], generators) -> bool:
             if mul[row_x[s]] != list(map(row_x.__getitem__, row_s)):
                 return False
     return True
+
+
+def closure_oracle(mats, p: int, k: int) -> list:
+    """matrix_group_closure as first written: the identity, then each new
+    product A*M, entry by entry, in depth-first order."""
+    def mat_mul(A, B):
+        return tuple(tuple(sum(A[i][t] * B[t][j] for t in range(k)) % p
+                           for j in range(k)) for i in range(k))
+
+    ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    gens = [tuple(tuple(x % p for x in row) for row in M) for M in mats]
+    group, stack = {ident: None}, [ident]
+    while stack:
+        A = stack.pop()
+        for M in gens:
+            B = mat_mul(A, M)
+            if B not in group:
+                group[B] = None
+                stack.append(B)
+    return list(group)

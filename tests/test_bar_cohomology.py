@@ -41,7 +41,8 @@ def test_cochain_rejects_bad_keys(key):
 @pytest.mark.parametrize("p", [None, 3])
 def test_trusted_cochain_normalises_like_the_public_one(p):
     data = {(1, 2): 4, (2, 2): -3, (2, 1): 0, (1, 1): 6}
-    trusted = bc.Cochain._trusted(C3, 2, data, p)
+    cells = {bc.cell_index(C3, k): v for k, v in data.items()}
+    trusted = bc.Cochain._trusted(C3, 2, cells, p)
     assert trusted == bc.Cochain(C3, 2, data, p)
     assert trusted.data == ({(1, 2): 4, (2, 2): -3, (1, 1): 6} if p is None
                             else {(1, 2): 1})

@@ -1221,6 +1221,20 @@ def test_a_scenario_step_running_a_scenario_exits_2(capsys, tmp_path):
                                    "step 1 runs a scenario")
 
 
+def test_a_scenario_step_asking_for_help_exits_2(capsys, tmp_path):
+    # argparse's help exits 0; inside a scenario it would end the run with
+    # no report, so the file is refused before any step runs
+    path = tmp_path / "help.json"
+    for help_argv in (["chern", "-h"], ["--help"],
+                      ["massey", "triple", "--group", C3, "--p", "3", "-h"]):
+        path.write_text(json.dumps({"steps": [
+            {"argv": ["invariants", "dickson", "--p", "3",
+                      "--max-degree", "4"]},
+            {"argv": help_argv}]}))
+        _exits_2_without_traceback(capsys, ["scenario", "run", str(path)],
+                                   "step 1 asks for help")
+
+
 def test_scenario_budget_exceeded_exits_3(capsys, tmp_path):
     path = tmp_path / "tight.json"
     path.write_text(json.dumps({

@@ -15,6 +15,7 @@ from cohomolab.exact_linalg import (
     SparseMatrix,
     _Packing,
     _augmented_echelon,
+    _planes,
     kernel_mod_p,
     solve,
 )
@@ -154,6 +155,44 @@ def test_f3_streams_over_thousands_of_coordinates(ops):
         else:
             assert ech.reduce(dict(vec)) == oracle.reduce(dict(vec))
     assert_same(ech, oracle)
+
+
+def planes_oracle(vec):
+    """_planes one coordinate at a time: a bit of P for each 1 mod 3 and
+    of M for each 2, from the least coordinate that is nonzero mod 3."""
+    vec = {i: v % 3 for i, v in vec.items() if v % 3}
+    if not vec:  # any base, both planes empty
+        return None
+    lo = min(vec)
+    P = sum(1 << i - lo for i, v in vec.items() if v == 1)
+    M = sum(1 << i - lo for i, v in vec.items() if v == 2)
+    return lo, P, M
+
+
+@given(st.one_of(
+    st.dictionaries(st.integers(0, 20000), st.integers(-9, 9), max_size=60),
+    st.builds(_spread, st.integers(0, 5000),
+              st.dictionaries(st.integers(0, 300), st.integers(-9, 9),
+                              min_size=17, max_size=120))))
+@settings(max_examples=300, deadline=None)
+def test_planes_of_sparse_and_dense_vectors(vec):
+    # a wide vector (8 * entries < span) sets bits in two bit-packed
+    # buffers, a dense one goes through a byte per coordinate; values 0
+    # mod 3 and negative values included
+    want = planes_oracle(vec)
+    if want is None:
+        assert _planes(vec)[1:] == (0, 0)
+    else:
+        assert _planes(vec) == want
+
+
+def test_planes_of_the_augmented_coboundary_columns():
+    M = bc.coboundary_matrix(build_product([build_cyclic(3)] * 2), 3, 3)
+    for j in range(0, M.n_cols, 7):
+        vec = dict(M.cols.get(j, ()))
+        vec[M.n_rows + j] = 1
+        assert len(vec) * 8 < max(vec) - min(vec) + 1  # the wide route
+        assert _planes(vec) == planes_oracle(vec)
 
 
 @pytest.mark.parametrize("r0,v0", [(1, 1), (1, 2), (2, 1), (2, 2)])

@@ -141,13 +141,13 @@ def test_semidirect_closure_stops_at_the_order_bound(monkeypatch):
     # has order 12, and 2^12 * 2 already exceeds MAX_TABLE_ORDER
     from cohomolab import exact_linalg, groups
     shift = [[int(j == (i + 1) % 12) for j in range(12)] for i in range(12)]
-    products = []
-    monkeypatch.setattr(exact_linalg, "_mat_mul",
-                        lambda A, B, p, f=exact_linalg._mat_mul:
-                        products.append(1) or f(A, B, p))
+    scalars = []  # one 12 x 12 product multiplies 12^3 pairs of entries
+    monkeypatch.setattr(exact_linalg, "mul",
+                        lambda a, b, f=exact_linalg.mul:
+                        scalars.append(1) or f(a, b))
     with pytest.raises(ValueError, match="matrix group order above 1"):
         groups.build_semidirect(2, 12, [shift])
-    assert len(products) == 1
+    assert len(scalars) == 12 ** 3
 
 
 @pytest.mark.parametrize("build,digest", [

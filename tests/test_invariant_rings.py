@@ -3,6 +3,7 @@ import random
 import pytest
 
 from cohomolab.exact_linalg import is_prime, matrix_group_closure
+from cohomolab.groups import _primitive_polynomial
 from cohomolab.invariant_rings import (
     GradedAlgebra,
     HELD5_MATRICES,
@@ -19,6 +20,7 @@ from cohomolab.invariant_rings import (
     sl2_generators,
     subalgebra_dims,
 )
+from group_helpers import closure_oracle
 
 
 # ---------------------------------------------------------------------------
@@ -355,3 +357,25 @@ def test_held_5_part_full_budget():
 def test_held_5_max_degree_cap():
     with pytest.raises(ValueError):
         held_5_part_check(121)
+
+
+CYCLE3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
+
+
+@pytest.mark.parametrize("mats,p,k", [
+    *[pytest.param(gens(p), p, 2, id=f"{gens.__name__[:3]}-{p}")
+      for p in (3, 5, 7) for gens in (gl2_generators, sl2_generators)],
+    pytest.param(HELD5_MATRICES, 5, 2, id="held5"),
+    pytest.param([CYCLE3], 3, 3, id="cycle3-3"),
+    pytest.param([CYCLE3], 5, 3, id="cycle3-5"),
+    pytest.param([[[1, 1, 0], [0, 1, 1], [0, 0, 1]]], 3, 3, id="shear3"),
+    pytest.param([_primitive_polynomial(3, 2)], 3, 2, id="singer-3-2"),
+    pytest.param([_primitive_polynomial(2, 3)], 2, 3, id="singer-2-3"),
+    pytest.param([_primitive_polynomial(5, 2)], 5, 2, id="singer-5-2"),
+    pytest.param([], 3, 2, id="trivial"),
+])
+def test_matrix_group_closure_matches_the_entrywise_product(mats, p, k):
+    # same elements in the same depth-first order as entry-by-entry
+    # products: the order numbers the semidirect products' elements
+    assert matrix_group_closure(mats, p, k, 10 ** 4) == \
+        closure_oracle(mats, p, k)
