@@ -386,8 +386,8 @@ class RingAutomorphism(_GeneratorMap):
                                              pow(j % p, i, p))
         return cls(model, images)
 
-    def apply(self, u: Element, memo: Optional[dict] = None) -> Element:
-        return self.model.evaluate(u, self.images, self.target, memo)
+    def apply(self, u: Element) -> Element:
+        return self.model.evaluate(u, self.images, self.target)
 
     def compose(self, other: "RingAutomorphism") -> "RingAutomorphism":
         """self after other."""
@@ -464,7 +464,7 @@ def check_lemma_3_4(p: int, max_degree: int,
     while 2 * (m + p) <= max_degree:
         gens.append(model.mul(model.power(beta, m), core))
         m += 1
-    fixed = fixed_dims(model, [phi.apply for phi in autos], max_degree)
+    fixed = fixed_dims(model, [phi.images for phi in autos], max_degree)
     closed = subalgebra_dims(model, gens, max_degree)
     evens = list(range(0, max_degree + 1, 2))
     return FixedRingReport(
@@ -509,7 +509,7 @@ def check_theorem_5_10(max_degree: int = 24) -> FixedRingReport:
     and the closure of the five stated generators, degree by degree."""
     model = build_model(3)
     autos = named_action(model, "D8-5.10")
-    fixed = list(fixed_subspaces(model, [phi.apply for phi in autos],
+    fixed = list(fixed_subspaces(model, [phi.images for phi in autos],
                                  max_degree))
     g = model.gen
     a2b2 = model.add(model.power(g("alpha"), 2), model.power(g("beta"), 2))
@@ -549,7 +549,7 @@ def check_theorem_5_12(max_degree: int = 60) -> FixedRingReport:
     full S_3 x C_3 action, degree by degree."""
     model = build_model(7)
     autos = named_action(model, "S3xC3-5.12")
-    fixed = fixed_dims(model, [phi.apply for phi in autos], max_degree)
+    fixed = fixed_dims(model, [phi.images for phi in autos], max_degree)
     closed = subalgebra_dims(model, theorem_5_12_generators(model),
                              max_degree)
     return FixedRingReport(max_degree, fixed, closed)
@@ -614,8 +614,8 @@ class RestrictionMap(_GeneratorMap):
 
     kind = "restriction"
 
-    def apply(self, u: Element, memo: Optional[dict] = None) -> Element:
-        return self.model.evaluate(u, self.images, self.target, memo)
+    def apply(self, u: Element) -> Element:
+        return self.model.evaluate(u, self.images, self.target)
 
 
 def named_restriction(model: RingModel, name: str) -> RestrictionMap:

@@ -5,7 +5,8 @@ order-48 <= GL_2(5) checks.
 ``GradedRing`` is the shared core of every graded ring over F_p here
 (``GradedAlgebra`` below and ``RingModel`` in ``cohomology_ring_models``):
 monomial bases per degree, linear arithmetic, substitution of generator
-images, and common fixed subspaces of a list of linear maps.
+images, and common fixed subspaces of ring endomorphisms given by their
+generator images.
 
 Elements are dictionaries mapping monomials (polynomial exponent tuple,
 exterior bit tuple) to scalars mod p.  Fixed subspaces are kernels of the
@@ -18,11 +19,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Optional, Sequence
+from functools import cached_property
+from math import comb
+from typing import Optional, Sequence
 
 from .exact_linalg import (Echelon, SparseMatrix, _mat_det, _prime_factors,
-                           kernel_mod_p, matrix_group_closure, rank_mod_p)
+                           kernel_mod_p, matrix_group_closure)
 
 Monomial = tuple  # (poly exponent tuple, exterior bit tuple)
 Element = dict    # Monomial -> scalar mod p
@@ -42,6 +44,7 @@ class GradedRing:
         self.p = p
         self._basis_cache: dict[int, list] = {}
         self._index_cache: dict[int, dict] = {}
+        self._prefix_cache: dict[int, list] = {}
 
     def basis(self, d: int) -> list:
         if d not in self._basis_cache:
@@ -50,15 +53,30 @@ class GradedRing:
             self._index_cache[d] = {m: i for i, m in enumerate(out)}
         return self._basis_cache[d]
 
-    def index_of(self, m) -> int:
+    def index_of(self, m, d: Optional[int] = None) -> int:
         """Position of m in basis(d), d its degree; ArithmeticError when a
         product left the normal-form basis."""
-        d = self.monomial_degree(m)
+        if d is None:
+            d = self.monomial_degree(m)
         self.basis(d)
         try:
             return self._index_cache[d][m]
         except KeyError:
             raise ArithmeticError(_outside_basis(m, d)) from None
+
+    def prefixes(self, d: int) -> list[tuple]:
+        """(e, i, g) for each monomial of basis(d), d >= 1, in order: its
+        word prefix is basis(e)[i] and the last letter of its word is the
+        generator key g.  Built once per degree."""
+        table = self._prefix_cache.get(d)
+        if table is None:
+            table = []
+            for m in self.basis(d):
+                rest, g = self.word_prefix(m)
+                e = self.monomial_degree(rest)
+                table.append((e, self.index_of(rest, e), g))
+            self._prefix_cache[d] = table
+        return table
 
     def dim(self, d: int) -> int:
         return len(self.basis(d))
@@ -96,24 +114,16 @@ class GradedRing:
             raise ValueError("element is not homogeneous")
         return degs.pop()
 
-    def evaluate(self, u: Element, images, target: "GradedRing",
-                 memo: Optional[dict] = None) -> Element:
+    def evaluate(self, u: Element, images, target: "GradedRing") -> Element:
         """Image of u under the ring map into target that sends generator
         key g to images[g]: each monomial's word is multiplied out factor
-        by factor, starting from target.one().  A memo of monomial images
-        under this same map replays those products one at a time: the
-        image of m is the image of its word prefix times the image of its
-        last letter, so each monomial whose prefix is memoised costs one
-        product."""
+        by factor, starting from target.one()."""
         out: Element = {}
         p = target.p
         for m, c in u.items():
-            if memo is None:
-                term = target.one()
-                for g in self.word(m):
-                    term = target.mul(term, images[g])
-            else:
-                term = self._image(m, images, target, memo)
+            term = target.one()
+            for g in self.word(m):
+                term = target.mul(term, images[g])
             for mm, v in term.items():
                 nc = (out.get(mm, 0) + c * v) % p
                 if nc:
@@ -122,37 +132,19 @@ class GradedRing:
                     out.pop(mm, None)
         return out
 
-    def _image(self, m, images, target: "GradedRing", memo: dict) -> Element:
-        term = memo.get(m)
-        if term is None:
-            split = self.word_prefix(m)
-            if split is None:
-                term = target.one()
-            else:
-                rest, g = split
-                term = target.mul(self._image(rest, images, target, memo),
-                                  images[g])
-            memo[m] = term
-        return term
-
-    def canonical(self, m):
-        """The object for monomial m that basis() holds."""
-        d = self.monomial_degree(m)
-        return self.basis(d)[self._index_cache[d][m]]
-
 
 def _outside_basis(m, d: int) -> str:
     return f"product {m} is not a monomial of the degree-{d} basis"
 
 
-def fixed_subspace(ring: GradedRing,
-                   maps: Sequence[Callable[[Element], Element]],
+def fixed_subspace(ring: GradedRing, blocks: Sequence[Sequence[Element]],
                    d: int) -> list[Element]:
-    """Basis of the degree-d subspace fixed by every linear map in maps:
-    the kernel of the blocks (g - 1), block gi on rows gi*n .. gi*n + n-1.
-    The maps preserve degree: an image outside basis(d) raises
-    ArithmeticError.  With no maps the zero matrix leaves the whole
-    component fixed."""
+    """Basis of the degree-d subspace fixed by every map, each given by its
+    block of images: block[j] is the image of basis(d)[j].  The basis is
+    the kernel of the stacked (g - 1), block k on rows k*n .. k*n + n-1,
+    and each vector is checked fixed (require_fixed).  The maps preserve
+    degree: an image outside basis(d) raises ArithmeticError.  With no
+    blocks the zero matrix leaves the whole component fixed."""
     basis = ring.basis(d)
     index = ring._index_cache[d]
     n = len(basis)
@@ -160,10 +152,9 @@ def fixed_subspace(ring: GradedRing,
         return []
     p = ring.p
     cols: list[dict[int, int]] = [{} for _ in basis]
-    for gi, g in enumerate(maps):
-        row = gi * n
-        for m, col in zip(basis, cols):
-            img = g({m: 1})
+    for k, block in enumerate(blocks):
+        row = k * n
+        for m, img, col in zip(basis, block, cols):
             try:  # the entries of g - 1, reduced mod p, zeros dropped
                 for mm, c in img.items():
                     c = (c - 1 if mm == m else c) % p
@@ -175,47 +166,73 @@ def fixed_subspace(ring: GradedRing,
             if m not in img:
                 col[row + index[m]] = p - 1
     # written directly: the rows are basis indices inside their block
-    mat = SparseMatrix(n * max(1, len(maps)), n, p=p)
+    mat = SparseMatrix(n * max(1, len(blocks)), n, p=p)
     mat.cols = {j: col for j, col in enumerate(cols) if col}
-    return [{basis[j]: v for j, v in vec.items()}
-            for vec in kernel_mod_p(mat)]
+    fixed = [{basis[j]: v for j, v in vec.items()}
+             for vec in kernel_mod_p(mat)]
+    require_fixed(ring, blocks, d, fixed)
+    return fixed
 
 
-def fixed_sweep(ring: GradedRing, maps: Sequence[Callable], max_degree: int):
-    """Yield (d, bound) for d = 0..max_degree, where bound holds each map
-    f(u, memo=None) of maps bound to a monomial-image memo of its own
-    (see GradedRing.evaluate).  After degree d each memo keeps only the
-    images of the monomials that are the word prefix of a basis monomial
-    of degree d+1 .. d+g, g the largest generator degree, which is every
-    image a later degree reads; the memos are freed when the sweep ends."""
-    memos: list[dict] = [{} for _ in maps]
-    bound = [partial(f, memo=memo) for f, memo in zip(maps, memos)]
-    needed: dict = {}  # word prefix -> last degree whose basis uses it
+def require_fixed(ring: GradedRing, blocks: Sequence[Sequence[Element]],
+                  d: int, vectors: Sequence[Element]) -> None:
+    """ArithmeticError unless every map fixes every vector: g(v), summed
+    from the map's images of basis(d) (blocks as in fixed_subspace),
+    equals v.  The sum reads the images, not the matrix whose kernel the
+    vectors are, so it also checks how that matrix was written."""
+    p = ring.p
+    index = ring._index_cache[d]
+    for v in vectors:
+        for k, block in enumerate(blocks):
+            image: Element = {}
+            for m, c in v.items():
+                for mm, x in block[index[m]].items():
+                    image[mm] = (image.get(mm, 0) + c * x) % p
+            if {mm: x for mm, x in image.items() if x} != v:
+                raise ArithmeticError(
+                    f"a reported degree-{d} fixed vector is moved by map {k}")
+
+
+def fixed_sweep(ring: GradedRing, maps: Sequence, max_degree: int):
+    """Yield (d, blocks) for d = 0..max_degree.  Each map is a ring
+    endomorphism given by its table of generator images (indexed by
+    generator key), and blocks[k][j] is the image of basis(d)[j] under
+    maps[k]: the image of the word prefix times the image of the last
+    letter (GradedRing.prefixes), one product per monomial and map.  A
+    degree's images are kept while a later degree up to max_degree reads
+    them; a degree reads only degrees at most g below it, g the largest
+    generator degree, so which degrees read it is known g degrees ahead."""
+    mul = ring.mul
     top = ring.top_generator_degree()
-    seen = 0  # the prefixes of degrees 1..seen are in needed
+    held: dict[int, list] = {}  # degree -> its blocks
+    last: dict[int, int] = {}  # degree -> the last degree that reads it
+    seen = 0  # the prefix degrees of degrees 1..seen are in last
     for d in range(max_degree + 1):
-        yield d, bound
-        # every use of a monomial of degree <= d lies in degrees <= d + g
         for e in range(seen + 1, min(d + top, max_degree) + 1):
-            for m in ring.basis(e):
-                needed[ring.canonical(ring.word_prefix(m)[0])] = e
+            for pe in {pe for pe, _, _ in ring.prefixes(e)}:
+                last[pe] = e
         seen = max(seen, min(d + top, max_degree))
-        for m in [m for m, e in needed.items() if e <= d]:
-            del needed[m]
-        for memo in memos:
-            for m in [m for m in memo if m not in needed]:
-                del memo[m]
+        if d == 0:
+            blocks = [[ring.one()] for _ in maps]
+        else:
+            table = ring.prefixes(d)
+            blocks = [[mul(held[e][k][i], T[g]) for e, i, g in table]
+                      for k, T in enumerate(maps)]
+        yield d, blocks
+        held[d] = blocks
+        for e in [e for e in held if last.get(e, -1) <= d]:
+            del held[e]
 
 
-def fixed_subspaces(ring: GradedRing, maps: Sequence[Callable],
-                    max_degree: int):
-    """Bases of the subspace fixed by every map in degrees
-    0..max_degree, one at a time, from one memoised sweep."""
-    for d, bound in fixed_sweep(ring, maps, max_degree):
-        yield fixed_subspace(ring, bound, d)
+def fixed_subspaces(ring: GradedRing, maps: Sequence, max_degree: int):
+    """Bases of the subspace fixed by every map (generator-image tables,
+    as in fixed_sweep) in degrees 0..max_degree, one at a time, from one
+    sweep."""
+    for d, blocks in fixed_sweep(ring, maps, max_degree):
+        yield fixed_subspace(ring, blocks, d)
 
 
-def fixed_dims(ring: GradedRing, maps: Sequence[Callable],
+def fixed_dims(ring: GradedRing, maps: Sequence,
                max_degree: int) -> list[int]:
     return [len(b) for b in fixed_subspaces(ring, maps, max_degree)]
 
@@ -256,6 +273,10 @@ class GradedAlgebra(GradedRing):
                 yield ()
             return
         deg = self.poly_degrees[len(self.poly_degrees) - k]
+        if k == 1:  # the last exponent is determined
+            if d % deg == 0:
+                yield (d // deg,)
+            return
         for e in range(d // deg + 1):
             for rest in self._poly_exponents(d - e * deg, k - 1):
                 yield (e,) + rest
@@ -340,6 +361,35 @@ _EXPONENT_ADD = {
 }
 
 
+def basis_counts(algebra: GradedAlgebra, max_degree: int) -> tuple[int, int]:
+    """(largest dim(d), sum of dim(d)) over d = 0..max_degree, counted
+    without listing a basis.  With k polynomial generators of one degree
+    delta, an exterior monomial of degree e contributes C(n + k - 1, k - 1)
+    to dim(e + n*delta) and C(N + k, k) to the sum, N the largest such n;
+    the largest component is one of the highest degrees e + N*delta.
+    ValueError when the polynomial degrees differ."""
+    if len(set(algebra.poly_degrees)) > 1:
+        raise ValueError("polynomial generators must share one degree")
+    ext = {0: 1}  # exterior monomials by degree, up to max_degree
+    for e in algebra.ext_degrees:
+        for s, c in list(ext.items()):
+            if s + e <= max_degree:
+                ext[s + e] = ext.get(s + e, 0) + c
+    k = len(algebra.poly_degrees)
+    if k == 0:
+        return max(ext.values()), sum(ext.values())
+    delta = algebra.poly_degrees[0]
+
+    def dim(d):
+        return sum(c * comb((d - e) // delta + k - 1, k - 1)
+                   for e, c in ext.items() if e <= d and (d - e) % delta == 0)
+
+    tops = {e + (max_degree - e) // delta * delta for e in ext}
+    return (max(map(dim, tops)),
+            sum(c * comb((max_degree - e) // delta + k, k)
+                for e, c in ext.items()))
+
+
 # ---------------------------------------------------------------------------
 # Matrix actions
 # ---------------------------------------------------------------------------
@@ -348,7 +398,8 @@ _EXPONENT_ADD = {
 class MatrixAction:
     """Generator matrices acting linearly on the span of the polynomial
     generators (which must share a common degree); each exterior generator
-    is multiplied by det(g)^twist.  maps: apply_matrix of each matrix."""
+    is multiplied by det(g)^twist.  maps: the generator images of each
+    matrix, the tables fixed_sweep takes."""
 
     def __init__(self, algebra: GradedAlgebra, matrices,
                  ext_twists: Optional[Sequence[int]] = None):
@@ -370,7 +421,7 @@ class MatrixAction:
         self.ext_twists = tuple(ext_twists) if ext_twists is not None \
             else (1,) * len(algebra.ext_degrees)
         self._images = {M: self._generator_images(M) for M in self.matrices}
-        self.maps = [partial(self.apply_matrix, M) for M in self.matrices]
+        self.maps = [self._images[M] for M in self.matrices]
 
     @cached_property
     def group(self) -> list:
@@ -395,44 +446,13 @@ class MatrixAction:
                    for j, t in enumerate(self.ext_twists)]
         return images
 
-    def apply_matrix(self, M, u: Element,
-                     memo: Optional[dict] = None) -> Element:
+    def apply_matrix(self, M, u: Element) -> Element:
         """Image of u under one matrix, any matrix of the right size; the
         generator images of the action's own matrices are built once."""
         images = self._images.get(tuple(map(tuple, M)))
         if images is None:
             images = self._generator_images(M)
-        return self.algebra.evaluate(u, images, self.algebra, memo)
-
-    def action_matrix(self, M, d: int) -> SparseMatrix:
-        A = self.algebra
-        basis = A.basis(d)
-        entries = []
-        for j, m in enumerate(basis):
-            img = self.apply_matrix(M, {m: 1})
-            for mm, c in img.items():
-                entries.append((A.index_of(mm), j, c))
-        return SparseMatrix(len(basis), len(basis), entries, p=A.p)
-
-
-def averaging_rank(algebra: GradedAlgebra, action: MatrixAction,
-                   d: int) -> int:
-    """Rank of the averaging idempotent (1/|G|) sum of the group action on
-    the degree-d component; requires p coprime to the group order."""
-    p = algebra.p
-    group = action.group
-    if len(group) % p == 0:
-        raise ValueError("averaging needs p coprime to the group order")
-    basis = algebra.basis(d)
-    n = len(basis)
-    acc = [[0] * n for _ in range(n)]
-    for M in group:
-        block = action.action_matrix(M, d)
-        for i, j, v in block.entries():
-            acc[i][j] = (acc[i][j] + v) % p
-    inv = pow(len(group) % p, p - 2, p)
-    dense = [[(v * inv) % p for v in row] for row in acc]
-    return rank_mod_p(SparseMatrix.from_dense(dense, p=p))
+        return self.algebra.evaluate(u, images, self.algebra)
 
 
 # ---------------------------------------------------------------------------
@@ -563,9 +583,9 @@ def dickson_check(p: int, max_degree: int,
         raise ArithmeticError("generator is not GL_2-invariant")
     # one sweep over GL_2's maps: SL_2's invariants are those of the first two
     sl2_fixed, gl2_fixed = [], []
-    for d, maps in fixed_sweep(A, gl2.maps, max_degree):
-        sl2_fixed.append(len(fixed_subspace(A, maps[:2], d)))
-        gl2_fixed.append(len(fixed_subspace(A, maps, d)))
+    for d, blocks in fixed_sweep(A, gl2.maps, max_degree):
+        sl2_fixed.append(len(fixed_subspace(A, blocks[:2], d)))
+        gl2_fixed.append(len(fixed_subspace(A, blocks, d)))
     return DicksonReport(
         p, max_degree,
         sl2_fixed, subalgebra_dims(A, [pair.a, pair.b], max_degree),

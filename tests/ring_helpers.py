@@ -1,7 +1,14 @@
-"""RingModel's multiplication one rewriting step at a time, the oracle of
+"""Oracles for the graded rings.
+
+RingModel's multiplication one rewriting step at a time, the oracle of
 RingModel.mul: the chi indices sorted per term pair, one recursive call
 per rewriting step, and the straightening as while loops.  Its two
-straightening thresholds can be moved to make mutants of the rules."""
+straightening thresholds can be moved to make mutants of the rules.
+
+The averaging idempotent of a MatrixAction, whose rank is the fixed
+dimension when p does not divide the group order."""
+
+from cohomolab.exact_linalg import SparseMatrix, rank_mod_p
 
 
 def reference_rules(mu_shift: int = 0, plain_shift: int = 0):
@@ -73,3 +80,33 @@ def reference_ring_mul(model, u, v):
             REFERENCE_RULES(model, out, z1 + z2, a1 + a2, b1 + b2,
                             m1 + m2, n1 + n2, chis, coeff)
     return {m: c for m, c in out.items() if c}
+
+
+def action_matrix(action, M, d):
+    """The matrix of one matrix of a MatrixAction on the degree-d
+    component: column j holds the image of basis(d)[j]."""
+    A = action.algebra
+    basis = A.basis(d)
+    entries = []
+    for j, m in enumerate(basis):
+        for mm, c in action.apply_matrix(M, {m: 1}).items():
+            entries.append((A.index_of(mm), j, c))
+    return SparseMatrix(len(basis), len(basis), entries, p=A.p)
+
+
+def averaging_rank(algebra, action, d):
+    """Rank of the averaging idempotent (1/|G|) sum of the group action on
+    the degree-d component, the oracle of the fixed dimension; requires p
+    coprime to the group order."""
+    p = algebra.p
+    group = action.group
+    if len(group) % p == 0:
+        raise ValueError("averaging needs p coprime to the group order")
+    n = len(algebra.basis(d))
+    acc = [[0] * n for _ in range(n)]
+    for M in group:
+        for i, j, v in action_matrix(action, M, d).entries():
+            acc[i][j] = (acc[i][j] + v) % p
+    inv = pow(len(group) % p, p - 2, p)
+    dense = [[(v * inv) % p for v in row] for row in acc]
+    return rank_mod_p(SparseMatrix.from_dense(dense, p=p))

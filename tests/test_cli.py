@@ -26,6 +26,8 @@ from cohomolab.cli import (
     EXIT_PASS,
     EXIT_RESOURCE,
     MAX_BESTVINA_N,
+    MAX_FIXED_COMPONENT,
+    MAX_FIXED_STEPS,
     _cell_limit,
     _degree,
     _prime,
@@ -528,6 +530,106 @@ def test_invariants_fixed_empty_matrix_list(capsys):
     assert code == EXIT_PASS
     assert rep["group_order"] == 1
     assert rep["fixed_dims"] == [1, 0, 2, 0, 3]
+
+
+def _fixed_argv(spec, max_degree, p=3):
+    return ["invariants", "fixed", "--p", str(p), "--action",
+            json.dumps(spec), "--max-degree", str(max_degree)]
+
+
+# one polynomial generator: the sweep takes 2 steps a degree
+ONE_VARIABLE = {"poly_degrees": [1], "matrices": [[[2]]]}
+
+
+def _no_matrices(generators):
+    return {"poly_degrees": [1] * generators, "matrices": []}
+
+
+@pytest.mark.parametrize("spec,max_degree,message", [
+    # the cyclic permutation of three generators: this ran past 20 s
+    ({"poly_degrees": [1, 1, 1],
+      "matrices": [[[0, 1, 0], [0, 0, 1], [1, 0, 0]]]}, 100_000,
+     "the sweep would take at least 100001 steps, above the limit 12000"),
+    ({"poly_degrees": [1, 1, 1],
+      "matrices": [[[0, 1, 0], [0, 0, 1], [1, 0, 0]]]}, 24,
+     "a component of 325 monomials is above the limit 300"),
+    (_no_matrices(MAX_FIXED_COMPONENT + 1), 1,
+     "a component of 301 monomials is above the limit 300"),
+    (ONE_VARIABLE, MAX_FIXED_STEPS // 2,
+     "the sweep would take at least 12002 steps, above the limit 12000"),
+    (ONE_VARIABLE, 10 ** 12, "above the limit 12000"),
+    # 2^40 exterior subsets in degree 0 alone
+    ({"poly_degrees": [], "ext_degrees": [1] * 40, "matrices": [[]]}, 0,
+     "the sweep would take at least 1099511627776 steps"),
+])
+def test_invariants_fixed_is_bounded_before_the_sweep(capsys, monkeypatch,
+                                                      spec, max_degree,
+                                                      message):
+    from cohomolab import invariant_rings
+    monkeypatch.setattr(invariant_rings, "fixed_sweep",
+                        lambda *args: pytest.fail("the sweep started"))
+    _exits_3_within_a_second(capsys, _fixed_argv(spec, max_degree), message)
+
+
+@pytest.mark.parametrize("spec,max_degree,dims", [
+    (_no_matrices(MAX_FIXED_COMPONENT), 1, [1, MAX_FIXED_COMPONENT]),
+    # x -> 2x fixes the even powers of x
+    (ONE_VARIABLE, MAX_FIXED_STEPS // 2 - 1,
+     [1 - d % 2 for d in range(MAX_FIXED_STEPS // 2)]),
+])
+def test_invariants_fixed_runs_at_the_limits(capsys, spec, max_degree, dims):
+    code, rep = run_json(capsys, _fixed_argv(spec, max_degree))
+    assert code == EXIT_PASS
+    assert rep["fixed_dims"] == dims
+
+
+FIXED_ARGVS = [
+    _fixed_argv({"poly_degrees": [1, 1], "matrices": [[[1, 1], [0, 1]]]}, 6),
+    ["ringmodel", "fixed", "--p", "3", "--action", "C3-shear-3.4",
+     "--max-degree", "8"],
+    ["invariants", "dickson", "--p", "3", "--max-degree", "6"],
+    ["invariants", "held5", "--max-degree", "6"],
+]
+
+
+@pytest.mark.parametrize("argv", FIXED_ARGVS)
+def test_a_reported_vector_that_is_not_fixed_exits_1(capsys, monkeypatch,
+                                                     argv):
+    # the kernel also returns the first basis monomial, which some map of
+    # each action moves in a degree the command reaches
+    from cohomolab import invariant_rings
+    kernel = invariant_rings.kernel_mod_p
+    monkeypatch.setattr(invariant_rings, "kernel_mod_p",
+                        lambda M: kernel(M) + [{0: 1}])
+    _exits_1_without_traceback(capsys, argv, "fixed vector is moved by map")
+
+
+def test_a_product_outside_the_basis_on_the_sweep_exits_1(capsys,
+                                                         monkeypatch):
+    # every sweep product is moved off the basis: in the algebra to a
+    # monomial of its degree with a negative exponent, in the ring model
+    # to one with mu raised by two
+    from cohomolab.invariant_rings import GradedAlgebra
+    mul = GradedAlgebra.mul
+    monkeypatch.setattr(
+        GradedAlgebra, "mul", lambda self, u, v: {
+            ((e[0] + 1, e[1] - 1), b): c
+            for (e, b), c in mul(self, u, v).items()})
+    _exits_1_without_traceback(capsys, FIXED_ARGVS[0],
+                               "is not a monomial of the degree-1 basis")
+
+    fixed_dims = cli.fixed_dims
+
+    def stray_sweep(model, maps, max_degree):
+        # the model and its maps are certified with the model's product
+        ring_mul = model.mul
+        model.mul = lambda u, v: {m[:3] + (m[3] + 2,) + m[4:]: c
+                                  for m, c in ring_mul(u, v).items()}
+        return fixed_dims(model, maps, max_degree)
+
+    monkeypatch.setattr(cli, "fixed_dims", stray_sweep)
+    _exits_1_without_traceback(capsys, FIXED_ARGVS[1],
+                               "is not a monomial of the degree-2 basis")
 
 
 PC_C3 = ["chern", "pc", "--group", C3, "--p", "3"]

@@ -160,15 +160,15 @@ def test_named_action_validation():
 def test_identity_action_fixes_everything():
     m = build_model(3)
     ident = RingAutomorphism.from_matrix(m, ((1, 0), (0, 1)), 1)
-    for d, basis in enumerate(fixed_subspaces(m, [ident.apply], 10)):
+    for d, basis in enumerate(fixed_subspaces(m, [ident.images], 10)):
         assert len(basis) == m.dim(d)
 
 
 def test_fixed_dims_shrink_with_more_generators():
     m = build_model(3)
     autos = named_action(m, "D8-5.10")
-    partial = fixed_dims(m, [autos[0].apply], 16)
-    full = fixed_dims(m, [phi.apply for phi in autos], 16)
+    partial = fixed_dims(m, [autos[0].images], 16)
+    full = fixed_dims(m, [phi.images for phi in autos], 16)
     assert all(f <= p for f, p in zip(full, partial))
     assert full != partial
 
@@ -176,7 +176,7 @@ def test_fixed_dims_shrink_with_more_generators():
 def test_fixed_elements_are_fixed():
     m = build_model(3)
     autos = named_action(m, "D8-5.10")
-    for basis in fixed_subspaces(m, [phi.apply for phi in autos], 12):
+    for basis in fixed_subspaces(m, [phi.images for phi in autos], 12):
         for v in basis:
             for phi in autos:
                 assert phi.apply(v) == v
@@ -190,7 +190,7 @@ def test_fixed_subring_degree_cap():
 def test_c4a4_action_builds_and_has_trivial_low_degrees():
     m = build_model(5)
     autos = named_action(m, "C4A4-5.8")
-    sub = list(fixed_subspaces(m, [phi.apply for phi in autos], 10))
+    sub = list(fixed_subspaces(m, [phi.images for phi in autos], 10))
     # every determinant squares to 1 mod 5, so chi_2 and chi_4 survive
     assert [len(b) for b in sub[:9]] == [1, 0, 0, 0, 1, 0, 0, 0, 1]
     assert sub[4] == [{(0, 0, 0, 0, 0, 2): 1}]
@@ -237,9 +237,9 @@ def test_s3xc3_fixed_subring():
 def test_fixed_subring_independent_of_lam():
     m1 = build_model(7, lam=1)
     m3 = build_model(7, lam=3)
-    f1 = fixed_dims(m1, [phi.apply for phi in named_action(m1, "S3xC3-5.12")],
+    f1 = fixed_dims(m1, [phi.images for phi in named_action(m1, "S3xC3-5.12")],
                     30)
-    f3 = fixed_dims(m3, [phi.apply for phi in named_action(m3, "S3xC3-5.12")],
+    f3 = fixed_dims(m3, [phi.images for phi in named_action(m3, "S3xC3-5.12")],
                     30)
     assert f1 == f3
 

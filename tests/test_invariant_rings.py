@@ -9,11 +9,12 @@ from cohomolab.invariant_rings import (
     HELD5_MATRICES,
     MatrixAction,
     _primitive_root,
-    averaging_rank,
+    basis_counts,
     dickson_check,
     dickson_pair,
     fixed_dims,
     fixed_subspace,
+    fixed_subspaces,
     gl2_generators,
     held_5_part_check,
     in_span,
@@ -21,6 +22,7 @@ from cohomolab.invariant_rings import (
     subalgebra_dims,
 )
 from group_helpers import closure_oracle
+from ring_helpers import averaging_rank
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +99,7 @@ def test_a_product_outside_the_basis_is_refused():
     with pytest.raises(ArithmeticError, match=r"\(2, -1\)"):
         A.index_of(stray)
     with pytest.raises(ArithmeticError, match="degree-1 basis"):
-        fixed_subspace(A, [lambda u: {stray: 1}], 1)
+        fixed_subspace(A, [[{stray: 1}] * A.dim(1)], 1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -120,12 +122,12 @@ def test_fixed_subspace_matrix_is_reduced_mod_p(p, monkeypatch):
         other = basis[(basis.index(m) + 1) % len(basis)]
         return {m: c * (1 + p), other: c * p}
 
-    assert fixed_subspace(A, [g], 2) == [{m: 1} for m in basis]
+    assert fixed_subspace(A, [[g({m: 1}) for m in basis]], 2) == \
+        [{m: 1} for m in basis]
     assert mats[-1].cols == {}
     act = MatrixAction(A, sl2_generators(p))
-    for d in range(1, 7):
-        fixed_subspace(A, act.maps, d)
-        M = mats[-1]
+    fixed_dims(A, act.maps, 6)
+    for M in mats[-6:]:
         assert M.cols == SparseMatrix(M.n_rows, M.n_cols, M.entries(),
                                       p=p).cols
         assert all(0 < v < p for col in M.cols.values() for v in col.values())
@@ -143,6 +145,19 @@ def test_element_degree_checks_homogeneity():
 def test_rejects_nonpositive_degrees():
     with pytest.raises(ValueError):
         GradedAlgebra(3, [1, 0])
+
+
+def test_basis_counts_match_the_listed_bases():
+    rng = random.Random(26)
+    for _ in range(200):
+        delta = rng.randrange(1, 4)
+        ext = [rng.randrange(1, 5) for _ in range(rng.randrange(4))]
+        A = GradedAlgebra(3, [delta] * rng.randrange(4), ext)
+        D = rng.randrange(16)
+        dims = [A.dim(d) for d in range(D + 1)]
+        assert basis_counts(A, D) == (max(dims), sum(dims))
+    with pytest.raises(ValueError, match="share one degree"):
+        basis_counts(GradedAlgebra(3, [1, 2]), 4)
 
 
 # ---------------------------------------------------------------------------
@@ -216,22 +231,21 @@ def test_apply_matrix_composition_matches_product():
 def test_sl2_mod3_fixed_dims_low_degrees():
     A = GradedAlgebra(3, [1, 1])
     act = MatrixAction(A, sl2_generators(3))
-    assert [len(fixed_subspace(A, act.maps, d)) for d in range(5)] == \
-        [1, 0, 0, 0, 1]
+    assert fixed_dims(A, act.maps, 4) == [1, 0, 0, 0, 1]
 
 
 def test_trivial_action_fixes_everything():
     A = GradedAlgebra(3, [1, 1])
     act = MatrixAction(A, [((1, 0), (0, 1))])
-    for d in range(6):
-        assert len(fixed_subspace(A, act.maps, d)) == A.component_dim(d)
+    assert fixed_dims(A, act.maps, 5) == [A.component_dim(d)
+                                          for d in range(6)]
 
 
 def test_fixed_elements_are_actually_fixed():
     A = GradedAlgebra(3, [1, 1])
     act = MatrixAction(A, sl2_generators(3))
-    for d in range(10):
-        for v in fixed_subspace(A, act.maps, d):
+    for basis in fixed_subspaces(A, act.maps, 9):
+        for v in basis:
             for M in act.matrices:
                 assert act.apply_matrix(M, v) == v
 
@@ -252,8 +266,9 @@ def test_fixed_dims_invariant_under_conjugation():
 def test_averaging_rank_matches_fixed_dimension():
     A = GradedAlgebra(5, [2, 2], [3])
     act = MatrixAction(A, HELD5_MATRICES, ext_twists=[1])
+    dims = fixed_dims(A, act.maps, 31)
     for d in (15, 16, 24, 31):
-        assert averaging_rank(A, act, d) == len(fixed_subspace(A, act.maps, d))
+        assert averaging_rank(A, act, d) == dims[d]
 
 
 def test_averaging_requires_coprime_order():
