@@ -9,6 +9,7 @@ from cohomolab.cohomology_ring_models import (
     RingAutomorphism,
     RingModel,
     named_action,
+    named_restriction,
 )
 from cohomolab.exact_linalg import _mat_det
 from cohomolab.invariant_rings import (
@@ -112,6 +113,38 @@ def test_sweep_matches_plain_ring_model_action(p, name):
     D = 4 * p
     assert list(fixed_subspaces(model, [phi.images for phi in autos], D)) \
         == plain_fixed(model, [phi.apply for phi in autos], D)
+
+
+@pytest.mark.parametrize("p,name", [(3, "H-5.10"), (7, "K-5.13")])
+def test_memoised_restriction_matches_plain(p, name):
+    """Restriction images memoised by word prefix (the image of the prefix
+    times the image of the last letter, in the target) against apply, on
+    one-term and many-term elements; an image apply hands back is the
+    caller's to change."""
+    model = RingModel(p)
+    rmap = named_restriction(model, name)
+    T = rmap.target
+    memo = {0: [T.one()]}
+    for d in range(4 * p + 1):
+        if d:
+            memo[d] = [T.mul(memo[e][i], rmap.images[g])
+                       for e, i, g in model.prefixes(d)]
+        for u in _one_and_many_terms(model, d):
+            want = {}
+            for m, c in u.items():
+                want = T.add(want, T.scale(memo[d][model.index_of(m, d)], c))
+            img = rmap.apply(u)
+            assert img == want
+            img.clear()
+            assert rmap.apply(u) == want
+
+
+def _one_and_many_terms(ring, d):
+    """Each degree-d basis monomial with a coefficient from 1 to p-1 in
+    turn, then their sum."""
+    terms = [{m: 1 + i % (ring.p - 1)} for i, m in enumerate(ring.basis(d))]
+    whole = {m: c for u in terms for m, c in u.items()}
+    return terms + [whole] if len(whole) > 1 else terms
 
 
 @pytest.mark.parametrize("ring", [GradedAlgebra(5, [2, 2], [3]),
