@@ -19,7 +19,8 @@ from itertools import product
 from typing import Optional, Sequence
 
 from .exact_linalg import (Echelon, SparseMatrix, _augmented_echelon,
-                           _kernel_from_augmented, _solve_augmented)
+                           _kernel_from_augmented, _prime_factors,
+                           _solve_augmented)
 from .groups import FiniteGroup, Subgroup
 from .resolution import resolution_for
 
@@ -659,14 +660,31 @@ def integral_cohomology(G: FiniteGroup, n: int,
                         max_cells: Optional[int] = None,
                         cache_dir: Optional[str] = None) -> tuple[int, tuple[int, ...]]:
     """H^n(G;Z) for n >= 1 as (rank, torsion divisors): rank is 0 for a
-    finite group and the torsion equals that of H_(n-1)(G;Z)."""
+    finite group and the torsion equals that of H_(n-1)(G;Z), whose p-part
+    comes from the F_p resolution lifted to Z/p^k G, one prime p dividing
+    |G| at a time.  A nonzero free rank is a failed certificate."""
     if n < 1:
         raise ValueError("need n >= 1")
     _check_limits(G, n, True, max_cells)
     if n == 1:
         return (0, ())
-    res = resolution_for(G, None, cache_dir)
-    rank, torsion = res.integral_homology(n - 1)
-    if rank != 0:
-        raise ArithmeticError("nonzero homology rank for a finite group")
-    return (0, torsion)
+    parts = []
+    for p in _prime_factors(G.order):
+        res = resolution_for(G, p, cache_dir, integral=True)
+        rank, torsion = res.integral_homology(n - 1)
+        if rank != 0:
+            raise ArithmeticError("nonzero homology rank for a finite group")
+        parts.append(torsion)
+    return (0, _invariant_factors(parts))
+
+
+def _invariant_factors(parts: list[tuple[int, ...]]) -> tuple[int, ...]:
+    """The invariant factors (each dividing the next) of the direct sum of
+    p-groups, each given by its ascending p-power divisors: the i-th
+    largest factor is the product of the i-th largest divisors."""
+    width = max(map(len, parts), default=0)
+    factors = [1] * width
+    for part in parts:
+        for i, d in enumerate(part, width - len(part)):
+            factors[i] *= d
+    return tuple(factors)

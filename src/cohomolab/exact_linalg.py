@@ -17,10 +17,11 @@ from typing import Iterable, Optional, Sequence, TextIO
 
 
 class SparseMatrix:
-    """Immutable sparse matrix over Z (p=None) or F_p (p prime).
+    """Immutable sparse matrix over Z (p=None), F_p (p prime) or Z/m
+    (p = m, a modulus >= 2; the lifted resolutions use m = p^k).
 
     Entries are stored column-major as {col: {row: value}} with no zero
-    values kept.  Values over F_p are normalized to 0..p-1.
+    values kept.  Values mod p are normalized to 0..p-1.
     """
 
     __slots__ = ("n_rows", "n_cols", "p", "cols")
@@ -78,8 +79,10 @@ class SparseMatrix:
 
     def dump(self, fh: TextIO) -> None:
         """Write the coordinate text to the open file fh, one column at a
-        time, so a dump never holds more than one column's lines."""
-        domain = "Z" if self.p is None else f"F{self.p}"
+        time, so a dump never holds more than one column's lines.  The
+        header names the ring: Z, F<p> for a prime p, else Z/<m>."""
+        p = self.p
+        domain = "Z" if p is None else f"F{p}" if is_prime(p) else f"Z/{p}"
         fh.write(f"{self.n_rows} {self.n_cols} {self.nnz()} {domain}\n")
         for j in sorted(self.cols):
             col = self.cols[j]
@@ -87,20 +90,20 @@ class SparseMatrix:
 
     @classmethod
     def load(cls, text: str) -> "SparseMatrix":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        head = lines[0].split()
+        """Read dump's text: the entry tokens in one pass, each entry
+        checked by the constructor."""
+        head, _, body = text.lstrip().partition("\n")
+        head = head.split()
         if len(head) != 4:
             raise ValueError("bad coordinate header")
         n_rows, n_cols, nnz = int(head[0]), int(head[1]), int(head[2])
         dom = head[3]
-        p = None if dom == "Z" else int(dom[1:])
-        ent = []
-        for ln in lines[1:]:
-            i, j, v = ln.split()
-            ent.append((int(i), int(j), int(v)))
-        if len(ent) != nnz:
+        p = None if dom == "Z" else int(dom[2 if dom[:2] == "Z/" else 1:])
+        values = list(map(int, body.split()))
+        if len(values) != 3 * nnz:
             raise ValueError("nnz mismatch in coordinate dump")
-        return cls(n_rows, n_cols, ent, p)
+        it = iter(values)
+        return cls(n_rows, n_cols, zip(it, it, it), p)
 
 
 # ---------------------------------------------------------------------------
@@ -513,7 +516,8 @@ def _combine(u: dict[int, int], v: dict[int, int], a: int, b: int) -> dict[int, 
 
 def composes_to_zero(A: SparseMatrix, B: SparseMatrix,
                      cols: Iterable[int]) -> bool:
-    """Whether A * B vanishes, modulo B.p if set, on the given columns of B."""
+    """Whether A * B vanishes on the given columns of B, modulo B's
+    modulus B.p if set (p^k for a lifted resolution)."""
     for j in cols:
         acc: dict[int, int] = {}
         for k, v in B.cols.get(j, {}).items():
@@ -589,14 +593,18 @@ def _kernel_from_augmented(ech: Echelon,
             for piv in sorted(ech.basis) if piv >= n_rows]
 
 
-def kernel_mod_p(M: SparseMatrix) -> list[dict[int, int]]:
+def kernel_mod_p(M: SparseMatrix, echelon: bool = False):
     """Basis of the right kernel of M over F_p, as sparse vectors
     {column: value}.  An echelon basis: the least coordinates of the rows
     strictly increase (each row's is its pivot in the augmented echelon),
-    which the minimal resolution's J*K pruning relies on."""
+    which the minimal resolution's J*K pruning relies on.  With echelon,
+    (basis, the augmented echelon of M), which _solve_augmented solves
+    M x = b against with no second elimination."""
     if M.p is None:
         raise ValueError("kernel_mod_p requires a matrix over F_p")
-    return _kernel_from_augmented(_augmented_echelon(M), M.n_rows)
+    ech = _augmented_echelon(M)
+    basis = _kernel_from_augmented(ech, M.n_rows)
+    return (basis, ech) if echelon else basis
 
 
 def kernel_z(M: SparseMatrix) -> list[dict[int, int]]:

@@ -176,10 +176,13 @@ def fixed_subspace(ring: GradedRing, blocks: Sequence[Sequence[Element]],
 
 def require_fixed(ring: GradedRing, blocks: Sequence[Sequence[Element]],
                   d: int, vectors: Sequence[Element]) -> None:
-    """ArithmeticError unless every map fixes every vector: g(v), summed
-    from the map's images of basis(d) (blocks as in fixed_subspace),
-    equals v.  The sum reads the images, not the matrix whose kernel the
-    vectors are, so it also checks how that matrix was written."""
+    """ArithmeticError unless the vectors are independent and every map
+    fixes every vector: g(v), summed from the map's images of basis(d)
+    (blocks as in fixed_subspace), equals v.  The sum reads the images,
+    not the matrix whose kernel the vectors are, so it also checks how
+    that matrix was written.  Independence is read off the least basis
+    index of each vector, which must strictly increase, as it does across
+    kernel_mod_p's echelon rows."""
     p = ring.p
     index = ring._index_cache[d]
     for v in vectors:
@@ -191,6 +194,10 @@ def require_fixed(ring: GradedRing, blocks: Sequence[Sequence[Element]],
             if {mm: x for mm, x in image.items() if x} != v:
                 raise ArithmeticError(
                     f"a reported degree-{d} fixed vector is moved by map {k}")
+    leads = [min(map(index.__getitem__, v), default=-1) for v in vectors]
+    if any(a >= b for a, b in zip([-1] + leads, leads)):
+        raise ArithmeticError(
+            f"the reported degree-{d} fixed vectors are not independent")
 
 
 def fixed_sweep(ring: GradedRing, maps: Sequence, max_degree: int):

@@ -1,11 +1,10 @@
-"""Free resolutions of Z over the integral group ring of a finite group,
-and of F_p over F_pG.
+"""Free resolutions of F_p over F_pG, and their lifts to Z/p^k G.
 
 Built degree by degree: the kernel of d_(n-1) is covered by module
 generators, and d_n sends the j-th basis element of F_n to the j-th
-generator.  Which cover is used depends on the ring:
+generator.  Which cover is used depends on the group:
 
-* Minimal, over F_p when |G| is a power of p.  Then F_pG is local, its
+* Minimal, when |G| is a power of p.  Then F_pG is local, its
   radical is the augmentation ideal J = sum_s (s - 1) F_pG over the
   generators s of G, and so J*K = span{(s - 1)*k} for K = ker d_(n-1) and
   k running over a vector basis of K.  The generators are the reduced
@@ -22,29 +21,45 @@ generator.  Which cover is used depends on the ring:
   finds one (_normal_series).  Such a generator s_j needs (s_j - 1)*k
   only for k running over a basis of K modulo the earlier stages, read
   off the kernel's echelon rows with one dict lookup each.
-* Greedy, over Z and for groups that are not p-groups, where F_pG is not
-  local.  A kernel vector outside the span of the translates of the
-  generators so far becomes a generator (its reduced residue, which keeps
-  integer entries small), and every kernel vector is then checked to lie
-  in that span, so im d_n = ker d_(n-1).  Over Z rank additivity would
-  not show that the image is saturated.
+* Greedy, for groups that are not p-groups, where F_pG is not local.  A
+  kernel vector outside the span of the translates of the generators so
+  far becomes a generator (its reduced residue), and every kernel vector
+  is then checked to lie in that span, so im d_n = ker d_(n-1).
 
-Each d_n is a ZG-module map, held as its rank_n generator columns, the
+Integral homology is read p-locally, one prime p dividing |G| at a time,
+from the F_p resolution lifted to Z/p^k G with k = v_p(|G|) + 1.  Each
+new generator column c of d_n is lifted one p-adic digit at a time as it
+is built (d_0 is the augmentation), from its balanced representatives:
+for j = 1 .. k-1, d_(n-1)*c = p^j*y mod p^k, and c += p^j*e for a
+solution e of d_(n-1)*e = -y mod p, found against the augmented echelon
+that gave the kernel of d_(n-1), so no matrix is eliminated twice.  A
+solution exists because y is a cycle mod p and the F_p resolution is
+exact.  The lift is a resolution of Z/p^k
+over Z/p^k G, and continuing the digits for ever gives one over the
+p-adic integers whose reduction it is; so the Smith form of its induced
+matrices shows the p-local elementary divisors, those of valuation k or
+more read as zero.  |G| annihilates H_n(G; Z) for n >= 1 (K. S. Brown,
+*Cohomology of Groups*, III.10.2), so no true divisor has valuation k.
+The lift is certified where it is built: its columns reduce mod p to the
+F_p columns, and d_(n-1) o d_n = 0 mod p^k on them.
+
+Each d_n is a module map, held as its rank_n generator columns, the
 matrix the disk cache stores: a module map is determined by where the
 basis elements go (G. Ellis, "Computing group resolutions", J. Symb.
 Comput. 38, 2004).  The matrix of the module map, whose column
 j*|G| + g is the g-translate of generator column j, is built on demand
-and not kept: for the kernel of d_(n-1) and for d_(n-1) o d_n = 0 when
-d_n is built, and for the rank of the top differential.  Every column of it is a translate, so d_n is equivariant
-by construction, and d_(n-1) o d_n = 0 on the generator columns implies
-it on every column, given that the group table is associative
-(``FiniteGroup`` runs Light's test).  The induced differentials and the
-minimality check read the generator columns alone, so a differential read
-from the cache is expanded only when a degree is built on top of it or its
-rank is still unchecked.  Any failed check raises ArithmeticError.
+and not kept: for the kernel of d_(n-1), the lift and d_(n-1) o d_n = 0
+when d_n is built, and for the rank of the top differential.  Every
+column of it is a translate, so d_n is equivariant by construction, and
+d_(n-1) o d_n = 0 on the generator columns implies it on every column,
+given that the group table is associative (``FiniteGroup`` runs Light's
+test).  The induced differentials and the minimality check read the
+generator columns alone, so a differential read from the cache is
+expanded only when a degree is built on top of it or its rank is still
+unchecked.  Any failed check raises ArithmeticError.
 
-The induced complex F (x)_ZG Z has one Z per module generator, so its
-boundary matrices stay tiny even when the group has order 81.
+The induced complex F (x)_G Z/p^k has one Z/p^k per module generator, so
+its boundary matrices stay tiny even when the group has order 81.
 """
 
 from __future__ import annotations
@@ -52,9 +67,9 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from .exact_linalg import (Echelon, SparseMatrix, composes_to_zero,
-                           is_prime, kernel_mod_p, kernel_z, rank_mod_p,
-                           smith_normal_form)
+from .exact_linalg import (Echelon, SparseMatrix, _solve_augmented,
+                           composes_to_zero, is_prime, kernel_mod_p,
+                           rank_mod_p, smith_normal_form)
 from .groups import FiniteGroup, closure_members
 
 # Version of the cache file layout, part of every file name.  Version 2
@@ -63,19 +78,28 @@ CACHE_FORMAT = 2
 
 
 class FreeResolution:
-    """... -> F_2 -> F_1 -> F_0 = ZG -> Z -> 0, F_n free of rank ranks[n]."""
+    """... -> F_1 -> F_0 = RG -> R -> 0 over R = Z/p^k, F_n free of rank
+    ranks[n]: k = 1, R = F_p, unless integral, where k = v_p(|G|) + 1."""
 
-    def __init__(self, G: FiniteGroup, p: Optional[int] = None,
-                 cache_dir: Optional[str] = None):
-        if p is not None and not is_prime(p):
+    def __init__(self, G: FiniteGroup, p: int,
+                 cache_dir: Optional[str] = None, integral: bool = False):
+        if p is None or not is_prime(p):
             raise ValueError(f"the coefficient field needs a prime, not {p}")
         self.G = G
-        self.p = p  # None: resolution over ZG; prime: over F_pG
+        self.p = p
+        # |G| annihilates H_n(G; Z) for n >= 1, so p^k with k = v_p(|G|) + 1
+        # tells a true divisor from zero
+        v = _valuation(G.order, p)
+        self.k = v + 1 if integral else 1
+        self.modulus = p ** self.k
         self.ranks: list[int] = [1]
         # d_n for n >= 1: the rank_(n-1)*|G| x rank_n generator columns
+        # over Z/p^k, and the same reduced mod p (the same matrices when
+        # k = 1)
         self.diffs: list[SparseMatrix] = []
+        self._fp: list[SparseMatrix] = []
         # the minimal cover needs F_pG local, that is |G| a power of p
-        self.minimal = p is not None and _is_power_of(G.order, p)
+        self.minimal = p ** v == G.order
         # n -> dim ker d_(n-1), the rank that d_n must have, while that is
         # unchecked: on the minimal path each d_n built, and d_1 whether
         # built or read from the cache (the augmentation's kernel has
@@ -90,7 +114,7 @@ class FreeResolution:
     # -- construction ---------------------------------------------------------
 
     def _translate(self, vec: dict[int, int], g: int) -> dict[int, int]:
-        """Left action of g on a vector in (ZG)^b, coordinates i*|G| + h."""
+        """Left action of g on a vector in (RG)^b, coordinates i*|G| + h."""
         mul = self.G.mul
         o = self.G.order
         return {(k - k % o) + mul[g][k % o]: v for k, v in vec.items()}
@@ -98,7 +122,7 @@ class FreeResolution:
     def _cache_path(self, n: int) -> Optional[str]:
         if not self.cache_dir:
             return None
-        ring = "Z" if self.p is None else f"F{self.p}"
+        ring = f"F{self.p}" if self.k == 1 else f"Z{self.p}^{self.k}"
         return os.path.join(
             self.cache_dir,
             f"res_v{CACHE_FORMAT}_{self.G.digest()}_d{n}_{ring}.txt")
@@ -109,48 +133,62 @@ class FreeResolution:
             self._extend()
         top = len(self.diffs)
         if top in self._unchecked:  # no next degree's kernel to read from
-            self._certify_exact(top, rank_mod_p(self.module_matrix(top)))
+            self._certify_exact(
+                top, rank_mod_p(self._expand(self._fp[top - 1])))
 
     def _extend(self) -> None:
         n = len(self.diffs) + 1  # building d_n
-        n_rows = self.ranks[-1] * self.G.order
+        o = self.G.order
+        n_rows = self.ranks[-1] * o
         path = self._cache_path(n)
         if path and os.path.exists(path):
             with open(path) as fh:
                 M = SparseMatrix.load(fh.read())
-            if M.n_rows != n_rows or M.p != self.p:
+            if M.n_rows != n_rows or M.p != self.modulus:
                 raise ArithmeticError(f"cached d_{n} does not fit F_{n - 1}")
-            self._certify_minimal(n, M)
-            self.diffs.append(M)
-            self.ranks.append(M.n_cols)
+            Mp = self._mod_p(M)
+            self._certify_minimal(n, Mp)
+            self._keep(M, Mp)
             return
         if n == 1:
-            # kernel of the augmentation: spanned by g - e
-            kernel = [{g: 1, 0: -1 if self.p is None else self.p - 1}
-                      for g in range(1, self.G.order)]
+            # the augmentation, and its kernel: spanned by g - e
+            A = SparseMatrix(1, o, [(0, g, 1) for g in range(o)],
+                             p=self.modulus)
+            kernel = [{g: 1, 0: self.p - 1} for g in range(1, o)]
+
+            def solve(b: dict[int, int]) -> dict[int, int]:
+                return {0: b[0]} if b else {}
         else:
-            A_prev = self.module_matrix(n - 1)
-            kernel = kernel_z(A_prev) if self.p is None else kernel_mod_p(A_prev)
+            Ap = self._expand(self._fp[n - 2])
+            kernel, ech = kernel_mod_p(Ap, echelon=True)
             if n - 1 in self._unchecked:  # rank d_(n-1) from its kernel
-                self._certify_exact(n - 1, A_prev.n_cols - len(kernel))
+                self._certify_exact(n - 1, Ap.n_cols - len(kernel))
+            A = Ap if self.k == 1 else self.module_matrix(n - 1)
+
+            def solve(b: dict[int, int]) -> Optional[dict[int, int]]:
+                return _solve_augmented(ech, Ap.n_rows, b)
         if self.minimal:
             gens = self._minimal_cover(kernel)
         else:
             gens = self._greedy_cover(kernel)
         # the covers return nonzero columns, reduced mod p, with rows below
         # n_rows
-        M = SparseMatrix(n_rows, len(gens), p=self.p)
-        M.cols = dict(enumerate(gens))
+        M = Mp = SparseMatrix(n_rows, len(gens), p=self.p)
+        Mp.cols = dict(enumerate(gens))
+        if self.k > 1:
+            M = self._lift(n, A, Mp, solve)
+            if self._mod_p(M).cols != Mp.cols:
+                raise ArithmeticError(
+                    f"lifted d_{n} does not reduce to d_{n} mod {self.p}")
         # on the generator columns, which suffices by equivariance (see
-        # the module docstring)
-        if n > 1 and not composes_to_zero(A_prev, M, range(M.n_cols)):
+        # the module docstring), modulo p^k
+        if not composes_to_zero(A, M, range(M.n_cols)):
             raise ArithmeticError(
                 "resolution differentials do not compose to zero")
-        self._certify_minimal(n, M)
+        self._certify_minimal(n, Mp)
         if self.minimal:
             self._unchecked[n] = len(kernel)
-        self.diffs.append(M)
-        self.ranks.append(M.n_cols)
+        self._keep(M, Mp)
         if path:
             os.makedirs(self.cache_dir, exist_ok=True)
             tmp = path + ".tmp"
@@ -158,9 +196,60 @@ class FreeResolution:
                 M.dump(fh)
             os.replace(tmp, path)
 
-    def _certify_minimal(self, n: int, M: SparseMatrix) -> None:
-        """On the minimal path, d_n (x) F_p vanishes."""
-        if self.minimal and self._induced(M).cols:
+    def _keep(self, M: SparseMatrix, Mp: SparseMatrix) -> None:
+        """Append d_n over Z/p^k and mod p."""
+        self.diffs.append(M)
+        self._fp.append(Mp)
+        self.ranks.append(M.n_cols)
+
+    def _lift(self, n: int, A: SparseMatrix, M: SparseMatrix,
+              solve) -> SparseMatrix:
+        """The F_p generator columns M of d_n lifted to Z/p^k, one p-adic
+        digit at a time: A is the lifted module matrix of d_(n-1), and
+        solve(b) some x with d_(n-1)*x = b mod p, or None.  Each column
+        starts from its balanced representatives, |v| < p/2 for odd p,
+        which are often an integral relation already (g - e, the norm
+        element), so that no digit fills it in.  y = A*c is kept over Z,
+        one dense row list per column, and updated by each digit's
+        p^j*A*e."""
+        p, q, cols = self.p, self.modulus, A.cols
+        L = SparseMatrix(M.n_rows, M.n_cols, p=q)
+        for j, col in M.cols.items():
+            c = {i: v - p if 2 * v > p else v for i, v in col.items()}
+            e, pj = c, 1
+            y = [0] * A.n_rows
+            for _ in range(1, self.k):
+                for m, v in e.items():  # y += pj * A*e
+                    v *= pj
+                    for i, x in cols.get(m, {}).items():
+                        y[i] += v * x
+                pj *= p  # y = A*c = 0 mod pj
+                e = solve({i: -(v // pj) % p for i, v in enumerate(y)
+                           if (v // pj) % p})
+                if e is None:
+                    raise ArithmeticError(
+                        f"d_{n} does not lift to Z/{q}: a digit has no "
+                        "solution")
+                for i, v in e.items():
+                    c[i] = (c.get(i, 0) + pj * v) % q
+            L.cols[j] = {i: v % q for i, v in c.items() if v % q}
+        return L
+
+    def _mod_p(self, A: SparseMatrix) -> SparseMatrix:
+        """A over Z/p^k reduced mod p (A itself when k = 1)."""
+        if A.p == self.p:
+            return A
+        p = self.p
+        R = SparseMatrix(A.n_rows, A.n_cols, p=p)
+        for j, col in A.cols.items():
+            red = {i: v % p for i, v in col.items() if v % p}
+            if red:
+                R.cols[j] = red
+        return R
+
+    def _certify_minimal(self, n: int, Mp: SparseMatrix) -> None:
+        """On the minimal path, d_n (x) F_p vanishes (Mp: d_n mod p)."""
+        if self.minimal and self._induced(Mp).cols:
             raise ArithmeticError(
                 f"induced differential d_{n} does not vanish mod {self.p}: "
                 f"d_{n} is not a minimal cover of ker d_{n - 1}")
@@ -216,8 +305,8 @@ class FreeResolution:
 
     def _greedy_cover(self, kernel: list[dict[int, int]]) -> list[dict[int, int]]:
         """Generators whose translates span every kernel vector; each is
-        taken as the reduced residue, which keeps integer entries small (the
-        spanned lattice is G-invariant, so spans agree)."""
+        taken as the reduced residue (the span is G-invariant, so spans
+        agree)."""
         span = Echelon(p=self.p)
         gens: list[dict[int, int]] = []
         for vec in kernel:
@@ -228,19 +317,23 @@ class FreeResolution:
                     span.add(self._translate(res, g))
         if not gens and kernel:
             raise ArithmeticError("kernel cover failed")
-        # certify: every kernel vector lies in the spanned lattice (and the
-        # span is inside the kernel by G-invariance), so im d_n = ker d_{n-1}
+        # certify: every kernel vector lies in the span (and the span is
+        # inside the kernel by G-invariance), so im d_n = ker d_{n-1}
         for vec in kernel:
             if span.reduce(vec):
                 raise ArithmeticError("kernel cover incomplete")
         return gens
 
     def module_matrix(self, n: int) -> SparseMatrix:
-        """The matrix of the module map d_n: column j*|G| + g is the
-        g-translate of generator column j.  Translation keeps each entry
-        inside its row block."""
-        o, M = self.G.order, self.diffs[n - 1]
-        A = SparseMatrix(M.n_rows, M.n_cols * o, p=self.p)
+        """The matrix of the module map d_n over Z/p^k."""
+        return self._expand(self.diffs[n - 1])
+
+    def _expand(self, M: SparseMatrix) -> SparseMatrix:
+        """The module map with generator columns M: column j*|G| + g is
+        the g-translate of generator column j.  Translation keeps each
+        entry inside its row block."""
+        o = self.G.order
+        A = SparseMatrix(M.n_rows, M.n_cols * o, p=M.p)
         A.cols = {j * o + g: self._translate(vec, g)
                   for j, vec in M.cols.items() for g in range(o)}
         return A
@@ -248,23 +341,27 @@ class FreeResolution:
     # -- induced complex ------------------------------------------------------
 
     def _induced(self, M: SparseMatrix) -> SparseMatrix:
-        """d_n (x)_ZG Z from its generator columns M: each row block
+        """d_n (x)_G Z/p^k from its generator columns M: each row block
         summed."""
-        o = self.G.order
-        dense = [[0] * M.n_cols for _ in range(M.n_rows // o)]
+        o, q = self.G.order, M.p
+        D = SparseMatrix(M.n_rows // o, M.n_cols, p=q)
         for j, col in M.cols.items():
+            acc: dict[int, int] = {}
             for i, v in col.items():
-                dense[i // o][j] += v
-        return SparseMatrix.from_dense(dense, p=self.p)
+                acc[i // o] = acc.get(i // o, 0) + v
+            acc = {i: v % q for i, v in acc.items() if v % q}
+            if acc:
+                D.cols[j] = acc
+        return D
 
     def induced_matrix(self, n: int) -> SparseMatrix:
-        """Boundary b_{n-1} x b_n of F (x)_ZG Z (augment both sides)."""
+        """Boundary b_{n-1} x b_n of F (x)_G Z/p^k (augment both sides)."""
         self.extend_to(n)
         return self._induced(self.diffs[n - 1])
 
     def homology_dims_mod_p(self, p: int, max_degree: int) -> list[int]:
         """dim_{F_p} H_n(G; F_p) for n = 0..max_degree."""
-        if self.p is not None and p != self.p:
+        if p != self.p:
             raise ValueError("coefficient prime differs from resolution prime")
         self.extend_to(max_degree + 1)
         if self.minimal:
@@ -272,23 +369,34 @@ class FreeResolution:
             return self.ranks[:max_degree + 1]
         ranks_p = [0]  # rank of D_0 = 0
         for n in range(1, max_degree + 2):
-            D = self.induced_matrix(n)
-            Dp = SparseMatrix(D.n_rows, D.n_cols, D.entries(), p=p)
-            ranks_p.append(rank_mod_p(Dp))
+            ranks_p.append(rank_mod_p(self._mod_p(self.induced_matrix(n))))
         return [self.ranks[n] - ranks_p[n] - ranks_p[n + 1]
                 for n in range(max_degree + 1)]
 
     def integral_homology(self, n: int) -> tuple[int, tuple[int, ...]]:
-        """H_n(G; Z) as (free rank, torsion divisors), n >= 1."""
-        if self.p is not None:
-            raise ValueError("integral homology needs a resolution over ZG")
+        """The p-part of H_n(G; Z), n >= 1, as (free rank, torsion
+        divisors p^a, ascending), from the Smith forms of the induced
+        matrices over Z/p^k.  A divisor that is 0 mod p^k counts as zero
+        (see the module docstring)."""
+        if self.k == 1:
+            raise ValueError("integral homology needs a lifted resolution")
         if n < 1:
             raise ValueError("need n >= 1")
         self.extend_to(n + 1)
-        rep_n = smith_normal_form(self.induced_matrix(n))
-        rep_next = smith_normal_form(self.induced_matrix(n + 1))
-        rank = self.ranks[n] - rep_n.rank - rep_next.rank
-        return rank, rep_next.torsion
+        rank_n, _ = self._divisors(n)
+        rank_next, torsion = self._divisors(n + 1)
+        return self.ranks[n] - rank_n - rank_next, torsion
+
+    def _divisors(self, n: int) -> tuple[int, tuple[int, ...]]:
+        """(rank, divisors other than 1) of the induced b_n over Z/p^k.
+        The Smith form over Z of its representatives reduces to one over
+        Z/p^k, where a divisor d is p^(v_p(d)) times a unit."""
+        D = self.induced_matrix(n)
+        rep = smith_normal_form(SparseMatrix(D.n_rows, D.n_cols, D.entries()))
+        p = self.p
+        divisors = [p ** _valuation(d, p) for d in rep.elementary_divisors]
+        kept = [d for d in divisors if d < self.modulus]
+        return len(kept), tuple(d for d in kept if d > 1)
 
 
 def _normal_series(G: FiniteGroup) -> list[tuple[int, bool]]:
@@ -324,19 +432,20 @@ def _normalizes(G: FiniteGroup, s: int, prefix: list[int],
     return all(mul[mul[s][h]][t] in members for h in prefix)
 
 
-def _is_power_of(order: int, p: int) -> bool:
-    while order % p == 0:
-        order //= p
-    return order == 1
+def _valuation(n: int, p: int) -> int:
+    """The exponent of p in n >= 1."""
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return v
 
 
 # Not bounded: a CLI process runs one job, which makes an entry for each
 # of its groups and rings (README "Design notes").
-_RESOLUTIONS: dict[tuple[str, Optional[int], Optional[str]],
-                   FreeResolution] = {}
+_RESOLUTIONS: dict[tuple[str, int, Optional[str], int], FreeResolution] = {}
 
 
-def resolution_for(G: FiniteGroup, p: Optional[int] = None,
-                   cache_dir: Optional[str] = None) -> FreeResolution:
-    res = FreeResolution(G, p, cache_dir)
-    return _RESOLUTIONS.setdefault((G.digest(), p, res.cache_dir), res)
+def resolution_for(G: FiniteGroup, p: int, cache_dir: Optional[str] = None,
+                   integral: bool = False) -> FreeResolution:
+    res = FreeResolution(G, p, cache_dir, integral)
+    return _RESOLUTIONS.setdefault((G.digest(), p, res.cache_dir, res.k), res)

@@ -143,13 +143,18 @@ def test_resolution_memo_is_kept_per_cache_dir(tmp_path, monkeypatch):
 @pytest.mark.parametrize("p", [3, None])
 def test_resolution_extends_a_cached_prefix(tmp_path, p):
     # d_1, d_2 are read as generator columns from the cache, and d_3, d_4
-    # are built on top of them
+    # are built on top of them; p None is the resolution integral
+    # cohomology reads, F_3 lifted to Z/27
     from cohomolab.resolution import FreeResolution
     V = build_product([build_cyclic(3), build_cyclic(3)])
-    FreeResolution(V, p, str(tmp_path)).extend_to(2)
-    cached = FreeResolution(V, p, str(tmp_path))
+
+    def resolution(cache_dir):
+        return FreeResolution(V, p or 3, cache_dir, integral=p is None)
+
+    resolution(str(tmp_path)).extend_to(2)
+    cached = resolution(str(tmp_path))
     cached.extend_to(4)
-    fresh = FreeResolution(V, p, "")
+    fresh = resolution("")
     fresh.extend_to(4)
     assert cached.ranks == fresh.ranks
     # the generator matrices, rows rank_(n-1)*|G| by columns rank_n

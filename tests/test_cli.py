@@ -596,12 +596,33 @@ FIXED_ARGVS = [
 def test_a_reported_vector_that_is_not_fixed_exits_1(capsys, monkeypatch,
                                                      argv):
     # the kernel also returns the first basis monomial, which some map of
-    # each action moves in a degree the command reaches
+    # each action moves in a degree the command reaches; where it is
+    # already a kernel row (degree 0) a second copy would be a repeated
+    # vector, which test_a_repeated_fixed_vector_exits_1 covers
     from cohomolab import invariant_rings
     kernel = invariant_rings.kernel_mod_p
-    monkeypatch.setattr(invariant_rings, "kernel_mod_p",
-                        lambda M: kernel(M) + [{0: 1}])
+
+    def with_first_monomial(M):
+        rows = kernel(M)
+        return rows if {0: 1} in rows else rows + [{0: 1}]
+
+    monkeypatch.setattr(invariant_rings, "kernel_mod_p", with_first_monomial)
     _exits_1_without_traceback(capsys, argv, "fixed vector is moved by map")
+
+
+def test_a_repeated_fixed_vector_exits_1(capsys, monkeypatch):
+    # the kernel returns its first vector twice: each copy is fixed, and
+    # the shear of F_3[x, y] would report fixed_dims [2, 2, 2, 3, 3, 3, 4]
+    from cohomolab import invariant_rings
+    kernel = invariant_rings.kernel_mod_p
+
+    def repeated(M):
+        rows = kernel(M)
+        return rows[:1] + rows
+
+    monkeypatch.setattr(invariant_rings, "kernel_mod_p", repeated)
+    _exits_1_without_traceback(capsys, FIXED_ARGVS[0],
+                               "degree-0 fixed vectors are not independent")
 
 
 def test_a_product_outside_the_basis_on_the_sweep_exits_1(capsys,
@@ -735,8 +756,9 @@ def test_kernel_cover_incomplete_exits_1(capsys, monkeypatch):
 def test_differentials_not_composing_exits_1(capsys, monkeypatch):
     resolution = _fresh_resolutions(monkeypatch)
 
-    def every_unit_vector(A):  # a "kernel" that is the whole domain
-        return [{j: 1} for j in range(A.n_cols)]
+    def every_unit_vector(A, echelon=False):  # the whole domain
+        kernel = [{j: 1} for j in range(A.n_cols)]
+        return (kernel, None) if echelon else kernel
 
     monkeypatch.setattr(resolution, "kernel_mod_p", every_unit_vector)
     _exits_1_without_traceback(capsys, DIMS_S3, "do not compose to zero")
@@ -748,8 +770,10 @@ def test_last_generator_not_composing_exits_1(capsys, monkeypatch):
     resolution = _fresh_resolutions(monkeypatch)
     kernel_mod_p = resolution.kernel_mod_p
 
-    def with_a_stray_vector(A):
-        return kernel_mod_p(A) + [{0: 1}]
+    def with_a_stray_vector(A, echelon=False):
+        kernel, ech = kernel_mod_p(A, echelon=True)
+        kernel = kernel + [{0: 1}]
+        return (kernel, ech) if echelon else kernel
 
     monkeypatch.setattr(resolution, "kernel_mod_p", with_a_stray_vector)
     _exits_1_without_traceback(capsys, DIMS_S3, "do not compose to zero")
@@ -1224,12 +1248,77 @@ def test_help_prints_the_help_of_the_argparse_tree(capsys):
 
 
 def test_nonzero_homology_rank_exits_1(capsys, monkeypatch):
+    # a Smith form that misses the divisor 3 of C3's induced d_2 over Z/9
+    # leaves H_1 a free rank of 1
+    from cohomolab.exact_linalg import SmithReport
     resolution = _fresh_resolutions(monkeypatch)
-    monkeypatch.setattr(resolution.FreeResolution, "integral_homology",
-                        lambda self, n: (1, ()))
+    snf = resolution.smith_normal_form
+
+    def one_short(M):
+        divisors = snf(M).elementary_divisors[:-1]
+        return SmithReport(divisors, len(divisors))
+
+    monkeypatch.setattr(resolution, "smith_normal_form", one_short)
     _exits_1_without_traceback(
         capsys, ["cohomology", "integral", "--group", C3, "--degree", "2"],
         "nonzero homology rank")
+
+
+INTEGRAL_G21 = ["cohomology", "integral", "--group",
+                '{"family": "G_a1", "a": 2, "p": 3}', "--degree", "3"]
+
+
+def _changed_lift(monkeypatch, resolution, change):
+    """Apply change(resolution, lifted columns) to the last lifted
+    column of each d_n."""
+    lift = resolution.FreeResolution._lift
+
+    def changed(self, n, A, M, solve):
+        L = lift(self, n, A, M, solve)
+        change(self, L.cols[L.n_cols - 1])
+        return L
+
+    monkeypatch.setattr(resolution.FreeResolution, "_lift", changed)
+
+
+def test_lift_that_does_not_reduce_to_the_fp_columns_exits_1(
+        capsys, monkeypatch):
+    resolution = _fresh_resolutions(monkeypatch)
+
+    def bump(res, col):  # one entry moved by 1, which p does not divide
+        i = min(col)
+        col[i] = (col[i] + 1) % res.modulus
+
+    _changed_lift(monkeypatch, resolution, bump)
+    _exits_1_without_traceback(capsys, INTEGRAL_G21,
+                               "lifted d_1 does not reduce to d_1 mod 3")
+
+
+def test_lift_short_of_the_top_digit_exits_1(capsys, monkeypatch):
+    # the top digit p^(k-1) moved: the columns still reduce to the F_p
+    # ones, but d_(n-1) o d_n no longer vanishes mod p^k
+    resolution = _fresh_resolutions(monkeypatch)
+
+    def shift(res, col):
+        i = min(col)
+        col[i] = (col[i] + res.modulus // res.p) % res.modulus
+
+    _changed_lift(monkeypatch, resolution, shift)
+    _exits_1_without_traceback(capsys, INTEGRAL_G21,
+                               "do not compose to zero")
+
+
+def test_integral_g21_to_degree_6_within_3_s(capsys, monkeypatch):
+    # the lift answers past the ZG route's reach: --max-cells lifts
+    # _check_limits' degree-3 cap for order 81
+    _fresh_resolutions(monkeypatch)
+    argv = ["--max-cells", str(80 ** 7)] + INTEGRAL_G21[:-1] + ["6"]
+    start = time.perf_counter()
+    assert _within(30, main, argv) == EXIT_PASS
+    assert time.perf_counter() - start < 3
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["rank"], rep["torsion"], rep["order"]) == \
+        (0, [3, 3, 3, 3, 9, 9], 3 ** 8)
 
 
 def test_negative_max_cells_exits_2(capsys):

@@ -2,6 +2,7 @@ import ast
 import inspect
 import io
 import random
+import re
 import tracemalloc
 from itertools import combinations
 from math import gcd
@@ -564,6 +565,54 @@ def test_dump_streams_into_the_file(tmp_path):
     text = path.read_text()
     assert text == coordinate_text(M)
     assert peak < len(text) // 20
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 6),
+       st.sampled_from([None, 2, 3, 5, 9, 243]), st.data())
+def test_load_reads_what_dump_wrote(n_rows, n_cols, p, data):
+    cells = [(i, j) for i in range(n_rows) for j in range(n_cols)]
+    picked = data.draw(st.lists(st.sampled_from(cells), unique=True)
+                       if cells else st.just([]))
+    values = data.draw(st.lists(st.integers(-300, 300),
+                                min_size=len(picked), max_size=len(picked)))
+    M = SparseMatrix(n_rows, n_cols,
+                     [(i, j, v) for (i, j), v in zip(picked, values)], p)
+    text = dumped(M)
+    domain = ("Z" if p is None else f"F{p}" if exact_linalg.is_prime(p)
+              else f"Z/{p}")
+    assert text.split("\n", 1)[0].split()[3] == domain
+    L = SparseMatrix.load(text)
+    assert (L.n_rows, L.n_cols, L.p, L.cols) == \
+        (M.n_rows, M.n_cols, M.p, M.cols)
+    # blank lines and spacing do not matter
+    assert SparseMatrix.load("\n" + text.replace("\n", "\n\n")).cols == \
+        M.cols
+
+
+@pytest.mark.parametrize("text,message", [
+    ("", "bad coordinate header"),
+    ("2 2 1\n0 0 1\n", "bad coordinate header"),
+    ("2 2 1 F3 x\n0 0 1\n", "bad coordinate header"),
+    ("2 2 2 F3\n0 0 1\n", "nnz mismatch in coordinate dump"),
+    ("2 2 1 F3\n0 0 1\n1 1 1\n", "nnz mismatch in coordinate dump"),
+    ("2 2 1 F3\n0 0\n", "nnz mismatch in coordinate dump"),
+    ("2 2 1 Z\n2 0 1\n", "index (2,0) out of range"),
+    ("2 2 1 Z\n0 -1 1\n", "index (0,-1) out of range"),
+    ("2 2 2 Z/9\n1 1 1\n1 1 5\n", "duplicate entry at (1,1)"),
+])
+def test_load_rejects_a_bad_dump(text, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SparseMatrix.load(text)
+
+
+def test_load_reduces_mod_p():
+    # 4 = 1 mod 3 is kept as 1, 3 = 0 mod 3 is dropped, and a column whose
+    # entries all vanish is not stored; Z/9 keeps 3
+    M = SparseMatrix.load("3 2 3 F3\n0 0 4\n1 0 -1\n2 1 3\n")
+    assert (M.p, M.cols) == (3, {0: {0: 1, 1: 2}})
+    M = SparseMatrix.load("3 2 3 Z/9\n0 0 4\n1 0 -1\n2 1 3\n")
+    assert (M.p, M.cols) == (9, {0: {0: 4, 1: 8}, 1: {2: 3}})
 
 
 def test_mul_vector_and_transpose():

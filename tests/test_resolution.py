@@ -9,6 +9,7 @@ from cohomolab.groups import (FiniteGroup, build_G_a1, build_M, build_P,
                               closure_members, symmetric_3)
 from cohomolab.resolution import FreeResolution
 from matrix_helpers import mul_vector
+from resolution_helpers import zg_integral_cohomology
 
 C3 = build_cyclic(3)
 
@@ -72,30 +73,45 @@ def test_p27_ranks():
     assert res.ranks == [1, 2, 4, 6, 7, 8]
 
 
-@pytest.mark.parametrize("G,p", [(C3, None), (symmetric_3(), 3),
-                                 (symmetric_3(), 2), (build_cyclic(6), 3)],
+def resolution_at(G, p, cache_dir=""):
+    """The F_p resolution, or for p None the one integral cohomology reads
+    at p = 3: F_3 lifted to Z/3^k, k = v_3(|G|) + 1."""
+    return FreeResolution(G, p or 3, cache_dir, integral=p is None)
+
+
+@pytest.mark.parametrize("G,p", [(symmetric_3(), 3), (symmetric_3(), 2),
+                                 (build_cyclic(6), 3)],
                          ids=str)
 def test_greedy_cover_off_p_groups(G, p):
     assert not FreeResolution(G, p, "").minimal
 
 
+def test_no_resolution_over_zg():
+    with pytest.raises(ValueError, match="needs a prime, not None"):
+        FreeResolution(C3, None, "")
+    # the integral route lifts the minimal F_3 resolution of C3 to Z/9
+    res = FreeResolution(C3, 3, "", integral=True)
+    assert res.minimal and (res.k, res.modulus) == (2, 9)
+
+
 @pytest.mark.parametrize("p", [3, None])
 def test_cache_holds_generator_columns(tmp_path, p):
+    # p None: the lift to Z/27 of C3 x C3, under its own ring tag
     G = build_product([C3, C3])
-    res = FreeResolution(G, p, str(tmp_path))
+    res = resolution_at(G, p, str(tmp_path))
     res.extend_to(3)
-    ring = "Z" if p is None else f"F{p}"
+    ring, domain = ("Z3^3", "Z/27") if p is None else (f"F{p}", f"F{p}")
     for n in (1, 2, 3):
         path = tmp_path / f"res_v2_{G.digest()}_d{n}_{ring}.txt"
         text = path.read_text()
         M = SparseMatrix.load(text)
         A = res.diffs[n - 1]  # the generator matrix the resolution holds
         assert (M.n_rows, M.n_cols, M.p) == (A.n_rows, A.n_cols, A.p) == \
-            (res.ranks[n - 1] * G.order, res.ranks[n], p)
+            (res.ranks[n - 1] * G.order, res.ranks[n], res.modulus)
         assert M.entries() == A.entries()
         # the coordinate format: a header, then one line per entry in
         # column-major order
-        header = f"{M.n_rows} {M.n_cols} {M.nnz()} {ring}"
+        header = f"{M.n_rows} {M.n_cols} {M.nnz()} {domain}"
         assert text.splitlines() == [header] + [
             f"{i} {j} {v}" for i, j, v in M.entries()]
         assert text.endswith("\n")
@@ -113,7 +129,7 @@ def translate_oracle(G, vec, g):
                          ids=lambda x: getattr(x, "name", x))
 @pytest.mark.parametrize("p", [3, None])
 def test_module_matrix_is_every_translate(G, degree, p):
-    res = FreeResolution(G, p, "")
+    res = resolution_at(G, p)
     res.extend_to(degree)
     o = G.order
     for n in range(1, degree + 1):
@@ -324,3 +340,77 @@ def test_normal_series_leaves_out_generators_in_the_prefix():
     assert len(G.generators) == 11 and len(order) == 6
     sizes = [len(closure_members(G, order[:j])) for j in range(7)]
     assert sizes == [2 ** j for j in range(7)]
+
+
+# the groups of order <= 27 that these tests and the benchmark catalogue
+# build (G(1,1) has the table of P(3,3)) and the trivial group, compared
+# with the ZG oracle in degrees 1-4; G(2,1), of order 81, in degrees 1-3
+ORACLE_GROUPS = [
+    (build_cyclic(1), 4), (build_cyclic(2), 4), (C3, 4), (build_cyclic(4), 4),
+    (build_cyclic(5), 4), (build_cyclic(6), 4), (build_cyclic(7), 4),
+    (build_cyclic(8), 4), (build_cyclic(9), 4), (build_cyclic(27), 4),
+    (symmetric_3(), 4), (build_product([build_cyclic(2)] * 2), 4), (D8, 4),
+    (D8_REPEATED, 4), (build_product([build_cyclic(2), C3, C3]), 4),
+    (build_product([C3, C3]), 4), (build_product([C3, build_cyclic(9)]), 4),
+    (build_product([C3, C3, C3]), 4), (build_P(3, 3), 4), (build_M(3, 3), 4),
+    (G21, 3)]
+
+
+@pytest.mark.parametrize("G,top", ORACLE_GROUPS,
+                         ids=lambda x: getattr(x, "name", x))
+def test_integral_cohomology_matches_the_zg_oracle(G, top):
+    from cohomolab.bar_cohomology import integral_cohomology
+    lifted = [integral_cohomology(G, n, max_cells=G.order ** (top + 1))
+              for n in range(1, top + 1)]
+    assert lifted == zg_integral_cohomology(G, top)
+
+
+def test_p_parts_merge_into_invariant_factors():
+    # C6: Z/2 at p = 2 and Z/3 at p = 3 make H^2 = Z/6; S3 has H^4 = Z/6
+    from cohomolab.bar_cohomology import _invariant_factors, integral_cohomology
+    res = {p: FreeResolution(build_cyclic(6), p, "", integral=True)
+           for p in (2, 3)}
+    assert [r.integral_homology(1) for r in res.values()] == \
+        [(0, (2,)), (0, (3,))]
+    assert integral_cohomology(build_cyclic(6), 2) == (0, (6,))
+    assert integral_cohomology(symmetric_3(), 4, max_cells=10 ** 6) == \
+        (0, (6,))
+    assert _invariant_factors([(2, 4), (3,), (5, 25, 125)]) == \
+        (5, 50, 1500)
+    assert _invariant_factors([]) == ()
+
+
+def test_lift_exponent_is_one_more_than_the_valuation():
+    # |G| annihilates H_n(G; Z), so Z/p^(v+1) tells p^v from zero: H_1 of
+    # C9 is Z/9, which over Z/9 (k = v_3(9)) would read as zero
+    for G, p, k in ((C3, 3, 2), (build_cyclic(9), 3, 3), (G21, 3, 5),
+                    (symmetric_3(), 2, 2), (build_cyclic(8), 2, 4)):
+        res = FreeResolution(G, p, "", integral=True)
+        assert (res.k, res.modulus) == (k, p ** k)
+    res = FreeResolution(build_cyclic(9), 3, "", integral=True)
+    assert res.integral_homology(1) == (0, (9,))
+    assert res._divisors(2) == (1, (9,))
+
+
+def test_lifted_columns_reduce_to_the_fp_columns():
+    # every d_n of the lift is d_n of the F_p resolution mod p (d o d = 0
+    # mod p^k on every column: test_module_matrix_is_every_translate)
+    for G in (build_P(3, 3), symmetric_3()):
+        fp = FreeResolution(G, 3, "")
+        lifted = FreeResolution(G, 3, "", integral=True)
+        fp.extend_to(4)
+        lifted.extend_to(4)
+        assert [lifted._mod_p(M).cols for M in lifted.diffs] == \
+            [M.cols for M in fp.diffs]
+
+
+def test_universal_coefficients_tie_the_lift_to_the_fp_dims():
+    # dim H^n(G; F_3) counts the cyclic summands of H^n(G; Z) and of
+    # H^(n+1)(G; Z): on G(2,1), the lift through degree 6 against the
+    # minimal F_3 ranks [1, 2, 4, 6, 8, 10]
+    from cohomolab.bar_cohomology import integral_cohomology
+    summands = [len(integral_cohomology(G21, n, max_cells=80 ** 7)[1])
+                for n in range(1, 7)]
+    assert summands == [0, 2, 2, 4, 4, 6]
+    dims = FreeResolution(G21, 3, "").homology_dims_mod_p(3, 5)
+    assert dims[1:] == [summands[n - 1] + summands[n] for n in range(1, 6)]
