@@ -39,6 +39,7 @@ from .invariant_rings import (
     fixed_dims,
     fixed_subspaces,
     held_5_part_check,
+    molien_dims,
 )
 
 SCHEMA_VERSION = 1
@@ -163,12 +164,12 @@ def _encode_elements(A: GradedAlgebra, elements) -> list:
 
 
 # `invariants fixed` limits, checked before the sweep: the largest
-# component, and the sweep's steps, (max_degree + 1)*2^s exterior subsets
-# listed for s exterior generators plus the basis monomials of every
-# degree.  A dense 3 x 3 matrix over F_7 on degree-1 generators takes
-# about 2.9 s and 45 MB at max_degree 23 (largest component 300), and a
-# dense 2 x 2 one about 2.8 s at max_degree 152 (11,934 steps), on one
-# core of a Xeon with Python 3.11.
+# component, and the sweep's steps, (max_degree + 1)*2^s for s exterior
+# generators (at most 2^s exterior subsets in each degree) plus the basis
+# monomials of every degree.  A dense 3 x 3 matrix over F_7 on
+# degree-1 generators takes about 2.9 s and 45 MB at max_degree 23
+# (largest component 300), and a dense 2 x 2 one about 2.8 s at
+# max_degree 152 (11,934 steps), on one core of a Xeon with Python 3.11.
 MAX_FIXED_COMPONENT = 300
 MAX_FIXED_STEPS = 12_000
 
@@ -215,15 +216,22 @@ def _cmd_invariants(args) -> dict:
     act = MatrixAction(A, [tuple(map(tuple, M)) for M in spec["matrices"]],
                        ext_twists=twists)
     _check_fixed_size(A, args.max_degree)
+    order = act.group_order()
+    # completeness where p does not divide |G|: the Molien series counts
+    # the fixed vectors of every degree (soundness is require_fixed's)
+    counts = molien_dims(act, args.max_degree) if order % args.p else None
     dims = []
     basis = {}
     for d, fixed in enumerate(fixed_subspaces(A, act.maps, args.max_degree)):
+        if counts is not None and len(fixed) != counts[d]:
+            raise ArithmeticError(
+                f"degree {d} has {len(fixed)} fixed vectors, and the Molien "
+                f"series counts {counts[d]}")
         dims.append(len(fixed))
         if fixed:
             basis[str(d)] = _encode_elements(A, fixed)
     return {"p": args.p, "max_degree": args.max_degree,
-            "group_order": act.group_order(),
-            "fixed_dims": dims, "fixed_basis": basis}
+            "group_order": order, "fixed_dims": dims, "fixed_basis": basis}
 
 
 def _cmd_ringmodel(args) -> dict:

@@ -913,6 +913,17 @@ def _mat_mul(A, B, p):
                        for j in range(k)) for i in range(k))
 
 
+def _mat_pow(M, e: int, p: int):
+    """M^e mod p by repeated squaring, e >= 0."""
+    R = tuple(tuple(int(i == j) for j in range(len(M))) for i in range(len(M)))
+    while e:
+        if e & 1:
+            R = _mat_mul(R, M, p)
+        M = _mat_mul(M, M, p)
+        e >>= 1
+    return R
+
+
 def matrix_group_closure(mats, p, k: int, cap: int) -> list:
     """The group generated by the k x k matrices mats mod p (trivial if
     none): the identity, then each new product A*M in depth-first order.

@@ -30,7 +30,7 @@ import math
 import operator
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .exact_linalg import (_mat_mul, _prime_factors, is_prime,
+from .exact_linalg import (_mat_mul, _mat_pow, _prime_factors, is_prime,
                            matrix_group_closure)
 
 MAX_TABLE_ORDER = 4096
@@ -468,29 +468,34 @@ def build_semidirect(p: int, k: int, matrices: Sequence[Sequence[Sequence[int]]]
 def _primitive_polynomial(p: int, n: int) -> tuple:
     """The companion matrix of the first monic primitive polynomial
     x^n + c_{n-1} x^{n-1} + ... + c_0 over F_p, (c_0, .., c_{n-1}) in
-    lexicographic order: the matrix has multiplicative order p^n - 1."""
+    lexicographic order: the matrix has multiplicative order p^n - 1.
+    (-1)^n c_0, the product of the roots, is the norm of a generator of
+    F_(p^n)^*, so it generates F_p^*: the other values of c_0 are skipped."""
     order = p ** n - 1
     primes = _prime_factors(order)
+    units = _prime_factors(p - 1)
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
-
-    def power(M, e):
-        R = ident
-        while e:
-            if e & 1:
-                R = _mat_mul(R, M, p)
-            M = _mat_mul(M, M, p)
-            e >>= 1
-        return R
-
-    for coeffs in itertools.product(range(p), repeat=n):
-        if coeffs[0] == 0:
-            continue  # x divides, not primitive
-        C = tuple(tuple((-coeffs[i]) % p if j == n - 1 else int(i == j + 1)
-                        for j in range(n)) for i in range(n))
-        if power(C, order) == ident and all(
-                power(C, order // q) != ident for q in primes):
-            return C
+    for c0 in range(1, p):
+        if any(pow((-1) ** n * c0, (p - 1) // q, p) == 1 for q in units):
+            continue
+        for coeffs in _tuples((c0,), p, n - 1):
+            C = tuple(tuple((-coeffs[i]) % p if j == n - 1
+                            else int(i == j + 1) for j in range(n))
+                      for i in range(n))
+            if _mat_pow(C, order, p) == ident and all(
+                    _mat_pow(C, order // q, p) != ident for q in primes):
+                return C
     raise ValueError("no primitive polynomial found")  # unreachable for prime p
+
+
+def _tuples(head: tuple, p: int, n: int):
+    """head followed by each n-tuple over range(p), in lexicographic
+    order, without listing range(p) (p may be near 2^31)."""
+    if n == 0:
+        yield head
+        return
+    for x in range(p):
+        yield from _tuples(head + (x,), p, n - 1)
 
 
 def singer_group(p: int, n: int) -> FiniteGroup:

@@ -6,9 +6,14 @@ per rewriting step, and the straightening as while loops.  Its two
 straightening thresholds can be moved to make mutants of the rules.
 
 The averaging idempotent of a MatrixAction, whose rank is the fixed
-dimension when p does not divide the group order."""
+dimension when p does not divide the group order.
+
+Held5's invariant dimensions from the kernel of each degree, the oracle
+of its Molien count."""
 
 from cohomolab.exact_linalg import SparseMatrix, rank_mod_p
+from cohomolab.invariant_rings import (GradedAlgebra, HELD5_MATRICES,
+                                       MatrixAction, fixed_dims)
 
 
 def reference_rules(mu_shift: int = 0, plain_shift: int = 0):
@@ -110,3 +115,11 @@ def averaging_rank(algebra, action, d):
     inv = pow(len(group) % p, p - 2, p)
     dense = [[(v * inv) % p for v in row] for row in acc]
     return rank_mod_p(SparseMatrix.from_dense(dense, p=p))
+
+
+def held5_kernel_dims(max_degree):
+    """The fixed dimensions of held5's action in degrees 0..max_degree, one
+    stacked (g - 1) kernel per degree."""
+    A = GradedAlgebra(5, [2, 2], [3])
+    act = MatrixAction(A, HELD5_MATRICES, ext_twists=[1])
+    return fixed_dims(A, act.maps, max_degree)

@@ -583,12 +583,19 @@ def test_invariants_fixed_runs_at_the_limits(capsys, spec, max_degree, dims):
     assert rep["fixed_dims"] == dims
 
 
+# a swap and a diagonal matrix of F_5[x, y]: order 32, prime to 5, so
+# the Molien series also counts each degree's fixed vectors
+SWAP_DIAG = {"poly_degrees": [1, 1],
+             "matrices": [[[0, 1], [1, 0]], [[2, 0], [0, 1]]]}
+
+# commands whose answers come from kernel_mod_p (held5's come from the
+# Molien series)
 FIXED_ARGVS = [
     _fixed_argv({"poly_degrees": [1, 1], "matrices": [[[1, 1], [0, 1]]]}, 6),
     ["ringmodel", "fixed", "--p", "3", "--action", "C3-shear-3.4",
      "--max-degree", "8"],
     ["invariants", "dickson", "--p", "3", "--max-degree", "6"],
-    ["invariants", "held5", "--max-degree", "6"],
+    _fixed_argv(SWAP_DIAG, 6, p=5),
 ]
 
 
@@ -623,6 +630,60 @@ def test_a_repeated_fixed_vector_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(invariant_rings, "kernel_mod_p", repeated)
     _exits_1_without_traceback(capsys, FIXED_ARGVS[0],
                                "degree-0 fixed vectors are not independent")
+
+
+def test_a_dropped_fixed_vector_of_a_non_modular_action_exits_1(
+        capsys, monkeypatch):
+    # each kept vector is fixed and they stay independent: only the
+    # Molien count sees that one is missing
+    from cohomolab import invariant_rings
+    kernel = invariant_rings.kernel_mod_p
+    monkeypatch.setattr(invariant_rings, "kernel_mod_p",
+                        lambda M: kernel(M)[:-1])
+    _exits_1_without_traceback(
+        capsys, _fixed_argv(SWAP_DIAG, 6, p=5),
+        "degree 0 has 0 fixed vectors, and the Molien series counts 1")
+
+
+def test_a_corrupted_molien_count_fails_held5(capsys, monkeypatch):
+    # one more invariant in degree 16 than the presented ring has
+    from cohomolab import invariant_rings
+    molien = invariant_rings.molien_dims
+    monkeypatch.setattr(
+        invariant_rings, "molien_dims", lambda action, max_degree: [
+            n + (d == 16) for d, n in enumerate(molien(action, max_degree))])
+    code, rep = run_json(capsys, ["invariants", "held5", "--max-degree",
+                                  "20"])
+    assert code == EXIT_FAILURE and rep["passed"] is False
+    assert rep["fixed"][16] == rep["presented"][16] + 1
+
+
+def test_a_modular_action_is_answered_by_the_kernel_alone(capsys,
+                                                          monkeypatch):
+    # the shear of F_3[x, y] has order 3: no Molien count is asked for
+    monkeypatch.setattr(cli, "molien_dims",
+                        lambda *args: pytest.fail("the Molien count ran"))
+    code, rep = run_json(capsys, FIXED_ARGVS[0])
+    assert code == EXIT_PASS
+    assert rep["group_order"] == 3
+    assert rep["fixed_dims"] == [1, 1, 1, 2, 2, 2, 3]
+
+
+@pytest.mark.parametrize("p,matrix,message", [
+    # the Singer cycle of GL_2(37): order 1368
+    (37, [[0, 35], [1, 33]], "needs the 1368-th roots of unity"),
+    # x^3 - w, w of order 3, has order 9, and p = 1048783 = 4 mod 9 puts
+    # its roots in F_(p^3): p^2 is above 2^40
+    (1048783, [[0, 0, 858341], [1, 0, 0], [0, 1, 0]],
+     "in the field of order 1048783^3"),
+])
+def test_a_molien_count_above_its_limits_exits_3(capsys, monkeypatch, p,
+                                                 matrix, message):
+    from cohomolab import invariant_rings
+    monkeypatch.setattr(invariant_rings, "fixed_sweep",
+                        lambda *args: pytest.fail("the sweep started"))
+    spec = {"poly_degrees": [1] * len(matrix), "matrices": [matrix]}
+    _exits_3_within_a_second(capsys, _fixed_argv(spec, 2, p=p), message)
 
 
 def test_a_product_outside_the_basis_on_the_sweep_exits_1(capsys,

@@ -1,13 +1,18 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cohomolab.exact_linalg import is_prime, matrix_group_closure
+from cohomolab.bar_cohomology import ResourceLimitError
+from cohomolab.exact_linalg import (_mat_mul, _mat_pow, is_prime,
+                                    matrix_group_closure)
 from cohomolab.groups import _primitive_polynomial
 from cohomolab.invariant_rings import (
     GradedAlgebra,
     HELD5_MATRICES,
     MatrixAction,
+    _presented_ring_dims,
     _primitive_root,
     basis_counts,
     dickson_check,
@@ -18,11 +23,12 @@ from cohomolab.invariant_rings import (
     gl2_generators,
     held_5_part_check,
     in_span,
+    molien_dims,
     sl2_generators,
     subalgebra_dims,
 )
 from group_helpers import closure_oracle
-from ring_helpers import averaging_rank
+from ring_helpers import averaging_rank, held5_kernel_dims
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +164,34 @@ def test_basis_counts_match_the_listed_bases():
         assert basis_counts(A, D) == (max(dims), sum(dims))
     with pytest.raises(ValueError, match="share one degree"):
         basis_counts(GradedAlgebra(3, [1, 2]), 4)
+
+
+def _all_bit_tuples_basis(A, d):
+    """basis(d) from all 2^s exterior bit tuples, the oracle of the
+    listing by exterior subsets of degree at most d."""
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(A.ext_degrees)):
+        rem = d - sum(x * e for x, e in zip(bits, A.ext_degrees))
+        if rem >= 0:
+            out += [(exps, bits) for exps in
+                    A._poly_exponents(rem, len(A.poly_degrees))]
+    return sorted(out)
+
+
+def test_basis_lists_the_same_monomials_as_all_bit_tuples():
+    rng = random.Random(28)
+    for _ in range(100):
+        ext = [rng.randrange(1, 5) for _ in range(rng.randrange(6))]
+        A = GradedAlgebra(3, [rng.randrange(1, 4)] * rng.randrange(4), ext)
+        for d in range(12):
+            assert A.basis(d) == _all_bit_tuples_basis(A, d)
+
+
+def test_basis_in_degree_zero_lists_no_exterior_subset():
+    # all 2^30 bit tuples would be walked to find the one monomial
+    A = GradedAlgebra(3, [], [1] * 30)
+    assert A.basis(0) == list(A.one())
+    assert A.dim(1) == 30
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +406,112 @@ def test_held_5_part_full_budget():
 def test_held_5_max_degree_cap():
     with pytest.raises(ValueError):
         held_5_part_check(121)
+
+
+def test_held_5_molien_kernel_and_presented_dims_agree():
+    molien = molien_dims(MatrixAction(GradedAlgebra(5, [2, 2], [3]),
+                                      HELD5_MATRICES, ext_twists=[1]), 120)
+    assert molien == held5_kernel_dims(120) == _presented_ring_dims(120)
+
+
+def test_held_5_molien_depends_on_the_twist():
+    # epsilon with det^0 changes 12 of the 61 degrees up to 60
+    untwisted = molien_dims(MatrixAction(GradedAlgebra(5, [2, 2], [3]),
+                                         HELD5_MATRICES, ext_twists=[0]), 60)
+    changed = [d for d, (a, b) in
+               enumerate(zip(untwisted, _presented_ring_dims(60))) if a != b]
+    assert len(changed) == 12
+
+
+# ---------------------------------------------------------------------------
+# the Molien series against the kernel
+# ---------------------------------------------------------------------------
+
+
+def non_modular_action(p, k, monomial, rng):
+    """A MatrixAction over F_p on k polynomial generators, p > k, whose
+    group has order prime to p: generated by one or two monomial
+    matrices, or by a power of the Singer cycle (eigenvalues in F_(p^k)),
+    each conjugated by one invertible P; up to two exterior generators
+    with any determinant twists."""
+    if monomial:
+        mats = []
+        for _ in range(rng.randrange(1, 3)):
+            perm = rng.sample(range(k), k)
+            mats.append(tuple(tuple(rng.randrange(1, p) if j == perm[i]
+                                    else 0 for j in range(k))
+                              for i in range(k)))
+    else:
+        mats = [_mat_pow(_primitive_polynomial(p, k),
+                         rng.randrange(1, p ** k - 1), p)]
+    # P = L U, L unit lower and U upper triangular with units on the diagonal
+    L = tuple(tuple(int(i == j) if i <= j else rng.randrange(p)
+                    for j in range(k)) for i in range(k))
+    U = tuple(tuple(rng.randrange(1, p) if i == j else
+                    rng.randrange(p) if i < j else 0 for j in range(k))
+              for i in range(k))
+    P = _mat_mul(L, U, p)
+    gl_order = 1
+    for i in range(k):
+        gl_order *= p ** k - p ** i
+    P_inv = _mat_pow(P, gl_order - 1, p)
+    ext = [rng.randrange(1, 4) for _ in range(rng.randrange(3))]
+    A = GradedAlgebra(p, [rng.randrange(1, 3)] * k, ext)
+    return MatrixAction(A, [_mat_mul(_mat_mul(P, M, p), P_inv, p)
+                            for M in mats],
+                        ext_twists=[rng.randrange(-2, 3) for _ in ext])
+
+
+@given(st.sampled_from([5, 7]), st.sampled_from([2, 3]), st.booleans(),
+       st.randoms(use_true_random=False))
+@settings(max_examples=40, deadline=None)
+def test_molien_dims_match_the_kernel(p, k, monomial, rng):
+    act = non_modular_action(p, k, monomial, rng)
+    A = act.algebra
+    assert act.group_order() % p
+    D = 12 if k == 2 else 7
+    assert molien_dims(act, D) == fixed_dims(A, act.maps, D)
+
+
+@pytest.mark.parametrize("p,k,twists", [
+    (7, 2, [1, -1]),  # the Singer cycle of GL_2(7): order 48, F_49
+    (5, 3, [2]),      # the Singer cycle of GL_3(5): order 124, F_125
+    (7, 3, []),       # the Singer cycle of GL_3(7): order 342, F_343
+])
+def test_molien_dims_in_an_extension_field(p, k, twists):
+    A = GradedAlgebra(p, [1] * k, [2] * len(twists))
+    act = MatrixAction(A, [_primitive_polynomial(p, k)], ext_twists=twists)
+    assert act.group_order() == p ** k - 1
+    D = 10 if k == 2 else 6
+    assert molien_dims(act, D) == fixed_dims(A, act.maps, D)
+
+
+def test_molien_of_the_trivial_group_counts_the_monomials():
+    A = GradedAlgebra(3, [2, 2], [1, 3])
+    act = MatrixAction(A, [], ext_twists=[1, 2])
+    assert molien_dims(act, 12) == [A.dim(d) for d in range(13)]
+    B = GradedAlgebra(5, [], [1, 2, 1])
+    assert molien_dims(MatrixAction(B, []), 5) == [1, 2, 2, 2, 1, 0]
+
+
+def test_molien_refuses_a_modular_action():
+    # the shear of F_3[x, y] has order 3
+    act = MatrixAction(GradedAlgebra(3, [1, 1]), [((1, 1), (0, 1))])
+    with pytest.raises(ValueError, match="modular"):
+        molien_dims(act, 4)
+    assert fixed_dims(act.algebra, act.maps, 4) == [1, 1, 1, 2, 2]
+
+
+def test_molien_refuses_more_than_the_thousandth_roots_of_unity():
+    # the Singer cycle of GL_2(37) has order 37^2 - 1 = 1368
+    A = GradedAlgebra(37, [1, 1])
+    act = MatrixAction(A, [_primitive_polynomial(37, 2)])
+    with pytest.raises(ResourceLimitError, match="1368-th roots"):
+        molien_dims(act, 2)
+    # and that of GL_2(31), order 960, is answered
+    act = MatrixAction(GradedAlgebra(31, [1, 1]),
+                       [_primitive_polynomial(31, 2)])
+    assert molien_dims(act, 4) == fixed_dims(act.algebra, act.maps, 4)
 
 
 CYCLE3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
