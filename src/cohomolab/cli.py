@@ -213,9 +213,9 @@ def _cmd_invariants(args) -> dict:
                          "integer matrices")
     A = GradedAlgebra(args.p, spec["poly_degrees"],
                       spec.get("ext_degrees", []))
+    _check_fixed_size(A, args.max_degree)  # before any determinant
     act = MatrixAction(A, [tuple(map(tuple, M)) for M in spec["matrices"]],
                        ext_twists=twists)
-    _check_fixed_size(A, args.max_degree)
     order = act.group_order()
     # completeness where p does not divide |G|: the Molien series counts
     # the fixed vectors of every degree (soundness is require_fixed's)

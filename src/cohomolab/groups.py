@@ -57,8 +57,8 @@ def _reader(index: Sequence[int]):
 class FiniteGroup:
     """Immutable finite group on indices 0..order-1 with 0 = identity."""
 
-    __slots__ = ("order", "mul", "inv", "generators", "name", "_digest",
-                 "_classes")
+    __slots__ = ("order", "mul", "inv", "generators", "name", "factors",
+                 "_digest", "_classes")
 
     def __init__(self, mul: list[list[int]], generators: Sequence[int],
                  name: str):
@@ -94,6 +94,9 @@ class FiniteGroup:
             for row_x in mul:
                 if list(times_s(row_x)) != mul[row_x[s]]:
                     raise ValueError("multiplication table is not associative")
+        # the factors of a direct product (build_product), else none: the
+        # table alone decides the digest
+        self.factors: tuple[FiniteGroup, ...] = ()
         self._digest = None
         self._classes = None
 
@@ -405,7 +408,9 @@ def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     (a, b) is a * |H| + b, so the table of (G x H) is built from the rows
     of G and of H, one factor at a time.  As (g, h) = (g, 0)(0, h), row
     (g, h) is row (g, 0), the row of g with each entry z spread over
-    z*|H|..z*|H| + |H| - 1, read at the entries of row (0, h)."""
+    z*|H|..z*|H| + |H| - 1, read at the entries of row (0, h).  The
+    factors are recorded on the group; a product of one factor records
+    that factor's own."""
     if not factors:
         raise ValueError("empty product")
     _table_order(math.prod(G.order for G in factors))
@@ -424,7 +429,9 @@ def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
         stride //= G.order
         gens += [g * stride for g in G.generators]
     name = " x ".join(G.name for G in factors)
-    return FiniteGroup(mul, gens, name)
+    G = FiniteGroup(mul, gens, name)
+    G.factors = tuple(factors) if len(factors) > 1 else factors[0].factors
+    return G
 
 
 def _mat_vec(A, v, p):

@@ -1,8 +1,22 @@
 """Free resolutions of F_p over F_pG, and their lifts to Z/p^k G.
 
-Built degree by degree: the kernel of d_(n-1) is covered by module
-generators, and d_n sends the j-th basis element of F_n to the j-th
-generator.  Which cover is used depends on the group:
+A direct product G = F x H (a group with recorded factors, see
+build_product) is resolved as the tensor product of the resolutions of F
+and of H, each by its own route: the generator e_i (x) e'_j of
+F_a (x) F'_b goes to d(e_i) (x) e'_j + (-1)^a e_i (x) d(e'_j), which is a
+free resolution of G, minimal when the factors' are (K. S. Brown,
+*Cohomology of Groups*, V.1).  No kernel is computed for G.  Each d_n is
+certified on G itself: d_(n-1) o d_n = 0 on the generator columns (the
+augmentation for d_1), d_n (x) F_p = 0 on the minimal path, and rank
+additivity, rank d_n = |G|*rank_(n-1) - rank d_(n-1) (|G| - 1 for d_1),
+from one rank_mod_p of d_n's module matrix.  An integral product lifts
+its factors to its own Z/p^k, and the tensor product of the lifts is a
+lift of the tensor product.  A product's cache files carry a route tag,
+so the two routes never read each other's.
+
+Every other group is built degree by degree: the kernel of d_(n-1) is
+covered by module generators, and d_n sends the j-th basis element of F_n
+to the j-th generator.  Which cover is used depends on the group:
 
 * Minimal, when |G| is a power of p.  Then F_pG is local, its
   radical is the augmentation ideal J = sum_s (s - 1) F_pG over the
@@ -70,7 +84,7 @@ from typing import Optional
 from .exact_linalg import (Echelon, SparseMatrix, _solve_augmented,
                            composes_to_zero, is_prime, kernel_mod_p,
                            rank_mod_p, smith_normal_form)
-from .groups import FiniteGroup, closure_members
+from .groups import FiniteGroup, build_product, closure_members
 
 # Version of the cache file layout, part of every file name.  Version 2
 # holds the generator columns of d_n only; version 1 held every column.
@@ -79,18 +93,21 @@ CACHE_FORMAT = 2
 
 class FreeResolution:
     """... -> F_1 -> F_0 = RG -> R -> 0 over R = Z/p^k, F_n free of rank
-    ranks[n]: k = 1, R = F_p, unless integral, where k = v_p(|G|) + 1."""
+    ranks[n]: k = 1, R = F_p, unless integral, where k = v_p(|G|) + 1, or
+    the k given."""
 
     def __init__(self, G: FiniteGroup, p: int,
-                 cache_dir: Optional[str] = None, integral: bool = False):
+                 cache_dir: Optional[str] = None, integral: bool = False,
+                 k: Optional[int] = None):
         if p is None or not is_prime(p):
             raise ValueError(f"the coefficient field needs a prime, not {p}")
         self.G = G
         self.p = p
         # |G| annihilates H_n(G; Z) for n >= 1, so p^k with k = v_p(|G|) + 1
-        # tells a true divisor from zero
+        # tells a true divisor from zero; a product passes its own k to
+        # the resolutions of its factors
         v = _valuation(G.order, p)
-        self.k = v + 1 if integral else 1
+        self.k = k if k is not None else v + 1 if integral else 1
         self.modulus = p ** self.k
         self.ranks: list[int] = [1]
         # d_n for n >= 1: the rank_(n-1)*|G| x rank_n generator columns
@@ -108,6 +125,12 @@ class FreeResolution:
             {1: G.order - 1} if self.minimal else {})
         # the generator order of the minimal cover, built on first use
         self._series: Optional[list[tuple[int, bool]]] = None
+        # a product's route: the resolutions of its first factor and of
+        # the product of the rest, built on first use; and n -> rank d_n
+        # mod p, once computed and, where pending, certified
+        self.route = "tensor" if G.factors else "cover"
+        self._pair: Optional[tuple[FreeResolution, FreeResolution]] = None
+        self._rank: dict[int, int] = {}
         self.cache_dir = cache_dir if cache_dir is not None else os.environ.get(
             "COHOMOLAB_CACHE")
 
@@ -123,9 +146,11 @@ class FreeResolution:
         if not self.cache_dir:
             return None
         ring = f"F{self.p}" if self.k == 1 else f"Z{self.p}^{self.k}"
+        # the route tag keeps the two routes' files of one table apart
+        tag = "_tensor" if self.route == "tensor" else ""
         return os.path.join(
             self.cache_dir,
-            f"res_v{CACHE_FORMAT}_{self.G.digest()}_d{n}_{ring}.txt")
+            f"res_v{CACHE_FORMAT}_{self.G.digest()}{tag}_d{n}_{ring}.txt")
 
     def extend_to(self, n: int) -> None:
         """Ensure differentials d_1 .. d_n are available."""
@@ -133,8 +158,7 @@ class FreeResolution:
             self._extend()
         top = len(self.diffs)
         if top in self._unchecked:  # no next degree's kernel to read from
-            self._certify_exact(
-                top, rank_mod_p(self._expand(self._fp[top - 1])))
+            self._checked_rank(top, self._fp[top - 1])
 
     def _extend(self) -> None:
         n = len(self.diffs) + 1  # building d_n
@@ -150,43 +174,29 @@ class FreeResolution:
             self._certify_minimal(n, Mp)
             self._keep(M, Mp)
             return
-        if n == 1:
-            # the augmentation, and its kernel: spanned by g - e
+        if n == 1:  # the augmentation
             A = SparseMatrix(1, o, [(0, g, 1) for g in range(o)],
                              p=self.modulus)
-            kernel = [{g: 1, 0: self.p - 1} for g in range(1, o)]
-
-            def solve(b: dict[int, int]) -> dict[int, int]:
-                return {0: b[0]} if b else {}
         else:
-            Ap = self._expand(self._fp[n - 2])
-            kernel, ech = kernel_mod_p(Ap, echelon=True)
-            if n - 1 in self._unchecked:  # rank d_(n-1) from its kernel
-                self._certify_exact(n - 1, Ap.n_cols - len(kernel))
-            A = Ap if self.k == 1 else self.module_matrix(n - 1)
-
-            def solve(b: dict[int, int]) -> Optional[dict[int, int]]:
-                return _solve_augmented(ech, Ap.n_rows, b)
-        if self.minimal:
-            gens = self._minimal_cover(kernel)
+            A = self.module_matrix(n - 1)
+        if self.route == "tensor":
+            M, Mp = self._tensor(n)
         else:
-            gens = self._greedy_cover(kernel)
-        # the covers return nonzero columns, reduced mod p, with rows below
-        # n_rows
-        M = Mp = SparseMatrix(n_rows, len(gens), p=self.p)
-        Mp.cols = dict(enumerate(gens))
-        if self.k > 1:
-            M = self._lift(n, A, Mp, solve)
-            if self._mod_p(M).cols != Mp.cols:
-                raise ArithmeticError(
-                    f"lifted d_{n} does not reduce to d_{n} mod {self.p}")
+            M, Mp, kernel = self._cover(n, A)
+        if self.k > 1 and self._mod_p(M).cols != Mp.cols:
+            raise ArithmeticError(
+                f"lifted d_{n} does not reduce to d_{n} mod {self.p}")
         # on the generator columns, which suffices by equivariance (see
         # the module docstring), modulo p^k
         if not composes_to_zero(A, M, range(M.n_cols)):
             raise ArithmeticError(
                 "resolution differentials do not compose to zero")
         self._certify_minimal(n, Mp)
-        if self.minimal:
+        if self.route == "tensor":  # rank additivity, one rank per degree
+            self._unchecked[n] = o - 1 if n == 1 else (
+                n_rows - self._checked_rank(n - 1, self._fp[n - 2]))
+            self._checked_rank(n, Mp)
+        elif self.minimal:
             self._unchecked[n] = len(kernel)
         self._keep(M, Mp)
         if path:
@@ -195,6 +205,67 @@ class FreeResolution:
             with open(tmp, "w") as fh:
                 M.dump(fh)
             os.replace(tmp, path)
+
+    def _cover(self, n: int, A: SparseMatrix) -> tuple[
+            SparseMatrix, SparseMatrix, list[dict[int, int]]]:
+        """d_n over Z/p^k and mod p, covering ker d_(n-1) (A: its module
+        matrix over Z/p^k), and a basis of that kernel."""
+        o = self.G.order
+        if n == 1:  # ker of the augmentation: spanned by g - e
+            kernel = [{g: 1, 0: self.p - 1} for g in range(1, o)]
+
+            def solve(b: dict[int, int]) -> dict[int, int]:
+                return {0: b[0]} if b else {}
+        else:
+            Ap = A if self.k == 1 else self._expand(self._fp[n - 2])
+            kernel, ech = kernel_mod_p(Ap, echelon=True)
+            if n - 1 in self._unchecked:  # rank d_(n-1) from its kernel
+                self._certify_exact(n - 1, Ap.n_cols - len(kernel))
+
+            def solve(b: dict[int, int]) -> Optional[dict[int, int]]:
+                return _solve_augmented(ech, Ap.n_rows, b)
+        if self.minimal:
+            gens = self._minimal_cover(kernel)
+        else:
+            gens = self._greedy_cover(kernel)
+        # the covers return nonzero columns, reduced mod p, with rows below
+        # A.n_cols
+        M = Mp = SparseMatrix(A.n_cols, len(gens), p=self.p)
+        Mp.cols = dict(enumerate(gens))
+        if self.k > 1:
+            M = self._lift(n, A, Mp, solve)
+        return M, Mp, kernel
+
+    def _tensor(self, n: int) -> tuple[SparseMatrix, SparseMatrix]:
+        """d_n over Z/p^k and mod p of G = F x H, F the first factor and H
+        the product of the rest, from their resolutions, which read and
+        write no cache.  F_n (x) F'_0 .. F_0 (x) F'_n are numbered in the
+        order of a, then i, then j for the generator e_i (x) e'_j of
+        F_a (x) F'_(n-a), and its column is d(e_i) (x) e'_j +
+        (-1)^a e_i (x) d(e'_j); the element (f, h) is f*|H| + h, the
+        numbering of build_product."""
+        if self._pair is None:
+            first, *rest = self.G.factors
+            H = rest[0] if len(rest) == 1 else build_product(rest)
+            self._pair = (resolution_for(first, self.p, "", k=self.k),
+                          resolution_for(H, self.p, "", k=self.k))
+        for res in self._pair:
+            res.extend_to(n)
+        F, H = self._pair
+        Mp = _tensor_columns(n, F, H, F._fp, H._fp, self.p)
+        if self.k == 1:
+            return Mp, Mp
+        return _tensor_columns(n, F, H, F.diffs, H.diffs, self.modulus), Mp
+
+    def _checked_rank(self, n: int, Mp: SparseMatrix) -> int:
+        """rank d_n mod p (Mp: its generator columns), certified by rank
+        additivity while that is pending."""
+        if n not in self._rank:
+            rank = rank_mod_p(self._expand(Mp))
+            if n in self._unchecked:
+                self._certify_exact(n, rank)
+            self._rank[n] = rank
+        return self._rank[n]
 
     def _keep(self, M: SparseMatrix, Mp: SparseMatrix) -> None:
         """Append d_n over Z/p^k and mod p."""
@@ -399,6 +470,43 @@ class FreeResolution:
         return len(kept), tuple(d for d in kept if d > 1)
 
 
+def _tensor_columns(n: int, F: FreeResolution, H: FreeResolution,
+                    f_diffs: list[SparseMatrix], h_diffs: list[SparseMatrix],
+                    q: int) -> SparseMatrix:
+    """The generator columns of d_n of F (x) H over Z/q, from the
+    generator columns of the factors' differentials (see _tensor)."""
+    fr, hr, fo, ho = F.ranks, H.ranks, F.G.order, H.G.order
+    o = fo * ho
+
+    def offsets(m: int) -> list[int]:  # first generator of each F_a (x) F'_(m-a)
+        off = [0]
+        for a in range(m + 1):
+            off.append(off[-1] + fr[a] * hr[m - a])
+        return off
+
+    to, at = offsets(n - 1), offsets(n)
+    M = SparseMatrix(to[-1] * o, at[-1], p=q)
+    for a in range(n + 1):
+        b = n - a
+        sign = q - 1 if a % 2 else 1  # (-1)^a
+        for i in range(fr[a]):
+            left = f_diffs[a - 1].cols.get(i, {}) if a else {}
+            for j in range(hr[b]):
+                col = {}
+                if a:  # d(e_i) (x) e'_j, in F_(a-1) (x) F'_b
+                    base = to[a - 1] + j
+                    for row, v in left.items():
+                        r, f = divmod(row, fo)
+                        col[(base + r * hr[b]) * o + f * ho] = v
+                if b:  # (-1)^a e_i (x) d(e'_j), in F_a (x) F'_(b-1)
+                    base = to[a] + i * hr[b - 1]
+                    for row, v in h_diffs[b - 1].cols.get(j, {}).items():
+                        s, h = divmod(row, ho)
+                        col[(base + s) * o + h] = v * sign % q
+                M.cols[at[a] + i * hr[b] + j] = col
+    return M
+
+
 def _normal_series(G: FiniteGroup) -> list[tuple[int, bool]]:
     """An order of generators of G, each with whether it normalizes the
     subgroup H that the generators before it generate.  A generator
@@ -441,11 +549,15 @@ def _valuation(n: int, p: int) -> int:
 
 
 # Not bounded: a CLI process runs one job, which makes an entry for each
-# of its groups and rings (README "Design notes").
-_RESOLUTIONS: dict[tuple[str, int, Optional[str], int], FreeResolution] = {}
+# of its groups and rings, and for the factors of a product (README
+# "Design notes").
+_RESOLUTIONS: dict[tuple[str, int, Optional[str], int, str],
+                   FreeResolution] = {}
 
 
 def resolution_for(G: FiniteGroup, p: int, cache_dir: Optional[str] = None,
-                   integral: bool = False) -> FreeResolution:
-    res = FreeResolution(G, p, cache_dir, integral)
-    return _RESOLUTIONS.setdefault((G.digest(), p, res.cache_dir, res.k), res)
+                   integral: bool = False,
+                   k: Optional[int] = None) -> FreeResolution:
+    res = FreeResolution(G, p, cache_dir, integral, k)
+    return _RESOLUTIONS.setdefault(
+        (G.digest(), p, res.cache_dir, res.k, res.route), res)

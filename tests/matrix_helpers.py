@@ -84,3 +84,13 @@ def bar_homology_dims_mod_p(G: FiniteGroup, p: int,
         ranks.append(rank_mod_p(bar_boundary_matrix(G, n, p)))
     return [n_cells(G, n) - ranks[n] - ranks[n + 1]
             for n in range(max_degree + 1)]
+
+
+def cofactor_det(A, p: int) -> int:
+    """Determinant mod p by cofactor expansion along the first row (1 for
+    the empty matrix), k! terms: the oracle of exact_linalg._mat_det."""
+    if len(A) < 2:
+        return A[0][0] % p if A else 1
+    return sum((-1) ** j * v * cofactor_det([r[:j] + r[j + 1:] for r in A[1:]],
+                                            p)
+               for j, v in enumerate(A[0])) % p

@@ -1,5 +1,6 @@
 """The greedy free resolution of Z over ZG, the oracle of the integral
-route, which lifts the F_p resolution to Z/p^k G instead.
+route, which lifts the F_p resolution to Z/p^k G instead; and a
+product's table without its factors, the oracle of the tensor route.
 
 Degree by degree, the integer kernel of d_(n-1) (kernel_z, complete over
 Z) is covered greedily: a kernel vector outside the lattice spanned by
@@ -13,6 +14,13 @@ generator column summed."""
 from cohomolab.exact_linalg import (Echelon, SparseMatrix, composes_to_zero,
                                     kernel_z, smith_normal_form)
 from cohomolab.groups import FiniteGroup
+
+
+def cover_table(G: FiniteGroup) -> FiniteGroup:
+    """G's table without its recorded factors, which a product's
+    resolution then takes by the cover route: the oracle of the tensor
+    route."""
+    return FiniteGroup(G.mul, G.generators, G.name)
 
 
 def _translate(G: FiniteGroup, vec: dict, g: int) -> dict:

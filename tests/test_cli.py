@@ -583,6 +583,31 @@ def test_invariants_fixed_runs_at_the_limits(capsys, spec, max_degree, dims):
     assert rep["fixed_dims"] == dims
 
 
+def test_a_dense_12_by_12_generator_is_answered_in_seconds(capsys):
+    # J - I on F_5[x_1..x_12] has order 2 and det 4; the component limit
+    # admits it at max_degree 1, where its determinant by cofactor
+    # expansion would have had 12! terms
+    spec = {"poly_degrees": [1] * 12,
+            "matrices": [[[int(i != j) for j in range(12)]
+                          for i in range(12)]]}
+    assert _within(10, main, _fixed_argv(spec, 1, p=5)) == EXIT_PASS
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["group_order"], rep["fixed_dims"]) == (2, [1, 1])
+
+
+def test_the_size_check_runs_before_any_determinant(capsys, monkeypatch):
+    from cohomolab import invariant_rings
+    monkeypatch.setattr(invariant_rings, "_mat_det",
+                        lambda *args: pytest.fail("a determinant ran"))
+    # 25 generators of degree 1 have 325 monomials in degree 2
+    spec = {"poly_degrees": [1] * 25,
+            "matrices": [[[int(i == j) for j in range(25)]
+                          for i in range(25)]]}
+    _exits_3_within_a_second(capsys, _fixed_argv(spec, 2),
+                             "a component of 325 monomials is above the "
+                             "limit 300")
+
+
 # a swap and a diagonal matrix of F_5[x, y]: order 32, prime to 5, so
 # the Molien series also counts each degree's fixed vectors
 SWAP_DIAG = {"poly_degrees": [1, 1],
@@ -790,6 +815,9 @@ DIMS_S3 = ["cohomology", "dims", "--group",
            "--p", "3", "--max-degree", "2"]
 C3xC3 = ('{"family": "product", "factors": [{"family": "cyclic", "n": 3}, '
          '{"family": "cyclic", "n": 3}]}')
+# (C3)^2 with no recorded factors: its resolution takes the minimal cover,
+# where a product takes the tensor product of its factors' resolutions
+C3xC3_COVER = '{"family": "semidirect", "p": 3, "n": 2, "matrices": []}'
 
 
 def test_kernel_cover_failed_exits_1(capsys, monkeypatch):
@@ -857,7 +885,7 @@ def test_inexact_differential_exits_1(capsys, monkeypatch):
     resolution = _fresh_resolutions(monkeypatch)
     _minimal_cover_of_d1(monkeypatch, resolution, lambda res, gens: gens[:-1])
     _exits_1_without_traceback(
-        capsys, ["cohomology", "dims", "--group", C3xC3, "--p", "3",
+        capsys, ["cohomology", "dims", "--group", C3xC3_COVER, "--p", "3",
                  "--max-degree", "1"],
         "not exact at F_0: rank d_1 = 6, dim ker d_0 = 8")
 
@@ -868,9 +896,65 @@ def test_inexact_top_differential_exits_1(capsys, monkeypatch):
     _minimal_cover_of_d1(monkeypatch, resolution, lambda res, gens: gens[:-1])
     for _ in range(2):  # and again from the memo, which keeps d_1
         _exits_1_without_traceback(
-            capsys, ["cohomology", "dims", "--group", C3xC3, "--p", "3",
+            capsys, ["cohomology", "dims", "--group", C3xC3_COVER, "--p", "3",
                      "--max-degree", "0"],
             "not exact at F_0: rank d_1 = 6, dim ker d_0 = 8")
+
+
+DIMS_C3xC3 = ["cohomology", "dims", "--group", C3xC3, "--p", "3",
+              "--max-degree", "3"]
+
+
+def _changed_tensor(monkeypatch, resolution, change):
+    """Apply change(n, columns) to the F_p and lifted columns of every d_n
+    of a product, which the tensor route builds."""
+    tensor = resolution.FreeResolution._tensor
+
+    def changed(self, n):
+        M, Mp = tensor(self, n)
+        for A in {id(M): M, id(Mp): Mp}.values():
+            change(n, A)
+        return M, Mp
+
+    monkeypatch.setattr(resolution.FreeResolution, "_tensor", changed)
+
+
+def test_tensor_product_missing_a_generator_exits_1(capsys, monkeypatch):
+    # d_2 of C3 x C3 without its last generator still composes to zero and
+    # vanishes mod 3, but no longer covers ker d_1: rank additivity
+    resolution = _fresh_resolutions(monkeypatch)
+
+    def drop_last(n, A):
+        if n == 2:
+            del A.cols[A.n_cols - 1]
+            A.n_cols -= 1
+
+    _changed_tensor(monkeypatch, resolution, drop_last)
+    _exits_1_without_traceback(
+        capsys, DIMS_C3xC3, "not exact at F_1: rank d_2 = 9, dim ker d_1 = 10")
+
+
+def test_tensor_product_without_its_sign_exits_1(capsys, monkeypatch):
+    # e_0 (x) e'_0 of F_1 (x) F'_1 with +e_0 (x) d(e'_0), in the rows of
+    # F_1 (x) F'_0 (9 and on)
+    resolution = _fresh_resolutions(monkeypatch)
+
+    def plus(n, A):
+        if n == 2:
+            A.cols[1] = {i: v if i < 9 else -v % A.p
+                         for i, v in A.cols[1].items()}
+
+    _changed_tensor(monkeypatch, resolution, plus)
+    _exits_1_without_traceback(capsys, DIMS_C3xC3, "do not compose to zero")
+
+
+def test_tensor_product_of_an_inexact_factor_exits_1(capsys, monkeypatch):
+    # the factors are certified by their own route: C3's d_1 without its
+    # generator is refused before any column of C3 x C3 is built
+    resolution = _fresh_resolutions(monkeypatch)
+    _minimal_cover_of_d1(monkeypatch, resolution, lambda res, gens: gens[:-1])
+    _exits_1_without_traceback(
+        capsys, DIMS_C3xC3, "not exact at F_0: rank d_1 = 0, dim ker d_0 = 2")
 
 
 def test_non_minimal_cover_exits_1(capsys, monkeypatch):

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from cohomolab import exact_linalg
 from cohomolab.exact_linalg import (
     Echelon,
+    _mat_det,
     SmithReport,
     SparseMatrix,
     kernel_mod_p,
@@ -21,7 +22,7 @@ from cohomolab.exact_linalg import (
     smith_normal_form,
     solve,
 )
-from matrix_helpers import mul_vector, to_dense, transpose
+from matrix_helpers import cofactor_det, mul_vector, to_dense, transpose
 
 
 # ---------------------------------------------------------------------------
@@ -637,3 +638,19 @@ def test_echelon_z_membership():
     assert ech.reduce({0: 2, 1: 10}) == {}
     # (1, 2): not in the lattice (pivot 2 does not divide 1)
     assert ech.reduce({0: 1, 1: 2}) != {}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]).flatmap(
+    lambda p: st.tuples(st.just(p), st.integers(0, 6).flatmap(
+        lambda k: st.lists(st.lists(st.integers(-p, 2 * p), min_size=k,
+                                    max_size=k), min_size=k, max_size=k)))))
+def test_mat_det_matches_the_cofactor_expansion(case):
+    p, A = case
+    assert _mat_det(A, p) == cofactor_det(A, p)
+
+
+def test_mat_det_of_a_singular_matrix_and_a_row_swap():
+    assert _mat_det([[0, 1], [1, 0]], 5) == 4  # -1
+    assert _mat_det([[1, 2, 3], [2, 4, 6], [0, 0, 1]], 7) == 0
+    assert _mat_det([], 3) == 1

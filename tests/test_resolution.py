@@ -9,7 +9,7 @@ from cohomolab.groups import (FiniteGroup, build_G_a1, build_M, build_P,
                               closure_members, symmetric_3)
 from cohomolab.resolution import FreeResolution
 from matrix_helpers import mul_vector
-from resolution_helpers import zg_integral_cohomology
+from resolution_helpers import cover_table, zg_integral_cohomology
 
 C3 = build_cyclic(3)
 
@@ -96,13 +96,14 @@ def test_no_resolution_over_zg():
 
 @pytest.mark.parametrize("p", [3, None])
 def test_cache_holds_generator_columns(tmp_path, p):
-    # p None: the lift to Z/27 of C3 x C3, under its own ring tag
+    # p None: the lift to Z/27 of C3 x C3, under its own ring tag; a
+    # product is built by the tensor route, whose files carry its tag
     G = build_product([C3, C3])
     res = resolution_at(G, p, str(tmp_path))
     res.extend_to(3)
     ring, domain = ("Z3^3", "Z/27") if p is None else (f"F{p}", f"F{p}")
     for n in (1, 2, 3):
-        path = tmp_path / f"res_v2_{G.digest()}_d{n}_{ring}.txt"
+        path = tmp_path / f"res_v2_{G.digest()}_tensor_d{n}_{ring}.txt"
         text = path.read_text()
         M = SparseMatrix.load(text)
         A = res.diffs[n - 1]  # the generator matrix the resolution holds
@@ -267,10 +268,10 @@ def full_cover(G, p, kernel):
     return rank, gens
 
 
-C3_4 = build_product([C3] * 4)
+C3_4 = cover_table(build_product([C3] * 4))
 P27, P125 = build_P(3, 3), build_P(3, 5)
 M81, G21 = build_M(4, 3), build_G_a1(2, 3)
-C27xC3 = build_product([build_cyclic(27), C3])
+C27xC3 = cover_table(build_product([build_cyclic(27), C3]))
 # D_8 as (C2)^2 : C2 with the identity and a repeated matrix among its
 # generators (2, 4, 0, 1, 1)
 D8_REPEATED = build_semidirect(
@@ -306,7 +307,8 @@ def test_pruned_cover_matches_the_full_one(G, p, degree, monkeypatch):
 # candidate (s - 1)*k they were 7,845, 996, 1,834, 3,186, 4,524, 656 and
 # 986
 @pytest.mark.parametrize("G,p,degree,adds", [
-    (C3_4, 3, 4, 3178), (P27, 3, 5, 546), (build_product([C3] * 3), 3, 5, 964),
+    (C3_4, 3, 4, 3178), (P27, 3, 5, 546),
+    (cover_table(build_product([C3] * 3)), 3, 5, 964),
     (G21, 3, 5, 1398), (P125, 5, 5, 2116), (M81, 3, 4, 423),
     (C27xC3, 3, 4, 597)], ids=lambda x: getattr(x, "name", x))
 def test_cover_add_counts(G, p, degree, adds, monkeypatch):
