@@ -2,8 +2,10 @@
 invariant.
 
 Characters are computed by monomial induction: every 1-dimensional
-character of every subgroup (enumerated by closure over generator subsets)
-is induced up and the norm-1 results are kept.  Completeness is certified
+character of a source subgroup H, read off H/H', is induced up and the
+norm-1 results are kept.  The sources are one closure of <=2 elements per
+conjugacy class, up to repeats, as conjugate sources induce the same
+characters (_subgroup_sources).  Completeness is certified
 three ways: as many irreducibles as conjugacy classes, the sum-of-squares
 count, and exact pairwise orthonormality, so the method is self-checking
 on monomial groups.  Every value is a sum of roots of unity, so all
@@ -32,8 +34,8 @@ from math import gcd
 from typing import Optional, Sequence
 
 from .exact_linalg import is_prime
-from .groups import (FiniteGroup, Subgroup, closure_members, generating_set,
-                     order_p_subgroup_classes)
+from .groups import (FiniteGroup, Subgroup, closure_members, derived_members,
+                     generating_set, order_p_subgroup_classes)
 
 MAX_ENUM_ORDER = 200
 
@@ -230,56 +232,72 @@ class ClassFunction:
 
 def linear_character_exponents(H: FiniteGroup, N: int) -> list[list[int]]:
     """All homomorphisms H -> Z/N (characters h -> zeta_N^e(h)), as exponent
-    vectors indexed by element.  N must be a multiple of exponent(H)."""
+    vectors indexed by element.  N must be a multiple of exponent(H).
+
+    They are the characters of H/H' (I. M. Isaacs, *Character Theory of
+    Finite Groups*, Cor. 2.23).  Each choice of images t*N/o of a greedy
+    generating set of H/H' (o the order of a generator) is spread over the
+    quotient along a spanning tree and pulled back to H.  That set may be
+    dependent, so a candidate is kept only if it passes _is_homomorphism,
+    and exactly |H : H'| candidates must pass."""
     if N % H.exponent() != 0:
         raise ValueError("conductor does not contain the character values")
-    gens = generating_set(H, range(H.order))
-    if not gens:
-        return [[0]]
-    orders = [H.element_order(g) for g in gens]
     mul = H.mul
-    out = []
-    seen = set()
-    for choice in itertools.product(*[range(o) for o in orders]):
-        exps = {0: 0}
-        for g, t, o in zip(gens, choice, orders):
-            exps[g] = (t * (N // o)) % N
-        # spread by BFS over generator multiplication, rejecting conflicts
-        ok = True
-        frontier = list(exps)
-        while frontier and ok:
-            nxt = []
-            for a in frontier:
-                for g in gens:
-                    b = mul[a][g]
-                    v = (exps[a] + exps[g]) % N
-                    if b in exps:
-                        if exps[b] != v:
-                            ok = False
-                            break
-                    else:
-                        exps[b] = v
-                        nxt.append(b)
-                if not ok:
-                    break
-            frontier = nxt
-        if not ok or len(exps) != H.order:
+    derived = derived_members(H)
+    coset = [-1] * H.order  # element -> its coset of H', by least element
+    reps: list[int] = []
+    for x in range(H.order):
+        if coset[x] < 0:
+            for d in derived:
+                coset[mul[x][d]] = len(reps)
+            reps.append(x)
+    # tree: (coset, the coset before it, generator position), from H'
+    gens: list[int] = []
+    orders: list[int] = []
+    tree, seen = [(0, 0, 0)], {0}
+    for c in range(1, len(reps)):
+        if c in seen:  # the generators so far reach it
             continue
-        # full homomorphism check
-        for a in range(H.order):
-            for b in range(H.order):
-                if (exps[a] + exps[b] - exps[mul[a][b]]) % N:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            vec = [exps[h] for h in range(H.order)]
-            key = tuple(vec)
-            if key not in seen:
-                seen.add(key)
-                out.append(vec)
+        x = y = reps[c]
+        o = 1
+        while coset[y]:
+            y = mul[y][x]
+            o += 1
+        gens.append(x)
+        orders.append(o)
+        tree, seen = [(0, 0, 0)], {0}
+        for b, _, _ in tree:  # the loop reads tree as it grows
+            row = mul[reps[b]]
+            for i, g in enumerate(gens):
+                a = coset[row[g]]
+                if a not in seen:
+                    seen.add(a)
+                    tree.append((a, b, i))
+    out = []
+    on_coset = [0] * len(reps)
+    for choice in itertools.product(*[range(o) for o in orders]):
+        images = [t * (N // o) for t, o in zip(choice, orders)]
+        for a, b, i in tree[1:]:
+            on_coset[a] = (on_coset[b] + images[i]) % N
+        exps = [on_coset[c] for c in coset]
+        if _is_homomorphism(H, exps, N):
+            out.append(exps)
+    if len(out) != len(reps):
+        raise ArithmeticError(
+            f"{len(out)} linear characters found for |H : H'| = {len(reps)}")
     return out
+
+
+def _is_homomorphism(H: FiniteGroup, exps: list[int], N: int) -> bool:
+    """e(a*s) = e(a) + e(s) mod N for every a in H and generator s of H:
+    then e is additive on all of H, as every element is a word in the
+    generators."""
+    for s in H.generators:
+        e_s = exps[s]
+        for row, e_a in zip(H.mul, exps):
+            if (e_a + e_s - exps[row[s]]) % N:
+                return False
+    return True
 
 
 def induce_linear(H: Subgroup, exponents: list[int], N: int) -> ClassFunction:
@@ -315,17 +333,49 @@ def _largest_first(found: dict) -> list[Subgroup]:
 
 
 def _subgroup_sources(G: FiniteGroup) -> list[Subgroup]:
-    """All subgroups reachable as closures of <=2 elements (plus G itself),
-    deduplicated, largest first."""
+    """G itself, one cyclic subgroup per conjugacy class (its head), and
+    the closure of each head with each cyclic subgroup, deduplicated,
+    largest first.  Every closure of <=2 elements is conjugate to one of
+    them: <a', b> = <a, b^(x^-1)>^x for a' = a^x, and conjugate sources
+    induce the same characters."""
     if G.order > MAX_ENUM_ORDER:
         raise ValueError(
             f"subgroup enumeration capped at order {MAX_ENUM_ORDER}; "
             "supply induction sources explicitly")
+    mul, of = G.mul, G.classes().of
+    cyclic: dict[frozenset, int] = {}  # member set -> its least generator
+    generated: set[int] = set()  # the generators of the listed ones
+    heads: list[frozenset] = []
+    headed: set[int] = set()  # the element classes of the heads' generators
+    for g in range(1, G.order):
+        if g in generated:
+            continue
+        powers = [0, g]
+        while (x := mul[powers[-1]][g]) != 0:
+            powers.append(x)
+        o = len(powers)
+        gens = [powers[j] for j in range(1, o) if gcd(j, o) == 1]
+        generated.update(gens)
+        key = frozenset(powers)
+        cyclic[key] = g
+        # <g> is conjugate to a head exactly when g is conjugate to one of
+        # the head's generators
+        if of[g] not in headed:
+            heads.append(key)
+            headed.update(of[x] for x in gens)
     found: dict[frozenset, Subgroup] = {}
     _add_closure(G, found, G.generators)
-    reps = [g for g in range(1, G.order) if _add_closure(G, found, [g])]
-    for a, b in itertools.combinations(reps, 2):
-        _add_closure(G, found, [a, b])
+    for key in heads:
+        if key not in found:
+            found[key] = Subgroup(G, key)
+    done: set[frozenset] = set()  # heads whose pairs are taken
+    for h_key in heads:
+        h = cyclic[h_key]
+        for key, g in cyclic.items():
+            # <h, g> is <g> or <h> when one contains the other
+            if h not in key and g not in h_key and key not in done:
+                _add_closure(G, found, [h, g])
+        done.add(h_key)
     return _largest_first(found)
 
 

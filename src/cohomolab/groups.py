@@ -595,6 +595,26 @@ def closure_members(G: FiniteGroup, gens: Iterable[int]) -> frozenset[int]:
     return frozenset(members)
 
 
+def derived_members(G: FiniteGroup) -> frozenset[int]:
+    """The member set of the derived subgroup G', as the normal closure N
+    of the commutators of the generators: G/N is abelian, as its
+    generators commute, so G' <= N <= G'.  The products x*c (c such a
+    commutator) and the conjugates x^s (s a generator) from the identity
+    reach N, as x*c^w = (x^(w^-1)*c)^w for every word w."""
+    mul, inv, gens = G.mul, G.inv, G.generators
+    comms = {mul[mul[inv[a]][inv[b]]][mul[a][b]]
+             for a in gens for b in gens} - {0}
+    members = {0}
+    found = [0]
+    for x in found:  # the loop reads found as it grows
+        row = mul[x]
+        for y in [row[c] for c in comms] + [G.conj(s, x) for s in gens]:
+            if y not in members:
+                members.add(y)
+                found.append(y)
+    return frozenset(members)
+
+
 def generating_set(G: FiniteGroup, members: Iterable[int]) -> list[int]:
     """A generating set of the subgroup whose member set is members: each
     member, in index order, that the ones picked before it do not

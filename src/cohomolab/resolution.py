@@ -211,8 +211,12 @@ class FreeResolution:
         """d_n over Z/p^k and mod p, covering ker d_(n-1) (A: its module
         matrix over Z/p^k), and a basis of that kernel."""
         o = self.G.order
+        # a basis of the kernel whose rows have distinct least coordinates
+        # (see _minimal_cover), when the kernel's own rows do not
+        basis = None
         if n == 1:  # ker of the augmentation: spanned by g - e
             kernel = [{g: 1, 0: self.p - 1} for g in range(1, o)]
+            basis = [{g: 1, o - 1: self.p - 1} for g in range(o - 1)]
 
             def solve(b: dict[int, int]) -> dict[int, int]:
                 return {0: b[0]} if b else {}
@@ -225,7 +229,7 @@ class FreeResolution:
             def solve(b: dict[int, int]) -> Optional[dict[int, int]]:
                 return _solve_augmented(ech, Ap.n_rows, b)
         if self.minimal:
-            gens = self._minimal_cover(kernel)
+            gens = self._minimal_cover(kernel, basis)
         else:
             gens = self._greedy_cover(kernel)
         # the covers return nonzero columns, reduced mod p, with rows below
@@ -337,26 +341,31 @@ class FreeResolution:
                 f"dim ker d_{n - 1} = {want}")
         del self._unchecked[n]
 
-    def _minimal_cover(self, kernel: list[dict[int, int]]) -> list[dict[int, int]]:
+    def _minimal_cover(self, kernel: list[dict[int, int]],
+                       basis: Optional[list[dict[int, int]]] = None
+                       ) -> list[dict[int, int]]:
         """A basis of K / J*K, K spanned by kernel: the residues of the
-        kernel vectors modulo J*K and the earlier picks.
+        kernel vectors modulo J*K and the earlier picks.  Residues are
+        canonical modulo a span, so J*K may be built from any basis of K
+        (basis, when given; else kernel) and the picks stay the same.
 
         J*K is built along the generator order of _normal_series: stage j
         adds (s_j - 1)*k to I = sum_(i<j) (s_i - 1)*K.  When s_j normalizes
         H = <s_1 .. s_(j-1)>, I = J_H*K and (s_j - 1)*I lies in I, so k need
-        only run over a basis of K modulo I.  If the kernel rows have
-        distinct least coordinates (kernel_mod_p's rows do; d_1's g - e
-        all start at 0), the pivots of I are among them, and the rows whose
-        least coordinate is not a pivot of I are such a basis."""
+        only run over a basis of K modulo I.  If the basis rows have
+        distinct least coordinates (kernel_mod_p's rows do, and d_1's
+        e_g - e_(|G|-1) do), the pivots of I are among them, and the rows
+        whose least coordinate is not a pivot of I are such a basis."""
         if self._series is None:
             self._series = _normal_series(self.G)
-        leads = [min(vec) for vec in kernel]
+        basis = kernel if basis is None else basis
+        leads = [min(vec) for vec in basis]
         echelon = len(set(leads)) == len(leads)
         span = Echelon(p=self.p)
         for s, normal in self._series:
-            rows = kernel
+            rows = basis
             if normal and echelon:
-                rows = [vec for vec, lead in zip(kernel, leads)
+                rows = [vec for vec, lead in zip(basis, leads)
                         if lead not in span.basis]
             for vec in rows:  # (s - 1) * vec
                 t = self._translate(vec, s)

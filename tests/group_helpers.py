@@ -1,12 +1,15 @@
 """Group-theoretic oracles that only the tests use: commutators, the
 center and derived subgroup, conjugacy classes by brute force, class
-functions stored per element, and the table digest and Light's test as
-first written."""
+functions stored per element, the table digest and Light's test as first
+written, and the character search's brute-force linear characters and
+all-pairs induction sources."""
 
 import hashlib
+import itertools
 
 from cohomolab.char_chern import Cyclotomic
-from cohomolab.groups import FiniteGroup, Subgroup, subgroup_closure
+from cohomolab.groups import (FiniteGroup, Subgroup, closure_members,
+                              generating_set, subgroup_closure)
 
 
 def commutator(G: FiniteGroup, g: int, h: int) -> int:
@@ -125,3 +128,58 @@ def closure_oracle(mats, p: int, k: int) -> list:
                 group[B] = None
                 stack.append(B)
     return list(group)
+
+
+def linear_characters_oracle(H: FiniteGroup, N: int) -> list[list[int]]:
+    """All homomorphisms H -> Z/N as exponent vectors, as first written:
+    every tuple of images of a greedy generating set of H, spread by BFS
+    with conflicts rejected, then checked on all |H|^2 products."""
+    gens = generating_set(H, range(H.order))
+    if not gens:
+        return [[0]]
+    orders = [H.element_order(g) for g in gens]
+    out = []
+    for choice in itertools.product(*[range(o) for o in orders]):
+        exps = {0: 0}
+        for g, t, o in zip(gens, choice, orders):
+            exps[g] = (t * (N // o)) % N
+        frontier, ok = list(exps), True
+        while frontier and ok:
+            nxt = []
+            for a in frontier:
+                for g in gens:
+                    b, v = H.mul[a][g], (exps[a] + exps[g]) % N
+                    if b not in exps:
+                        exps[b] = v
+                        nxt.append(b)
+                    elif exps[b] != v:
+                        ok = False
+            frontier = nxt
+        if ok and len(exps) == H.order and all(
+                (exps[a] + exps[b] - exps[H.mul[a][b]]) % N == 0
+                for a in range(H.order) for b in range(H.order)):
+            vec = [exps[h] for h in range(H.order)]
+            if vec not in out:
+                out.append(vec)
+    return out
+
+
+def all_pairs_sources(G: FiniteGroup) -> list[Subgroup]:
+    """The induction sources as first written: G and the closures of every
+    element and of every pair of cyclic subgroups' least generators,
+    deduplicated, largest first."""
+    found = {closure_members(G, G.generators): None}
+    reps = []
+    for g in range(1, G.order):
+        key = closure_members(G, [g])
+        if key not in found:
+            found[key] = None
+            reps.append(g)
+    for a, b in itertools.combinations(reps, 2):
+        found.setdefault(closure_members(G, [a, b]), None)
+    return sorted((Subgroup(G, key) for key in found), key=lambda s: -s.order)
+
+
+def conjugate_member_sets(G: FiniteGroup, members) -> set[frozenset[int]]:
+    """The member sets of the conjugates of a subgroup."""
+    return {frozenset(G.conj(x, h) for h in members) for x in range(G.order)}

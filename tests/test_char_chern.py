@@ -14,7 +14,9 @@ from cohomolab.char_chern import (
 )
 from cohomolab import char_chern
 from cohomolab.char_chern import _eigenvalue_multiplicities, _subgroup_sources
+from cohomolab import groups
 from cohomolab.groups import (
+    build_G_a1,
     build_M,
     build_P,
     build_cyclic,
@@ -24,8 +26,11 @@ from cohomolab.groups import (
     symmetric_3,
 )
 from group_helpers import (
+    all_pairs_sources,
+    conjugate_member_sets,
     induce_linear_elementwise,
     inner_elementwise,
+    linear_characters_oracle,
     per_element,
 )
 
@@ -229,8 +234,112 @@ def test_subgroup_sources_validate_each_new_closure_once(monkeypatch):
     assert len(built) == len(set(built)) == len(sources)
     assert [H.member_set for H in sources] == \
         sorted(built, key=lambda m: -len(m))
-    # G, its 13 subgroups of order 3 and the 4 of order 9
-    assert sorted(H.order for H in sources) == [3] * 13 + [9] * 4 + [27]
+    # one subgroup per conjugacy class: G, the center and one of each of
+    # the 4 classes of 3 noncentral subgroups of order 3, and the 4 normal
+    # subgroups of order 9
+    assert sorted(H.order for H in sources) == [3] * 5 + [9] * 4 + [27]
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+def test_linear_characters_match_the_brute_force_oracle(name):
+    G = ORACLE_GROUPS[name]()
+    N = G.exponent()
+    for H in all_pairs_sources(G):
+        K = H.as_group()
+        assert sorted(linear_character_exponents(K, N)) == \
+            sorted(linear_characters_oracle(K, N))
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GROUPS))
+def test_every_two_element_closure_is_conjugate_to_a_source(name):
+    G = ORACLE_GROUPS[name]()
+    sources = {H.member_set for H in _subgroup_sources(G)}
+    closures = {H.member_set for H in all_pairs_sources(G)}
+    assert sources <= closures
+    for members in closures:
+        assert conjugate_member_sets(G, members) & sources
+
+
+# the groups of the catalogue's pc jobs (P_2(3) is P(3,3)) and a few more
+SEARCH_GROUPS = {
+    "C9": (lambda: build_cyclic(9), 3),
+    "C3xC3": (lambda: build_product([build_cyclic(3), build_cyclic(3)]), 3),
+    "P(3,3)": (lambda: build_P(3, 3), 3),
+    "Singer(3,2)": (lambda: singer_group(3, 2), 3),
+    "M(3,3)": (lambda: build_M(3, 3), 3),
+    "G(1,1)": (lambda: build_G_a1(1, 3), 3),
+    "C2xC3xC3": (lambda: build_product(
+        [build_cyclic(2), build_cyclic(3), build_cyclic(3)]), 3),
+    "Singer(2,3)": (lambda: singer_group(2, 3), 2),
+    "P(3,5)": (lambda: build_P(3, 5), 5),
+    "G(2,1)": (lambda: build_G_a1(2, 3), 3),
+    "M(4,3)": (lambda: build_M(4, 3), 3),
+    "C12": (lambda: build_cyclic(12), 3),
+    "C4xC2": (lambda: build_product([build_cyclic(4), build_cyclic(2)]), 2),
+    "S3": (symmetric_3, 3),
+}
+
+
+def _search_outcome(G, p):
+    rep = pc_report(G, p)
+    return ([chi.value_key() for chi in irreducible_characters(G)],
+            rep.pc, rep.alternative_lcm_2m,
+            [(r.subgroup.member_set, r.exponent_set, r.m)
+             for r in rep.per_class])
+
+
+@pytest.mark.parametrize("name", list(SEARCH_GROUPS))
+def test_characters_and_pc_match_the_brute_force_search(name, monkeypatch):
+    build, p = SEARCH_GROUPS[name]
+    got = _search_outcome(build(), p)
+    monkeypatch.setattr(char_chern, "linear_character_exponents",
+                        linear_characters_oracle)
+    monkeypatch.setattr(char_chern, "_subgroup_sources", all_pairs_sources)
+    assert got == _search_outcome(build(), p)
+
+
+@pytest.mark.parametrize("G,dependent", [
+    pytest.param(build_product([build_cyclic(2), build_cyclic(4)]),
+                 {4: [(8, 4)]}, id="C2xC4"),
+    pytest.param(build_M(3, 3), {9: [(27, 9), (27, 9)]}, id="M(3,3)")])
+def test_dependent_quotient_generators_keep_only_homomorphisms(
+        G, dependent, monkeypatch):
+    """Where the greedy generators of H/H' are dependent, some candidate
+    images are no homomorphism: the edge check rejects them, and exactly
+    |H : H'| remain.  dependent: source order -> (candidates, kept)."""
+    check = char_chern._is_homomorphism
+    tried = []
+    monkeypatch.setattr(char_chern, "_is_homomorphism",
+                        lambda H, e, N: tried.append(e) or check(H, e, N))
+    N, seen = G.exponent(), {}
+    for H in _subgroup_sources(G):
+        tried.clear()
+        K = H.as_group()
+        exps = linear_character_exponents(K, N)
+        assert sorted(exps) == sorted(linear_characters_oracle(K, N))
+        if len(tried) > len(exps):
+            seen.setdefault(H.order, []).append((len(tried), len(exps)))
+    assert seen == dependent
+
+
+# closure_members calls of pc; all-pairs sources and brute-force linear
+# characters made 117 and 552
+@pytest.mark.parametrize("build,calls", [
+    pytest.param(lambda: build_P(3, 3), 58, id="P(3,3)"),
+    pytest.param(lambda: singer_group(3, 2), 121, id="Singer(3,2)")])
+def test_pc_closure_counts(build, calls, monkeypatch):
+    G = build()
+    closure = groups.closure_members
+    made = []
+
+    def counted(H, gens):
+        made.append(H)
+        return closure(H, gens)
+
+    monkeypatch.setattr(groups, "closure_members", counted)
+    monkeypatch.setattr(char_chern, "closure_members", counted)
+    pc(G, 3)
+    assert len(made) == calls
 
 
 def test_orthonormality_and_column_orthogonality():

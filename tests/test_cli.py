@@ -748,6 +748,55 @@ def test_character_search_incomplete_exits_1(capsys, monkeypatch):
     _exits_1_without_traceback(capsys, PC_C3, "character search incomplete")
 
 
+def test_missing_linear_character_exits_1(capsys, monkeypatch):
+    # G itself is the first source, and |P(3,3) : P(3,3)'| = 9
+    from cohomolab import char_chern
+    check = char_chern._is_homomorphism
+    dropped = []
+
+    def drop_first(H, exps, N):
+        if check(H, exps, N):
+            if dropped:
+                return True
+            dropped.append(exps)
+        return False
+
+    monkeypatch.setattr(char_chern, "_is_homomorphism", drop_first)
+    _exits_1_without_traceback(
+        capsys, ["chern", "pc", "--group", '{"family": "P", "n": 3, "p": 3}',
+                 "--p", "3"],
+        "8 linear characters found for |H : H'| = 9")
+
+
+def test_pairs_of_one_head_alone_exit_1(capsys, monkeypatch):
+    """Closing only the first head with the cyclic subgroups misses a
+    source that (C2)^3 : C7 needs even after the search over three
+    elements, and the certificates stop the run: no pc is printed."""
+    from cohomolab import char_chern
+    add, sources = char_chern._add_closure, char_chern._subgroup_sources
+    heads = []
+
+    def first_head_only(G, found, gens):
+        if len(gens) == 2:
+            heads[:] = heads or gens[:1]
+            if gens[0] != heads[0]:
+                return False
+        return add(G, found, gens)
+
+    def one_head(G):
+        monkeypatch.setattr(char_chern, "_add_closure", first_head_only)
+        try:
+            return sources(G)
+        finally:
+            monkeypatch.setattr(char_chern, "_add_closure", add)
+
+    monkeypatch.setattr(char_chern, "_subgroup_sources", one_head)
+    _exits_1_without_traceback(
+        capsys, ["chern", "pc", "--group",
+                 '{"family": "singer", "p": 2, "n": 3}', "--p", "2"],
+        "character search incomplete")
+
+
 def test_missing_irreducible_exits_1(capsys, monkeypatch):
     # the squared degrees of the rest no longer add up to |G| either, but
     # the class count is checked first
@@ -872,8 +921,8 @@ def _minimal_cover_of_d1(monkeypatch, resolution, change):
     """Apply change(resolution, generators) to the minimal cover of d_1."""
     cover = resolution.FreeResolution._minimal_cover
 
-    def changed(self, kernel):
-        gens = cover(self, kernel)
+    def changed(self, kernel, basis=None):
+        gens = cover(self, kernel, basis)
         return gens if self.diffs else change(self, gens)
 
     monkeypatch.setattr(resolution.FreeResolution, "_minimal_cover", changed)
