@@ -33,6 +33,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
+from .bar_cohomology import ResourceLimitError
 from .exact_linalg import is_prime
 from .groups import (FiniteGroup, Subgroup, closure_members, derived_members,
                      generating_set, order_p_subgroup_classes)
@@ -337,11 +338,10 @@ def _subgroup_sources(G: FiniteGroup) -> list[Subgroup]:
     the closure of each head with each cyclic subgroup, deduplicated,
     largest first.  Every closure of <=2 elements is conjugate to one of
     them: <a', b> = <a, b^(x^-1)>^x for a' = a^x, and conjugate sources
-    induce the same characters."""
+    induce the same characters.  ResourceLimitError above MAX_ENUM_ORDER."""
     if G.order > MAX_ENUM_ORDER:
-        raise ValueError(
-            f"subgroup enumeration capped at order {MAX_ENUM_ORDER}; "
-            "supply induction sources explicitly")
+        raise ResourceLimitError(
+            f"subgroup enumeration capped at order {MAX_ENUM_ORDER}")
     mul, of = G.mul, G.classes().of
     cyclic: dict[frozenset, int] = {}  # member set -> its least generator
     generated: set[int] = set()  # the generators of the listed ones
@@ -429,10 +429,10 @@ def irreducible_characters(G: FiniteGroup,
     Raises ArithmeticError if the class-count, sum-of-squares or
     orthonormality certificate fails (which signals a non-monomial input
     or an exhausted search)."""
-    n_classes = len(G.classes().reps)
     enumerated = sources is None
     if enumerated:
-        sources = _subgroup_sources(G)
+        sources = _subgroup_sources(G)  # refuses a group above the cap
+    n_classes = len(G.classes().reps)
     irreducibles = _monomial_search(G, sources)
     if enumerated and len(irreducibles) != n_classes:
         # a character induced only from a subgroup that needs three

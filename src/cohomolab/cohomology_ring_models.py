@@ -19,8 +19,8 @@ mu*nu vanishes mod 3.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
+from operator import add, sub
 from typing import Optional
 
 from .exact_linalg import Echelon, _mat_det, is_prime
@@ -39,9 +39,6 @@ Monomial = tuple  # (z, a, b, mu, nu, chi)
 Element = dict    # Monomial -> scalar mod p
 
 GENERATOR_ORDER = ("alpha", "beta", "mu", "nu", "zeta")  # plus chi_i
-
-CERTIFY_SAMPLES = 500
-CERTIFY_SEED = 0
 
 
 class RingModel(GradedRing):
@@ -220,33 +217,144 @@ class RingModel(GradedRing):
 
     # -- certification ------------------------------------------------------
 
-    def random_monomial(self, rng: random.Random,
-                        max_degree: int) -> Element:
-        while True:
-            d = rng.randrange(max_degree + 1)
-            basis = self.basis(d)
-            if basis:
-                return {rng.choice(basis): rng.randrange(1, self.p)}
+    def rewriting_rules(self) -> list[tuple[tuple, Element]]:
+        """The presentation as rewriting rules (lead, tail): the lead an
+        exponent vector over generator_names(), the tail its normal form.
+        mu^2 = nu^2 = 0 are not listed: mul drops those pairs itself."""
+        p = self.p
+        index = {g: i for i, g in enumerate(self.generator_names())}
+
+        def lead(*word: str) -> tuple:
+            e = [0] * len(index)
+            for g in word:
+                e[index[g]] += 1
+            return tuple(e)
+
+        def term(c: int, a: int = 0, b: int = 0, mu: int = 0, nu: int = 0,
+                 chi: int = 0) -> Element:
+            return {(0, a, b, mu, nu, chi): c % p}
+
+        top = f"chi_{p - 1}"
+        rules = [
+            (lead("beta", "nu"), term(1, a=1, mu=1)),
+            (lead("alpha", *["beta"] * p), term(1, a=p, b=1)),
+            (lead("alpha", *["beta"] * (p - 1), "mu"), term(1, a=p, mu=1)),
+            (lead("mu", "nu"), term(self.lam, chi=3) if p > 3 else {}),
+            (lead("alpha", top), term(-1, a=p)),
+            (lead("beta", top), term(-1, b=p)),
+            (lead("mu", top), term(-1, b=p - 1, mu=1)),
+            (lead("nu", top), term(-1, a=p - 1, nu=1)),
+            (lead(top, top), {**term(1, a=2 * p - 2), **term(1, b=2 * p - 2),
+                              **term(-1, a=p - 1, b=p - 1)}),
+        ]
+        for i in range(2, p - 1):
+            rules += [(lead(x, f"chi_{i}"), {})
+                      for x in ("alpha", "beta", "mu", "nu")]
+            rules += [(lead(f"chi_{i}", f"chi_{j}"), {}) for j in range(i, p)]
+        return rules
+
+    def _word_text(self, e: tuple) -> str:
+        return "*".join(g if k == 1 else f"{g}^{k}"
+                        for g, k in zip(self.generator_names(), e) if k)
 
     def certify(self) -> None:
-        """Randomized associativity and graded-commutativity check of the
-        rewriting multiplication on CERTIFY_SAMPLES triples of basis
-        monomials of degree <= 4p, drawn from random.Random(CERTIFY_SEED).
-        u*v serves both checks, so a triple costs five products."""
-        rng = random.Random(CERTIFY_SEED)
-        D = 4 * self.p
-        mul = self.mul
-        for _ in range(CERTIFY_SAMPLES):
-            u = self.random_monomial(rng, D)
-            v = self.random_monomial(rng, D)
-            w = self.random_monomial(rng, D)
-            uv = mul(u, v)
-            if mul(uv, w) != mul(u, mul(v, w)):
-                raise ArithmeticError(f"associativity fails on {u},{v},{w}")
-            du, dv = self.element_degree(u), self.element_degree(v)
-            sign = -1 if (du * dv) % 2 else 1
-            if uv != self.scale(mul(v, u), sign):
-                raise ArithmeticError(f"graded commutativity fails: {u},{v}")
+        """ArithmeticError unless mul is the product of rewriting_rules().
+        [e] is the word of the exponent vector e multiplied out through
+        mul, left to right in generator_names() order.
+
+        1. Each lead multiplies out to its tail, which lies in the basis.
+        2. The threshold box: each basis monomial u with no zeta, a <= 1
+           and b <= p+1 times each generator g lands in the basis, g*u is
+           u*g times the Koszul sign, and a u*g that is itself a basis
+           monomial comes back unchanged.
+        3. Each pair of rules whose leads share a generator, tails not
+           both zero, reduces the lcm L of the leads both ways to one
+           basis element: tail*[L - lead], signed when a mu of L - lead
+           moves past the lead's nu.  Each lead holding mu (or nu) has a
+           tail that mu (or nu) kills.
+
+        By Bergman's diamond lemma (Adv. Math. 29, 1978), parts 1 and 3
+        make the rules' product associative and graded-commutative in
+        every degree.  The box holds every branch threshold of
+        _reduce_into, so parts 1 and 2 tie its closed form to the rules;
+        it runs before part 3, to name a wrong closed form at its first
+        product."""
+        p, mul, scale = self.p, self.mul, self.scale
+        names = self.generator_names()
+        gens = [self.gen(g) for g in names]
+        rules = self.rewriting_rules()
+        words = {(0,) * len(names): self.one()}
+
+        def value(e: tuple) -> Element:
+            v = words.get(e)
+            if v is None:
+                last = max(i for i, k in enumerate(e) if k)
+                v = mul(value(e[:last] + (e[last] - 1,) + e[last + 1:]),
+                        gens[last])
+                words[e] = v
+            return v
+
+        def in_basis(u: Element) -> Element:
+            for m in u:
+                self.index_of(m)  # ArithmeticError outside the basis
+            return u
+
+        for lead, tail in rules:
+            got = value(lead)
+            if got != in_basis(tail):
+                raise ArithmeticError(f"the rule {self._word_text(lead)} -> "
+                                      f"{tail} fails: mul gives {got}")
+
+        monos = [next(iter(y)) for y in gens]
+        degrees = [self.monomial_degree(gm) for gm in monos]
+        index = self._index_cache
+        for d in range(4 * p + 6):
+            self.basis(d)  # every degree a box product reaches
+        for d in range(2 * p + 6):
+            for u in self.basis(d):
+                if u[0] or u[1] > 1 or u[2] > p + 1:
+                    continue
+                x = {u: 1}
+                for g, y, gm, dg in zip(names, gens, monos, degrees):
+                    here = index[d + dg]
+                    xy = mul(x, y)
+                    if not here.keys() >= xy.keys():
+                        in_basis(xy)
+                    if mul(y, x) != (scale(xy, -1) if d & dg & 1 else xy):
+                        raise ArithmeticError(
+                            f"graded commutativity fails on {u} and {g}")
+                    if u[5] and gm[5]:
+                        continue  # two chi: no basis monomial
+                    m = tuple(map(add, u, gm))
+                    if m in here and xy != {m: 1}:
+                        raise ArithmeticError(
+                            f"mul({u}, {g}) = {xy} rewrites the basis "
+                            f"monomial {m}")
+
+        mu, nu = names.index("mu"), names.index("nu")
+        having = [[r for r, (lead, _) in enumerate(rules) if lead[i]]
+                  for i in range(len(names))]
+        pairs = {(min(r, s), max(r, s))
+                 for r, (lead, tail) in enumerate(rules) if tail
+                 for i, k in enumerate(lead) if k
+                 for s in having[i] if s != r}
+        for r, s in sorted(pairs):
+            lcm = tuple(map(max, rules[r][0], rules[s][0]))
+            ways = []
+            for lead, tail in (rules[r], rules[s]):
+                c = tuple(map(sub, lcm, lead))
+                ways.append(scale(mul(tail, value(c)),
+                                  -1 if lead[nu] and c[mu] else 1))
+            if ways[0] != in_basis(ways[1]):
+                raise ArithmeticError(
+                    f"the overlap {self._word_text(lcm)} resolves to "
+                    f"{ways[0]} and to {ways[1]}")
+        for lead, tail in rules:
+            for i in (mu, nu):
+                if lead[i] and mul(tail, gens[i]):
+                    raise ArithmeticError(
+                        f"{self._word_text(lead)} -> {tail} does not vanish "
+                        f"times {names[i]}")
 
     def relation_checks(self, images: Optional[dict] = None,
                         target: Optional[GradedRing] = None

@@ -3,7 +3,11 @@
 RingModel's multiplication one rewriting step at a time, the oracle of
 RingModel.mul: the chi indices sorted per term pair, one recursive call
 per rewriting step, and the straightening as while loops.  Its two
-straightening thresholds can be moved to make mutants of the rules.
+straightening thresholds and the sign of alpha^(p-1) beta^(p-1) in
+chi_(p-1)^2 can be moved to make mutants of the rules, and
+unsigned_ring_mul drops the sign of moving a mu past a nu.
+
+Random basis monomials, for tests that sample elements of a RingModel.
 
 The averaging idempotent of a MatrixAction, whose rank is the fixed
 dimension when p does not divide the group order.
@@ -16,10 +20,12 @@ from cohomolab.invariant_rings import (GradedAlgebra, HELD5_MATRICES,
                                        MatrixAction, fixed_dims)
 
 
-def reference_rules(mu_shift: int = 0, plain_shift: int = 0):
+def reference_rules(mu_shift: int = 0, plain_shift: int = 0,
+                    top_sign: int = -1):
     """A RingModel._reduce_into that applies one rule per call.
-    alpha beta^b mu straightens while b >= p - 1 + mu_shift, and alpha
-    beta^b without mu or nu while b >= p + plain_shift."""
+    alpha beta^b mu straightens while b >= p - 1 + mu_shift, alpha
+    beta^b without mu or nu while b >= p + plain_shift, and chi_(p-1)^2
+    is alpha^(2p-2) + beta^(2p-2) + top_sign alpha^(p-1) beta^(p-1)."""
 
     def reduce_into(model, out, z, a, b, mu, nu, chis, coeff):
         p = model.p
@@ -43,7 +49,7 @@ def reference_rules(mu_shift: int = 0, plain_shift: int = 0):
             (c1, c2), rest = chis[:2], chis[2:]
             if c1 == p - 1 and c2 == p - 1:
                 for da, db, s in ((2 * p - 2, 0, 1), (0, 2 * p - 2, 1),
-                                  (p - 1, p - 1, -1)):
+                                  (p - 1, p - 1, top_sign)):
                     reduce_into(model, out, z, a + da, b + db, mu, nu,
                                 rest, s * coeff)
             return
@@ -85,6 +91,30 @@ def reference_ring_mul(model, u, v):
             REFERENCE_RULES(model, out, z1 + z2, a1 + a2, b1 + b2,
                             m1 + m2, n1 + n2, chis, coeff)
     return {m: c for m, c in out.items() if c}
+
+
+def unsigned_ring_mul(model, u, v):
+    """RingModel.mul without the sign of moving the second mu past the
+    first nu."""
+    out = {}
+    for (z1, a1, b1, m1, n1, c1), x1 in u.items():
+        for (z2, a2, b2, m2, n2, c2), x2 in v.items():
+            if m1 and m2 or n1 and n2:
+                continue
+            chis = tuple(sorted(c for c in (c1, c2) if c))
+            model._reduce_into(out, z1 + z2, a1 + a2, b1 + b2, m1 + m2,
+                               n1 + n2, chis, x1 * x2)
+    return out
+
+
+def random_monomial(model, rng, max_degree):
+    """One basis monomial of a random degree <= max_degree with a random
+    nonzero coefficient, drawn from rng."""
+    while True:
+        d = rng.randrange(max_degree + 1)
+        basis = model.basis(d)
+        if basis:
+            return {rng.choice(basis): rng.randrange(1, model.p)}
 
 
 def action_matrix(action, M, d):

@@ -366,6 +366,18 @@ def _exits_3_within_a_second(capsys, argv, message):
     assert "Traceback" not in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("group, p", [
+    ({"family": "cyclic", "n": 211}, 211),
+    ({"family": "product", "factors": [{"family": "cyclic", "n": 9},
+                                       {"family": "cyclic", "n": 27}]}, 3),
+])
+def test_chern_pc_above_the_enumeration_cap_exits_3(capsys, group, p):
+    # valid input that the character search does not take on
+    _exits_3_within_a_second(
+        capsys, ["chern", "pc", "--group", json.dumps(group), "--p", str(p)],
+        "subgroup enumeration capped at order 200")
+
+
 def test_massey_on_c256_is_refused_before_its_coboundary(capsys):
     # 66M coboundary terms: this took 25 s and 1.7 GB
     _exits_3_within_a_second(
@@ -474,6 +486,28 @@ def test_dickson_non_invariant_generator_exits_1(capsys, monkeypatch):
     monkeypatch.setattr(invariant_rings, "dickson_pair", bad_pair)
     assert main(["invariants", "dickson", "--p", "3",
                  "--max-degree", "12"]) == EXIT_FAILURE
+
+
+def test_dickson_wrong_gl2_group_order_exits_1(capsys, monkeypatch):
+    # SL_2 and the identity generate SL_2 alone
+    from cohomolab import invariant_rings
+    monkeypatch.setattr(
+        invariant_rings, "gl2_generators",
+        lambda p: invariant_rings.sl2_generators(p) + [((1, 0), (0, 1))])
+    _exits_1_without_traceback(
+        capsys, ["invariants", "dickson", "--p", "5", "--max-degree", "6"],
+        "GL_2 generators give the wrong group order")
+
+
+def test_dickson_generator_not_gl2_invariant_exits_1(capsys, monkeypatch):
+    # a is SL_2-invariant, and GL_2 scales it by the determinant
+    from cohomolab import invariant_rings
+    full = invariant_rings.dickson_pair
+    monkeypatch.setattr(invariant_rings, "dickson_pair",
+                        lambda p: type(full(p))(full(p).a, full(p).a))
+    _exits_1_without_traceback(
+        capsys, ["invariants", "dickson", "--p", "3", "--max-degree", "6"],
+        "generator is not GL_2-invariant")
 
 
 def _exits_1_without_traceback(capsys, argv, message):

@@ -1,13 +1,13 @@
-import hashlib
+import ast
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
 from cohomolab.bar_cohomology import cohomology_dims_mod_p
 from cohomolab.cli import EXIT_FAILURE, EXIT_INPUT, main
 from cohomolab.cohomology_ring_models import (
-    CERTIFY_SAMPLES,
     RestrictionMap,
     RingAutomorphism,
     RingModel,
@@ -23,7 +23,8 @@ from cohomolab.cohomology_ring_models import (
 from cohomolab.groups import build_P
 from cohomolab.invariant_rings import (GradedAlgebra, fixed_dims,
                                        fixed_subspaces)
-from ring_helpers import reference_ring_mul, reference_rules
+from ring_helpers import (random_monomial, reference_ring_mul,
+                          reference_rules, unsigned_ring_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +133,7 @@ def test_automorphism_composition_matches_matrix_product():
     direct = RingAutomorphism.from_matrix(m, ((-1, 0), (0, -1)), 1)
     rng = random.Random(5)
     for _ in range(30):
-        u = m.random_monomial(rng, 12)
+        u = random_monomial(m, rng, 12)
         assert twice.apply(u) == direct.apply(u)
 
 
@@ -430,75 +431,193 @@ def test_certificate_agrees_with_brute_force_multiplicativity(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the sampled certificate of the multiplication
+# the certificate of the multiplication
 # ---------------------------------------------------------------------------
 
-# sha256 of the 1,500 monomials certify draws (u, v, w per triple, each
-# as its sorted items): a change to the sample must change these
-CERTIFY_SAMPLE_DIGESTS = {3: "dc46e6e67ccfa921", 5: "7b2e246dc0c1eb24",
-                          7: "97a41f53e8560172"}
+
+@pytest.mark.parametrize("p, lam", [(3, 1), (5, 1), (5, 2), (7, 1), (7, 3)])
+def test_rules_are_the_oracle_on_their_leads(p, lam):
+    """Each rule's tail is what the stepwise oracle makes of its lead, and
+    every basis monomial up to degree 4p is divisible by no lead."""
+    m = RingModel(p, lam)
+    names = m.generator_names()
+    rules = m.rewriting_rules()
+    for lead, tail in rules:
+        value = m.one()
+        for g, k in zip(names, lead):
+            for _ in range(k):
+                value = reference_ring_mul(m, value, m.gen(g))
+        assert value == tail, lead
+    for d in range(4 * p + 1):
+        for z, a, b, mu, nu, chi in m.basis(d):
+            e = [a, b, mu, nu, z] + [0] * (p - 2)
+            if chi:
+                e[names.index(f"chi_{chi}")] = 1
+            assert not any(all(map(int.__le__, lead, e))
+                           for lead, _ in rules), e
 
 
-@pytest.mark.parametrize("p", [3, 5, 7])
-def test_certify_draws_the_pinned_sample(monkeypatch, p):
-    drawn = []
-    draw = RingModel.random_monomial
-
-    def recording(self, rng, max_degree):
-        u = draw(self, rng, max_degree)
-        drawn.append(sorted(u.items()))
-        return u
-
-    monkeypatch.setattr(RingModel, "random_monomial", recording)
-    RingModel(p).certify()
-    assert len(drawn) == 3 * CERTIFY_SAMPLES
-    digest = hashlib.sha256(repr(drawn).encode()).hexdigest()[:16]
-    assert digest == CERTIFY_SAMPLE_DIGESTS[p]
-
-
-def test_certify_checks_each_triple_with_five_products(monkeypatch):
-    """Per drawn triple u, v, w: u*v, (u*v)*w, v*w, u*(v*w) and v*u, in
-    any order, and nothing else."""
-    draws, calls = [], []
-    draw, mul = RingModel.random_monomial, RingModel.mul
-
-    def recording_draw(self, rng, max_degree):
-        draws.append(draw(self, rng, max_degree))
-        return draws[-1]
-
-    def recording_mul(self, u, v):
-        calls.append((u, v))
-        return mul(self, u, v)
-
-    monkeypatch.setattr(RingModel, "random_monomial", recording_draw)
-    monkeypatch.setattr(RingModel, "mul", recording_mul)
-    m = RingModel(5)
-    m.certify()
-    assert len(draws) == 3 * CERTIFY_SAMPLES
-    assert len(calls) == 5 * CERTIFY_SAMPLES
-    for i in range(CERTIFY_SAMPLES):
-        u, v, w = draws[3 * i:3 * i + 3]
-        expected = [(u, v), (mul(m, u, v), w), (v, w), (u, mul(m, v, w)),
-                    (v, u)]
-        assert sorted(map(repr, calls[5 * i:5 * i + 5])) == \
-            sorted(map(repr, expected))
+def test_rules_list_every_lead_of_the_presentation():
+    m = RingModel(7)
+    texts = sorted(m._word_text(lead) for lead, _ in m.rewriting_rules())
+    assert len(texts) == 4 + 4 * 4 + 4 + 15
+    for text in ("beta*nu", "alpha*beta^7", "alpha*beta^6*mu", "mu*nu",
+                 "nu*chi_6", "chi_6^2", "mu*chi_2", "chi_2*chi_5"):
+        assert text in texts
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_certify_refuses_a_wrong_straightening_rule(monkeypatch, p):
-    # alpha beta^(p-1) -> alpha^p: every relation still holds, only the
-    # sample sees that the product is no longer associative
+    # alpha beta^(p-1) -> alpha^p: every relation still holds, but
+    # chi_(p-1)^2 loses its alpha^(p-1) beta^(p-1) term
     monkeypatch.setattr(RingModel, "_reduce_into",
                         reference_rules(plain_shift=-1))
     m = RingModel(p)
     m.require_relations()
-    with pytest.raises(ArithmeticError, match="associativity fails"):
+    with pytest.raises(ArithmeticError,
+                       match=rf"the rule chi_{p - 1}\^2 -> .* fails"):
         m.certify()
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_certify_refuses_a_wrong_mu_straightening(monkeypatch, p):
+    # alpha beta^(p-2) mu -> alpha^p beta^(-1) mu: the random sample of
+    # 500 triples missed this one; the box reaches it at its first product
+    monkeypatch.setattr(RingModel, "_reduce_into",
+                        reference_rules(mu_shift=-1))
+    m = RingModel(p)
+    m.require_relations()
+    with pytest.raises(ArithmeticError,
+                       match=rf"product \(0, {p}, -1, 1, 0, 0\) is not a"):
+        m.certify()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_the_box_meets_a_straightening_that_skips_b_above_p(monkeypatch, p):
+    # alpha^a beta^b, b > p, left as it is; the overlap of alpha beta^p
+    # and beta chi_(p-1) would meet it only at b = 2p - 1, so the message
+    # pins the box's reach to b = p + 1
+    reduce_into = RingModel._reduce_into
+
+    def skips(self, out, z, a, b, mu, nu, chis, coeff):
+        if a and b > p and not (mu or nu or chis):
+            out[(z, a, b, 0, 0, 0)] = coeff % p
+        else:
+            reduce_into(self, out, z, a, b, mu, nu, chis, coeff)
+
+    monkeypatch.setattr(RingModel, "_reduce_into", skips)
+    with pytest.raises(ArithmeticError,
+                       match=rf"product \(0, 1, {p + 1}, 0, 0, 0\) is not"):
+        RingModel(p).certify()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_certify_refuses_a_flipped_sign_in_the_top_chi_square(monkeypatch,
+                                                              p):
+    monkeypatch.setattr(RingModel, "_reduce_into",
+                        reference_rules(top_sign=1))
+    with pytest.raises(ArithmeticError,
+                       match=rf"the rule chi_{p - 1}\^2 -> .* fails"):
+        RingModel(p).certify()
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_certify_refuses_mul_without_the_nu_mu_sign(monkeypatch, p):
+    monkeypatch.setattr(RingModel, "mul", unsigned_ring_mul)
+    with pytest.raises(ArithmeticError, match="graded commutativity fails"):
+        RingModel(p).certify()
+
+
+def test_the_nu_mu_sign_changes_no_product_at_p3():
+    """Every product that moves a mu past a nu holds mu*nu, which is 0
+    mod 3, so no check can refuse mul without that sign at p = 3."""
+    m = RingModel(3)
+    basis = [u for d in range(13) for u in m.basis(d)]
+    for u in basis:
+        for v in basis:
+            assert unsigned_ring_mul(m, {u: 1}, {v: 1}) == m.mul({u: 1},
+                                                                {v: 1})
+
+
+def _with_wrong_product(u, v, wrong, both_orders=False):
+    """RingModel.mul, except that u * v (and v * u) gives wrong."""
+    mul = RingModel.mul
+    pairs = [(u, v), (v, u)] if both_orders else [(u, v)]
+
+    def patched(self, x, y):
+        return dict(wrong) if (x, y) in pairs else mul(self, x, y)
+
+    return patched
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_certify_refuses_a_wrong_tail(monkeypatch, p):
+    rules = RingModel(p).rewriting_rules()
+    (lead, tail), rest = rules[0], rules[1:]
+    monkeypatch.setattr(RingModel, "rewriting_rules",
+                        lambda self: [(lead, {**tail, (1, 0, 0, 0, 0, 0): 1})]
+                        + rest)
+    with pytest.raises(ArithmeticError, match=r"the rule beta\*nu -> "):
+        RingModel(p).certify()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_certify_refuses_a_rewritten_basis_product(monkeypatch, p):
+    # alpha * zeta -> beta * zeta, a basis monomial of the same degree
+    monkeypatch.setattr(RingModel, "mul", _with_wrong_product(
+        {(0, 1, 0, 0, 0, 0): 1}, {(1, 0, 0, 0, 0, 0): 1},
+        {(1, 0, 1, 0, 0, 0): 1}, both_orders=True))
+    with pytest.raises(ArithmeticError, match=r"mul\(\(0, 1, 0, 0, 0, 0\), "
+                       r"zeta\) = .* rewrites the basis monomial"):
+        RingModel(p).certify()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_certify_refuses_an_overlap_that_does_not_resolve(monkeypatch, p):
+    # chi_(p-1)^2 * alpha loses a term; alpha * chi_(p-1) * chi_(p-1)
+    # still gives alpha^(2p-1)
+    m = RingModel(p)
+    top = f"chi_{p - 1}"
+    square = m.mul(m.gen(top), m.gen(top))
+    monkeypatch.setattr(RingModel, "mul", _with_wrong_product(
+        square, m.gen("alpha"), {(0, 2 * p - 1, 0, 0, 0, 0): 1,
+                                 (0, p, p - 1, 0, 0, 0): 1}))
+    with pytest.raises(ArithmeticError, match=rf"the overlap alpha\*{top}\^2"
+                       " resolves to"):
+        RingModel(p).certify()
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_certify_refuses_a_tail_that_mu_does_not_kill(monkeypatch, p):
+    m = RingModel(p)
+    tail = m.scale({(0, 0, p - 1, 1, 0, 0): 1}, -1)  # of mu * chi_(p-1)
+    monkeypatch.setattr(RingModel, "mul", _with_wrong_product(
+        tail, m.gen("mu"), {(0, 0, 0, 0, 0, 2): 1}))
+    with pytest.raises(ArithmeticError,
+                       match=rf"mu\*chi_{p - 1} -> .* does not vanish "
+                       "times mu"):
+        RingModel(p).certify()
+
+
+def test_no_module_but_bar_cohomology_imports_random():
+    # random_cochain, the one sampled routine left, serves a benchmark
+    # criterion; every answer of the package is deterministic
+    import cohomolab
+    src = Path(cohomolab.__file__).parent
+    importers = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names]
+                     if isinstance(node, ast.Import) else
+                     [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if any(n and n.split(".")[0] == "random" for n in names):
+                importers.add(path.name)
+    assert importers == {"bar_cohomology.py"}
+
+
 def test_a_product_outside_the_basis_exits_1(monkeypatch, capsys):
-    # alpha beta^(p-2) mu -> alpha^p beta^(-1) mu passes certify and the
-    # relations; the fixed subspace meets the monomial outside the basis
+    # alpha beta^(p-2) mu -> alpha^p beta^(-1) mu passes the relations;
+    # certify meets the monomial outside the basis before the sweep does
     monkeypatch.setattr(RingModel, "_reduce_into",
                         reference_rules(mu_shift=-1))
     for p in (3, 5, 7):
