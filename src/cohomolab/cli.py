@@ -268,7 +268,7 @@ def _homology_table(h: list) -> list:
 
 
 # The largest `davis bestvina --n`: the work grows about linearly in n, and
-# n = 256 takes about 4 s and 83 MB (Python 3.11, Xeon, one core).
+# n = 256 takes about 2.9 s and 97 MB (Python 3.11, Xeon, one core).
 MAX_BESTVINA_N = 256
 
 

@@ -367,36 +367,37 @@ class RingModel(GradedRing):
         T = self if target is None else target
         names = self.generator_names()
         g = images or {name: self.gen(name) for name in names}
-        p, mul, sc, pw = self.p, T.mul, T.scale, T.power
+        p, mul, sc = self.p, T.mul, T.scale
         top = f"chi_{p - 1}"
+        # x^(p-1) and x^p of alpha and beta, once: x^p is x^(p-1) * x as
+        # T.power builds it
+        a1, b1 = T.power(g["alpha"], p - 1), T.power(g["beta"], p - 1)
+        ap, bp = mul(a1, g["alpha"]), mul(b1, g["beta"])
         checks = [
             ("alpha*mu = beta*nu",
              mul(g["alpha"], g["mu"]) == mul(g["beta"], g["nu"])),
             ("alpha^p*beta = beta^p*alpha",
-             mul(pw(g["alpha"], p), g["beta"])
-             == mul(pw(g["beta"], p), g["alpha"])),
+             mul(ap, g["beta"]) == mul(bp, g["alpha"])),
             ("alpha^p*mu = beta^p*nu",
-             mul(pw(g["alpha"], p), g["mu"])
-             == mul(pw(g["beta"], p), g["nu"])),
+             mul(ap, g["mu"]) == mul(bp, g["nu"])),
             ("mu^2 = 0", mul(g["mu"], g["mu"]) == {}),
             ("nu^2 = 0", mul(g["nu"], g["nu"]) == {}),
         ]
         for x in ("alpha", "beta", "mu", "nu"):
             checks += [(f"{x}*chi_{i} = 0", mul(g[x], g[f"chi_{i}"]) == {})
                        for i in range(2, p - 1)]
-        for x in ("alpha", "beta"):
+        for x, xp in (("alpha", ap), ("beta", bp)):
             checks.append((f"{x}*{top} = -{x}^p",
-                           mul(g[x], g[top]) == sc(pw(g[x], p), -1)))
-        for x, other in (("mu", "beta"), ("nu", "alpha")):
+                           mul(g[x], g[top]) == sc(xp, -1)))
+        for x, other, power in (("mu", "beta", b1), ("nu", "alpha", a1)):
             checks.append(
                 (f"{x}*{top} = -{other}^(p-1)*{x}", mul(g[x], g[top])
-                 == sc(mul(pw(g[other], p - 1), g[x]), -1)))
+                 == sc(mul(power, g[x]), -1)))
         checks += [(f"chi_{i}*chi_{j} = 0",
                     mul(g[f"chi_{i}"], g[f"chi_{j}"]) == {})
                    for i in range(2, p - 1) for j in range(i, p)]
-        a, b = pw(g["alpha"], p - 1), pw(g["beta"], p - 1)
         checks.append(("chi_(p-1)^2 relation", mul(g[top], g[top]) == T.add(
-            T.add(mul(a, a), mul(b, b)), sc(mul(a, b), -1))))
+            T.add(mul(a1, a1), mul(b1, b1)), sc(mul(a1, b1), -1))))
         mn = mul(g["mu"], g["nu"])
         if p == 3:
             checks.append(("mu*nu = 0 (p=3)", mn == {}))

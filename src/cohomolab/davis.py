@@ -24,6 +24,7 @@ asked for: it is the test oracle and carries the links of criterion 12.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -145,14 +146,14 @@ MAX_FACET_SIZE = 16
 # are listed: the |spherical| * 2^k pairs (S, x) that _coset_elements walks,
 # and the steps of _chain_counts, one per element (S, y) and (T, b) below
 # or equal to it, 2^(k-|S|) * 3^|S| for each S.  Bestvina n = 256 needs
-# 319,600 pairs and 806,600 steps (davis_quotient 1.5 s); the full simplex
-# on 9 vertices 262,144 and 1,953,125 (1.7 s); on 10 vertices 2^20 and
-# 9,765,625 (about 12 s and 97 MB).  Python 3.11, one core.
+# 319,600 pairs and 806,600 steps (davis_quotient 0.7 s); the full simplex
+# on 9 vertices 262,144 and 1,953,125 (0.64 s); on 10 vertices 2^20 and
+# 9,765,625 (about 3 s and 40 MB).  Python 3.11, one core of a Xeon.
 MAX_QUOTIENT_PAIRS = 1 << 19
 MAX_QUOTIENT_STEPS = 1 << 21
 
 # The (face, simplex) pairs of orbifold_chi, sum of f_i * (2^(i+1) - 1):
-# 3^n - 2^n on the n-vertex simplex, 1.59M at n = 13 (0.63 s).  No lower
+# 3^n - 2^n on the n-vertex simplex, 1.59M at n = 13 (0.69 s).  No lower
 # than the step bound, as a quotient has more steps than pairs.
 MAX_CHI_PAIRS = MAX_QUOTIENT_STEPS
 
@@ -385,7 +386,8 @@ def orbifold_chi(K: SimplicialComplex) -> Fraction:
     """Ground-truth Euler characteristic of the graph product: the sum
     over chains S_0 < ... < S_n of spherical subsets (empty set
     included) of (-1)^n / 2^|S_0|, evaluated by downward recursion
-    g(S) = 1 - sum over strict spherical supersets T of g(T).
+    g(S) = 1 - sum over strict spherical supersets T of g(T), and summed
+    as the integer sum of g(S) 2^(d-|S|) over 2^d, d = dim K + 1.
     ResourceLimitError above MAX_CHI_PAIRS."""
     pairs = sum(n * ((2 << i) - 1) for i, n in enumerate(K.f_vector()))
     if pairs > MAX_CHI_PAIRS:
@@ -402,8 +404,8 @@ def orbifold_chi(K: SimplicialComplex) -> Fraction:
             for face in itertools.combinations(s, r):
                 supersum[face] = supersum.get(face, 0) + g[s]
     g[()] = 1 - supersum.get((), 0)
-    return sum((Fraction(gs, 2 ** len(s)) for s, gs in g.items()),
-               Fraction(0))
+    d = K.dimension + 1
+    return Fraction(sum(gs << d - len(s) for s, gs in g.items()), 1 << d)
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +512,36 @@ def _coset_elements(masks: dict[Simplex, int],
     return list(elements)
 
 
+def _cube_chains(d: int) -> int:
+    """The chains in the face poset of a d-cube that have the cube itself
+    on top: the cube alone, or the cube over a chain topped by one of its
+    C(d, j) 2^(d-j) faces of dimension j < d."""
+    a = [1]
+    for top in range(1, d + 1):
+        a.append(1 + sum(math.comb(top, j) * a[j] << top - j
+                         for j in range(top)))
+    return a[d]
+
+
+def _chain_field_bits(n_elements: int, top: int) -> int:
+    """The width of one field of _chain_counts' packed chain vectors.  A
+    field of one element, or of the sum over all of them, counts chains
+    topped by at most n_elements elements, and the elements below one of
+    dimension |S| <= top are the faces of an |S|-cube, so no field exceeds
+    n_elements * _cube_chains(top) and none carries into the next."""
+    return (n_elements * _cube_chains(top)).bit_length()
+
+
+def _submasks(m: int) -> list[int]:
+    """Every b with b & ~m = 0, from m down to 0."""
+    out = [m]
+    b = m
+    while b:
+        b = (b - 1) & m
+        out.append(b)
+    return out
+
+
 def _chain_counts(elements: Sequence[tuple[Simplex, int]],
                   masks: dict[Simplex, int]) -> tuple[list[int], int]:
     """(f, c) for the poset of elements (in order of |S|): f[m] is the
@@ -518,40 +550,63 @@ def _chain_counts(elements: Sequence[tuple[Simplex, int]],
     The elements below (S, x) are the (T, x | b) with T a proper subset
     of S and b a subset of mask(S) & ~mask(T); the chains topped by
     (S, x) are (S, x) alone plus, for each element below, its own chains
-    with (S, x) on top.  Each element is joined to the minimal elements
-    (the empty set, y) below it; two comparable elements share one, so
-    the components are those of the 1-skeleton of the order complex."""
-    index = {e: i for i, e in enumerate(elements)}
-    parent = list(range(len(elements)))
+    with (S, x) on top.  An element's chain counts are packed into one
+    integer, the count of chains of m + 1 elements in the field of width
+    _chain_field_bits at bit m * width, so each element below adds its
+    chains in one integer addition and the shift by one field extends
+    them by (S, x).  Elements are keyed by x << shift | (the position of
+    S in masks), and the keys of the faces of (S, x) are those of the
+    faces of (S, 0) or'ed with x << shift.  Each element is joined to the
+    minimal elements (the empty set, y) below it; two comparable elements
+    share one, so the components are those of the 1-skeleton of the order
+    complex, and they are counted on the minimal elements."""
+    top = max((len(s) for s, _ in elements), default=0)
+    width = _chain_field_bits(len(elements), top)
+    shift = len(masks).bit_length()
+    ids = {s: (i, m) for i, (s, m) in enumerate(masks.items())}
+    offsets: dict[int, list[int]] = {}  # free mask: its submasks << shift
+    packed: dict[int, int] = {}
+    parent: dict[int, int] = {}  # the union-find on the minimal elements
 
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
+    def find(y: int) -> int:
+        while parent[y] != y:
+            parent[y] = parent[parent[y]]
+            y = parent[y]
+        return y
 
-    chains: list[list[int]] = []  # chains[i][m]: m + 1 elements, i on top
-    f: list[int] = []
-    for i, (s, x) in enumerate(elements):
-        c = [1] + [0] * len(s)
-        for r in range(len(s)):
-            for t in itertools.combinations(s, r):
-                free = masks[s] & ~masks[t]
-                b = free
-                while True:
-                    j = index[t, x | b]
-                    for m, n in enumerate(chains[j], 1):
-                        c[m] += n
-                    if not t:
-                        parent[find(j)] = find(i)
-                    if not b:
-                        break
-                    b = (b - 1) & free
-        chains.append(c)
-        f.extend([0] * (len(c) - len(f)))
-        for m, n in enumerate(c):
-            f[m] += n
-    return f, sum(1 for i in range(len(parent)) if find(i) == i)
+    total = 0
+    last = None
+    get = packed.__getitem__
+    for s, x in elements:
+        if s != last:  # elements come grouped by S: list its faces once
+            last, faces, ms = s, [], masks[s]
+            for r in range(len(s)):
+                for t in itertools.combinations(s, r):
+                    i, m = ids[t]
+                    free = ms & ~m
+                    offs = offsets.get(free)
+                    if offs is None:
+                        offs = offsets[free] = [b << shift
+                                                for b in _submasks(free)]
+                    faces += map(i.__or__, offs)
+                if not r:
+                    minimal = faces[:]
+            me = ids[s][0]
+        key = x << shift
+        c = 1 + (sum(map(get, map(key.__or__, faces))) << width)
+        packed[key | me] = c
+        total += c
+        if s:
+            root = find(key | minimal[0])
+            for y in map(key.__or__, minimal):
+                if parent[y] != root:
+                    parent[find(y)] = root
+        else:
+            parent[key | me] = key | me
+    field = (1 << width) - 1
+    f = [total >> m * width & field for m in range(top + 1)] \
+        if elements else []
+    return f, sum(1 for y in parent if find(y) == y)
 
 
 def davis_quotient(gp: GraphProduct,

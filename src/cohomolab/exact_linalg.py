@@ -781,12 +781,14 @@ def _eliminate_unit_pairs(boundary: list[Optional[dict[int, int]]]) -> None:
     LIFO buckets thrash).  An entry is queued as the int b << shift | a
     when its cost may have dropped -- the entries of the changed columns
     and of the cofaces of b -- and checked against its current value and
-    cost when popped.
+    cost when popped.  Each cell's cofaces are the keys of an
+    insertion-ordered dict, so a removal is O(1) and they are visited in
+    the order they were added.
     """
-    cob: list = [[] for _ in boundary]
+    cob: list = [{} for _ in boundary]
     for c, col in enumerate(boundary):
         for a in col:
-            cob[a].append(c)
+            cob[a][c] = None
     shift = len(boundary).bit_length()
     mask = (1 << shift) - 1
     buckets: list[deque] = []
@@ -837,21 +839,21 @@ def _eliminate_unit_pairs(boundary: list[Optional[dict[int, int]]]) -> None:
                 x = other.get(f, 0) - q * v
                 if x:
                     if f not in other:
-                        cob[f].append(c)
+                        cob[f][c] = None
                     other[f] = x
                 else:
                     del other[f]
-                    cob[f].remove(c)
+                    del cob[f][c]
             push(c, other, other if len(other) < size else col)
         for f in col:
             if f != a:
-                cob[f].remove(b)
+                del cob[f][b]
         for e in cob[b]:
             top = boundary[e]
             del top[b]
             push(e, top, top)
         for f in boundary[a]:
-            cob[f].remove(a)
+            del cob[f][a]
         boundary[a] = boundary[b] = cob[a] = cob[b] = None
 
 

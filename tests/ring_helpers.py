@@ -7,6 +7,10 @@ straightening thresholds and the sign of alpha^(p-1) beta^(p-1) in
 chi_(p-1)^2 can be moved to make mutants of the rules, and
 unsigned_ring_mul drops the sign of moving a mu past a nu.
 
+RingModel.relation_checks as it was first written, each power of an
+image rebuilt by RingModel.power wherever a check names it: the oracle
+of the checks that build each power once.
+
 Random basis monomials, for tests that sample elements of a RingModel.
 
 The averaging idempotent of a MatrixAction, whose rank is the fixed
@@ -105,6 +109,58 @@ def unsigned_ring_mul(model, u, v):
             model._reduce_into(out, z1 + z2, a1 + a2, b1 + b2, m1 + m2,
                                n1 + n2, chis, x1 * x2)
     return out
+
+
+def relation_checks_oracle(model, images=None, target=None):
+    """[(name, holds)] of every check of model.relation_checks, in its
+    order, with alpha^p, beta^p, alpha^(p-1) and beta^(p-1) rebuilt by
+    T.power in each check that uses them."""
+    T = model if target is None else target
+    names = model.generator_names()
+    g = images or {name: model.gen(name) for name in names}
+    p, mul, sc, pw = model.p, T.mul, T.scale, T.power
+    top = f"chi_{p - 1}"
+    checks = [
+        ("alpha*mu = beta*nu",
+         mul(g["alpha"], g["mu"]) == mul(g["beta"], g["nu"])),
+        ("alpha^p*beta = beta^p*alpha",
+         mul(pw(g["alpha"], p), g["beta"])
+         == mul(pw(g["beta"], p), g["alpha"])),
+        ("alpha^p*mu = beta^p*nu",
+         mul(pw(g["alpha"], p), g["mu"])
+         == mul(pw(g["beta"], p), g["nu"])),
+        ("mu^2 = 0", mul(g["mu"], g["mu"]) == {}),
+        ("nu^2 = 0", mul(g["nu"], g["nu"]) == {}),
+    ]
+    for x in ("alpha", "beta", "mu", "nu"):
+        checks += [(f"{x}*chi_{i} = 0", mul(g[x], g[f"chi_{i}"]) == {})
+                   for i in range(2, p - 1)]
+    for x in ("alpha", "beta"):
+        checks.append((f"{x}*{top} = -{x}^p",
+                       mul(g[x], g[top]) == sc(pw(g[x], p), -1)))
+    for x, other in (("mu", "beta"), ("nu", "alpha")):
+        checks.append(
+            (f"{x}*{top} = -{other}^(p-1)*{x}", mul(g[x], g[top])
+             == sc(mul(pw(g[other], p - 1), g[x]), -1)))
+    checks += [(f"chi_{i}*chi_{j} = 0",
+                mul(g[f"chi_{i}"], g[f"chi_{j}"]) == {})
+               for i in range(2, p - 1) for j in range(i, p)]
+    a, b = pw(g["alpha"], p - 1), pw(g["beta"], p - 1)
+    checks.append(("chi_(p-1)^2 relation", mul(g[top], g[top]) == T.add(
+        T.add(mul(a, a), mul(b, b)), sc(mul(a, b), -1))))
+    mn = mul(g["mu"], g["nu"])
+    if p == 3:
+        checks.append(("mu*nu = 0 (p=3)", mn == {}))
+    else:
+        checks.append(("mu*nu = lam*chi_3",
+                       mn == sc(g["chi_3"], model.lam)))
+    for i, x in enumerate(names):
+        for y in names[i + 1:]:
+            odd = {x, y} == {"mu", "nu"}  # the one pair of odd degrees
+            checks.append((f"{x}*{y} = {'-' * odd}{y}*{x}",
+                           mul(g[x], g[y])
+                           == sc(mul(g[y], g[x]), -1 if odd else 1)))
+    return checks
 
 
 def random_monomial(model, rng, max_degree):

@@ -223,7 +223,10 @@ def _tamper_poset(monkeypatch, name, tamper):
     ("_coset_elements", lambda elements: elements + elements[-1:],
      "vertex count law"),
     ("_chain_counts", lambda counted: (counted[0], 2), "not connected"),
-], ids=["duplicated-element", "split-poset"])
+    ("_chain_counts", lambda counted: ([counted[0][0] + 1, *counted[0][1:]],
+                                       counted[1]),
+     "Euler cross-check fails"),
+], ids=["duplicated-element", "split-poset", "shifted-f-vector"])
 def test_tampered_poset_exits_1(capsys, monkeypatch, tmp_path, name, tamper,
                                 message):
     _tamper_poset(monkeypatch, name, tamper)

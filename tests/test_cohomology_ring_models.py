@@ -24,7 +24,8 @@ from cohomolab.groups import build_P
 from cohomolab.invariant_rings import (GradedAlgebra, fixed_dims,
                                        fixed_subspaces)
 from ring_helpers import (random_monomial, reference_ring_mul,
-                          reference_rules, unsigned_ring_mul)
+                          reference_rules, relation_checks_oracle,
+                          unsigned_ring_mul)
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +61,33 @@ def test_relation_checks_exhaustive():
     for p in (3, 5, 7):
         m = build_model(p)
         assert all(ok for _, ok in m.relation_checks())
+
+
+ACTIONS = {3: ["C3-shear-3.4", "D8-5.10"], 5: ["C3-shear-3.4", "C4A4-5.8"],
+           7: ["C3-shear-3.4", "S3xC3-5.12"]}
+RESTRICTIONS = {3: ["H-5.10"], 5: [], 7: ["K-5.13"]}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_relation_checks_match_the_oracle(p):
+    """The checks that build each power of an image once give the names,
+    order and outcomes of the oracle that rebuilds them in every check:
+    on the model, every named action and restriction at p, and a map that
+    fails checks (chi_(p-1) sent to 0)."""
+    m = build_model(p)
+    cases = [(None, None)]
+    cases += [(phi.images, m) for name in ACTIONS[p]
+              for phi in named_action(m, name)]
+    for name in RESTRICTIONS[p]:
+        r = named_restriction(m, name)
+        cases.append((r.images, r.target))
+    broken = {name: m.gen(name) for name in m.generator_names()}
+    broken[f"chi_{p - 1}"] = {}
+    cases.append((broken, m))
+    for images, target in cases:
+        assert m.relation_checks(images, target) == \
+            relation_checks_oracle(m, images, target)
+    assert not all(ok for _, ok in m.relation_checks(broken, m))
 
 
 def test_straightening_rule():

@@ -26,11 +26,16 @@ from cohomolab.davis import (
     torsion_free_coloring,
     universal_coefficients,
 )
-from cohomolab.davis import _chain_complex, _chain_counts
-from cohomolab.exact_linalg import SparseMatrix, smith_normal_form
-from complex_helpers import (complex_to_dict, euler_characteristic,
-                             full_simplex, is_finite, simplex_boundary,
-                             vertex_labels)
+from cohomolab.davis import (MAX_FACET_SIZE, MAX_QUOTIENT_PAIRS,
+                             _chain_complex, _chain_counts,
+                             _chain_field_bits, _cube_chains)
+from cohomolab.exact_linalg import (SparseMatrix, _eliminate_unit_pairs,
+                                    smith_normal_form)
+from complex_helpers import (chain_counts_oracle, complex_to_dict,
+                             eliminate_unit_pairs_oracle,
+                             euler_characteristic, full_simplex, is_finite,
+                             orbifold_chi_oracle, quotient_poset,
+                             simplex_boundary, vertex_labels)
 
 Z = HomologyGroup(1, ())
 ZERO = HomologyGroup(0, ())
@@ -563,6 +568,74 @@ def test_poset_chain_counts_by_hand():
     assert _chain_counts(point, {(): 0, (0,): 1}) == ([3, 2], 1)
     # without (v, 0) the two cosets of the trivial subgroup are apart
     assert _chain_counts(point[:2], {(): 0}) == ([2], 2)
+
+
+def test_union_find_joins_roots():
+    # the path 3 - 1 - 0 - 2 of minimal elements (the empty set, y): the
+    # edge (0,) joins 0 and 1, the edges (1,) join 0, 2 and 1, 3.  The
+    # second edge meets 0 below the root 1, and only linking 0's root
+    # keeps 1 in the component
+    path = [((), 0), ((), 1), ((), 2), ((), 3),
+            ((0,), 0), ((1,), 0), ((1,), 1)]
+    masks = {(): 0, (0,): 1, (1,): 2}
+    assert _chain_counts(path, masks) == chain_counts_oracle(path, masks) \
+        == ([7, 6], 1)
+
+
+@pytest.mark.parametrize("K", [
+    *(barycentric_subdivision(moore_complex(n)) for n in (2, 3, 4)),
+    *(full_simplex(d) for d in range(7)),
+    SimplicialComplex(0, []),
+], ids=["bestvina-2", "bestvina-3", "bestvina-4",
+        *(f"simplex-{d}" for d in range(7)), "empty"])
+def test_chain_counts_and_chi_match_the_oracles(K):
+    """The packed chain counts and the integer orbifold sum against the
+    list program and the per-simplex Fraction sum.  A full simplex is one
+    cube, whose top element carries the most chains: its fields are the
+    fullest."""
+    _assert_oracles_agree(K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flag_complexes(7))
+def test_chain_counts_and_chi_match_the_oracles_on_flag_complexes(K):
+    _assert_oracles_agree(K)
+
+
+def _assert_oracles_agree(K):
+    elements, masks = quotient_poset(K)
+    assert _chain_counts(elements, masks) == \
+        chain_counts_oracle(elements, masks)
+    assert orbifold_chi(K) == orbifold_chi_oracle(K)
+
+
+def test_packed_field_width_at_the_limits():
+    # the quotient of the full simplex on d vertices is one d-cube, whose
+    # C(d, j) 2^(d-j) faces of dimension j top _cube_chains(j) chains
+    # each: 2 _cube_chains(d) - 1 chains in all
+    for d in range(6):
+        f, _ = chain_counts_oracle(*quotient_poset(full_simplex(d)))
+        assert sum(f) == 2 * _cube_chains(d) - 1
+    assert _cube_chains(MAX_FACET_SIZE) == 492664975795819140737
+    assert _chain_field_bits(MAX_QUOTIENT_PAIRS, MAX_FACET_SIZE) == 88
+
+
+@pytest.mark.parametrize("n,cap", [(n, 255) for n in range(2, 17)]
+                         + [(2, 0), (2, 1), (2, 3)])
+def test_unit_pair_remainder_matches_the_oracle(monkeypatch, n, cap):
+    """The dict cofaces eliminate the same pairs in the same order as the
+    list cofaces: the same cells remain, with the same columns in the
+    same order."""
+    from cohomolab import exact_linalg
+    monkeypatch.setattr(exact_linalg, "_MAX_COST", cap)
+    q = _quotient(barycentric_subdivision(moore_complex(n)))
+    _, boundary = _cube_boundaries(monkeypatch, q)
+    oracle = [dict(col) for col in boundary]
+    _eliminate_unit_pairs(boundary)
+    eliminate_unit_pairs_oracle(oracle)
+    assert [col and list(col.items()) for col in boundary] == \
+        [col and list(col.items()) for col in oracle]
+    assert sum(col is not None for col in boundary) < len(boundary)
 
 
 def test_empty_complex_is_the_trivial_group():

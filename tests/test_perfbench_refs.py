@@ -20,7 +20,9 @@ from pathlib import Path
 
 import pytest
 
-from cohomolab import bar_cohomology, char_chern, cli, resolution
+from cohomolab import bar_cohomology, char_chern, cli, davis, resolution
+from complex_helpers import (chain_counts_oracle, orbifold_chi_oracle,
+                             quotient_poset)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -84,6 +86,22 @@ def test_catalogue_reports_match_references(workload, tmp_path):
     assert len(seen) > 10
     if cache_dir:
         assert any(cache_dir.iterdir())
+
+
+DAVIS_COMPLEXES = {name: K for job in jobs.all_jobs("chern-davis")
+                   for name, K in job.files}
+
+
+@pytest.mark.parametrize("name", sorted(DAVIS_COMPLEXES))
+def test_davis_catalogue_matches_the_oracles(name):
+    """Every complex of the chern-davis catalogue: the packed chain counts
+    and the integer orbifold sum equal the list program and the
+    per-simplex Fraction sum (tests/complex_helpers.py)."""
+    K = davis.complex_from_dict(DAVIS_COMPLEXES[name])
+    assert davis.orbifold_chi(K) == orbifold_chi_oracle(K)
+    elements, masks = quotient_poset(K)
+    assert davis._chain_counts(elements, masks) == \
+        chain_counts_oracle(elements, masks)
 
 
 def test_span_targets_are_where_the_tracer_wraps_them():
