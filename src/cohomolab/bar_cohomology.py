@@ -85,7 +85,7 @@ class Cochain:
     # -- algebra --------------------------------------------------------------
 
     def _compat(self, other: "Cochain") -> None:
-        if self.group is not other.group and self.group.digest() != other.group.digest():
+        if self.group is not other.group and self.group.mul != other.group.mul:
             raise ValueError("cochains live on different groups")
         if self.p != other.p:
             raise ValueError("coefficient mismatch")
@@ -590,7 +590,7 @@ def transfer(c: Cochain, H: Subgroup) -> Cochain:
     the index in H of the cell it spells plus the j it ends at, or -1."""
     G = H.parent
     Hg = H.as_group()
-    if c.group.digest() != Hg.digest():
+    if c.group.mul != Hg.mul:
         raise ValueError("cochain does not live on the given subgroup")
     mul, inv = G.mul, G.inv
     trans, idx = H.transversal, H.index_of

@@ -28,6 +28,7 @@ import hashlib
 import itertools
 import math
 import operator
+import struct
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact_linalg import (_mat_mul, _mat_pow, _prime_factors, is_prime,
@@ -95,7 +96,7 @@ class FiniteGroup:
                 if list(times_s(row_x)) != mul[row_x[s]]:
                     raise ValueError("multiplication table is not associative")
         # the factors of a direct product (build_product), else none: the
-        # table alone decides the digest
+        # table and generators alone decide the digest
         self.factors: tuple[FiniteGroup, ...] = ()
         self._digest = None
         self._classes = None
@@ -156,14 +157,20 @@ class FiniteGroup:
         return out
 
     def digest(self) -> str:
-        """Stable hash of the multiplication table, for cache keys: the
-        SHA-256 of str(order) followed by each row's entries joined by
-        commas, the rows with nothing between them."""
+        """Stable key of the group, for cache files and memos: the first
+        16 hex digits of the SHA-256 of |G| as 2 little-endian bytes, then
+        each generator's column x -> x*s, one byte per entry when
+        |G| <= 256 and 2 little-endian bytes above that.  The columns
+        determine the table, as every y is a word s_1...s_k in the
+        generators and x*y = (...(x*s_1)...)*s_k, and they are those of a
+        group certified by __init__."""
         if self._digest is None:
-            name = list(map(str, range(self.order))).__getitem__
-            h = hashlib.sha256(str(self.order).encode())
-            for row in self.mul:
-                h.update(",".join(map(name, row)).encode())
+            order = self.order
+            h = hashlib.sha256(order.to_bytes(2, "little"))
+            for s in self.generators:
+                col = list(map(operator.itemgetter(s), self.mul))
+                h.update(bytes(col) if order <= 256
+                         else struct.pack(f"<{order}H", *col))
             self._digest = h.hexdigest()[:16]
         return self._digest
 

@@ -86,9 +86,11 @@ from .exact_linalg import (Echelon, SparseMatrix, _solve_augmented,
                            rank_mod_p, smith_normal_form)
 from .groups import FiniteGroup, build_product, closure_members
 
-# Version of the cache file layout, part of every file name.  Version 2
-# holds the generator columns of d_n only; version 1 held every column.
-CACHE_FORMAT = 2
+# Version of the cache file layout, part of every file name.  Version 3
+# names files by the key of the group's generator columns
+# (FiniteGroup.digest), version 2 by a hash of its whole table; both hold
+# the generator columns of d_n only, version 1 held every column.
+CACHE_FORMAT = 3
 
 
 class FreeResolution:

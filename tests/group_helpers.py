@@ -1,8 +1,8 @@
 """Group-theoretic oracles that only the tests use: commutators, the
 center and derived subgroup, conjugacy classes by brute force, class
 functions stored per element, the table digest and Light's test as first
-written, and the character search's brute-force linear characters and
-all-pairs induction sources."""
+written, the cache key from its definition, and the character search's
+brute-force linear characters and all-pairs induction sources."""
 
 import hashlib
 import itertools
@@ -97,6 +97,20 @@ def digest_oracle(mul: list[list[int]]) -> str:
     for row in mul:
         h.update(",".join(map(str, row)).encode())
     return h.hexdigest()[:16]
+
+
+def key_oracle(mul: list[list[int]], generators, width=None) -> str:
+    """FiniteGroup.digest from its definition: |G| as 2 little-endian
+    bytes, then each generator's column x -> x*s entry by entry, each in
+    `width` little-endian bytes (1 when |G| <= 256, else 2)."""
+    order = len(mul)
+    if width is None:
+        width = 1 if order <= 256 else 2
+    data = bytearray(order.to_bytes(2, "little"))
+    for s in generators:
+        for row in mul:
+            data += row[s].to_bytes(width, "little")
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def light_oracle(mul: list[list[int]], generators) -> bool:

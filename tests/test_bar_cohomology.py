@@ -5,6 +5,7 @@ import pytest
 
 from cohomolab import bar_cohomology as bc
 from cohomolab.groups import (
+    FiniteGroup,
     build_P,
     build_cyclic,
     build_product,
@@ -457,6 +458,31 @@ def test_transfer_rejects_foreign_cochain():
     H = subgroup_closure(V, [3])
     with pytest.raises(ValueError):
         bc.transfer(bc.random_cochain(S3, 1, 3, RNG), H)
+
+
+def test_cochains_on_one_table_combine_whatever_the_generators():
+    # C9 generated by 2 has the table of C9 but another key: cochains on
+    # the two combine, as they did when the table's hash was compared;
+    # (C3)^2 has the same order and another table
+    G = build_cyclic(9)
+    H = FiniteGroup(G.mul, [2], "C9 by 2")
+    assert G.digest() != H.digest()
+    a, b = bc.random_cochain(G, 1, 3, RNG), bc.random_cochain(H, 1, 3, RNG)
+    assert (a + b) - b == a
+    assert bc.cup(a, b) == bc.cup(a, bc.Cochain._trusted(G, 1, b.cells, 3))
+    with pytest.raises(ValueError, match="different groups"):
+        a + bc.random_cochain(build_product([C3, C3]), 1, 3, RNG)
+
+
+def test_transfer_takes_a_cochain_on_the_subgroup_table():
+    V = build_product([build_cyclic(3), build_cyclic(3)])
+    H = subgroup_closure(V, [3])
+    Hg = H.as_group()
+    other = FiniteGroup(Hg.mul, [2], "H by its other generator")
+    c = bc.random_cochain(Hg, 2, 3, RNG)
+    moved = bc.Cochain._trusted(other, 2, dict(c.cells), 3)
+    assert Hg.digest() != other.digest()
+    assert bc.transfer(moved, H) == bc.transfer(c, H)
 
 
 # ---------------------------------------------------------------------------

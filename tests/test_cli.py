@@ -38,6 +38,7 @@ from cohomolab.cli import (
 )
 from cohomolab.davis import barycentric_subdivision, moore_complex
 from cohomolab.groups import build_cyclic
+from cohomolab.resolution import CACHE_FORMAT
 from complex_helpers import complex_to_dict, simplex_boundary
 
 C3 = '{"family": "cyclic", "n": 3}'
@@ -1068,7 +1069,7 @@ def _cache_inexact_d1(capsys, tmp_path):
     dims = DIMS_C3[:-1]
     assert main(cache + dims + ["0"]) == EXIT_PASS  # caches d_1 only
     capsys.readouterr()
-    (path,) = tmp_path.glob("res_v2_*_d1_F3.txt")
+    (path,) = tmp_path.glob(f"res_v{CACHE_FORMAT}_*_d1_F3.txt")
     d1 = SparseMatrix.load(path.read_text())
     assert (d1.n_rows, d1.n_cols) == (3, 1)  # one generator column, g - e
     # (g - e)^2 = 1 + g + g^2 over F_3: its image is J^2, of dimension 1
@@ -1134,7 +1135,7 @@ def test_cached_differential_not_minimal_exits_1(capsys, monkeypatch,
     argv = ["--cache-dir", str(tmp_path)] + DIMS_C3
     assert main(argv) == EXIT_PASS
     capsys.readouterr()
-    (path,) = tmp_path.glob("res_v2_*_d2_F3.txt")
+    (path,) = tmp_path.glob(f"res_v{CACHE_FORMAT}_*_d2_F3.txt")
     path.write_text("3 1 1 F3\n0 0 1\n")
     monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
     _exits_1_without_traceback(capsys, argv,
@@ -1539,6 +1540,17 @@ def test_lift_short_of_the_top_digit_exits_1(capsys, monkeypatch):
                                "do not compose to zero")
 
 
+def test_lift_with_no_digit_solution_exits_1(capsys, monkeypatch):
+    # a d_(n-1) whose echelon solves nothing: d_1's digits come from the
+    # augmentation, so d_2 is the first whose lift meets it
+    resolution = _fresh_resolutions(monkeypatch)
+    monkeypatch.setattr(resolution, "_solve_augmented",
+                        lambda ech, n_rows, b: None)
+    _exits_1_without_traceback(
+        capsys, INTEGRAL_G21[:-1] + ["2"],
+        "d_2 does not lift to Z/243: a digit has no solution")
+
+
 def test_integral_g21_to_degree_6_within_3_s(capsys, monkeypatch):
     # the lift answers past the ZG route's reach: --max-cells lifts
     # _check_limits' degree-3 cap for order 81
@@ -1601,7 +1613,7 @@ def test_scenario_caches_in_the_directory_of_the_variable(
     path.write_text(json.dumps({"steps": [{"argv": DIMS_C3}]}))
     code, rep = run_json(capsys, ["scenario", "run", str(path)])
     assert code == EXIT_PASS and rep["passed"]
-    assert len(list(cache.glob("res_v2_*_F3.txt"))) == 3
+    assert len(list(cache.glob(f"res_v{CACHE_FORMAT}_*_F3.txt"))) == 3
     assert [key[2] for key in resolution._RESOLUTIONS] == [str(cache)]
 
 

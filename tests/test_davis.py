@@ -206,19 +206,33 @@ def _sd_quotient(K):
                           torsion_free_coloring(K)).complex
 
 
-@pytest.mark.parametrize("K", [
-    *(moore_complex(n) for n in range(2, 7)),
-    *(simplex_boundary(l) for l in range(2, 7)),
-    barycentric_subdivision(simplex_boundary(4)),
-    barycentric_subdivision(simplex_boundary(5)),
-    barycentric_subdivision(moore_complex(3)),
-    _disjoint(moore_complex(2), simplex_boundary(4)),
-    SimplicialComplex(1, [[0]]),
-    SimplicialComplex(0, []),
-    _sd_quotient(simplex_boundary(4)),
-    _sd_quotient(SimplicialComplex(5, [[i, (i + 1) % 5] for i in range(5)])),
-], ids=lambda K: str(K.f_vector()))
-def test_homology_matches_snf(K):
+# Each complex is built inside the test, not at collection, so a defect
+# in a builder fails its tests instead of the module's collection; the id
+# is the complex's f-vector, which the test checks.
+SNF_CASES = [
+    *((lambda n=n: moore_complex(n), f) for n, f in zip(range(2, 7), [
+        [10, 27, 18], [13, 39, 27], [16, 51, 36], [19, 63, 45],
+        [22, 75, 54]])),
+    *((lambda l=l: simplex_boundary(l), f) for l, f in zip(range(2, 7), [
+        [2], [3, 3], [4, 6, 4], [5, 10, 10, 5], [6, 15, 20, 15, 6]])),
+    (lambda: barycentric_subdivision(simplex_boundary(4)), [14, 36, 24]),
+    (lambda: barycentric_subdivision(simplex_boundary(5)),
+     [30, 150, 240, 120]),
+    (lambda: barycentric_subdivision(moore_complex(3)), [79, 240, 162]),
+    (lambda: _disjoint(moore_complex(2), simplex_boundary(4)), [14, 33, 22]),
+    (lambda: SimplicialComplex(1, [[0]]), [1]),
+    (lambda: SimplicialComplex(0, []), []),
+    (lambda: _sd_quotient(simplex_boundary(4)), [160, 1312, 2304, 1152]),
+    (lambda: _sd_quotient(SimplicialComplex(
+        5, [[i, (i + 1) % 5] for i in range(5)])), [34, 120, 80]),
+]
+
+
+@pytest.mark.parametrize("build,f", SNF_CASES,
+                         ids=[str(f) for _, f in SNF_CASES])
+def test_homology_matches_snf(build, f):
+    K = build()
+    assert K.f_vector() == f
     assert homology(K) == snf_homology(K)
 
 
@@ -423,17 +437,18 @@ def _quotient(K):
     return davis_quotient(racg_from_complex(K), torsion_free_coloring(K))
 
 
-@pytest.mark.parametrize("K", [
-    *(barycentric_subdivision(moore_complex(n)) for n in (2, 3, 4)),
-    barycentric_subdivision(simplex_boundary(4)),
-    SimplicialComplex(1, [[0]]),
-    full_simplex(2),
-    two_points(),
-    SimplicialComplex(5, [[i, (i + 1) % 5] for i in range(5)]),
+@pytest.mark.parametrize("build", [
+    *(lambda n=n: barycentric_subdivision(moore_complex(n))
+      for n in (2, 3, 4)),
+    lambda: barycentric_subdivision(simplex_boundary(4)),
+    lambda: SimplicialComplex(1, [[0]]),
+    lambda: full_simplex(2),
+    two_points,
+    lambda: SimplicialComplex(5, [[i, (i + 1) % 5] for i in range(5)]),
 ], ids=["sd-moore-2", "sd-moore-3", "sd-moore-4", "sd-boundary-4", "point",
         "edge", "two-points", "cycle-5"])
-def test_quotient_homology_matches_simplicial(K):
-    q = _quotient(K)
+def test_quotient_homology_matches_simplicial(build):
+    q = _quotient(build())
     assert quotient_homology(q) == homology(q.complex)
 
 
@@ -543,17 +558,18 @@ def _assert_poset_is_q(q):
     assert set(q.elements) == set(vertex_labels(q))
 
 
-@pytest.mark.parametrize("K", [
-    *(barycentric_subdivision(moore_complex(n)) for n in (2, 3, 4)),
-    barycentric_subdivision(simplex_boundary(4)),
-    SimplicialComplex(1, [[0]]),
-    full_simplex(2),
-    two_points(),
-    SimplicialComplex(0, []),
+@pytest.mark.parametrize("build", [
+    *(lambda n=n: barycentric_subdivision(moore_complex(n))
+      for n in (2, 3, 4)),
+    lambda: barycentric_subdivision(simplex_boundary(4)),
+    lambda: SimplicialComplex(1, [[0]]),
+    lambda: full_simplex(2),
+    two_points,
+    lambda: SimplicialComplex(0, []),
 ], ids=["bestvina-2", "bestvina-3", "bestvina-4", "sd-boundary-4", "point",
         "edge", "two-points", "empty"])
-def test_poset_counts_match_the_order_complex(K):
-    _assert_poset_is_q(_quotient(K))
+def test_poset_counts_match_the_order_complex(build):
+    _assert_poset_is_q(_quotient(build()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -582,18 +598,19 @@ def test_union_find_joins_roots():
         == ([7, 6], 1)
 
 
-@pytest.mark.parametrize("K", [
-    *(barycentric_subdivision(moore_complex(n)) for n in (2, 3, 4)),
-    *(full_simplex(d) for d in range(7)),
-    SimplicialComplex(0, []),
+@pytest.mark.parametrize("build", [
+    *(lambda n=n: barycentric_subdivision(moore_complex(n))
+      for n in (2, 3, 4)),
+    *(lambda d=d: full_simplex(d) for d in range(7)),
+    lambda: SimplicialComplex(0, []),
 ], ids=["bestvina-2", "bestvina-3", "bestvina-4",
         *(f"simplex-{d}" for d in range(7)), "empty"])
-def test_chain_counts_and_chi_match_the_oracles(K):
+def test_chain_counts_and_chi_match_the_oracles(build):
     """The packed chain counts and the integer orbifold sum against the
     list program and the per-simplex Fraction sum.  A full simplex is one
     cube, whose top element carries the most chains: its fields are the
     fullest."""
-    _assert_oracles_agree(K)
+    _assert_oracles_agree(build())
 
 
 @settings(max_examples=60, deadline=None)

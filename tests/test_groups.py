@@ -30,7 +30,8 @@ from cohomolab.groups import (
     symmetric_3,
 )
 from group_helpers import (brute_classes, center_and_derived, digest_oracle,
-                           is_abelian, light_oracle, orbit_subgroup_classes)
+                           is_abelian, key_oracle, light_oracle,
+                           orbit_subgroup_classes)
 from test_cli import _catalogue_argvs
 
 
@@ -150,17 +151,21 @@ def test_semidirect_closure_stops_at_the_order_bound(monkeypatch):
     assert len(scalars) == 12 ** 3
 
 
-@pytest.mark.parametrize("build,digest", [
-    (lambda: singer_group(3, 2), "54b2e7f268a9c0f3"),
-    (symmetric_3, "3d361cd7efb36228"),
+@pytest.mark.parametrize("build,digest,key", [
+    (lambda: singer_group(3, 2), "54b2e7f268a9c0f3", "e86e277a86b232a8"),
+    (symmetric_3, "3d361cd7efb36228", "961f76925b14d02b"),
     # two generators: the depth-first order of the closure shows here
     (lambda: build_semidirect(3, 2, [((1, 1), (0, 1)), ((0, 1), (-1, 0))]),
-     "0d8144d8fb3aa2c6"),
+     "0d8144d8fb3aa2c6", "6956021ab98ddfae"),
 ], ids=["Singer(3,2)", "S3", "3^2:SL2(3)"])
-def test_semidirect_numbering_is_pinned(build, digest):
-    """Cache files are named by the digest of the multiplication table, so
-    the numbering of a semidirect product's elements must not move."""
-    assert build().digest() == digest
+def test_semidirect_numbering_is_pinned(build, digest, key):
+    """Cache files are named by the key of the generator columns, so the
+    numbering of a semidirect product's elements must not move: the hash
+    of the whole table, as first computed, pins the table, and the key
+    pins the generators too."""
+    G = build()
+    assert digest_oracle(G.mul) == digest
+    assert G.digest() == key
 
 
 # ---------------------------------------------------------------------------
@@ -291,22 +296,28 @@ def test_tabulate_rejects_what_is_not_a_group():
         FiniteGroup(mul, gens, "bad")
 
 
-@pytest.mark.parametrize("spec,digest", [
-    ({"family": "cyclic", "n": 3}, "27e7310338b99c8c"),
-    ({"family": "P", "n": 3, "p": 3}, "c382f6223459361a"),
-    ({"family": "G_a1", "a": 2, "p": 3}, "3215adae9ff7f293"),
+@pytest.mark.parametrize("spec,digest,key", [
+    ({"family": "cyclic", "n": 3}, "27e7310338b99c8c", "dd8c291695574a1f"),
+    ({"family": "P", "n": 3, "p": 3}, "c382f6223459361a", "6dbe1edb697a1af4"),
+    ({"family": "G_a1", "a": 2, "p": 3}, "3215adae9ff7f293",
+     "084940c8c729d08a"),
     ({"family": "product", "factors": [{"family": "cyclic", "n": 3}] * 4},
-     "4959b3cfc2d694ed"),
+     "4959b3cfc2d694ed", "3a7023ba8a8e307b"),
 ], ids=["C3", "P(3,3)", "G(2,1)", "C3^4"])
-def test_digests_are_pinned(spec, digest):
-    """The digest names the on-disk cache files, so a changed digest would
-    silently orphan every cached resolution.  Singer(3,2) and the other
-    semidirect products are pinned by test_semidirect_numbering_is_pinned."""
-    assert build_group(spec).digest() == digest
+def test_digests_are_pinned(spec, digest, key):
+    """The key names the on-disk cache files, so a changed key would
+    silently orphan every cached resolution; the hash of the whole table,
+    as first computed, pins the table numbering.  Singer(3,2) and the
+    other semidirect products are pinned by
+    test_semidirect_numbering_is_pinned."""
+    G = build_group(spec)
+    assert digest_oracle(G.mul) == digest
+    assert G.digest() == key
 
 
-# The digest of every group the benchmark builds, as the first digest
-# computed it: these name the catalogue's res_v2_* cache files.
+# The hash of the table of every group the benchmark builds, as the first
+# digest computed it: these named the catalogue's res_v2_* cache files,
+# and pin the table numbering.
 CATALOGUE_DIGESTS = {
     "C2 x C3 x C3": "4158830f8c721821",
     "C3": "27e7310338b99c8c",
@@ -326,6 +337,29 @@ CATALOGUE_DIGESTS = {
     "M(4,p=3)": "708f862f7c2faa8d",
     "P(3,p=3)": "c382f6223459361a",
     "(C3)^2 : C8": "54b2e7f268a9c0f3",
+}
+
+# The key of every group the benchmark builds: these name the catalogue's
+# res_v3_* cache files.
+CATALOGUE_KEYS = {
+    "C2 x C3 x C3": "471fab63a6239216",
+    "C3": "dd8c291695574a1f",
+    "C3 x C3": "8f64cf7ff7eb6458",
+    "C3 x C3 x C3": "896298608072d629",
+    "C3 x C3 x C3 x C3": "3a7023ba8a8e307b",
+    "C3 x C9": "c7b6b7e00c9e9860",
+    "C5": "ccd93dcd83891b93",
+    "C7": "f11035dccc18fe31",
+    "C9": "75f503aa8e997c31",
+    "C9 x C3": "5e675318b42e6e7d",
+    "C11": "7256d6c04ce18682",
+    "C27 x C3": "e08c68fdfee34188",
+    "G(1,1,p=3)": "6dbe1edb697a1af4",
+    "G(2,1,p=3)": "084940c8c729d08a",
+    "M(3,p=3)": "f43dc0b1d4c308da",
+    "M(4,p=3)": "39bfe9e02771b1f6",
+    "P(3,p=3)": "6dbe1edb697a1af4",
+    "(C3)^2 : C8": "e86e277a86b232a8",
 }
 
 
@@ -360,7 +394,8 @@ BEYOND_CATALOGUE = {
 def test_catalogue_specs_are_pinned():
     specs = _catalogue_specs()
     assert len(specs) == 22
-    assert {build_group(spec).name for spec in specs} == set(CATALOGUE_DIGESTS)
+    assert {build_group(spec).name for spec in specs} == \
+        set(CATALOGUE_DIGESTS) == set(CATALOGUE_KEYS)
 
 
 @pytest.mark.parametrize("build", [
@@ -369,12 +404,45 @@ def test_catalogue_specs_are_pinned():
     ids=[json.dumps(spec, sort_keys=True) for spec in _catalogue_specs()]
     + list(BEYOND_CATALOGUE))
 def test_digest_and_light_test_match_the_first_versions(build):
-    """The digest hashes the bytes the first digest hashed, and every table
-    that passes Light's test passes it as first written."""
+    """The table hashes as the first digest hashed it, the key is the hash
+    of the bytes its definition names, and every table that passes
+    Light's test passes it as first written."""
     G = build()
-    assert G.digest() == digest_oracle(G.mul)
-    assert G.digest() == CATALOGUE_DIGESTS.get(G.name, G.digest())
+    table = digest_oracle(G.mul)
+    assert table == CATALOGUE_DIGESTS.get(G.name, table)
+    assert G.digest() == key_oracle(G.mul, G.generators)
+    assert G.digest() == CATALOGUE_KEYS.get(G.name, G.digest())
     assert light_oracle(G.mul, G.generators)
+
+
+@pytest.mark.parametrize("order,width", [(256, 1), (257, 2)])
+def test_key_entry_width_follows_the_order(order, width):
+    """A column entry takes 1 byte up to order 256, whose largest index
+    255 still fits, and 2 bytes from order 257, whose index 256 does not."""
+    G = build_cyclic(order)
+    assert G.digest() == key_oracle(G.mul, G.generators, width)
+    if width == 1:
+        assert G.digest() != key_oracle(G.mul, G.generators, 2)
+
+
+def test_keys_tell_the_factor_order_apart():
+    """C3 x C9 and C9 x C3 are isomorphic but numbered differently, so
+    their tables, generator columns and keys differ."""
+    C3, C9 = build_cyclic(3), build_cyclic(9)
+    a, b = build_product([C3, C9]), build_product([C9, C3])
+    assert a.mul != b.mul
+    assert a.digest() != b.digest()
+    assert a.digest() == CATALOGUE_KEYS["C3 x C9"]
+    assert b.digest() == CATALOGUE_KEYS["C9 x C3"]
+
+
+def test_key_follows_the_generators():
+    """One table with two generating sets gets two keys: the key reads the
+    generator columns, which name the set."""
+    G = build_cyclic(9)
+    H = FiniteGroup(G.mul, [2], "C9 by 2")
+    assert G.mul == H.mul and G.digest() != H.digest()
+    assert H.digest() == key_oracle(G.mul, [2])
 
 
 @pytest.mark.parametrize("build", [
@@ -406,7 +474,7 @@ def test_order_one_and_two_tables():
     for mul, gens in (([[0]], []), ([[0]], [0]), ([[0, 1], [1, 0]], [1]),
                       ([[0, 1], [1, 0]], [0, 1])):
         G = FiniteGroup(mul, gens, "t")
-        assert G.digest() == digest_oracle(mul) and light_oracle(mul, gens)
+        assert G.digest() == key_oracle(mul, gens) and light_oracle(mul, gens)
     with pytest.raises(ValueError, match="inverse"):
         FiniteGroup([[0, 1], [1, 1]], [1], "bad")
 

@@ -7,7 +7,8 @@ from cohomolab.exact_linalg import Echelon, SparseMatrix
 from cohomolab.groups import (FiniteGroup, build_G_a1, build_M, build_P,
                               build_cyclic, build_product, build_semidirect,
                               closure_members, symmetric_3)
-from cohomolab.resolution import FreeResolution
+from cohomolab.resolution import CACHE_FORMAT, FreeResolution
+from group_helpers import digest_oracle
 from matrix_helpers import mul_vector
 from resolution_helpers import cover_table, zg_integral_cohomology
 
@@ -103,7 +104,8 @@ def test_cache_holds_generator_columns(tmp_path, p):
     res.extend_to(3)
     ring, domain = ("Z3^3", "Z/27") if p is None else (f"F{p}", f"F{p}")
     for n in (1, 2, 3):
-        path = tmp_path / f"res_v2_{G.digest()}_tensor_d{n}_{ring}.txt"
+        path = tmp_path / (f"res_v{CACHE_FORMAT}_{G.digest()}_tensor"
+                           f"_d{n}_{ring}.txt")
         text = path.read_text()
         M = SparseMatrix.load(text)
         A = res.diffs[n - 1]  # the generator matrix the resolution holds
@@ -150,21 +152,27 @@ def test_module_matrix_is_every_translate(G, degree, p):
 
 def test_version_1_cache_file_is_not_read(tmp_path):
     # the identity as a version-1 d_1 (every column stored) would make the
-    # dimensions [1, 0, 0] if it were read
-    old = tmp_path / f"res_{C3.digest()}_d1_F3.txt"
-    with old.open("w") as fh:
+    # dimensions [1, 0, 0] if it were read; the identity column as a
+    # version-2 d_1, under the hash of the table that named version-2
+    # files, does not vanish mod 3, and would fail the load if it were read
+    v1 = tmp_path / f"res_{C3.digest()}_d1_F3.txt"
+    with v1.open("w") as fh:
         SparseMatrix.identity(3, p=3).dump(fh)
-    text = old.read_text()
+    v2 = tmp_path / f"res_v2_{digest_oracle(C3.mul)}_d1_F3.txt"
+    with v2.open("w") as fh:
+        SparseMatrix(3, 1, [(0, 0, 1)], p=3).dump(fh)
+    texts = {old: old.read_text() for old in (v1, v2)}
     res = FreeResolution(C3, 3, str(tmp_path))
     assert res.homology_dims_mod_p(3, 2) == [1, 1, 1]
     assert sorted(os.listdir(tmp_path)) == sorted(
-        [old.name] + [f"res_v2_{C3.digest()}_d{n}_F3.txt" for n in (1, 2, 3)])
-    assert old.read_text() == text
+        [v1.name, v2.name] + [f"res_v{CACHE_FORMAT}_{C3.digest()}_d{n}_F3.txt"
+                              for n in (1, 2, 3)])
+    assert {old: old.read_text() for old in texts} == texts
 
 
 def test_cache_file_of_the_wrong_shape_is_rejected(tmp_path):
     # d_1 of C3 maps into F_0 = F_3 C3, so its generator columns have 3 rows
-    path = tmp_path / f"res_v2_{C3.digest()}_d1_F3.txt"
+    path = tmp_path / f"res_v{CACHE_FORMAT}_{C3.digest()}_d1_F3.txt"
     with path.open("w") as fh:
         SparseMatrix(4, 1, [(3, 0, 1)], p=3).dump(fh)
     with pytest.raises(ArithmeticError, match="cached d_1 does not fit F_0"):

@@ -13,7 +13,7 @@ from cohomolab.cli import EXIT_PASS, EXIT_RESOURCE, main
 from cohomolab.exact_linalg import SparseMatrix
 from cohomolab.groups import (build_G_a1, build_P, build_cyclic, build_group,
                               build_product)
-from cohomolab.resolution import FreeResolution
+from cohomolab.resolution import CACHE_FORMAT, FreeResolution
 from resolution_helpers import cover_table
 
 C2, C3, C9, C27 = (build_cyclic(n) for n in (2, 3, 9, 27))
@@ -119,7 +119,7 @@ def test_factors_read_and_write_no_cache(tmp_path):
     G = prod(C3, C9)
     FreeResolution(G, 3, str(tmp_path)).extend_to(3)
     names = sorted(os.listdir(tmp_path))
-    assert names == [f"res_v2_{G.digest()}_tensor_d{n}_F3.txt"
+    assert names == [f"res_v{CACHE_FORMAT}_{G.digest()}_tensor_d{n}_F3.txt"
                      for n in (1, 2, 3)]
 
 
@@ -133,7 +133,7 @@ def test_a_cover_cache_is_neither_read_nor_extended(tmp_path, monkeypatch):
     cover.extend_to(2)
     before = {name: (tmp_path / name).read_bytes()
               for name in os.listdir(tmp_path)}
-    assert sorted(before) == [f"res_v2_{G.digest()}_d{n}_F3.txt"
+    assert sorted(before) == [f"res_v{CACHE_FORMAT}_{G.digest()}_d{n}_F3.txt"
                               for n in (1, 2)]
     loads = []
     load = SparseMatrix.load.__func__
@@ -146,7 +146,8 @@ def test_a_cover_cache_is_neither_read_nor_extended(tmp_path, monkeypatch):
              for name in os.listdir(tmp_path)}
     assert {k: v for k, v in after.items() if k in before} == before
     assert sorted(set(after) - set(before)) == [
-        f"res_v2_{G.digest()}_tensor_d{n}_F3.txt" for n in (1, 2, 3, 4)]
+        f"res_v{CACHE_FORMAT}_{G.digest()}_tensor_d{n}_F3.txt"
+        for n in (1, 2, 3, 4)]
     # a second tensor resolution reads its own files back
     again = FreeResolution(G, 3, cache)
     assert again.homology_dims_mod_p(3, 3) == dims == \
