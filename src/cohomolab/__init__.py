@@ -5,6 +5,7 @@ and finite quotients of Davis complexes."""
 
 from .exact_linalg import (
     Echelon,
+    ResourceLimitError,
     SmithReport,
     SparseMatrix,
     kernel_mod_p,
@@ -33,7 +34,6 @@ from .bar_cohomology import (
     Cochain,
     CohomologyClass,
     MasseyResult,
-    ResourceLimitError,
     bockstein,
     class_basis,
     class_equal,

@@ -18,16 +18,11 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional, Sequence
 
-from .exact_linalg import (Echelon, SparseMatrix, _augmented_echelon,
-                           _kernel_from_augmented, _prime_factors,
-                           _solve_augmented)
+from .exact_linalg import (Echelon, ResourceLimitError, SparseMatrix,
+                           _augmented_echelon, _kernel_from_augmented,
+                           _prime_factors, _solve_augmented)
 from .groups import FiniteGroup, Subgroup
 from .resolution import resolution_for
-
-
-class ResourceLimitError(RuntimeError):
-    """A computation exceeded its configured feasibility limit."""
-
 
 # ---------------------------------------------------------------------------
 # Cochains
@@ -626,46 +621,24 @@ def transfer(c: Cochain, H: Subgroup) -> Cochain:
 # ---------------------------------------------------------------------------
 
 
-def _check_limits(G: FiniteGroup, max_degree: int, integral: bool,
-                  max_cells: Optional[int]) -> None:
-    if max_cells is not None:
-        if (G.order - 1) ** (max_degree + 1) <= max_cells:
-            return
-        raise ResourceLimitError(
-            f"{(G.order - 1) ** (max_degree + 1)} bar cells exceed the "
-            f"--max-cells limit {max_cells}")
-    if integral:
-        ok = G.order <= 81 and max_degree <= 3
-    else:
-        ok = ((G.order <= 27 and max_degree <= 4)
-              or (G.order <= 81 and max_degree <= 3)
-              or (G.order <= 9 and max_degree <= 8))
-    if not ok:
-        raise ResourceLimitError(
-            f"degree {max_degree} at group order {G.order} exceeds the "
-            "configured feasibility limit")
-
-
 def cohomology_dims_mod_p(G: FiniteGroup, p: int, max_degree: int,
-                          max_cells: Optional[int] = None,
                           cache_dir: Optional[str] = None) -> list[int]:
     """[dim H^n(G;F_p) for n = 0..max_degree].  Field coefficients make
-    cohomology and homology dimensions equal degreewise."""
-    _check_limits(G, max_degree, False, max_cells)
+    cohomology and homology dimensions equal degreewise.
+    ResourceLimitError past the resolution's work bound."""
     res = resolution_for(G, p, cache_dir)
     return res.homology_dims_mod_p(p, max_degree)
 
 
 def integral_cohomology(G: FiniteGroup, n: int,
-                        max_cells: Optional[int] = None,
                         cache_dir: Optional[str] = None) -> tuple[int, tuple[int, ...]]:
     """H^n(G;Z) for n >= 1 as (rank, torsion divisors): rank is 0 for a
     finite group and the torsion equals that of H_(n-1)(G;Z), whose p-part
     comes from the F_p resolution lifted to Z/p^k G, one prime p dividing
-    |G| at a time.  A nonzero free rank is a failed certificate."""
+    |G| at a time.  A nonzero free rank is a failed certificate.
+    ResourceLimitError past the resolution's work bound."""
     if n < 1:
         raise ValueError("need n >= 1")
-    _check_limits(G, n, True, max_cells)
     if n == 1:
         return (0, ())
     parts = []

@@ -33,8 +33,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
-from .bar_cohomology import ResourceLimitError
-from .exact_linalg import is_prime
+from .exact_linalg import ResourceLimitError, is_prime
 from .groups import (FiniteGroup, Subgroup, closure_members, derived_members,
                      generating_set, order_p_subgroup_classes)
 

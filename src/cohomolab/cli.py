@@ -77,14 +77,6 @@ def _degree(text: str) -> int:
     return n
 
 
-def _cell_limit(text: str) -> int:
-    """argparse type of --max-cells."""
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"{n} is not a cell limit (n >= 0)")
-    return n
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers (each returns a JSON-ready report dict)
 # ---------------------------------------------------------------------------
@@ -94,7 +86,6 @@ def _cmd_cohomology(args) -> dict:
     G = _group(args.group)
     if args.action == "dims":
         dims = bc.cohomology_dims_mod_p(G, args.p, args.max_degree,
-                                        max_cells=args.max_cells,
                                         cache_dir=args.cache_dir)
         if args.dump_matrix:
             M = bc.coboundary_matrix(G, args.max_degree, args.p)
@@ -103,7 +94,6 @@ def _cmd_cohomology(args) -> dict:
         return {"group": G.name, "p": args.p,
                 "max_degree": args.max_degree, "dims": dims}
     rank, torsion = bc.integral_cohomology(G, args.degree,
-                                           max_cells=args.max_cells,
                                            cache_dir=args.cache_dir)
     order = 1
     for d in torsion:
@@ -325,8 +315,7 @@ def _subset_match(expected, actual) -> bool:
     return expected == actual
 
 
-def run_scenario(path: str, cache_dir: Optional[str] = None,
-                 max_cells: Optional[int] = None) -> dict:
+def run_scenario(path: str, cache_dir: Optional[str] = None) -> dict:
     """Run every step of a scenario file, matching each step's report
     against its expectations.  Raises ResourceLimitError past the declared
     time budget and ValueError on a malformed file, including a step that
@@ -365,8 +354,6 @@ def run_scenario(path: str, cache_dir: Optional[str] = None,
         argv = step["argv"]
         if cache_dir:
             argv = ["--cache-dir", cache_dir] + argv
-        if max_cells is not None:
-            argv = ["--max-cells", str(max_cells)] + argv
         entry = {"step": i, "argv": step["argv"],
                  "provenance": step.get("provenance", "derived")}
         try:
@@ -399,7 +386,6 @@ _OUT = ("--out", {"default": None})
 # the program's own options, read before the command only
 _OPTIONS = [
     ("--cache-dir", {"default": None}),
-    ("--max-cells", {"type": _cell_limit, "default": None}),
     ("--json-out", {"default": None}),
 ]
 
@@ -532,8 +518,7 @@ def _dispatch(argv: list[str]) -> tuple[dict, Optional[str]]:
         if isinstance(getattr(args, _dest(name, keywords)), list):
             raise ValueError(f"argument {name}: expected one argument")
     if args.command == "scenario":
-        report = run_scenario(args.path, cache_dir=args.cache_dir,
-                              max_cells=args.max_cells)
+        report = run_scenario(args.path, cache_dir=args.cache_dir)
     else:
         report = _HANDLERS[args.command](args)
     report = {"schema_version": SCHEMA_VERSION,

@@ -31,8 +31,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .bar_cohomology import ResourceLimitError
-from .exact_linalg import reduce_chain_complex, smith_normal_form
+from .exact_linalg import (ResourceLimitError, reduce_chain_complex,
+                           smith_normal_form)
 
 Simplex = tuple  # sorted tuple of vertex indices
 

@@ -16,6 +16,10 @@ from operator import mul
 from typing import Iterable, Optional, Sequence, TextIO
 
 
+class ResourceLimitError(RuntimeError):
+    """A computation exceeded its configured feasibility limit."""
+
+
 class SparseMatrix:
     """Immutable sparse matrix over Z (p=None), F_p (p prime) or Z/m
     (p = m, a modulus >= 2; the lifted resolutions use m = p^k).

@@ -25,10 +25,10 @@ from functools import cached_property
 from math import comb, lcm
 from typing import Optional, Sequence
 
-from .bar_cohomology import ResourceLimitError
 from .char_chern import Cyclotomic
-from .exact_linalg import (Echelon, SparseMatrix, _mat_det, _mat_mul, _mat_pow,
-                           _prime_factors, kernel_mod_p, matrix_group_closure)
+from .exact_linalg import (Echelon, ResourceLimitError, SparseMatrix, _mat_det,
+                           _mat_mul, _mat_pow, _prime_factors, kernel_mod_p,
+                           matrix_group_closure)
 from .groups import _primitive_polynomial
 
 Monomial = tuple  # (poly exponent tuple, exterior bit tuple)

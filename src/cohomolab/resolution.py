@@ -74,6 +74,13 @@ unchecked.  Any failed check raises ArithmeticError.
 
 The induced complex F (x)_G Z/p^k has one Z/p^k per module generator, so
 its boundary matrices stay tiny even when the group has order 81.
+
+The work is bounded where it is done: _expand refuses a module matrix of
+more than MAX_MODULE_TERMS entries before a kernel, lift or rank_mod_p
+reads it, d_1's cover is refused past |G|*(|G| - 1) entries, and
+extend_to refuses degree n when (n + 1)*|G|, the least dimension of
+F_0 .. F_n, passes MAX_RESOLUTION_SPAN.  Each raises ResourceLimitError
+before the step starts; the degrees built before it stay kept and cached.
 """
 
 from __future__ import annotations
@@ -81,9 +88,9 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from .exact_linalg import (Echelon, SparseMatrix, _solve_augmented,
-                           composes_to_zero, is_prime, kernel_mod_p,
-                           rank_mod_p, smith_normal_form)
+from .exact_linalg import (Echelon, ResourceLimitError, SparseMatrix,
+                           _solve_augmented, composes_to_zero, is_prime,
+                           kernel_mod_p, rank_mod_p, smith_normal_form)
 from .groups import FiniteGroup, build_product, closure_members
 
 # Version of the cache file layout, part of every file name.  Version 3
@@ -91,6 +98,17 @@ from .groups import FiniteGroup, build_product, closure_members
 # (FiniteGroup.digest), version 2 by a hash of its whole table; both hold
 # the generator columns of d_n only, version 1 held every column.
 CACHE_FORMAT = 3
+
+# The work bound (module docstring), one in-process run each on a 2-core
+# Xeon, Python 3.11.  A kernel or rank_mod_p takes 0.4 to 13 us an entry:
+# P(3,3)'s d_9 rank, 22k entries, 9 ms; P(3,5)'s d_2 kernel, 4.5k, 59 ms;
+# C3^4's d_7 rank, 65k, 0.10 s; P(3,5)'s d_12 kernel, 932k, 4.1 s, before
+# its d_13 (1.28M) is refused 27 s and 111 MB into the run.  d_1's cover
+# takes 1.6 s on C1001 at p = 7 (1.0M), 1.6 s on C2187 (4.8M), 8.9 s and
+# 153 MB on C4095 (16.8M).  The benchmark reads 15k at most, the tests 188k.
+MAX_MODULE_TERMS = 1 << 20
+# A degree takes at least 25 us and 0.5 KB (C2): 2^15 degrees, 0.8 s.
+MAX_RESOLUTION_SPAN = 1 << 16
 
 
 class FreeResolution:
@@ -155,12 +173,18 @@ class FreeResolution:
             f"res_v{CACHE_FORMAT}_{self.G.digest()}{tag}_d{n}_{ring}.txt")
 
     def extend_to(self, n: int) -> None:
-        """Ensure differentials d_1 .. d_n are available."""
+        """Ensure differentials d_1 .. d_n are available and certified."""
+        span = (n + 1) * self.G.order
+        if span > MAX_RESOLUTION_SPAN:
+            raise ResourceLimitError(
+                f"a resolution of {self.G.name} through degree {n} spans at "
+                f"least {span} basis elements, above the limit "
+                f"{MAX_RESOLUTION_SPAN}")
         while len(self.diffs) < n:
             self._extend()
-        top = len(self.diffs)
-        if top in self._unchecked:  # no next degree's kernel to read from
-            self._checked_rank(top, self._fp[top - 1])
+        # the top has no next degree's kernel to read its rank from
+        if n == len(self.diffs) and n in self._unchecked:
+            self._checked_rank(n, self._fp[n - 1])
 
     def _extend(self) -> None:
         n = len(self.diffs) + 1  # building d_n
@@ -217,13 +241,14 @@ class FreeResolution:
         # (see _minimal_cover), when the kernel's own rows do not
         basis = None
         if n == 1:  # ker of the augmentation: spanned by g - e
+            _check_terms("d_1's cover", self.G, o * (o - 1))
             kernel = [{g: 1, 0: self.p - 1} for g in range(1, o)]
             basis = [{g: 1, o - 1: self.p - 1} for g in range(o - 1)]
 
             def solve(b: dict[int, int]) -> dict[int, int]:
                 return {0: b[0]} if b else {}
         else:
-            Ap = A if self.k == 1 else self._expand(self._fp[n - 2])
+            Ap = A if self.k == 1 else self._expand(self._fp[n - 2], n - 1)
             kernel, ech = kernel_mod_p(Ap, echelon=True)
             if n - 1 in self._unchecked:  # rank d_(n-1) from its kernel
                 self._certify_exact(n - 1, Ap.n_cols - len(kernel))
@@ -267,7 +292,7 @@ class FreeResolution:
         """rank d_n mod p (Mp: its generator columns), certified by rank
         additivity while that is pending."""
         if n not in self._rank:
-            rank = rank_mod_p(self._expand(Mp))
+            rank = rank_mod_p(self._expand(Mp, n))
             if n in self._unchecked:
                 self._certify_exact(n, rank)
             self._rank[n] = rank
@@ -408,13 +433,14 @@ class FreeResolution:
 
     def module_matrix(self, n: int) -> SparseMatrix:
         """The matrix of the module map d_n over Z/p^k."""
-        return self._expand(self.diffs[n - 1])
+        return self._expand(self.diffs[n - 1], n)
 
-    def _expand(self, M: SparseMatrix) -> SparseMatrix:
-        """The module map with generator columns M: column j*|G| + g is
-        the g-translate of generator column j.  Translation keeps each
-        entry inside its row block."""
+    def _expand(self, M: SparseMatrix, n: int) -> SparseMatrix:
+        """The module map d_n with generator columns M: column j*|G| + g
+        is the g-translate of generator column j.  Translation keeps each
+        entry inside its row block, and keeps the count of entries."""
         o = self.G.order
+        _check_terms(f"d_{n}'s module matrix", self.G, M.nnz() * o)
         A = SparseMatrix(M.n_rows, M.n_cols * o, p=M.p)
         A.cols = {j * o + g: self._translate(vec, g)
                   for j, vec in M.cols.items() for g in range(o)}
@@ -549,6 +575,13 @@ def _normalizes(G: FiniteGroup, s: int, prefix: list[int],
     """s H s^-1 = H for H = <prefix>, whose elements are members."""
     mul, t = G.mul, G.inv[s]
     return all(mul[mul[s][h]][t] in members for h in prefix)
+
+
+def _check_terms(what: str, G: FiniteGroup, terms: int) -> None:
+    if terms > MAX_MODULE_TERMS:
+        raise ResourceLimitError(
+            f"{what} over {G.name} has {terms} entries, above the limit "
+            f"{MAX_MODULE_TERMS}")
 
 
 def _valuation(n: int, p: int) -> int:

@@ -81,3 +81,32 @@ def zg_integral_cohomology(G: FiniteGroup, top: int) -> list:
     return [(0, ())] + [
         (diffs[n - 2].n_cols - reps[n - 2].rank - reps[n - 1].rank,
          reps[n - 1].torsion) for n in range(2, top + 1)]
+
+
+def spy_steps(monkeypatch, resolution) -> list:
+    """Record each step that a resolution starts, as (step, entries it
+    reads): a kernel, a rank_mod_p, a lift, the d o d = 0 check (each
+    reading a module matrix) or a cover (reading a kernel basis)."""
+    steps = []
+
+    def spy(name, call, size):
+        def wrapped(*args, **kwargs):
+            steps.append((name, size(*args)))
+            return call(*args, **kwargs)
+        return wrapped
+
+    def matrix(M, *rest):
+        return M.nnz()
+
+    for name, attr in (("kernel", "kernel_mod_p"), ("rank", "rank_mod_p"),
+                       ("compose", "composes_to_zero")):
+        monkeypatch.setattr(resolution, attr,
+                            spy(name, getattr(resolution, attr), matrix))
+    res = resolution.FreeResolution
+    monkeypatch.setattr(res, "_lift", spy(
+        "lift", res._lift, lambda self, n, A, M, solve: A.nnz()))
+    for attr in ("_minimal_cover", "_greedy_cover"):
+        monkeypatch.setattr(res, attr, spy(
+            "cover", getattr(res, attr),
+            lambda self, kernel, basis=None: sum(map(len, kernel))))
+    return steps

@@ -14,6 +14,7 @@ from cohomolab.groups import (
 )
 from matrix_helpers import (bar_homology_dims_mod_p, cochain_vector,
                             index_cell, mul_vector)
+from resolution_helpers import spy_steps
 
 RNG = random.Random(20260823)
 
@@ -504,14 +505,52 @@ def test_integral_cohomology_extraspecial():
     assert sorted(torsion) == [3, 3]
 
 
-def test_resource_limits():
-    big = build_P(4, 3)  # order 81
-    with pytest.raises(bc.ResourceLimitError):
+def test_resource_limits(monkeypatch):
+    # the resolution's work bound through both entry points (the CLI
+    # tests take the degree count and d_1's cover): the module matrices of
+    # P(4,3), of order 81, under a bound that admits d_1's cover, 81*80
+    # entries, and d_2's module matrix (3,645) but not d_3's (7,614 mod
+    # 3, 7,776 lifted)
+    from cohomolab import resolution
+    monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+    big = build_P(4, 3)
+    bound = resolution.MAX_MODULE_TERMS
+    monkeypatch.setattr(resolution, "MAX_MODULE_TERMS", 81 * 80)
+    with pytest.raises(bc.ResourceLimitError,
+                       match="d_3's module matrix over P"):
         bc.cohomology_dims_mod_p(big, 3, 4)
-    with pytest.raises(bc.ResourceLimitError):
+    with pytest.raises(bc.ResourceLimitError,
+                       match="d_3's module matrix over P"):
         bc.integral_cohomology(big, 4)
-    with pytest.raises(bc.ResourceLimitError):
-        bc.cohomology_dims_mod_p(C3, 3, 2, max_cells=1)
+    # d_1 .. d_3 were built before the refusal: a query that needs only
+    # d_1, d_2 answers from them, with no step
+    steps = spy_steps(monkeypatch, resolution)
+    assert bc.cohomology_dims_mod_p(big, 3, 1) == [1, 3]
+    assert steps == []
+    monkeypatch.setattr(resolution, "MAX_MODULE_TERMS", bound)
+    assert bc.cohomology_dims_mod_p(big, 3, 4) == [1, 3, 5, 6, 7]
+
+
+def test_only_the_cli_and_the_package_import_bar_cohomology():
+    # ResourceLimitError lives in exact_linalg, so no other module needs
+    # the bar complex
+    import ast
+    from pathlib import Path
+
+    import cohomolab
+    importers = set()
+    for path in sorted(Path(cohomolab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module or ''}.{a.name}" for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[-1] == "bar_cohomology" for n in names):
+                importers.add(path.name)
+    assert importers == {"cli.py", "__init__.py"}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -28,7 +28,6 @@ from cohomolab.cli import (
     MAX_BESTVINA_N,
     MAX_FIXED_COMPONENT,
     MAX_FIXED_STEPS,
-    _cell_limit,
     _degree,
     _prime,
     build_parser,
@@ -40,6 +39,7 @@ from cohomolab.davis import barycentric_subdivision, moore_complex
 from cohomolab.groups import build_cyclic
 from cohomolab.resolution import CACHE_FORMAT
 from complex_helpers import complex_to_dict, simplex_boundary
+from resolution_helpers import spy_steps
 
 C3 = '{"family": "cyclic", "n": 3}'
 
@@ -1341,11 +1341,8 @@ DIMS_ARGS = ["--group", C3, "--p", "3", "--max-degree", "2"]
     (["chern"], "usage error: the following arguments are required: action"),
     (["--cache", "D", "cohomology", "dims"] + DIMS_ARGS, "D"),
     (["--cache-dir=D", "cohomology", "dims"] + DIMS_ARGS, "D"),
-    (["--max-cells", "-1", "cohomology", "dims"] + DIMS_ARGS,
-     "usage error: argument --max-cells: -1 is not a cell limit (n >= 0)"),
 ], ids=["command", "action", "group", "p", "abbreviation", "equals-form",
-        "no-command", "no-action", "top-abbreviation", "top-equals-form",
-        "max-cells"])
+        "no-command", "no-action", "top-abbreviation", "top-equals-form"])
 def test_lazy_parser_keeps_every_usage_error(argv, outcome):
     read = _outcome(parse_argv, argv)
     assert read == _oracle(argv)
@@ -1353,7 +1350,7 @@ def test_lazy_parser_keeps_every_usage_error(argv, outcome):
 
 
 _TYPED_VALUES = {_prime: ["3", "7"], _degree: ["0", "4"], int: ["-2", "6"],
-                 _cell_limit: ["0", "9"], None: ["D", "{}"]}
+                 None: ["D", "{}"]}
 # bad values, values that start with "-", and stray tokens
 _ODD_VALUES = ["4", "-1", "x", "1.5", "", "-x", "-3.5", "--", "-", "-a b",
                "a b", "--x", "---", "--=x", "-hx", "--help=", "-h"]
@@ -1407,8 +1404,7 @@ def test_reader_matches_the_argparse_tree(argv):
 
 
 _WELL_FORMED_VALUES = {_prime: ["3", "7"], _degree: ["0", "4"],
-                       int: ["2", "6"], _cell_limit: ["0", "9"],
-                       None: ["D", "{}", "a b", "x=y"]}
+                       int: ["2", "6"], None: ["D", "{}", "a b", "x=y"]}
 
 
 @st.composite
@@ -1551,11 +1547,48 @@ def test_lift_with_no_digit_solution_exits_1(capsys, monkeypatch):
         "d_2 does not lift to Z/243: a digit has no solution")
 
 
-def test_integral_g21_to_degree_6_within_3_s(capsys, monkeypatch):
-    # the lift answers past the ZG route's reach: --max-cells lifts
-    # _check_limits' degree-3 cap for order 81
+def test_packed_elimination_with_a_wrong_inverse_exits_1(capsys,
+                                                        monkeypatch):
+    # F_5 rows are packed; an inverse that is twice the true one leaves
+    # the pivot field nonzero after a step
+    from cohomolab import exact_linalg
     _fresh_resolutions(monkeypatch)
-    argv = ["--max-cells", str(80 ** 7)] + INTEGRAL_G21[:-1] + ["6"]
+    monkeypatch.setattr(exact_linalg, "_PACKINGS", {})
+    monkeypatch.setattr(
+        exact_linalg._Inverses, "__missing__",
+        lambda self, a: self.setdefault(a, 2 * pow(a, -1, self.p) % self.p))
+    _exits_1_without_traceback(
+        capsys, ["cohomology", "dims", "--group",
+                 '{"family": "cyclic", "n": 5}', "--p", "5",
+                 "--max-degree", "2"],
+        "packed elimination mod 5 failed")
+
+
+def test_bit_plane_elimination_of_rows_not_normalised_exits_1(capsys,
+                                                               monkeypatch):
+    # F_3 planes that start one coordinate below their lead: once a step
+    # has shifted a vector to its lead, it meets such a row at a field 0
+    # that the row cannot clear
+    from cohomolab import exact_linalg
+    _fresh_resolutions(monkeypatch)
+    planes = exact_linalg._planes
+
+    def not_normalised(vec):
+        lo, P, M = planes(vec)
+        return (lo - 1, P << 1, M << 1) if P or M else (lo, P, M)
+
+    monkeypatch.setattr(exact_linalg, "_planes", not_normalised)
+    _exits_1_without_traceback(
+        capsys, ["cohomology", "dims", "--group",
+                 '{"family": "P", "n": 3, "p": 3}', "--p", "3",
+                 "--max-degree", "2"],
+        "bit-plane elimination mod 3 failed")
+
+
+def test_integral_g21_to_degree_6_within_3_s(capsys, monkeypatch):
+    # the lift answers past the ZG route's reach
+    _fresh_resolutions(monkeypatch)
+    argv = INTEGRAL_G21[:-1] + ["6"]
     start = time.perf_counter()
     assert _within(30, main, argv) == EXIT_PASS
     assert time.perf_counter() - start < 3
@@ -1564,16 +1597,35 @@ def test_integral_g21_to_degree_6_within_3_s(capsys, monkeypatch):
         (0, [3, 3, 3, 3, 9, 9], 3 ** 8)
 
 
-def test_negative_max_cells_exits_2(capsys):
+def test_max_cells_is_an_unknown_option_exits_2(capsys):
+    # the resolution bounds its own work, and the option is gone
     _exits_2_without_traceback(
-        capsys, ["--max-cells", "-1", "cohomology", "dims"] + DIMS_ARGS,
-        "argument --max-cells: -1 is not a cell limit (n >= 0)")
+        capsys, ["--max-cells=10", "cohomology", "dims"] + DIMS_ARGS,
+        "unrecognized arguments: --max-cells=10")
 
 
-def test_resource_limit_exits_3(capsys):
-    code = main(["--max-cells", "10", "cohomology", "dims", "--group", C3,
-                 "--p", "3", "--max-degree", "4"])
-    assert code == EXIT_RESOURCE
+def test_resource_limit_exits_3(capsys, monkeypatch):
+    # the degree count is refused before any degree is built, and d_1's
+    # cover of C1025, 1025*1024 entries, before the cover starts
+    resolution = _fresh_resolutions(monkeypatch)
+    steps = spy_steps(monkeypatch, resolution)
+    C2 = '{"family": "cyclic", "n": 2}'
+    _exits_3_within_a_second(
+        capsys, ["cohomology", "dims", "--group", C2, "--p", "2",
+                 "--max-degree", "1000000000"],
+        "a resolution of C2 through degree 1000000001 spans at least "
+        "2000000004 basis elements, above the limit 65536")
+    _exits_3_within_a_second(
+        capsys, ["cohomology", "integral", "--group", C3,
+                 "--degree", "1000000000"],
+        "a resolution of C3 through degree 1000000000 spans")
+    _exits_3_within_a_second(
+        capsys, ["cohomology", "dims", "--group",
+                 '{"family": "cyclic", "n": 1025}', "--p", "5",
+                 "--max-degree", "0"],
+        "d_1's cover over C1025 has 1049600 entries, above the limit "
+        "1048576")
+    assert steps == []
 
 
 # ---------------------------------------------------------------------------

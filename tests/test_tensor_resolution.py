@@ -1,20 +1,21 @@
 """The tensor route for direct products, against the cover route of the
-same table built without recorded factors, and the feasibility limits
-that neither route moves."""
+same table built without recorded factors, and the resolution's work
+bound on every route."""
 
 import json
 import os
+from math import comb
 
 import pytest
 
-from cohomolab import bar_cohomology as bc
 from cohomolab import resolution
 from cohomolab.cli import EXIT_PASS, EXIT_RESOURCE, main
+from cohomolab.cohomology_ring_models import build_model
 from cohomolab.exact_linalg import SparseMatrix
 from cohomolab.groups import (build_G_a1, build_P, build_cyclic, build_group,
                               build_product)
 from cohomolab.resolution import CACHE_FORMAT, FreeResolution
-from resolution_helpers import cover_table
+from resolution_helpers import cover_table, spy_steps
 
 C2, C3, C9, C27 = (build_cyclic(n) for n in (2, 3, 9, 27))
 
@@ -167,44 +168,114 @@ def test_a_cached_prefix_is_certified_and_extended(tmp_path):
         [M.entries() for M in fresh.diffs]
 
 
-# (group, p, last admitted degree, integral): each row of _check_limits'
-# table, at a product group (the tensor route) and at a group without
-# factors (the cover route)
+def _spec(*factors):
+    return {"family": "product",
+            "factors": [{"family": "cyclic", "n": n} for n in factors]}
+
+
+G21_SPEC = {"family": "G_a1", "a": 2, "p": 3}
+# (C3)^2 : Q4, Q cyclic of order 4, is not a 3-group: the greedy cover
+GREEDY_SPEC = {"family": "semidirect", "p": 3, "n": 2,
+               "matrices": [[[0, 2], [1, 0]]]}
+
+# (group spec, p, edge degree, integral, the bound that stops the next
+# degree): the tensor route, the minimal and greedy covers and the lift.
+# Each query is answered at its edge with the bound set to the most that
+# the edge reads, MAX_MODULE_TERMS to its largest module matrix (or d_1's
+# cover) or MAX_RESOLUTION_SPAN to its (n + 1)*|G|, and refused one
+# degree past
 LIMIT_EDGES = [
-    (prod(C3, C3, C3), 3, 4, False), (build_P(3, 3), 3, 4, False),
-    (prod(C3, C3, C3, C3), 3, 3, False), (build_G_a1(2, 3), 3, 3, False),
-    (prod(C3, C3), 3, 8, False), (C9, 3, 8, False),
-    (prod(C27, C3), 3, 3, True), (build_G_a1(2, 3), 3, 3, True),
+    (_spec(3, 3, 3), 3, 4, False, "terms"),
+    ({"family": "P", "n": 3, "p": 3}, 3, 4, False, "terms"),
+    (_spec(3, 3, 3, 3), 3, 3, False, "terms"),
+    (G21_SPEC, 3, 3, False, "terms"),
+    (_spec(3, 3), 3, 8, False, "terms"),
+    ({"family": "cyclic", "n": 9}, 3, 8, False, "span"),
+    (_spec(27, 3), 3, 3, True, "terms"),
+    (G21_SPEC, 3, 3, True, "terms"),
+    (GREEDY_SPEC, 3, 3, False, "terms"),
 ]
 
 
-@pytest.mark.parametrize("G,p,edge,integral", LIMIT_EDGES,
-                         ids=[f"{G.name} {'integral' if z else 'dims'} d{d}"
-                              for G, _, d, z in LIMIT_EDGES])
-def test_limits_admit_the_edge_and_refuse_one_degree_past(G, p, edge,
-                                                           integral):
+def _query(spec, p, degree, integral):
+    group = ["--group", json.dumps(spec)]
     if integral:
-        answer = bc.integral_cohomology(G, edge)
-        assert answer[0] == 0 and answer[1]
-        call = bc.integral_cohomology
-        args = (G, edge + 1)
-    else:
-        dims = bc.cohomology_dims_mod_p(G, p, edge)
-        assert len(dims) == edge + 1
-        call = bc.cohomology_dims_mod_p
-        args = (G, p, edge + 1)
-    with pytest.raises(bc.ResourceLimitError, match=f"degree {edge + 1} "):
-        call(*args)
+        return ["cohomology", "integral"] + group + ["--degree", str(degree)]
+    return ["cohomology", "dims"] + group + ["--p", str(p), "--max-degree",
+                                             str(degree)]
+
+
+def _refused(capsys, argv, message):
+    assert main(argv) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("resource limit:")
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "spec,p,edge,integral,bound", LIMIT_EDGES,
+    ids=[f"{build_group(spec).name} {'integral' if z else 'dims'} d{d}"
+         for spec, _, d, z, _ in LIMIT_EDGES])
+def test_limits_admit_the_edge_and_refuse_one_degree_past(
+        capsys, monkeypatch, spec, p, edge, integral, bound):
+    steps = spy_steps(monkeypatch, resolution)
+    assert main(_query(spec, p, edge, integral)) == EXIT_PASS
+    answer = capsys.readouterr().out
+    G = build_group(spec)
+    if bound == "terms":  # off the tensor route, d_1's cover counts too
+        covers = [] if G.factors else [G.order * (G.order - 1)]
+        limit = max([size for step, size in steps if step != "cover"]
+                    + covers)
+        monkeypatch.setattr(resolution, "MAX_MODULE_TERMS", limit)
+        message = "module matrix"
+    else:  # dims through degree n resolve through degree n + 1
+        limit = (edge + 2) * G.order
+        monkeypatch.setattr(resolution, "MAX_RESOLUTION_SPAN", limit)
+        message = f"through degree {edge + 2} spans"
+    for degree in (edge, edge + 1):
+        monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+        steps.clear()
+        argv = _query(spec, p, degree, integral)
+        if degree == edge:
+            assert main(argv) == EXIT_PASS
+            assert capsys.readouterr().out == answer
+        else:
+            _refused(capsys, argv, message)
+    # no step read more than the bound: the refused one never started
+    assert all(size <= limit for step, size in steps if step != "cover")
+    if bound == "span":
+        assert steps == []
+
+
+def test_d1_cover_admits_its_edge_and_refuses_one_order_past(capsys,
+                                                              monkeypatch):
+    # d_1's cover reads no module matrix; it is bounded by |G|*(|G| - 1),
+    # 72 for C9, 90 for C10
+    steps = spy_steps(monkeypatch, resolution)
+    monkeypatch.setattr(resolution, "MAX_MODULE_TERMS", 72)
+    assert main(_query({"family": "cyclic", "n": 9}, 3, 0, False)) \
+        == EXIT_PASS
+    assert json.loads(capsys.readouterr().out)["dims"] == [1]
+    assert ("cover", 16) in steps
+    steps.clear()
+    _refused(capsys, _query({"family": "cyclic", "n": 10}, 5, 0, False),
+             "d_1's cover over C10 has 90 entries, above the limit 72")
+    assert steps == []
 
 
 def test_limits_through_the_cli(capsys):
-    # C3^4 in degree 3 is answered, and degree 4 exits 3
-    spec = json.dumps({"family": "product",
-                       "factors": [{"family": "cyclic", "n": 3}] * 4})
-    argv = ["cohomology", "dims", "--group", spec, "--p", "3",
-            "--max-degree"]
-    assert main(argv + ["3"]) == EXIT_PASS
-    assert json.loads(capsys.readouterr().out)["dims"] == [1, 4, 10, 20]
-    assert main(argv + ["4"]) == EXIT_RESOURCE
-    assert "exceeds the configured feasibility limit" in \
-        capsys.readouterr().err
+    # answers that the order/degree table refused, under the real bound,
+    # against independent routes: dim H^n(P(3,3); F_3) = m_n + m_(n+1)
+    # for n >= 1, m_n the dimension of the presented ring; Kuenneth gives
+    # C9 x C9 n + 1 and C3^4 binomial(n + 3, 3) in degree n; G(2,1) has
+    # the ranks of its minimal resolution
+    m = build_model(3)
+    for spec, top, dims in (
+            ({"family": "P", "n": 3, "p": 3}, 8,
+             [1] + [m.dim(n) + m.dim(n + 1) for n in range(1, 9)]),
+            (_spec(9, 9), 8, list(range(1, 10))),
+            (_spec(3, 3, 3, 3), 6, [comb(n + 3, 3) for n in range(7)]),
+            (G21_SPEC, 6, [1, 2, 4, 6, 8, 10, 13])):
+        assert main(_query(spec, 3, top, False)) == EXIT_PASS
+        assert json.loads(capsys.readouterr().out)["dims"] == dims
