@@ -90,11 +90,25 @@ class FiniteGroup:
         # one row comparison per (s, x).  The elements s passing it are
         # closed under products and every element is a product of
         # generators, so the whole table is associative.
-        for s in self.generators:
-            times_s = _reader(mul[s])  # row x -> x*(s*y) over y
-            for row_x in mul:
-                if list(times_s(row_x)) != mul[row_x[s]]:
-                    raise ValueError("multiplication table is not associative")
+        if order <= 256:
+            # byte rows: row x*(s*y) over y is row s translated by row x,
+            # padded to the 256 bytes a translation table needs
+            rows = list(map(bytes, mul))
+            pad = bytes(256 - order)
+            tables = [row + pad for row in rows]
+            for s in self.generators:
+                row_s = rows[s]
+                for row_x, table_x in zip(rows, tables):
+                    if row_s.translate(table_x) != rows[row_x[s]]:
+                        raise ValueError(
+                            "multiplication table is not associative")
+        else:
+            for s in self.generators:
+                times_s = _reader(mul[s])  # row x -> x*(s*y) over y
+                for row_x in mul:
+                    if list(times_s(row_x)) != mul[row_x[s]]:
+                        raise ValueError(
+                            "multiplication table is not associative")
         # the factors of a direct product (build_product), else none: the
         # table and generators alone decide the digest
         self.factors: tuple[FiniteGroup, ...] = ()
@@ -267,7 +281,8 @@ def _tabulate(moduli: list[int], compose,
     compose is called on the generator columns only, |G| * |gens| times.
     Column y of the table is the map x -> x*y.  A breadth-first tree from
     the identity reaches every element s*y as an edge from y, and column
-    s*y is x -> (x*s)*y, column y read at the entries of column s.  When
+    s*y is x -> (x*s)*y, column y read at the entries of column s (one
+    bytes.translate per edge when |G| <= 256, an itemgetter above).  When
     compose is associative this is its table, by induction along the
     tree; FiniteGroup's Light's test then certifies the table as a group
     whose generator columns are compose's."""
@@ -275,11 +290,20 @@ def _tabulate(moduli: list[int], compose,
     elems = list(itertools.product(*[range(m) for m in moduli]))
     num = {e: i for i, e in enumerate(elems)}
     gens = [num[tuple(e)] for e in gens_exp]
+    gen_cols = [[num[compose(e, elems[s])] for e in elems] for s in gens]
     # column s, as the function column y -> column s*y
-    then = [(s, _reader([num[compose(e, elems[s])] for e in elems]))
-            for s in gens]
+    if n <= 256:
+        # byte columns: column s translated by column y, padded to the
+        # 256 bytes of a translation table
+        pad = bytes(256 - n)
+        then = [(s, lambda col, col_s=bytes(col_s): col_s.translate(col + pad))
+                for s, col_s in zip(gens, gen_cols)]
+        identity = bytes(range(n))
+    else:
+        then = [(s, _reader(col_s)) for s, col_s in zip(gens, gen_cols)]
+        identity = tuple(range(n))
     cols = [None] * n
-    cols[0] = tuple(range(n))
+    cols[0] = identity
     tree = [0]
     for y in tree:  # the loop reads the tree as it grows
         col = cols[y]

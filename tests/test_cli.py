@@ -887,6 +887,92 @@ def test_orthonormality_failure_exits_1(capsys, monkeypatch):
                                "orthonormality certificate failed")
 
 
+def test_inexact_cyclotomic_division_exits_1(capsys, monkeypatch):
+    # Phi_1 read as x - 2: x^3 - 1 leaves the remainder 7 on division
+    from cohomolab import char_chern
+    phi = char_chern.cyclotomic_polynomial.__wrapped__  # past the memo
+    monkeypatch.setattr(char_chern, "cyclotomic_polynomial",
+                        lambda N: (-2, 1) if N == 1 else phi(N))
+    _exits_1_without_traceback(capsys, PC_C3, "division is not exact")
+
+
+def test_sum_of_squares_failure_exits_1(capsys, monkeypatch):
+    # a degree-3 character of P(3,3) replaced by a second copy of a
+    # linear one: 11 characters for 11 classes, 9 + 1 + 9 != 27
+    from cohomolab import char_chern
+    search = char_chern._monomial_search
+    monkeypatch.setattr(char_chern, "_monomial_search",
+                        lambda G, sources: (lambda found: found[:-1]
+                                            + found[:1])(search(G, sources)))
+    _exits_1_without_traceback(
+        capsys, ["chern", "pc", "--group", '{"family": "P", "n": 3, "p": 3}',
+                 "--p", "3"],
+        "sum of squares 19 != 27")
+
+
+def _trivial_character_times(c):
+    """irreducible_characters replaced by c times the trivial character,
+    written over Z[zeta_1] = Z: its conductor 1 is no multiple of p."""
+    from cohomolab.char_chern import ClassFunction, Cyclotomic
+    return lambda G: [ClassFunction(G, [Cyclotomic(1, [c])]
+                                    * len(G.classes().reps))]
+
+
+def test_negative_eigenvalue_multiplicity_exits_1(capsys, monkeypatch):
+    from cohomolab import char_chern
+    monkeypatch.setattr(char_chern, "irreducible_characters",
+                        _trivial_character_times(-1))
+    _exits_1_without_traceback(capsys, PC_C3,
+                               "eigenvalue multiplicity is negative")
+
+
+def test_multiplicities_off_the_degree_exit_1(capsys, monkeypatch):
+    # over conductor 1 the p-th roots of unity all read as 1, so each of
+    # the 3 multiplicities of the degree-1 character is 1
+    from cohomolab import char_chern
+    monkeypatch.setattr(char_chern, "irreducible_characters",
+                        _trivial_character_times(1))
+    _exits_1_without_traceback(capsys, PC_C3,
+                               "multiplicities do not sum to the degree")
+
+
+def test_subdivision_that_is_not_full_exits_1(capsys, monkeypatch):
+    # the first chain of the first facet is left out of the subdivision;
+    # its three edges lie in other chains, so they span a missing triangle
+    from cohomolab import davis
+    complex_of = davis.SimplicialComplex
+
+    def without_first_facet(n, facets, vertex_dims=None):
+        if vertex_dims is not None:
+            facets = facets[1:]
+        return complex_of(n, facets, vertex_dims=vertex_dims)
+
+    monkeypatch.setattr(davis, "SimplicialComplex", without_first_facet)
+    _exits_1_without_traceback(capsys, ["davis", "bestvina", "--n", "2"],
+                               "subdivision is not full")
+
+
+def test_moore_complex_of_the_wrong_homology_exits_1(capsys, monkeypatch):
+    # a disc wrapped once onto its circle: homology (Z, 0, 0), not Z/2
+    from cohomolab import davis
+    disc = davis._wrapped_disc
+    monkeypatch.setattr(davis, "_wrapped_disc", lambda n, q: disc(1, q))
+    _exits_1_without_traceback(capsys, ["davis", "bestvina", "--n", "2"],
+                               "could not certify a Moore complex for n=2")
+
+
+def test_molien_polynomial_without_its_roots_exits_1(capsys, monkeypatch):
+    # each characteristic polynomial with 1 added to its constant term:
+    # the swap's x^2 - 1 becomes x^2, whose root 0 is no root of unity
+    from cohomolab import invariant_rings
+    charpoly = invariant_rings._charpoly
+    monkeypatch.setattr(invariant_rings, "_charpoly",
+                        lambda M, p: (lambda c: ((c[0] + 1) % p,) + c[1:])(
+                            charpoly(M, p)))
+    _exits_1_without_traceback(capsys, _fixed_argv(SWAP_DIAG, 6, p=5),
+                               "does not split over the")
+
+
 def _fresh_resolutions(monkeypatch):
     from cohomolab import resolution
     monkeypatch.delenv("COHOMOLAB_CACHE", raising=False)

@@ -238,9 +238,10 @@ SL2_3 = [((1, 1), (0, 1)), ((0, 1), (-1, 0))]
     (lambda: singer_group(2, 3), "(C2)^3 : C7", (7, 14, 28, 1)),
     (lambda: build_semidirect(3, 2, SL2_3), "(C3)^2 : Q24", (24, 72, 1, 2)),
     (lambda: build_semidirect(5, 1, [[[2]]]), "(C5)^1 : Q4", (4, 1)),
+    (lambda: build_P(5, 3), "P(5,p=3)", (81, 27, 1)),
 ], ids=["P(3,3)", "P(4,3)", "P_2(5)", "M(3,3)", "M(4,3)", "B(4,1,3)",
         "B(4,2,3)", "G(1,1)", "G(2,1)", "S3", "Singer(3,2)", "Singer(2,3)",
-        "3^2:SL2(3)", "5:4"])
+        "3^2:SL2(3)", "5:4", "P(5,3)"])
 def test_presented_tables_equal_the_pairwise_tables(tabulated, build, name,
                                                     gens):
     calls, composed = tabulated
@@ -566,6 +567,28 @@ def test_table_validation_rejects_one_wrong_entry():
     assert not sample & bad
     with pytest.raises(ValueError, match="not associative"):
         FiniteGroup(t, [1], "bad")
+
+
+@pytest.mark.parametrize("m", [9, 128, 129], ids=["order 18", "order 256",
+                                                  "order 258"])
+def test_one_intercalate_is_refused_on_each_side_of_the_byte_rows(m):
+    """C2 x Cm (generators t, then 1) with the entries of rows r and rt at
+    columns c and tc swapped: a Latin square with the same identity,
+    inverses and generation, that is not associative.  Orders 18 and 256
+    (an empty pad) take the byte rows of Light's test, 258 the itemgetter
+    rows.  t alone passes the comparisons, so only the second generator's
+    refuse the mutant."""
+    G = build_product([build_cyclic(2), build_cyclic(m)])
+    assert FiniteGroup(G.mul, G.generators, "C2 x Cm").order == 2 * m
+    t = G.generators[0]
+    mul = [list(row) for row in G.mul]
+    r, c = 2, 3
+    rt, tc = mul[r][t], mul[t][c]
+    for a in (r, rt):
+        mul[a][c], mul[a][tc] = mul[a][tc], mul[a][c]
+    assert light_oracle(mul, [t]) and not light_oracle(mul, G.generators)
+    with pytest.raises(ValueError, match="not associative"):
+        FiniteGroup(mul, G.generators, "bad")
 
 
 def test_table_validation_rejects_nongenerating():
