@@ -901,9 +901,12 @@ def test_sum_of_squares_failure_exits_1(capsys, monkeypatch):
     # linear one: 11 characters for 11 classes, 9 + 1 + 9 != 27
     from cohomolab import char_chern
     search = char_chern._monomial_search
-    monkeypatch.setattr(char_chern, "_monomial_search",
-                        lambda G, sources: (lambda found: found[:-1]
-                                            + found[:1])(search(G, sources)))
+
+    def last_as_the_first(G, sources):
+        found = search(G, sources)
+        return found[:-1] + found[:1]
+
+    monkeypatch.setattr(char_chern, "_monomial_search", last_as_the_first)
     _exits_1_without_traceback(
         capsys, ["chern", "pc", "--group", '{"family": "P", "n": 3, "p": 3}',
                  "--p", "3"],
@@ -966,9 +969,12 @@ def test_molien_polynomial_without_its_roots_exits_1(capsys, monkeypatch):
     # the swap's x^2 - 1 becomes x^2, whose root 0 is no root of unity
     from cohomolab import invariant_rings
     charpoly = invariant_rings._charpoly
-    monkeypatch.setattr(invariant_rings, "_charpoly",
-                        lambda M, p: (lambda c: ((c[0] + 1) % p,) + c[1:])(
-                            charpoly(M, p)))
+
+    def shifted(M, p):
+        c = charpoly(M, p)
+        return ((c[0] + 1) % p,) + c[1:]
+
+    monkeypatch.setattr(invariant_rings, "_charpoly", shifted)
     _exits_1_without_traceback(capsys, _fixed_argv(SWAP_DIAG, 6, p=5),
                                "does not split over the")
 
