@@ -1,10 +1,10 @@
-"""Finite groups as explicit multiplication tables.
+"""Finite groups as explicit multiplication tables, rows of bytes up to
+order 256 and of array('H') above, from construction on (_row_type).
 
 Groups are built from polycyclic normal forms A^a B^b C^c ... with
-hand-derived collection rules per family, then tabulated from the
-generator columns (_tabulate).  Element 0 is always the identity and
-numbering is lexicographic in the exponent vector, so matrices and cache
-keys are reproducible.
+hand-derived collection rules per family, then tabulated row by row from
+the generators' rows (_tabulate).  Element 0 is always the identity and
+numbering is lexicographic, so matrices and cache keys are reproducible.
 
 Families (all with p an odd prime unless noted):
   P(n):    A^p = B^p = C^{p^(n-2)} = [A,C] = [B,C] = 1, [A,B] = C^{p^(n-3)}
@@ -24,11 +24,14 @@ _primitive_polynomial the Singer cycle.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
 import operator
 import struct
+import sys
+from array import array
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .exact_linalg import (_mat_mul, _mat_pow, _prime_factors, is_prime,
@@ -47,12 +50,39 @@ class ConjugacyClasses(NamedTuple):
     inverse: tuple[int, ...]  # class k -> the class of the inverses of k
 
 
-def _reader(index: Sequence[int]):
-    """The function x -> tuple(x[i] for i in index), as one C call."""
-    if len(index) == 1:  # itemgetter of one index returns the item itself
-        i, = index
-        return lambda x: (x[i],)
-    return operator.itemgetter(*index)
+@functools.cache
+def _row_type(order: int):
+    """(row, source, reader) for the tables of this order.  row(entries)
+    is a compact row: bytes up to order 256, else array('H'), 2 bytes an
+    entry, and a compact row is kept as it is.  reader(index) is the
+    function source(r) -> r read at the entries of the row index, as a
+    row: one bytes.translate, r padded to the 256 bytes of a translation
+    table, up to order 256; above, one itemgetter over r as a list and
+    one struct pack."""
+    if order <= 256:
+        pad = bytes(256 - order)
+        return bytes, lambda r: r + pad, operator.attrgetter("translate")
+    pack = struct.Struct(f"={order}H").pack
+
+    def reader(index):
+        get = operator.itemgetter(*index)
+        return lambda source: array("H", pack(*get(source)))
+    return (lambda r: r if type(r) is array and r.typecode == "H"
+            else array("H", r)), array.tolist, reader
+
+
+def _below(rows: list, order: int) -> bool:
+    """Whether every entry of the rows is < order.  Up to order 256 the
+    bytes below order are deleted from the joined rows.  Above, a row is
+    read as one integer x of 16-bit fields: adding 2^16 - order to each
+    field carries out of the first field whose entry is >= order, and of
+    none if none is; (x + add) ^ x ^ add is the carry into each bit."""
+    if order <= 256:
+        return not b"".join(rows).translate(None, bytes(range(order)))
+    ones = int.from_bytes(b"\1\0" * order, "little")  # a 1 in every field
+    add, carries = (65536 - order) * ones, ones << 16
+    return not any(((x + add) ^ x ^ add) & carries for x in (
+        int.from_bytes(row, sys.byteorder) for row in rows))
 
 
 class FiniteGroup:
@@ -61,22 +91,31 @@ class FiniteGroup:
     __slots__ = ("order", "mul", "inv", "generators", "name", "factors",
                  "_digest", "_classes")
 
-    def __init__(self, mul: list[list[int]], generators: Sequence[int],
-                 name: str):
+    def __init__(self, mul: Sequence[Sequence[int]],
+                 generators: Sequence[int], name: str):
         order = len(mul)
         if order == 0 or order > MAX_TABLE_ORDER:
             raise ValueError(f"group order {order} outside supported range")
+        row, source, reader = _row_type(order)
+        try:  # a row that is compact already is kept as it is
+            mul = list(map(row, mul))
+        except (TypeError, ValueError, OverflowError):
+            mul = None
+        if mul is None or any(map(order.__ne__, map(len, mul))) \
+                or not _below(mul, order):
+            raise ValueError(f"a table of order {order} needs {order} rows "
+                             f"of {order} entries in range({order})")
         self.order = order
-        self.mul = mul
+        self.mul: list[bytes] | list[array] = mul
         self.name = name
         # identity / inverses
-        for g in range(order):
-            if mul[0][g] != g or mul[g][0] != g:
-                raise ValueError("element 0 is not an identity")
+        identity = row(range(order))
+        if mul[0] != identity or row([r[0] for r in mul]) != identity:
+            raise ValueError("element 0 is not an identity")
         inv = []
-        for g, row in enumerate(mul):
+        for g, row_g in enumerate(mul):
             try:
-                h = row.index(0)
+                h = row_g.index(0)
             except ValueError:
                 raise ValueError(f"no two-sided inverse for element {g}") from None
             if mul[h][g] != 0:
@@ -87,28 +126,15 @@ class FiniteGroup:
         if len(closure_members(self, self.generators)) != order:
             raise ValueError("declared generators do not generate the group")
         # Light's test: (x*s)*y = x*(s*y) for every x, y and generator s,
-        # one row comparison per (s, x).  The elements s passing it are
-        # closed under products and every element is a product of
+        # row x read at the entries of row s against row x*s.  The s that
+        # pass are closed under products and every element is a product of
         # generators, so the whole table is associative.
-        if order <= 256:
-            # byte rows: row x*(s*y) over y is row s translated by row x,
-            # padded to the 256 bytes a translation table needs
-            rows = list(map(bytes, mul))
-            pad = bytes(256 - order)
-            tables = [row + pad for row in rows]
-            for s in self.generators:
-                row_s = rows[s]
-                for row_x, table_x in zip(rows, tables):
-                    if row_s.translate(table_x) != rows[row_x[s]]:
-                        raise ValueError(
-                            "multiplication table is not associative")
-        else:
-            for s in self.generators:
-                times_s = _reader(mul[s])  # row x -> x*(s*y) over y
-                for row_x in mul:
-                    if list(times_s(row_x)) != mul[row_x[s]]:
-                        raise ValueError(
-                            "multiplication table is not associative")
+        reads = [(s, reader(mul[s])) for s in self.generators]
+        for row_x in mul:
+            read_x = source(row_x)
+            for s, times_s in reads:
+                if times_s(read_x) != mul[row_x[s]]:
+                    raise ValueError("multiplication table is not associative")
         # the factors of a direct product (build_product), else none: the
         # table and generators alone decide the digest
         self.factors: tuple[FiniteGroup, ...] = ()
@@ -164,11 +190,7 @@ class FiniteGroup:
         return k
 
     def exponent(self) -> int:
-        from math import lcm
-        out = 1
-        for g in range(self.order):
-            out = lcm(out, self.element_order(g))
-        return out
+        return math.lcm(*map(self.element_order, range(self.order)))
 
     def digest(self) -> str:
         """Stable key of the group, for cache files and memos: the first
@@ -272,49 +294,38 @@ def _power_order(p: int, n: int) -> int:
 
 
 def _tabulate(moduli: list[int], compose,
-              gens_exp) -> tuple[list[list[int]], list[int]]:
+              gens_exp) -> tuple[list[bytes] | list[array], list[int]]:
     """(multiplication table, generator indices) of a group whose elements
     are exponent vectors with the given moduli (lexicographic numbering)
     and whose product is computed by `compose(e1, e2) -> exponent vector`
     (a tuple).
 
-    compose is called on the generator columns only, |G| * |gens| times.
-    Column y of the table is the map x -> x*y.  A breadth-first tree from
-    the identity reaches every element s*y as an edge from y, and column
-    s*y is x -> (x*s)*y, column y read at the entries of column s (one
-    bytes.translate per edge when |G| <= 256, an itemgetter above).  When
-    compose is associative this is its table, by induction along the
-    tree; FiniteGroup's Light's test then certifies the table as a group
-    whose generator columns are compose's."""
+    compose is called on the generator rows only, |G| * |gens| times.  A
+    breadth-first tree from the identity reaches every element y*s as an
+    edge from y, and row y*s is x -> y*(s*x), row y read at the entries
+    of compose's row s (_row_type's reader).  When compose is associative
+    this is its table, by induction along the tree; FiniteGroup's Light's
+    test then certifies the table as a group whose generator rows are
+    compose's, as the tree reaches them from the identity."""
     n = _table_order(math.prod(moduli))
+    row, source, reader = _row_type(n)
     elems = list(itertools.product(*[range(m) for m in moduli]))
     num = {e: i for i, e in enumerate(elems)}
     gens = [num[tuple(e)] for e in gens_exp]
-    gen_cols = [[num[compose(e, elems[s])] for e in elems] for s in gens]
-    # column s, as the function column y -> column s*y
-    if n <= 256:
-        # byte columns: column s translated by column y, padded to the
-        # 256 bytes of a translation table
-        pad = bytes(256 - n)
-        then = [(s, lambda col, col_s=bytes(col_s): col_s.translate(col + pad))
-                for s, col_s in zip(gens, gen_cols)]
-        identity = bytes(range(n))
-    else:
-        then = [(s, _reader(col_s)) for s, col_s in zip(gens, gen_cols)]
-        identity = tuple(range(n))
-    cols = [None] * n
-    cols[0] = identity
+    reads = [(s, reader(row([num[compose(elems[s], e)] for e in elems])))
+             for s in gens]
+    rows = [row(range(n))] + [None] * (n - 1)
     tree = [0]
     for y in tree:  # the loop reads the tree as it grows
-        col = cols[y]
-        for s, times in then:
-            sy = col[s]
-            if cols[sy] is None:
-                cols[sy] = times(col)
-                tree.append(sy)
+        row_y, read_y = rows[y], source(rows[y])
+        for s, times_s in reads:
+            ys = row_y[s]
+            if rows[ys] is None:
+                rows[ys] = times_s(read_y)
+                tree.append(ys)
     if len(tree) != n:
         raise ValueError("declared generators do not generate the group")
-    return list(map(list, zip(*cols))), gens
+    return rows, gens
 
 
 def _with_order(G: FiniteGroup, expected: int) -> FiniteGroup:
@@ -384,22 +395,12 @@ def build_B(n: int, epsilon: int, p: int) -> FiniteGroup:
     m = p ** (n - 3)
     pc = p ** (n - 2)
 
-    def phi(b, c):
-        # conjugation of B^b C^c by A
-        return ((b + c) % p, (epsilon * m * b + c) % pc)
-
-    # precompute phi^a for a in 0..p-1 as affine maps on (b, c)
-    # phi is linear: matrix [[1, 1], [e m, 1]] acting on (b, c)
-    def phi_pow(a, b, c):
-        for _ in range(a):
-            b, c = phi(b, c)
-        return b, c
-
     def compose(e1, e2):
         a1, b1, c1 = e1
         a2, b2, c2 = e2
-        b1a, c1a = phi_pow(a2, b1, c1)
-        return ((a1 + a2) % p, (b1a + b2) % p, (c1a + c2) % pc)
+        for _ in range(a2):  # B^b1 C^c1 conjugated by A, a2 times
+            b1, c1 = (b1 + c1) % p, (epsilon * m * b1 + c1) % pc
+        return ((a1 + a2) % p, (b1 + b2) % p, (c1 + c2) % pc)
 
     G = FiniteGroup(*_tabulate([p, p, pc], compose,
                                [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
@@ -427,33 +428,36 @@ def build_G_a1(a: int, p: int) -> FiniteGroup:
 
 
 def build_cyclic(m: int) -> FiniteGroup:
-    _table_order(m)
-    r = list(range(m))
-    mul = [r[i:] + r[:i] for i in range(m)]
-    gens = [1] if m > 1 else []
-    return FiniteGroup(mul, gens, f"C{m}")
+    twice = _row_type(_table_order(m))[0](range(m)) * 2
+    return FiniteGroup([twice[i:i + m] for i in range(m)],
+                       [1] if m > 1 else [], f"C{m}")
 
 
 def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     """Direct product, numbered lexicographically in the factor indices:
     (a, b) is a * |H| + b, so the table of (G x H) is built from the rows
-    of G and of H, one factor at a time.  As (g, h) = (g, 0)(0, h), row
-    (g, h) is row (g, 0), the row of g with each entry z spread over
-    z*|H|..z*|H| + |H| - 1, read at the entries of row (0, h).  The
-    factors are recorded on the group; a product of one factor records
-    that factor's own."""
+    of G and of H, one factor at a time.  Row (g, h) holds (g*g', h*h') =
+    (g*g')*|H| + h*h' at (g', h'): it joins, for each g' in turn, block
+    z = g*g' of h, the row of h shifted by z*|H|.  The factors are
+    recorded on the group; a product of one factor records that factor's
+    own."""
     if not factors:
         raise ValueError("empty product")
     _table_order(math.prod(G.order for G in factors))
-    mul = [[0]]
-    for H in factors:
+    mul = factors[0].mul
+    for H in factors[1:]:
         m, a = H.order, len(mul)
-        spans = [range(z * m, z * m + m) for z in range(a)]
-        rows_g0 = [tuple(itertools.chain.from_iterable(
-            map(spans.__getitem__, row_g))) for row_g in mul]
-        reads_0h = [_reader([z * m + y for z in range(a) for y in row_h])
-                    for row_h in H.mul]
-        mul = [list(read(row)) for row in rows_g0 for read in reads_0h]
+        row = _row_type(a * m)[0]
+        offsets = [x - x % m for x in range(a * m)]  # z*|H| in block z
+        blocks = []
+        for row_h in H.mul:
+            shifted = row(map(operator.add, row_h * a, offsets))
+            blocks.append([shifted[x:x + m] for x in range(0, a * m, m)])
+        # itemgetter of one index returns the item itself, not a tuple
+        reads = [operator.itemgetter(*row_g) for row_g in mul] if a > 1 \
+            else [tuple]
+        mul = [row(b"".join(read(blocks_h)))
+               for read in reads for blocks_h in blocks]
     gens = []
     stride = len(mul)
     for G in factors:
@@ -463,11 +467,6 @@ def build_product(factors: Sequence[FiniteGroup]) -> FiniteGroup:
     G = FiniteGroup(mul, gens, name)
     G.factors = tuple(factors) if len(factors) > 1 else factors[0].factors
     return G
-
-
-def _mat_vec(A, v, p):
-    n = len(A)
-    return tuple(sum(A[i][k] * v[k] for k in range(n)) % p for i in range(n))
 
 
 def build_semidirect(p: int, k: int, matrices: Sequence[Sequence[Sequence[int]]],
@@ -491,7 +490,8 @@ def build_semidirect(p: int, k: int, matrices: Sequence[Sequence[Sequence[int]]]
         if (a, b) not in products:
             products[a, b] = Q[_mat_mul(order_list[a], order_list[b], p)]
         if (a, w) not in images:
-            images[a, w] = _mat_vec(order_list[a], w, p)
+            images[a, w] = tuple(sum(map(operator.mul, r, w)) % p
+                                 for r in order_list[a])
         return tuple([(x + y) % p for x, y in zip(e1, images[a, w])]
                      + [products[a, b]])
 

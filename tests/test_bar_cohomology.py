@@ -475,6 +475,39 @@ def test_cochains_on_one_table_combine_whatever_the_generators():
         a + bc.random_cochain(build_product([C3, C3]), 1, 3, RNG)
 
 
+@pytest.mark.parametrize("n", [9, 257], ids=["byte rows", "array rows"])
+def test_cochains_on_a_table_given_as_lists_combine(n):
+    # a table given as lists is kept as compact rows, so _compat, which
+    # compares tables, takes a cochain on it with one on the table
+    # build_cyclic made; C_n numbered with 1 and 2 swapped is another
+    # table of the same group and is still refused
+    rng = random.Random(n)  # its own stream: the shared RNG draws as before
+    G = build_cyclic(n)
+    L = FiniteGroup([list(row) for row in G.mul], G.generators, "lists")
+    a, b = bc.random_cochain(G, 1, 3, rng), bc.random_cochain(L, 1, 3, rng)
+    assert (a + b) - b == a
+    swap = list(range(n))
+    swap[1], swap[2] = 2, 1
+    S = FiniteGroup([[swap[G.mul[swap[x]][swap[y]]] for y in range(n)]
+                     for x in range(n)], [2], "C_n, 1 and 2 swapped")
+    with pytest.raises(ValueError, match="different groups"):
+        a + bc.random_cochain(S, 1, 3, rng)
+
+
+def test_transfer_takes_a_cochain_on_a_subgroup_table_given_as_lists():
+    V = build_product([C3, C3])
+    H = subgroup_closure(V, [3])
+    Hg = H.as_group()
+    listed = FiniteGroup([list(row) for row in Hg.mul], Hg.generators,
+                         "H from lists")
+    rng = random.Random(9)
+    c = bc.random_cochain(Hg, 2, 3, rng)
+    moved = bc.Cochain._trusted(listed, 2, dict(c.cells), 3)
+    assert bc.transfer(moved, H) == bc.transfer(c, H)
+    with pytest.raises(ValueError, match="given subgroup"):
+        bc.transfer(bc.random_cochain(build_cyclic(9), 2, 3, rng), H)
+
+
 def test_transfer_takes_a_cochain_on_the_subgroup_table():
     V = build_product([build_cyclic(3), build_cyclic(3)])
     H = subgroup_closure(V, [3])

@@ -4,6 +4,7 @@ import json
 import math
 import pathlib
 import random
+from array import array
 
 import pytest
 
@@ -169,7 +170,7 @@ def test_semidirect_numbering_is_pinned(build, digest, key):
 
 
 # ---------------------------------------------------------------------------
-# tables from generator columns, against the |G|^2-compose tabulation
+# tables from generator rows, against the |G|^2-compose tabulation
 # ---------------------------------------------------------------------------
 
 
@@ -193,7 +194,7 @@ def brute_product(factors):
 
 
 def assert_group_is(G, mul, gens, name):
-    assert G.mul == mul
+    assert [list(row) for row in G.mul] == mul
     assert G.inv == [row.index(0) for row in mul]
     assert G.generators == tuple(gens)
     assert G.name == name
@@ -250,7 +251,7 @@ def test_presented_tables_equal_the_pairwise_tables(tabulated, build, name,
     mul, tab_gens = brute_tabulate(moduli, compose, gens_exp)
     assert tuple(tab_gens) == gens
     assert_group_is(G, mul, gens, name)
-    # compose runs on the generator columns only: |G| * |gens| calls
+    # compose runs on the generator rows only: |G| * |gens| calls
     assert 0 < len(composed) <= G.order * len(gens)
 
 
@@ -413,7 +414,7 @@ def test_digest_and_light_test_match_the_first_versions(build):
     assert table == CATALOGUE_DIGESTS.get(G.name, table)
     assert G.digest() == key_oracle(G.mul, G.generators)
     assert G.digest() == CATALOGUE_KEYS.get(G.name, G.digest())
-    assert light_oracle(G.mul, G.generators)
+    assert light_oracle([list(row) for row in G.mul], G.generators)
 
 
 @pytest.mark.parametrize("order,width", [(256, 1), (257, 2)])
@@ -541,6 +542,16 @@ def test_table_validation_rejects_bad_identity():
         FiniteGroup([[1, 0], [0, 1]], [1], "bad")
 
 
+@pytest.mark.parametrize("n", [3, 257], ids=["byte rows", "array rows"])
+def test_table_validation_rejects_an_identity_row_with_a_wrong_column(n):
+    # C_n with rows 1 and n - 1 swapped: row 0 is still range(n), but
+    # column 0 is not, and that is the first thing refused
+    t = [[(i + j) % n for j in range(n)] for i in range(n)]
+    t[1], t[n - 1] = t[n - 1], t[1]
+    with pytest.raises(ValueError, match="element 0 is not an identity"):
+        FiniteGroup(t, [1], "bad")
+
+
 def test_table_validation_rejects_nonassociative():
     # a quasigroup table that is not associative
     t = [[0, 1, 2, 3, 4],
@@ -575,7 +586,7 @@ def test_one_intercalate_is_refused_on_each_side_of_the_byte_rows(m):
     """C2 x Cm (generators t, then 1) with the entries of rows r and rt at
     columns c and tc swapped: a Latin square with the same identity,
     inverses and generation, that is not associative.  Orders 18 and 256
-    (an empty pad) take the byte rows of Light's test, 258 the itemgetter
+    (an empty pad) take the byte rows of Light's test, 258 the array('H')
     rows.  t alone passes the comparisons, so only the second generator's
     refuse the mutant."""
     G = build_product([build_cyclic(2), build_cyclic(m)])
@@ -602,6 +613,85 @@ def test_table_validation_rejects_a_generator_out_of_range():
     for gens in ([4], [-1]):
         with pytest.raises(ValueError, match="out of range"):
             FiniteGroup(C4.mul, gens, "bad")
+
+
+def _bad_tables(n):
+    """Lists of C_n's table, each with one defect of shape or range."""
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    short = [r[:] for r in rows]
+    del short[3][-1]
+    tables = {"short row": short}
+    for name, v in [("entry |G|", n), ("negative entry", -1),
+                    ("entry 65536", 65536)]:
+        t = [r[:] for r in rows]
+        t[2][5] = v
+        tables[name] = t
+    return tables
+
+
+@pytest.mark.parametrize("n", [9, 256, 257, 300],
+                         ids=["order 9", "order 256", "order 257",
+                              "order 300"])
+@pytest.mark.parametrize("defect", ["short row", "entry |G|",
+                                    "negative entry", "entry 65536"])
+def test_table_validation_rejects_shape_and_range(n, defect):
+    """Every table needs |G| rows of |G| entries in range(|G|), checked
+    before anything reads it: on byte rows up to order 256 and on
+    array('H') rows above, where an entry the row type cannot hold is
+    refused by the same ValueError, not an OverflowError."""
+    with pytest.raises(ValueError, match=rf"{n} rows of {n} entries in "
+                                         rf"range\({n}\)"):
+        FiniteGroup(_bad_tables(n)[defect], [1], "bad")
+
+
+def _sub_on_members(G, members):
+    return groups.Subgroup(G, members).as_group()
+
+
+def _from_lists(G):
+    return FiniteGroup([list(row) for row in G.mul], G.generators,
+                       f"{G.name} from lists")
+
+
+# every constructor, on both sides of 256
+ROW_TYPE_BUILDS = {
+    "P(3,3)": lambda: build_P(3, 3),
+    "M(4,5)": lambda: build_M(4, 5),
+    "B(4,1,3)": lambda: build_B(4, 1, 3),
+    "G(2,1)": lambda: build_G_a1(2, 3),
+    "C1": lambda: build_cyclic(1),
+    "C256": lambda: build_cyclic(256),
+    "C257": lambda: build_cyclic(257),
+    "C1xC4": lambda: build_product([build_cyclic(1), build_cyclic(4)]),
+    "C3^4": lambda: build_product([build_cyclic(3)] * 4),
+    "C17xC17": lambda: build_product([build_cyclic(17)] * 2),
+    "Singer(3,2)": lambda: singer_group(3, 2),
+    "(C3)^3:C26": lambda: singer_group(3, 3),
+    "C3xC3 in C3^3": lambda: _sub_on_members(
+        build_product([build_cyclic(3)] * 3), range(9)),
+    "C17xC17 in C2xC17xC17": lambda: _sub_on_members(
+        build_product([build_cyclic(2)] + [build_cyclic(17)] * 2),
+        range(289)),
+    "list C3^4": lambda: _from_lists(build_product([build_cyclic(3)] * 4)),
+    "list C257": lambda: _from_lists(build_cyclic(257)),
+}
+
+
+@pytest.mark.parametrize("build", ROW_TYPE_BUILDS.values(),
+                         ids=ROW_TYPE_BUILDS)
+def test_every_constructor_returns_the_row_type_of_its_order(build):
+    """Rows are bytes up to order 256 and array('H') above, whichever
+    constructor made the table, and the key is the one its definition
+    names, read off the same entries as lists."""
+    G = build()
+    assert len(G.mul) == G.order
+    if G.order <= 256:
+        assert all(type(row) is bytes for row in G.mul)
+    else:
+        assert all(type(row) is array and row.typecode == "H"
+                   for row in G.mul)
+    assert G.digest() == key_oracle([list(row) for row in G.mul],
+                                    G.generators)
 
 
 def test_power_and_order():
