@@ -54,20 +54,22 @@ class Cochain:
         self._set(group, degree, cells, p)
 
     def _set(self, group: FiniteGroup, degree: int, cells: dict,
-             p: Optional[int]) -> None:
+             p: Optional[int], reduced: bool = False) -> None:
         self.group, self.degree, self.p = group, degree, p
         if p is None:
             self.cells = {k: v for k, v in cells.items() if v}
         else:
-            self.cells = {k: r for k, v in cells.items() if (r := v % p)}
+            self.cells = cells if reduced else {
+                k: r for k, v in cells.items() if (r := v % p)}
 
     @classmethod
     def _trusted(cls, group: FiniteGroup, degree: int, cells: dict,
-                 p: Optional[int]) -> "Cochain":
+                 p: Optional[int], reduced: bool = False) -> "Cochain":
         """A cochain on cell indices that the caller built from valid
-        cells: values are reduced mod p and zeros dropped."""
+        cells: values are reduced mod p and zeros dropped, unless over F_p
+        the caller wrote them reduced and nonzero."""
         self = cls.__new__(cls)
-        self._set(group, degree, cells, p)
+        self._set(group, degree, cells, p, reduced)
         return self
 
     @property
@@ -89,19 +91,25 @@ class Cochain:
         self._compat(other)
         if self.degree != other.degree:
             raise ValueError("degree mismatch")
-        out = dict(self.cells)
+        out, p = dict(self.cells), self.p
         get = out.get
         for k, v in other.cells.items():
-            out[k] = get(k, 0) + v
-        return Cochain._trusted(self.group, self.degree, out, self.p)
+            if p is None:
+                out[k] = get(k, 0) + v
+            elif r := (get(k, 0) + v) % p:  # reduced as written
+                out[k] = r
+            else:  # v != 0 mod p, so k was in out
+                del out[k]
+        return Cochain._trusted(self.group, self.degree, out, p, True)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "Cochain":
-        return Cochain._trusted(self.group, self.degree,
-                                {k: c * v for k, v in self.cells.items()},
-                                self.p)
+        p, cells = self.p, self.cells.items()
+        out = {k: c * v for k, v in cells} if p is None else {
+            k: r for k, v in cells if (r := c * v % p)}
+        return Cochain._trusted(self.group, self.degree, out, p, True)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Cochain) and self.degree == other.degree
@@ -226,13 +234,10 @@ def cell_index(G: FiniteGroup, key: tuple) -> int:
     return idx
 
 
-def coboundary_matrix(G: FiniteGroup, n: int, p: Optional[int] = None) -> SparseMatrix:
-    """Matrix of delta: C^n -> C^(n+1); column j is the coboundary of the
-    indicator cochain of the n-cell j, in coboundary's order of terms.
-    Built by index arithmetic: with w = m^(n-i), splitting the entry t of
-    cell j = (hi*m + t - 1)*w + lo as a*b gives the (n+1)-cell
-    (hi*m*m + (a-1)*m + b-1)*w + lo, and splits[t] lists the middle terms
-    (a-1)*m + b-1.  ResourceLimitError above MAX_COBOUNDARY_TERMS."""
+def _faces(G: FiniteGroup, n: int) -> tuple[int, int, list, list]:
+    """(m, m^n, splits, positions) of delta_n after _check_terms: splits[t]
+    lists the middle terms (a-1)*m + b-1 of t = a*b, b = a^-1 t != 1, and
+    position i = 1..n is (w, w*m, (-1)^i) with w = m^(n-i)."""
     m = G.order - 1
     _check_terms(G, n, m ** n)
     mul, inv = G.mul, G.inv
@@ -242,17 +247,24 @@ def coboundary_matrix(G: FiniteGroup, n: int, p: Optional[int] = None) -> Sparse
         for t in range(1, m + 1):
             if row[t]:
                 splits[t].append((a - 1) * m + row[t] - 1)
-    size = m ** n
+    return m, m ** n, splits, [(m ** (n - i), m ** (n - i + 1),
+                                -1 if i % 2 else 1) for i in range(1, n + 1)]
+
+
+def coboundary_matrix(G: FiniteGroup, n: int, p: Optional[int] = None) -> SparseMatrix:
+    """Matrix of delta: C^n -> C^(n+1); column j is the coboundary of the
+    indicator cochain of the n-cell j, in coboundary's order of terms.
+    Splitting the entry t at position i of cell j = (hi*m + t - 1)*w + lo
+    as a*b gives the (n+1)-cell (hi*m*m + (a-1)*m + b-1)*w + lo (_faces).
+    ResourceLimitError above MAX_COBOUNDARY_TERMS."""
+    m, size, splits, positions = _faces(G, n)
     last = -1 if (n + 1) % 2 else 1
     cols: dict[int, dict[int, int]] = {}
     for j, key in enumerate(product(range(1, m + 1), repeat=n)):
         col = dict.fromkeys(range(j, j + m * size, size), 1)  # front faces
         get = col.get
-        w = size
-        for i, t in enumerate(key, 1):
-            w //= m
-            s = -1 if i % 2 else 1
-            base = j // (w * m) * m * m * w + j % w
+        for (w, wm, s), t in zip(positions, key):
+            base = j // wm * wm * m + j % w
             for mid in splits[t]:
                 k = base + mid * w
                 col[k] = get(k, 0) + s
@@ -269,6 +281,34 @@ def coboundary_matrix(G: FiniteGroup, n: int, p: Optional[int] = None) -> Sparse
     return M
 
 
+def _plane_echelon(G: FiniteGroup, n: int) -> Echelon:
+    """_augmented_echelon(coboundary_matrix(G, n, 3)), each column of
+    [delta_n ; I] written as bit planes (P, M), as _planes writes it, of
+    face patterns shifted into place: front faces and the bookkeeping
+    coordinate m^(n+1) by j, back faces 2^m - 1 by j*m, and at position
+    i the sum of 2^(mid*w) over splits[t] by the cell's base."""
+    m, size, splits, positions = _faces(G, n)
+    front = sum(1 << s * size for s in range(m)) | 1 << m * size
+    back = (0, (1 << m) - 1) if (n + 1) % 2 else ((1 << m) - 1, 0)
+    pats = [[(0, X) if s < 0 else (X, 0) for X in
+             (sum(1 << mid * w for mid in mids) for mids in splits)]
+            for w, _, s in positions]
+    ech = Echelon(3)
+    for j, key in enumerate(product(range(1, m + 1), repeat=n)):
+        faces = [(pat[t], j // wm * wm * m + j % w)
+                 for (w, wm, _), pat, t in zip(positions, pats, key)]
+        faces.append((back, j * m))
+        P, M = front << j, 0
+        for (R, S), b in faces:
+            R, S = R << b, S << b
+            x = (P | S) ^ (M | R)  # V + (R, S) in six operations
+            P, M = (M | S) ^ x, (P | R) ^ x
+        x = P | M
+        lo = (x & -x).bit_length() - 1
+        ech._add3(lo, P >> lo, M >> lo)
+    return ech
+
+
 # ---------------------------------------------------------------------------
 # Products
 # ---------------------------------------------------------------------------
@@ -277,9 +317,11 @@ def coboundary_matrix(G: FiniteGroup, n: int, p: Optional[int] = None) -> Sparse
 def cup(u: Cochain, v: Cochain) -> Cochain:
     u._compat(v)
     shift = (u.group.order - 1) ** v.degree  # cell i, then cell j: i*shift + j
-    vs = v.cells.items()
-    out = {i * shift + j: a * b for i, a in u.cells.items() for j, b in vs}
-    return Cochain._trusted(u.group, u.degree + v.degree, out, u.p)
+    us, vs, p = u.cells.items(), v.cells.items(), u.p
+    out = {i * shift + j: a * b for i, a in us for j, b in vs} if p is None \
+        else {i * shift + j: r for i, a in us for j, b in vs
+              if (r := a * b % p)}
+    return Cochain._trusted(u.group, u.degree + v.degree, out, p, True)
 
 
 def cup1(u: Cochain, v: Cochain) -> Cochain:
@@ -348,22 +390,20 @@ _SOLVERS: dict[tuple, "CoboundarySolver"] = {}
 class CoboundarySolver:
     """One elimination of delta_n: C^n -> C^(n+1) for (G, n, ring), the
     echelon of the columns of [delta_n ; I] (exact_linalg's augmented
-    echelon), whose cell coordinates are a Cochain's cell indices.  Its
-    kernel rows are the n-cocycles (cocycle_basis), the cell coordinates
-    of a residue are the canonical representative of a class modulo
-    coboundaries (reduce), and the bookkeeping coordinates of a
-    coboundary's residue give a primitive (find_primitive).  They come
-    after every cell coordinate, so every pivot and multiplier on cells
-    is that of a plain echelon of delta_n's columns, and so are the cell
-    residues."""
+    echelon, over F_3 from bit-plane columns: _plane_echelon), whose cell
+    coordinates are a Cochain's cell indices.  Its kernel rows are the
+    n-cocycles (cocycle_basis), the cell coordinates of a residue are the
+    canonical representative of a class modulo coboundaries (reduce), and
+    the bookkeeping coordinates of a coboundary's residue give a primitive
+    (find_primitive).  They come after every cell coordinate, so every
+    pivot and multiplier on cells is that of a plain echelon of delta_n's
+    columns, and so are the cell residues."""
 
     def __init__(self, G: FiniteGroup, n: int, p: Optional[int]):
-        self.G = G
-        self.n = n
-        self.p = p
-        M = coboundary_matrix(G, n, p)
-        self.shape = (M.n_rows, M.n_cols)
-        self.ech = _augmented_echelon(M)
+        self.G, self.n, self.p = G, n, p
+        self.shape = (n_cells(G, n + 1), n_cells(G, n))
+        self.ech = _plane_echelon(G, n) if p == 3 else \
+            _augmented_echelon(coboundary_matrix(G, n, p))
 
     def reduce(self, c: Cochain) -> Cochain:
         n_rows = self.shape[0]
@@ -610,10 +650,10 @@ def transfer(c: Cochain, H: Subgroup) -> Cochain:
             longer += [-1 if x < 0 or (d := moves[x % k]) is None else x + d
                        for x in walks]
         walks, w = longer, w * (Hg.order - 1)
-    get = c.cells.get
-    return Cochain._trusted(G, n, {i // k: sum(get(x // k, 0) for x in
-                                               walks[i:i + k] if x >= 0)
-                                   for i in range(0, len(walks), k)}, c.p)
+    get = c.cells.get  # a walk -1 reads cell -1, which is never set
+    vals = [get(x // k, 0) for x in walks]
+    return Cochain._trusted(G, n, dict(enumerate(
+        map(sum, zip(*[iter(vals)] * k)))), c.p)
 
 
 # ---------------------------------------------------------------------------

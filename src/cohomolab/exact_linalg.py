@@ -219,9 +219,8 @@ def _planes(vec: dict[int, int]) -> tuple[int, int, int]:
     """(base, P, M): vec mod 3 as two bit planes from base, bit j of P (of
     M) set where the coordinate base + j is 1 (is 2), and bit 0 set in one
     of them; P = M = 0 when vec is zero mod 3.  A few entries are shifted
-    in one by one, entries spread wider than 8 coordinates apart each set
-    a bit in two bit-packed buffers, and denser ones fill a byte per
-    coordinate that is read as two binary numerals."""
+    in one by one, and more fill a byte per coordinate that is read as two
+    binary numerals."""
     if not vec:
         return 0, 0, 0
     lo = min(vec)
@@ -233,15 +232,6 @@ def _planes(vec: dict[int, int]) -> tuple[int, int, int]:
                 P |= 1 << i - lo
             elif v:
                 M |= 1 << i - lo
-    elif len(vec) * 8 < max(vec) - lo + 1:  # wide: set bits in the planes
-        ones = bytearray((max(vec) - lo >> 3) + 1)
-        twos = bytearray(len(ones))
-        for i, v in vec.items():
-            v %= 3
-            if v:
-                i -= lo
-                (ones if v == 1 else twos)[i >> 3] |= 1 << (i & 7)
-        P, M = int.from_bytes(ones, "little"), int.from_bytes(twos, "little")
     else:
         data = bytearray(max(vec) - lo + 1)
         for i, v in vec.items():
@@ -353,13 +343,8 @@ class Echelon:
     def add(self, vec: dict[int, int]) -> bool:
         """Insert vec into the spanned lattice.  Returns True if rank grew."""
         if self.p == 3:
-            lo, P, M = _planes(vec)
-            if lo in self.basis:
-                lo, P, M = self._sweep3(lo, P, M)
-            if not (P or M):
-                return False
-            self.basis[lo] = (P, M)
-            return True
+            lo, P, M = _planes(vec)  # not *_planes(vec): that call is slower
+            return self._add3(lo, P, M)
         pk = self._pk
         if pk is not None:
             lo, V = pk.pack(vec)
@@ -393,6 +378,15 @@ class Echelon:
                 self._store(piv, new_row)
                 vec = new_vec
         return False
+
+    def _add3(self, lo: int, P: int, M: int) -> bool:
+        """add over F_3 of a vector as _planes writes it."""
+        if lo in self.basis:
+            lo, P, M = self._sweep3(lo, P, M)
+        if not (P or M):
+            return False
+        self.basis[lo] = (P, M)
+        return True
 
     def _sweep(self, lo: int, V: int,
                res: Optional[dict[int, int]] = None) -> tuple[int, int]:

@@ -85,6 +85,16 @@ def _below(rows: list, order: int) -> bool:
         int.from_bytes(row, sys.byteorder) for row in rows))
 
 
+def _find_identity(row: array) -> int:
+    """row.index(0) for an array('H') row, or -1: two zero bytes at an even
+    offset of its buffer (array.index makes an int of every entry)."""
+    buf = row.tobytes()
+    i = buf.find(b"\0\0")
+    while i > 0 and i & 1:  # the zero bytes of two entries
+        i = buf.find(b"\0\0", i + 1)
+    return i >> 1  # -1 >> 1 is -1
+
+
 class FiniteGroup:
     """Immutable finite group on indices 0..order-1 with 0 = identity."""
 
@@ -112,16 +122,11 @@ class FiniteGroup:
         identity = row(range(order))
         if mul[0] != identity or row([r[0] for r in mul]) != identity:
             raise ValueError("element 0 is not an identity")
-        inv = []
-        for g, row_g in enumerate(mul):
-            try:
-                h = row_g.index(0)
-            except ValueError:
-                raise ValueError(f"no two-sided inverse for element {g}") from None
-            if mul[h][g] != 0:
+        self.inv = list(map(bytes.find, mul, itertools.repeat(0))
+                        if order <= 256 else map(_find_identity, mul))
+        for g, h in enumerate(self.inv):
+            if h < 0 or mul[h][g] != 0:
                 raise ValueError(f"no two-sided inverse for element {g}")
-            inv.append(h)
-        self.inv = inv
         self.generators = tuple(generators)
         if len(closure_members(self, self.generators)) != order:
             raise ValueError("declared generators do not generate the group")
@@ -576,7 +581,9 @@ def build_group(spec: dict) -> FiniteGroup:
     if fam == "product":
         if not isinstance(spec["factors"], list):
             raise ValueError("group spec field 'factors' must be a list")
-        return build_product([build_group(f) for f in spec["factors"]])
+        built = {repr(f): f for f in spec["factors"]}  # each spec once
+        built = {key: build_group(f) for key, f in built.items()}
+        return build_product([built[repr(f)] for f in spec["factors"]])
     if fam == "semidirect":
         n, mats = spec["n"], spec["matrices"]
         if not (isinstance(mats, list) and all(

@@ -158,9 +158,8 @@ class FreeResolution:
 
     def _translate(self, vec: dict[int, int], g: int) -> dict[int, int]:
         """Left action of g on a vector in (RG)^b, coordinates i*|G| + h."""
-        mul = self.G.mul
-        o = self.G.order
-        return {(k - k % o) + mul[g][k % o]: v for k, v in vec.items()}
+        row, o = self.G.mul[g], self.G.order
+        return {k - (h := k % o) + row[h]: v for k, v in vec.items()}
 
     def _cache_path(self, n: int) -> Optional[str]:
         if not self.cache_dir:

@@ -588,12 +588,14 @@ def test_only_the_cli_and_the_package_import_bar_cohomology():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_coboundary_bound_counts_every_term_it_writes(monkeypatch, n):
-    """Both coboundary routes write 2m + n(m - 1) terms per n-cell, m =
-    |G| - 1; the limit admits exactly that count and refuses one less."""
+    """The three coboundary routes (the matrix, the F_3 plane columns and
+    coboundary) write 2m + n(m - 1) terms per n-cell, m = |G| - 1; the
+    limit admits exactly that count and refuses one less."""
     G = symmetric_3()
     m = G.order - 1
     c = bc.Cochain(G, n, {(1,) * n: 1, (2,) * n: 1}, 3)
     for call, cells in ((lambda: bc.coboundary_matrix(G, n, 3), m ** n),
+                        (lambda: bc._plane_echelon(G, n), m ** n),
                         (lambda: bc.coboundary(c), 2)):
         terms = cells * (2 * m + n * (m - 1))
         monkeypatch.setattr(bc, "MAX_COBOUNDARY_TERMS", terms)

@@ -1277,9 +1277,12 @@ def test_undefined_massey_product_exits_2(capsys):
 
 
 def test_each_coboundary_matrix_is_eliminated_once(capsys, monkeypatch):
+    """Counted over both routes: the matrix and its elimination for p != 3,
+    and the F_3 plane columns, which build and eliminate in one pass."""
     from cohomolab import bar_cohomology as bc, exact_linalg
     built, eliminated = [], []
     build, eliminate = bc.coboundary_matrix, exact_linalg._augmented_echelon
+    planes = bc._plane_echelon
 
     def counted_build(G, n, p=None):
         built.append((G.digest(), n, p))
@@ -1289,8 +1292,15 @@ def test_each_coboundary_matrix_is_eliminated_once(capsys, monkeypatch):
         eliminated.append((M.n_rows, M.n_cols, M.p))
         return eliminate(M)
 
+    def counted_planes(G, n):
+        m = G.order - 1
+        built.append((G.digest(), n, 3))
+        eliminated.append((m ** (n + 1), m ** n, 3))
+        return planes(G, n)
+
     monkeypatch.setattr(bc, "_SOLVERS", {})
     monkeypatch.setattr(bc, "coboundary_matrix", counted_build)
+    monkeypatch.setattr(bc, "_plane_echelon", counted_planes)
     monkeypatch.setattr(bc, "_augmented_echelon", counted_elimination)
     monkeypatch.setattr(exact_linalg, "_augmented_echelon",
                         counted_elimination)

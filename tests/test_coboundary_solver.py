@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohomolab import bar_cohomology as bc
-from cohomolab.exact_linalg import Echelon, kernel_mod_p, solve
+from cohomolab.exact_linalg import (Echelon, _augmented_echelon, kernel_mod_p,
+                                    solve)
 from cohomolab.groups import build_cyclic, build_product, symmetric_3
 from matrix_helpers import cochain_vector, index_cell
 
@@ -87,3 +88,36 @@ def test_find_primitive_matches_solve(case, p, data):
     else:
         assert prim == _from_vector(G, n, p, x)
         assert bc.coboundary(prim) == c
+
+
+# (group, n) for the plane route against the dict route: C2, C3, C9,
+# C3 x C3 and S3 in degrees 0..3, and S3 in degree 4
+PLANE_CASES = [(G, n) for G in (build_cyclic(2), build_cyclic(3),
+                                build_cyclic(9), C3xC3, symmetric_3())
+               for n in range(4)] + [(symmetric_3(), 4)]
+
+
+@pytest.mark.parametrize("G,n", PLANE_CASES,
+                         ids=lambda x: getattr(x, "name", x))
+def test_plane_columns_match_the_coboundary_matrix(monkeypatch, G, n):
+    """Over F_3 the solver writes each column of [delta_n ; I] straight
+    into bit planes: each column, read back, is the matrix column mod 3
+    with a 1 at its bookkeeping coordinate, and the echelon has the
+    pivots and planes of the augmented echelon of coboundary_matrix."""
+    D = bc.coboundary_matrix(G, n, 3)
+    columns = []
+    add3 = Echelon._add3
+
+    def spied(self, lo, P, M):
+        columns.append((lo, P, M))
+        return add3(self, lo, P, M)
+
+    monkeypatch.setattr(Echelon, "_add3", spied)
+    planes = bc._plane_echelon(G, n)
+    monkeypatch.undo()
+    assert planes.basis == _augmented_echelon(D).basis
+    assert len(columns) == D.n_cols
+    for j, (lo, P, M) in enumerate(columns):
+        one = Echelon(p=3)
+        one.basis[lo] = (P, M)
+        assert one.row(lo) == {**D.cols.get(j, {}), D.n_rows + j: 1}

@@ -176,9 +176,9 @@ def planes_oracle(vec):
                               min_size=17, max_size=120))))
 @settings(max_examples=300, deadline=None)
 def test_planes_of_sparse_and_dense_vectors(vec):
-    # a wide vector (8 * entries < span) sets bits in two bit-packed
-    # buffers, a dense one goes through a byte per coordinate; values 0
-    # mod 3 and negative values included
+    # a few entries are shifted in one by one, more go through a byte per
+    # coordinate, wide (8 * entries < span) or dense; values 0 mod 3 and
+    # negative values included
     want = planes_oracle(vec)
     if want is None:
         assert _planes(vec)[1:] == (0, 0)
@@ -191,7 +191,7 @@ def test_planes_of_the_augmented_coboundary_columns():
     for j in range(0, M.n_cols, 7):
         vec = dict(M.cols.get(j, ()))
         vec[M.n_rows + j] = 1
-        assert len(vec) * 8 < max(vec) - min(vec) + 1  # the wide route
+        assert len(vec) * 8 < max(vec) - min(vec) + 1  # a wide vector
         assert _planes(vec) == planes_oracle(vec)
 
 

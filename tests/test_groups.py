@@ -532,6 +532,59 @@ def test_build_group_json_specs():
         build_group({"family": "B", "n": 3, "p": 3})
 
 
+def test_build_group_builds_each_factor_spec_once(monkeypatch, tmp_path):
+    """C3^4 builds C3 once per build_group call, and its key and the
+    res_v3_* files its resolution writes are those of the product of four
+    C3 built one by one."""
+    from cohomolab import bar_cohomology, resolution
+    spec = {"family": "product", "factors": [{"family": "cyclic", "n": 3}] * 4}
+    calls = []
+    cyclic = groups.build_cyclic
+
+    def counted(m):
+        calls.append(m)
+        return cyclic(m)
+
+    monkeypatch.setattr(groups, "build_cyclic", counted)
+    G = build_group(spec)
+    assert calls == [3]
+    assert build_group(spec).digest() == "3a7023ba8a8e307b"
+    assert calls == [3, 3]
+    monkeypatch.undo()
+    one_by_one = build_product([build_cyclic(3) for _ in range(4)])
+    assert G.mul == one_by_one.mul and G.digest() == one_by_one.digest()
+    written = {}
+    for name, H in (("spec", G), ("one_by_one", one_by_one)):
+        monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+        (tmp_path / name).mkdir()
+        bar_cohomology.cohomology_dims_mod_p(H, 3, 2, str(tmp_path / name))
+        written[name] = {f.name: f.read_text()
+                         for f in (tmp_path / name).iterdir()}
+    assert sorted(written["spec"]) == [
+        f"res_v3_3a7023ba8a8e307b_tensor_d{n}_F3.txt" for n in (1, 2, 3)]
+    assert written["spec"] == written["one_by_one"]
+
+
+@pytest.mark.parametrize("build", [lambda: build_cyclic(257),
+                                   lambda: build_product([build_cyclic(17)] * 2)],
+                         ids=["C257", "C17xC17"])
+def test_identity_search_in_wide_rows_matches_index(build):
+    """Above order 256 the identity of a row is found in its buffer."""
+    G = build()
+    assert type(G.mul[0]) is array
+    assert [groups._find_identity(row) for row in G.mul] \
+        == [row.index(0) for row in G.mul] == G.inv
+
+
+def test_identity_search_skips_a_zero_pair_across_two_entries():
+    """The entries 5, 256, 5 put two zero bytes at an odd offset in either
+    byte order, where no entry is 0."""
+    row = array("H", [5, 256, 5, 7, 0, 9] + list(range(10, 300)))
+    assert groups._find_identity(row) == row.index(0) == 4
+    assert groups._find_identity(array("H", [5, 256, 5])) == -1
+    assert groups._find_identity(array("H", [0, 5])) == 0
+
+
 # ---------------------------------------------------------------------------
 # FiniteGroup invariants
 # ---------------------------------------------------------------------------
