@@ -345,16 +345,9 @@ class Echelon:
         if self.p == 3:
             lo, P, M = _planes(vec)  # not *_planes(vec): that call is slower
             return self._add3(lo, P, M)
-        pk = self._pk
-        if pk is not None:
-            lo, V = pk.pack(vec)
-            basis = self.basis
-            if lo in basis:
-                lo, V = self._sweep(lo, V)
-            if not V:
-                return False
-            basis[lo] = (V, pk.inverse[V & pk.low])
-            return True
+        if self._pk is not None:
+            lo, V = self._pk.pack(vec)
+            return self._addp(lo, V)
         vec = {k: v for k, v in vec.items() if v}
         while vec:
             piv = min(vec)
@@ -386,6 +379,15 @@ class Echelon:
         if not (P or M):
             return False
         self.basis[lo] = (P, M)
+        return True
+
+    def _addp(self, lo: int, V: int) -> bool:
+        """add over F_p, p != 3, of a vector as _Packing.pack writes it."""
+        if lo in self.basis:
+            lo, V = self._sweep(lo, V)
+        if not V:
+            return False
+        self.basis[lo] = (V, self._pk.inverse[V & self._pk.low])
         return True
 
     def _sweep(self, lo: int, V: int,
@@ -929,13 +931,15 @@ def matrix_group_closure(mats, p, k: int, cap: int) -> list:
     none): the identity, then each new product A*M in depth-first order.
     ValueError once it has more than cap elements."""
     ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
-    gens = [tuple(zip(*[[x % p for x in row] for row in M])) for M in mats]
+    # the columns of each M, and each row r met so far -> r*M, row i of A*M
+    gens = [(tuple(zip(*[[x % p for x in row] for row in M])), {})
+            for M in mats]
     group, stack = {ident: None}, [ident]  # a dict keeps insertion order
     while stack:
         A = stack.pop()
-        for cols in gens:  # the columns of M
-            B = tuple(tuple(sum(map(mul, row, col)) % p for col in cols)
-                      for row in A)
+        for cols, times in gens:
+            B = tuple([times.get(r) or times.setdefault(r, tuple(
+                sum(map(mul, r, col)) % p for col in cols)) for r in A])
             if B not in group:
                 group[B] = None
                 stack.append(B)

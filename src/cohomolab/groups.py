@@ -29,6 +29,7 @@ import hashlib
 import itertools
 import math
 import operator
+import re
 import struct
 import sys
 from array import array
@@ -38,6 +39,7 @@ from .exact_linalg import (_mat_mul, _mat_pow, _prime_factors, is_prime,
                            matrix_group_closure)
 
 MAX_TABLE_ORDER = 4096
+_ZERO_PAIR = re.compile(b"\0\0")  # see _find_identity
 
 
 class ConjugacyClasses(NamedTuple):
@@ -87,12 +89,11 @@ def _below(rows: list, order: int) -> bool:
 
 def _find_identity(row: array) -> int:
     """row.index(0) for an array('H') row, or -1: two zero bytes at an even
-    offset of its buffer (array.index makes an int of every entry)."""
-    buf = row.tobytes()
-    i = buf.find(b"\0\0")
-    while i > 0 and i & 1:  # the zero bytes of two entries
-        i = buf.find(b"\0\0", i + 1)
-    return i >> 1  # -1 >> 1 is -1
+    offset of its buffer, read in place (array.index boxes every entry)."""
+    m = _ZERO_PAIR.search(row)
+    while m and m.start() & 1:  # the zero bytes of two entries
+        m = _ZERO_PAIR.search(row, m.start() + 1)
+    return m.start() >> 1 if m else -1
 
 
 class FiniteGroup:

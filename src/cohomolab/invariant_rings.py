@@ -26,8 +26,8 @@ from math import comb, lcm
 from typing import Optional, Sequence
 
 from .char_chern import Cyclotomic
-from .exact_linalg import (Echelon, ResourceLimitError, SparseMatrix, _mat_det,
-                           _mat_mul, _mat_pow, _prime_factors, kernel_mod_p,
+from .exact_linalg import (Echelon, ResourceLimitError, _kernel_from_augmented,
+                           _mat_det, _mat_mul, _mat_pow, _prime_factors,
                            matrix_group_closure)
 from .groups import _primitive_polynomial
 
@@ -144,39 +144,63 @@ def _outside_basis(m, d: int) -> str:
 
 def fixed_subspace(ring: GradedRing, blocks: Sequence[Sequence[Element]],
                    d: int) -> list[Element]:
-    """Basis of the degree-d subspace fixed by every map, each given by its
-    block of images: block[j] is the image of basis(d)[j].  The basis is
-    the kernel of the stacked (g - 1), block k on rows k*n .. k*n + n-1,
-    and each vector is checked fixed (require_fixed).  The maps preserve
-    degree: an image outside basis(d) raises ArithmeticError.  With no
-    blocks the zero matrix leaves the whole component fixed."""
+    """Basis of the degree-d subspace fixed by every map (all of it if
+    there is none), each given by its block of images: block[j] is the
+    image of basis(d)[j].  The basis is the kernel of the stacked (g - 1)
+    (_fixed_echelon), and each vector is checked fixed (require_fixed)."""
     basis = ring.basis(d)
-    index = ring._index_cache[d]
-    n = len(basis)
-    if n == 0:
-        return []
-    p = ring.p
-    cols: list[dict[int, int]] = [{} for _ in basis]
-    for k, block in enumerate(blocks):
-        row = k * n
-        for m, img, col in zip(basis, block, cols):
-            try:  # the entries of g - 1, reduced mod p, zeros dropped
-                for mm, c in img.items():
-                    c = (c - 1 if mm == m else c) % p
-                    if c:
-                        col[row + index[mm]] = c
-            except KeyError as exc:
-                raise ArithmeticError(_outside_basis(exc.args[0], d)) \
-                    from None
-            if m not in img:
-                col[row + index[m]] = p - 1
-    # written directly: the rows are basis indices inside their block
-    mat = SparseMatrix(n * max(1, len(blocks)), n, p=p)
-    mat.cols = {j: col for j, col in enumerate(cols) if col}
+    n_rows = len(basis) * max(1, len(blocks))
+    ech = _fixed_echelon(ring, blocks, d, n_rows)
     fixed = [{basis[j]: v for j, v in vec.items()}
-             for vec in kernel_mod_p(mat)]
+             for vec in _kernel_from_augmented(ech, n_rows)]
     require_fixed(ring, blocks, d, fixed)
     return fixed
+
+
+def _fixed_echelon(ring: GradedRing, blocks: Sequence[Sequence[Element]],
+                   d: int, n_rows: int) -> Echelon:
+    """_augmented_echelon of the stacked (g - 1), block k on rows k*n ..
+    k*n + n-1 (n = dim(d)), column j's bookkeeping 1 at n_rows + j, each
+    column written block by block in the echelon's own form: over F_3 its
+    bit planes (P, M), else its packed fields, w bits each.  An image
+    outside basis(d) raises ArithmeticError."""
+    basis, index, p = ring.basis(d), ring._index_cache[d], ring.p
+    n, ech = len(basis), Echelon(p)
+    w = 1 if p == 3 else ech._pk.w  # bits per coordinate
+    P = [1 << (n_rows + j) * w for j in range(n)]  # fields, or F_3's P
+    M = [0] * n  # F_3's plane M
+    try:  # the entries of g - 1, reduced mod p
+        for k, block in enumerate(blocks):
+            row = k * n * w
+            for j, (m, img) in enumerate(zip(basis, block)):
+                x = P[j]
+                if p != 3:
+                    for mm, c in img.items():
+                        x |= (c - (mm == m)) % p << row + index[mm] * w
+                    if m not in img:
+                        x |= p - 1 << row + j * w
+                    P[j] = x
+                    continue
+                y = M[j]
+                for mm, c in img.items():
+                    c = (c - (mm == m)) % 3
+                    if c == 1:
+                        x |= 1 << row + index[mm]
+                    elif c:
+                        y |= 1 << row + index[mm]
+                if m not in img:
+                    y |= 1 << row + j
+                P[j], M[j] = x, y
+    except KeyError as exc:
+        raise ArithmeticError(_outside_basis(exc.args[0], d)) from None
+    for x, y in zip(P, M):
+        if p == 3:
+            lo = ((x | y) & -(x | y)).bit_length() - 1
+            ech._add3(lo, x >> lo, y >> lo)
+        else:
+            lo = ((x & -x).bit_length() - 1) // w
+            ech._addp(lo, x >> lo * w)
+    return ech
 
 
 def require_fixed(ring: GradedRing, blocks: Sequence[Sequence[Element]],
@@ -187,7 +211,7 @@ def require_fixed(ring: GradedRing, blocks: Sequence[Sequence[Element]],
     not the matrix whose kernel the vectors are, so it also checks how
     that matrix was written.  Independence is read off the least basis
     index of each vector, which must strictly increase, as it does across
-    kernel_mod_p's echelon rows."""
+    _kernel_from_augmented's echelon rows."""
     p = ring.p
     index = ring._index_cache[d]
     for v in vectors:

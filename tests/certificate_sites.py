@@ -131,7 +131,7 @@ SITES = {
         "test_a_product_outside_the_basis_exits_1",
         "test_a_product_outside_the_basis_is_refused",
         "test_certify_refuses_a_wrong_mu_straightening"],
-    ("invariant_rings", "fixed_subspace",
+    ("invariant_rings", "_fixed_echelon",
      "_outside_basis(exc.args[0], d)"): [
         "test_a_product_outside_the_basis_on_the_sweep_exits_1",
         "test_a_product_outside_the_basis_is_refused"],

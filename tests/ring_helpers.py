@@ -17,7 +17,11 @@ The averaging idempotent of a MatrixAction, whose rank is the fixed
 dimension when p does not divide the group order.
 
 Held5's invariant dimensions from the kernel of each degree, the oracle
-of its Molien count."""
+of its Molien count.
+
+The stacked (g - 1) matrix of a degree as a SparseMatrix, column by
+column from the image blocks, the oracle of the columns fixed_subspace
+writes packed."""
 
 from cohomolab.exact_linalg import SparseMatrix, rank_mod_p
 from cohomolab.invariant_rings import (GradedAlgebra, HELD5_MATRICES,
@@ -209,3 +213,20 @@ def held5_kernel_dims(max_degree):
     A = GradedAlgebra(5, [2, 2], [3])
     act = MatrixAction(A, HELD5_MATRICES, ext_twists=[1])
     return fixed_dims(A, act.maps, max_degree)
+
+
+def stacked_matrix(ring, blocks, d):
+    """The stacked (g - 1) of the maps given by their image blocks (as in
+    fixed_subspace) on the degree-d component, block k on rows k*n ..
+    k*n + n-1, through the SparseMatrix constructor, which reduces mod p
+    and drops zeros; with no blocks the n x n zero matrix."""
+    basis = ring.basis(d)
+    n = len(basis)
+    entries = []
+    for k, block in enumerate(blocks):
+        for j, (m, img) in enumerate(zip(basis, block)):
+            diag = dict(img)
+            diag[m] = diag.get(m, 0) - 1
+            entries += [(k * n + ring.index_of(mm, d), j, c)
+                        for mm, c in diag.items()]
+    return SparseMatrix(n * max(1, len(blocks)), n, entries, p=ring.p)

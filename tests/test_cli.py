@@ -651,8 +651,8 @@ def test_the_size_check_runs_before_any_determinant(capsys, monkeypatch):
 SWAP_DIAG = {"poly_degrees": [1, 1],
              "matrices": [[[0, 1], [1, 0]], [[2, 0], [0, 1]]]}
 
-# commands whose answers come from kernel_mod_p (held5's come from the
-# Molien series)
+# commands whose answers come from the kernel rows of fixed_subspace's
+# echelon (held5's come from the Molien series)
 FIXED_ARGVS = [
     _fixed_argv({"poly_degrees": [1, 1], "matrices": [[[1, 1], [0, 1]]]}, 6),
     ["ringmodel", "fixed", "--p", "3", "--action", "C3-shear-3.4",
@@ -668,15 +668,17 @@ def test_a_reported_vector_that_is_not_fixed_exits_1(capsys, monkeypatch,
     # the kernel also returns the first basis monomial, which some map of
     # each action moves in a degree the command reaches; where it is
     # already a kernel row (degree 0) a second copy would be a repeated
-    # vector, which test_a_repeated_fixed_vector_exits_1 covers
+    # vector, which test_a_repeated_fixed_vector_exits_1 covers, and an
+    # empty component has no first monomial
     from cohomolab import invariant_rings
-    kernel = invariant_rings.kernel_mod_p
+    kernel = invariant_rings._kernel_from_augmented
 
-    def with_first_monomial(M):
-        rows = kernel(M)
-        return rows if {0: 1} in rows else rows + [{0: 1}]
+    def with_first_monomial(ech, n_rows):
+        rows = kernel(ech, n_rows)
+        return rows if not n_rows or {0: 1} in rows else rows + [{0: 1}]
 
-    monkeypatch.setattr(invariant_rings, "kernel_mod_p", with_first_monomial)
+    monkeypatch.setattr(invariant_rings, "_kernel_from_augmented",
+                        with_first_monomial)
     _exits_1_without_traceback(capsys, argv, "fixed vector is moved by map")
 
 
@@ -684,13 +686,13 @@ def test_a_repeated_fixed_vector_exits_1(capsys, monkeypatch):
     # the kernel returns its first vector twice: each copy is fixed, and
     # the shear of F_3[x, y] would report fixed_dims [2, 2, 2, 3, 3, 3, 4]
     from cohomolab import invariant_rings
-    kernel = invariant_rings.kernel_mod_p
+    kernel = invariant_rings._kernel_from_augmented
 
-    def repeated(M):
-        rows = kernel(M)
+    def repeated(ech, n_rows):
+        rows = kernel(ech, n_rows)
         return rows[:1] + rows
 
-    monkeypatch.setattr(invariant_rings, "kernel_mod_p", repeated)
+    monkeypatch.setattr(invariant_rings, "_kernel_from_augmented", repeated)
     _exits_1_without_traceback(capsys, FIXED_ARGVS[0],
                                "degree-0 fixed vectors are not independent")
 
@@ -700,9 +702,9 @@ def test_a_dropped_fixed_vector_of_a_non_modular_action_exits_1(
     # each kept vector is fixed and they stay independent: only the
     # Molien count sees that one is missing
     from cohomolab import invariant_rings
-    kernel = invariant_rings.kernel_mod_p
-    monkeypatch.setattr(invariant_rings, "kernel_mod_p",
-                        lambda M: kernel(M)[:-1])
+    kernel = invariant_rings._kernel_from_augmented
+    monkeypatch.setattr(invariant_rings, "_kernel_from_augmented",
+                        lambda ech, n_rows: kernel(ech, n_rows)[:-1])
     _exits_1_without_traceback(
         capsys, _fixed_argv(SWAP_DIAG, 6, p=5),
         "degree 0 has 0 fixed vectors, and the Molien series counts 1")

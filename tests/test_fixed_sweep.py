@@ -1,6 +1,10 @@
 """The fixed-subspace sweep against the plain maps: every image block the
 sweep builds from generator images, and every per-degree basis, must be
-what the plain left-to-right evaluation of each monomial gives."""
+what the plain left-to-right evaluation of each monomial gives.  The
+echelon fixed_subspace builds from its packed columns against the
+augmented echelon of the stacked (g - 1) written as a SparseMatrix (and
+on a map that is the identity mod p in
+test_invariant_rings.py::test_fixed_subspace_matrix_is_reduced_mod_p)."""
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,15 +15,17 @@ from cohomolab.cohomology_ring_models import (
     named_action,
     named_restriction,
 )
-from cohomolab.exact_linalg import _mat_det
+from cohomolab.exact_linalg import _augmented_echelon, _mat_det
 from cohomolab.invariant_rings import (
     GradedAlgebra,
     HELD5_MATRICES,
     MatrixAction,
+    _fixed_echelon,
     fixed_subspace,
     fixed_subspaces,
     fixed_sweep,
 )
+from ring_helpers import stacked_matrix
 
 
 def plain_blocks(ring, apply_maps, d):
@@ -205,3 +211,57 @@ def test_sweep_makes_one_product_per_monomial_and_map():
     assert dims[15] == 1
     assert Counting.products == \
         len(act.matrices) * sum(A.dim(d) for d in range(1, 31))
+
+
+def assert_packed_echelon_matches(ring, blocks, d):
+    """The echelon of the packed columns has the pivots, rows and stored
+    rows of the matrix route; returns the stacked matrix."""
+    M = stacked_matrix(ring, blocks, d)
+    ech, oracle = _fixed_echelon(ring, blocks, d, M.n_rows), \
+        _augmented_echelon(M)
+    assert sorted(ech.basis) == sorted(oracle.basis)
+    assert [ech.row(piv) for piv in sorted(ech.basis)] == \
+        [oracle.row(piv) for piv in sorted(oracle.basis)]
+    assert ech.basis == oracle.basis
+    return M
+
+
+def _diagonal_term(ring, blocks, d):
+    return any(m in img for block in blocks
+               for m, img in zip(ring.basis(d), block))
+
+
+@pytest.mark.parametrize("n_maps", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 257])
+def test_packed_columns_match_the_matrix_route_on_matrix_actions(p, n_maps):
+    # a diagonal (the identity at p = 2), a shear and a swap, with
+    # exterior generators of degrees 1 and 3 twisted by det^1 and
+    # det^(p-2); the diagonal fixes every power of the second generator.
+    # p = 257 packs 8 bytes per field
+    A = GradedAlgebra(p, [1, 1], [1, 3])
+    mats = [[[p - 1, 0], [0, 1]], [[1, 1], [0, 1]], [[0, 1], [1, 0]]]
+    act = MatrixAction(A, mats[:n_maps], ext_twists=[1, p - 2])
+    zero_cols = diagonal = False
+    for d, blocks in fixed_sweep(A, act.maps, 8):
+        M = assert_packed_echelon_matches(A, blocks, d)
+        zero_cols |= len(M.cols) < M.n_cols
+        diagonal |= _diagonal_term(A, blocks, d)
+    assert zero_cols and diagonal == (n_maps > 0)
+
+
+@pytest.mark.parametrize("n_maps", [0, 1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_packed_columns_match_the_matrix_route_on_ring_models(p, n_maps):
+    # a shear, a reflection of determinant -1 and a rotation on the P(3)
+    # ring model, up to degree 3p
+    model = RingModel(p)
+    autos = [_Unchecked.from_matrix(model, M, j) for M, j in [
+        (((1, 0), (1, 1)), 1), (((p - 1, 0), (0, 1)), p - 1),
+        (((0, p - 1), (1, 0)), 1)][:n_maps]]
+    zero_cols = diagonal = False
+    for d, blocks in fixed_sweep(model, [phi.images for phi in autos],
+                                 3 * p):
+        M = assert_packed_echelon_matches(model, blocks, d)
+        zero_cols |= len(M.cols) < M.n_cols
+        diagonal |= _diagonal_term(model, blocks, d)
+    assert zero_cols and diagonal == (n_maps > 0)

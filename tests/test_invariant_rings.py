@@ -20,6 +20,7 @@ from cohomolab.invariant_rings import (
     fixed_dims,
     fixed_subspace,
     fixed_subspaces,
+    fixed_sweep,
     gl2_generators,
     held_5_part_check,
     in_span,
@@ -28,7 +29,7 @@ from cohomolab.invariant_rings import (
     subalgebra_dims,
 )
 from group_helpers import closure_oracle
-from ring_helpers import averaging_rank, held5_kernel_dims
+from ring_helpers import averaging_rank, held5_kernel_dims, stacked_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -110,16 +111,18 @@ def test_a_product_outside_the_basis_is_refused():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_fixed_subspace_matrix_is_reduced_mod_p(p, monkeypatch):
-    # fixed_subspace writes its matrix without the SparseMatrix checks, so
-    # it must hold what the constructor would: entries in 1..p-1, no zeros.
-    # g(m) = (1 + p)*m + p*m' is the identity mod p, so g - 1 is zero and
-    # the whole component is fixed; the SL_2 action checks a real one
+    # fixed_subspace writes its columns packed, without the SparseMatrix
+    # checks, so its echelon must be the one of the matrix the constructor
+    # makes: entries reduced mod p, no zeros.  g(m) = (1 + p)*m + p*m' is
+    # the identity mod p, so g - 1 is zero and the whole component is
+    # fixed; the SL_2 action checks a real one
     from cohomolab import invariant_rings
-    from cohomolab.exact_linalg import SparseMatrix
-    mats = []
-    kernel = invariant_rings.kernel_mod_p
-    monkeypatch.setattr(invariant_rings, "kernel_mod_p",
-                        lambda M: mats.append(M) or kernel(M))
+    from cohomolab.exact_linalg import _augmented_echelon
+    echelons = []
+    kernel = invariant_rings._kernel_from_augmented
+    monkeypatch.setattr(invariant_rings, "_kernel_from_augmented",
+                        lambda ech, n_rows: echelons.append(ech)
+                        or kernel(ech, n_rows))
     A = GradedAlgebra(p, [1, 1])
     basis = A.basis(2)
 
@@ -128,15 +131,20 @@ def test_fixed_subspace_matrix_is_reduced_mod_p(p, monkeypatch):
         other = basis[(basis.index(m) + 1) % len(basis)]
         return {m: c * (1 + p), other: c * p}
 
-    assert fixed_subspace(A, [[g({m: 1}) for m in basis]], 2) == \
-        [{m: 1} for m in basis]
-    assert mats[-1].cols == {}
+    blocks = [[g({m: 1}) for m in basis]]
+    assert fixed_subspace(A, blocks, 2) == [{m: 1} for m in basis]
+    assert stacked_matrix(A, blocks, 2).cols == {}
+    assert echelons[-1].basis == \
+        _augmented_echelon(stacked_matrix(A, blocks, 2)).basis
+    assert sorted(echelons[-1].basis) == list(range(3, 6))  # bookkeeping
     act = MatrixAction(A, sl2_generators(p))
-    fixed_dims(A, act.maps, 6)
-    for M in mats[-6:]:
-        assert M.cols == SparseMatrix(M.n_rows, M.n_cols, M.entries(),
-                                      p=p).cols
-        assert all(0 < v < p for col in M.cols.values() for v in col.values())
+    for d, blocks in fixed_sweep(A, act.maps, 6):
+        fixed_subspace(A, blocks, d)
+        ech = echelons[-1]
+        assert ech.basis == \
+            _augmented_echelon(stacked_matrix(A, blocks, d)).basis
+        assert all(0 < v < p for piv in ech.basis
+                   for v in ech.row(piv).values())
 
 
 def test_element_degree_checks_homogeneity():
@@ -528,9 +536,21 @@ CYCLE3 = [[0, 1, 0], [0, 0, 1], [1, 0, 0]]
     pytest.param([_primitive_polynomial(2, 3)], 2, 3, id="singer-2-3"),
     pytest.param([_primitive_polynomial(5, 2)], 5, 2, id="singer-5-2"),
     pytest.param([], 3, 2, id="trivial"),
+    # diag(3^6, 1), of order 37, and the swap: entries up to 222
+    pytest.param([[[pow(3, 6, 223), 0], [0, 1]], [[0, 1], [1, 0]]], 223, 2,
+                 id="monomial-223"),
 ])
 def test_matrix_group_closure_matches_the_entrywise_product(mats, p, k):
     # same elements in the same depth-first order as entry-by-entry
     # products: the order numbers the semidirect products' elements
     assert matrix_group_closure(mats, p, k, 10 ** 4) == \
         closure_oracle(mats, p, k)
+
+
+@pytest.mark.parametrize("p", [5, 223])
+def test_matrix_group_closure_stops_above_the_cap(p):
+    mats = [[[2, 0], [0, 1]], [[1, 1], [0, 1]]]
+    group = closure_oracle(mats, p, 2)
+    assert matrix_group_closure(mats, p, 2, len(group)) == group
+    with pytest.raises(ValueError, match=f"above {len(group) - 1}"):
+        matrix_group_closure(mats, p, 2, len(group) - 1)
