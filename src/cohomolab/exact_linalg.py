@@ -9,7 +9,6 @@ deterministic (fixed reduction order of the row basis).
 from __future__ import annotations
 
 from bisect import bisect_right, insort
-from collections import deque
 from dataclasses import dataclass
 from math import gcd
 from operator import mul
@@ -763,11 +762,6 @@ def reduce_chain_complex(dims: Sequence[int],
     return out
 
 
-# Costs from here up share the last bucket, which keeps the bucket list
-# short when fill-in makes a row or column long.
-_MAX_COST = 255
-
-
 def _eliminate_unit_pairs(boundary: list[Optional[dict[int, int]]]) -> None:
     """Eliminate pairs (b, a) with <d b, a> = u = +-1, in place, until no
     unit entry is left; a deleted cell's boundary becomes None.
@@ -775,86 +769,52 @@ def _eliminate_unit_pairs(boundary: list[Optional[dict[int, int]]]) -> None:
     Each elimination is a chain homotopy equivalence (Kaczynski, Mrozek &
     Slusarek, Comput. Math. Appl. 35, 1998): every other coface c of a
     gets d c -= <d c, a> u d b, then b leaves the complex and the
-    boundaries of its cofaces, and a leaves with its own boundary.  Pairs
-    are taken cheapest first by the Markowitz cost (|d b| - 1)(|cob a| - 1),
-    from FIFO buckets on that cost (a heap spends its time in pops, and
-    LIFO buckets thrash).  An entry is queued as the int b << shift | a
-    when its cost may have dropped -- the entries of the changed columns
-    and of the cofaces of b -- and checked against its current value and
-    cost when popped.  Each cell's cofaces are the keys of an
-    insertion-ordered dict, so a removal is O(1) and they are visited in
-    the order they were added.
+    boundaries of its cofaces, and a leaves with its own boundary.  The
+    columns are visited in cell order, and a column b with unit entries
+    is paired with the unit face a of fewest cofaces, the least Markowitz
+    cost (|d b| - 1)(|cob a| - 1) for that b; local choices are enough
+    (Mrozek & Batko, Discrete Comput. Geom. 41, 2009).  A sweep that
+    changes a column it has passed is followed by another.  Each cell's
+    cofaces are the keys of an insertion-ordered dict, so a removal is
+    O(1) and they are visited in the order they were added.
     """
     cob: list = [{} for _ in boundary]
     for c, col in enumerate(boundary):
         for a in col:
             cob[a][c] = None
-    shift = len(boundary).bit_length()
-    mask = (1 << shift) - 1
-    buckets: list[deque] = []
-    low, cap = 0, _MAX_COST
-
-    def push(c: int, col: dict[int, int], faces: Iterable[int]) -> None:
-        nonlocal low
-        size = len(col) - 1
-        for a in faces:
-            v = col.get(a)
-            if v == 1 or v == -1:
-                cost = size * (len(cob[a]) - 1)
-                if cost > cap:
-                    cost = cap
-                while cost >= len(buckets):
-                    buckets.append(deque())
-                buckets[cost].append(c << shift | a)
-                if cost < low:
-                    low = cost
-
-    for c, col in enumerate(boundary):
-        push(c, col, col)
-    while low < len(buckets):
-        queue = buckets[low]
-        if not queue:
-            low += 1
-            continue
-        key = queue.popleft()
-        b, a = key >> shift, key & mask
-        col = boundary[b]
-        if col is None:
-            continue
-        u = col.get(a)
-        if u != 1 and u != -1:
-            continue
-        if low < cap and (len(col) - 1) * (len(cob[a]) - 1) > low:
-            push(b, col, (a,))
-            continue
-        for c in cob[a]:
-            if c == b:
+    again = True
+    while again:
+        again = False
+        for b, col in enumerate(boundary):
+            if col is None:
                 continue
-            other = boundary[c]
-            size = len(other)
-            q = other.pop(a) * u
+            a = None
             for f, v in col.items():
-                if f == a:
-                    continue
-                x = other.get(f, 0) - q * v
-                if x:
-                    if f not in other:
-                        cob[f][c] = None
-                    other[f] = x
-                else:
-                    del other[f]
-                    del cob[f][c]
-            push(c, other, other if len(other) < size else col)
-        for f in col:
-            if f != a:
+                if (v == 1 or v == -1) and (a is None or len(cob[f]) < least):
+                    a, u, least = f, v, len(cob[f])
+            if a is None:
+                continue
+            del col[a], cob[a][b]
+            for c in cob[a]:
+                other = boundary[c]
+                q = other.pop(a) * u
+                for f, v in col.items():
+                    x = other.get(f, 0) - q * v
+                    if x:
+                        if f not in other:
+                            cob[f][c] = None
+                        other[f] = x
+                    else:
+                        del other[f]
+                        del cob[f][c]
+                again |= c < b
+            for f in col:
                 del cob[f][b]
-        for e in cob[b]:
-            top = boundary[e]
-            del top[b]
-            push(e, top, top)
-        for f in boundary[a]:
-            del cob[f][a]
-        boundary[a] = boundary[b] = cob[a] = cob[b] = None
+            for e in cob[b]:
+                del boundary[e][b]
+            for f in boundary[a]:
+                del cob[f][a]
+            boundary[a] = boundary[b] = cob[a] = cob[b] = None
 
 
 # ---------------------------------------------------------------------------

@@ -160,6 +160,7 @@ SITES = {
     # resolution
     ("resolution", "FreeResolution._extend",
      "cached d_{n} does not fit F_{n - 1}"): [
+        "test_cached_differential_of_the_wrong_shape_exits_1",
         "test_cache_file_of_the_wrong_shape_is_rejected"],
     ("resolution", "FreeResolution._extend",
      "lifted d_{n} does not reduce to d_{n} mod {self.p}"): [

@@ -8,16 +8,23 @@ element (of davis._chain_counts, which packs them into one integer), the
 orbifold Euler characteristic summed as one Fraction per simplex (of
 davis.orbifold_chi, which sums integers over one power of two), and the
 unit-pair elimination with each cell's cofaces in a list (of
-exact_linalg._eliminate_unit_pairs, which keeps them in a dict)."""
+exact_linalg._eliminate_unit_pairs, which keeps them in a dict).  The
+homology of any chain complex, its cells in any order, has the Smith
+normal forms of its unreduced boundary matrices as oracle."""
 
 import itertools
-from collections import deque
+import random
 from fractions import Fraction
 
-from cohomolab import exact_linalg
-from cohomolab.davis import (DavisQuotient, GraphProduct, SimplicialComplex,
-                             _coset_elements, _mask, racg_from_complex,
-                             torsion_free_coloring)
+import pytest
+
+from cohomolab import davis
+from cohomolab.davis import (DavisQuotient, GraphProduct, HomologyGroup,
+                             SimplicialComplex, _coset_elements, _mask,
+                             chain_homology, quotient_homology,
+                             racg_from_complex, torsion_free_coloring)
+from cohomolab.exact_linalg import (SparseMatrix, reduce_chain_complex,
+                                    smith_normal_form)
 
 
 def complex_to_dict(K: SimplicialComplex) -> dict:
@@ -115,73 +122,104 @@ def orbifold_chi_oracle(K: SimplicialComplex) -> Fraction:
 
 def eliminate_unit_pairs_oracle(boundary: list) -> None:
     """exact_linalg._eliminate_unit_pairs with each cell's cofaces in a
-    list, removed by list.remove; the cost cap is read from exact_linalg
-    at each call, so a test that moves it moves both."""
-    cap = exact_linalg._MAX_COST
+    list, removed by list.remove, and the unit face of fewest cofaces
+    taken as the least (coface count, position) over the column."""
     cob: list = [[] for _ in boundary]
     for c, col in enumerate(boundary):
         for a in col:
             cob[a].append(c)
-    shift = len(boundary).bit_length()
-    mask = (1 << shift) - 1
-    buckets: list = []
-    low = 0
-
-    def push(c, col, faces):
-        nonlocal low
-        size = len(col) - 1
-        for a in faces:
-            v = col.get(a)
-            if v == 1 or v == -1:
-                cost = min(size * (len(cob[a]) - 1), cap)
-                while cost >= len(buckets):
-                    buckets.append(deque())
-                buckets[cost].append(c << shift | a)
-                low = min(low, cost)
-
-    for c, col in enumerate(boundary):
-        push(c, col, col)
-    while low < len(buckets):
-        queue = buckets[low]
-        if not queue:
-            low += 1
-            continue
-        key = queue.popleft()
-        b, a = key >> shift, key & mask
-        col = boundary[b]
-        if col is None:
-            continue
-        u = col.get(a)
-        if u != 1 and u != -1:
-            continue
-        if low < cap and (len(col) - 1) * (len(cob[a]) - 1) > low:
-            push(b, col, (a,))
-            continue
-        for c in cob[a]:
-            if c == b:
+    again = True
+    while again:
+        again = False
+        for b in range(len(boundary)):
+            col = boundary[b]
+            if col is None:
                 continue
-            other = boundary[c]
-            size = len(other)
-            q = other.pop(a) * u
-            for f, v in col.items():
-                if f == a:
+            units = [(len(cob[f]), i, f)
+                     for i, (f, v) in enumerate(col.items()) if abs(v) == 1]
+            if not units:
+                continue
+            a = min(units)[2]
+            u = col[a]
+            for c in cob[a]:
+                if c == b:
                     continue
-                x = other.get(f, 0) - q * v
-                if x:
-                    if f not in other:
-                        cob[f].append(c)
-                    other[f] = x
-                else:
-                    del other[f]
-                    cob[f].remove(c)
-            push(c, other, other if len(other) < size else col)
-        for f in col:
-            if f != a:
-                cob[f].remove(b)
-        for e in cob[b]:
-            top = boundary[e]
-            del top[b]
-            push(e, top, top)
-        for f in boundary[a]:
-            cob[f].remove(a)
-        boundary[a] = boundary[b] = cob[a] = cob[b] = None
+                other = boundary[c]
+                q = other.pop(a) * u
+                for f, v in col.items():
+                    if f == a:
+                        continue
+                    x = other.get(f, 0) - q * v
+                    if x:
+                        if f not in other:
+                            cob[f].append(c)
+                        other[f] = x
+                    else:
+                        del other[f]
+                        cob[f].remove(c)
+                again = again or c < b
+            for f in col:
+                if f != a:
+                    cob[f].remove(b)
+            for e in cob[b]:
+                del boundary[e][b]
+            for f in boundary[a]:
+                cob[f].remove(a)
+            boundary[a] = boundary[b] = cob[a] = cob[b] = None
+
+
+def cube_boundaries(q: DavisQuotient) -> tuple[list, list]:
+    """(dims, boundary columns) that quotient_homology hands to
+    chain_homology, copied before the reduction consumes them."""
+    seen = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(davis, "chain_homology",
+                  lambda dims, boundary, f=davis.chain_homology:
+                  seen.append((list(dims), [dict(c) for c in boundary]))
+                  or f(dims, boundary))
+        quotient_homology(q)
+    (dims, boundary), = seen
+    return dims, boundary
+
+
+def renumber_cells(dims: list, boundary: list, seed: int) -> list:
+    """The chain complex with the cells of each degree permuted by
+    random.Random(seed): the same complex, met in another cell order."""
+    rng = random.Random(seed)
+    new, start = [], 0
+    for size in dims:
+        block = list(range(start, start + size))
+        rng.shuffle(block)
+        new += block
+        start += size
+    out: list = [None] * len(boundary)
+    for c, col in enumerate(boundary):
+        out[new[c]] = {new[a]: v for a, v in col.items()}
+    return out
+
+
+def snf_chain_homology(dims: list, boundary: list) -> list[HomologyGroup]:
+    """H_n of the chain complex from the Smith normal form of each of its
+    boundary matrices, with no reduction first."""
+    starts = list(itertools.accumulate(dims, initial=0))
+    snf = [smith_normal_form(SparseMatrix(
+        dims[n - 1], dims[n],
+        [(a - starts[n - 1], c - starts[n], v)
+         for c in range(starts[n], starts[n + 1])
+         for a, v in boundary[c].items()]))
+        for n in range(1, len(dims))]
+    ranks = [0] + [r.rank for r in snf] + [0]
+    return [HomologyGroup(size - ranks[n] - ranks[n + 1],
+                          snf[n].torsion if n < len(snf) else ())
+            for n, size in enumerate(dims)]
+
+
+def remainder_and_minimum(dims: list, boundary: list) -> tuple[int, int]:
+    """(cells left by reduce_chain_complex, the fewest any chain complex
+    of free modules with this homology has): a rank-r group needs r
+    cells, a torsion factor Z/m two, joined by the entry m."""
+    left = sum(d.n_cols for d in
+               reduce_chain_complex(dims, [dict(c) for c in boundary]))
+    fewest = sum(h.rank + 2 * len(h.torsion)
+                 for h in chain_homology(dims, [dict(c) for c in boundary]))
+    return left, fewest

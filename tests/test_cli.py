@@ -1236,6 +1236,20 @@ def test_cached_differential_not_minimal_exits_1(capsys, monkeypatch,
                                "induced differential d_2 does not vanish mod 3")
 
 
+def test_cached_differential_of_the_wrong_shape_exits_1(capsys, monkeypatch,
+                                                       tmp_path):
+    # d_1 of C3 replaced by one generator column with 2 rows: F_0 = F_3 C3
+    # has 3, so the loaded matrix cannot be d_1
+    resolution = _fresh_resolutions(monkeypatch)
+    argv = ["--cache-dir", str(tmp_path)] + DIMS_C3
+    assert main(argv) == EXIT_PASS
+    capsys.readouterr()
+    (path,) = tmp_path.glob(f"res_v{CACHE_FORMAT}_*_d1_F3.txt")
+    path.write_text("2 1 1 F3\n0 0 1\n")
+    monkeypatch.setattr(resolution, "_RESOLUTIONS", {})
+    _exits_1_without_traceback(capsys, argv, "cached d_1 does not fit F_0")
+
+
 def test_bockstein_divisibility_failure_exits_1(capsys, monkeypatch):
     from cohomolab.bar_cohomology import Cochain
     lift = Cochain.lift_to_z

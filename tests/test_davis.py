@@ -12,6 +12,7 @@ from cohomolab.davis import (
     SimplicialComplex,
     barycentric_subdivision,
     bestvina_check,
+    chain_homology,
     chiswell_chi,
     cohomology_degree,
     complex_from_dict,
@@ -32,10 +33,12 @@ from cohomolab.davis import (MAX_FACET_SIZE, MAX_QUOTIENT_PAIRS,
 from cohomolab.exact_linalg import (SparseMatrix, _eliminate_unit_pairs,
                                     smith_normal_form)
 from complex_helpers import (chain_counts_oracle, complex_to_dict,
-                             eliminate_unit_pairs_oracle,
+                             cube_boundaries, eliminate_unit_pairs_oracle,
                              euler_characteristic, full_simplex, is_finite,
                              orbifold_chi_oracle, quotient_poset,
-                             simplex_boundary, vertex_labels)
+                             remainder_and_minimum, renumber_cells,
+                             simplex_boundary, snf_chain_homology,
+                             vertex_labels)
 
 Z = HomologyGroup(1, ())
 ZERO = HomologyGroup(0, ())
@@ -236,14 +239,13 @@ def test_homology_matches_snf(build, f):
     assert homology(K) == snf_homology(K)
 
 
-@pytest.mark.parametrize("cap", [0, 1, 3])
-def test_homology_with_capped_pivot_costs(monkeypatch, cap):
-    # costs above the cap share one FIFO bucket; the order changes, the
-    # homology may not
-    from cohomolab import exact_linalg
-    monkeypatch.setattr(exact_linalg, "_MAX_COST", cap)
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_homology_with_renumbered_cells(seed):
+    # the elimination sweeps the cells in another order; the homology
+    # may not change
     for K in (moore_complex(3), _sd_quotient(simplex_boundary(4))):
-        assert homology(K) == snf_homology(K)
+        boundary = renumber_cells(K.f_vector(), _chain_complex(K), seed)
+        assert chain_homology(K.f_vector(), boundary) == snf_homology(K)
 
 
 # ---------------------------------------------------------------------------
@@ -480,24 +482,9 @@ def test_quotient_cubes_are_the_vertex_labels():
                              for s in q.graph_product.spherical_subsets())
 
 
-def _cube_boundaries(monkeypatch, q):
-    """(dims, boundary columns) that quotient_homology hands to
-    chain_homology, copied before the reduction consumes them."""
-    from cohomolab import davis
-    seen = []
-    monkeypatch.setattr(
-        davis, "chain_homology",
-        lambda dims, boundary, f=davis.chain_homology:
-        seen.append((list(dims), [dict(c) for c in boundary]))
-        or f(dims, boundary))
-    quotient_homology(q)
-    (dims, boundary), = seen
-    return dims, boundary
-
-
-def test_cube_boundaries_are_oriented_and_compose_to_zero(monkeypatch):
+def test_cube_boundaries_are_oriented_and_compose_to_zero():
     q = _quotient(barycentric_subdivision(moore_complex(2)))
-    dims, boundary = _cube_boundaries(monkeypatch, q)
+    dims, boundary = cube_boundaries(q)
     cubes = quotient_cubes(q)
     assert dims == [sum(len(s) == n for s, _ in cubes)
                     for n in range(len(dims))]
@@ -637,22 +624,37 @@ def test_packed_field_width_at_the_limits():
     assert _chain_field_bits(MAX_QUOTIENT_PAIRS, MAX_FACET_SIZE) == 88
 
 
-@pytest.mark.parametrize("n,cap", [(n, 255) for n in range(2, 17)]
+@pytest.mark.parametrize("n,seed", [(n, 255) for n in range(2, 17)]
                          + [(2, 0), (2, 1), (2, 3)])
-def test_unit_pair_remainder_matches_the_oracle(monkeypatch, n, cap):
+def test_unit_pair_remainder_matches_the_oracle(n, seed):
     """The dict cofaces eliminate the same pairs in the same order as the
     list cofaces: the same cells remain, with the same columns in the
-    same order."""
-    from cohomolab import exact_linalg
-    monkeypatch.setattr(exact_linalg, "_MAX_COST", cap)
+    same order.  Checked on the cubes in their own order and with the
+    cells of each degree renumbered by the seed; renumbered, the homology
+    must still be what the unreduced matrices' Smith normal forms give."""
     q = _quotient(barycentric_subdivision(moore_complex(n)))
-    _, boundary = _cube_boundaries(monkeypatch, q)
-    oracle = [dict(col) for col in boundary]
-    _eliminate_unit_pairs(boundary)
-    eliminate_unit_pairs_oracle(oracle)
-    assert [col and list(col.items()) for col in boundary] == \
-        [col and list(col.items()) for col in oracle]
-    assert sum(col is not None for col in boundary) < len(boundary)
+    dims, cubes = cube_boundaries(q)
+    renumbered = renumber_cells(dims, cubes, seed)
+    for boundary in (cubes, renumbered):
+        oracle = [dict(col) for col in boundary]
+        boundary = [dict(col) for col in boundary]
+        _eliminate_unit_pairs(boundary)
+        eliminate_unit_pairs_oracle(oracle)
+        assert [col and list(col.items()) for col in boundary] == \
+            [col and list(col.items()) for col in oracle]
+        assert sum(col is not None for col in boundary) < len(boundary)
+    assert chain_homology(dims, renumbered) == \
+        snf_chain_homology(dims, cubes) == quotient_homology(q)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_unit_pair_remainder_is_minimal(n):
+    """On the cubes of the Bestvina quotients, no chain complex with the
+    same homology has fewer cells than the remainder of the reduction:
+    what reaches the Smith normal form is the homology itself."""
+    q = _quotient(barycentric_subdivision(moore_complex(n)))
+    left, fewest = remainder_and_minimum(*cube_boundaries(q))
+    assert left == fewest
 
 
 def test_empty_complex_is_the_trivial_group():

@@ -495,6 +495,16 @@ def test_snf_is_independent_of_the_chain_complex_reduction():
     assert not reached & {"reduce_chain_complex", "_eliminate_unit_pairs"}
 
 
+def test_a_column_that_turns_unit_after_its_visit_is_swept_again():
+    # cells 0, 1 in degree 0; d2 = 2.0 + 3.1 has no unit entry when it is
+    # visited, and d3 = 0 + 1 pairs with 0 (a tie on cofaces, the first
+    # face wins), which turns d2 into 1: the pair (2, 1) goes in the
+    # second sweep
+    boundary = [{}, {}, {0: 2, 1: 3}, {0: 1, 1: 1}]
+    exact_linalg._eliminate_unit_pairs(boundary)
+    assert boundary == [None] * 4
+
+
 def test_smith_report_validates():
     with pytest.raises(ValueError):
         SmithReport((3, 2), 2)

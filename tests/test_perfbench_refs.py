@@ -21,8 +21,9 @@ from pathlib import Path
 import pytest
 
 from cohomolab import bar_cohomology, char_chern, cli, davis, resolution
-from complex_helpers import (chain_counts_oracle, orbifold_chi_oracle,
-                             quotient_poset)
+from complex_helpers import (chain_counts_oracle, cube_boundaries,
+                             orbifold_chi_oracle, quotient_poset,
+                             remainder_and_minimum)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -102,6 +103,20 @@ def test_davis_catalogue_matches_the_oracles(name):
     elements, masks = quotient_poset(K)
     assert davis._chain_counts(elements, masks) == \
         chain_counts_oracle(elements, masks)
+
+
+@pytest.mark.parametrize("name", sorted(DAVIS_COMPLEXES))
+def test_davis_catalogue_reductions_leave_the_fewest_cells(name):
+    """The unit-pair reduction of K's simplicial chain complex and of its
+    Davis quotient's cubes leaves Smith normal form nothing to do but
+    read the homology: a rank-r group keeps r cells, a Z/m two."""
+    K = davis.complex_from_dict(DAVIS_COMPLEXES[name])
+    q = davis.davis_quotient(davis.racg_from_complex(K),
+                             davis.torsion_free_coloring(K))
+    for dims, boundary in ((K.f_vector(), davis._chain_complex(K)),
+                           cube_boundaries(q)):
+        left, fewest = remainder_and_minimum(dims, boundary)
+        assert left == fewest
 
 
 def test_span_targets_are_where_the_tracer_wraps_them():
